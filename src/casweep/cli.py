@@ -167,8 +167,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.exact:
         try:
             ok = is_slider_rule_for(chi, f, max_states=args.max_automaton_states)
-        except ResourceCapError:
-            raise
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         report = {
@@ -405,8 +403,19 @@ def cmd_automata(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+def positive_int(text: str) -> int:
+    """Argument type for counts and caps: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_cap(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-automaton-states", type=int, default=None,
+    parser.add_argument("--max-automaton-states", type=positive_int, default=None,
                         help="abort with exit code 3 beyond this many states")
 
 
@@ -419,14 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="closing structure and slider existence")
     p.add_argument("rule", help="local rule JSON file")
-    p.add_argument("--max-psi", type=int, default=1 << 24,
+    p.add_argument("--max-psi", type=positive_int, default=1 << 24,
                    help="cap on the stair enumeration")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synthesize", help="build a block rule realizing the CA")
     p.add_argument("rule", help="local rule JSON file")
     p.add_argument("out", help="output block rule JSON file")
-    p.add_argument("--max-psi", type=int, default=1 << 24)
+    p.add_argument("--max-psi", type=positive_int, default=1 << 24)
     _add_cap(p)
     p.set_defaults(func=cmd_synthesize)
 
@@ -435,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rule", help="local rule JSON file")
     p.add_argument("--exact", action="store_true",
                    help="decide equality exactly instead of sampling")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_cap(p)
     p.set_defaults(func=cmd_verify)
@@ -445,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="configuration JSON file")
     p.add_argument("--mode", choices=("slider", "sweeper"), default="slider")
     p.add_argument("--anchor", type=int, default=0)
-    p.add_argument("--trace", type=int, default=0, metavar="STEPS",
+    p.add_argument("--trace", type=positive_int, default=0, metavar="STEPS",
                    help="print the first STEPS partial sweeps as a grid")
     p.set_defaults(func=cmd_sweep)
 
@@ -457,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="two-stage sweep factorization")
     p.add_argument("rule", help="local rule JSON file")
     p.add_argument("out_dir", help="directory for stage files")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decompose)
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
+from . import graph
 from .core import (EpConfig, IntegrityError, ResourceCapError, all_words,
                    ep_equal, ep_to_json)
 from .ca import (LocalRule, apply_ep, minimize_neighborhood, mirror,
@@ -162,20 +161,10 @@ def _walk_to_root(parents, v):
 
 
 def _recurrent_vertices(fwd) -> set:
-    graph = nx.DiGraph()
-    graph.add_nodes_from(fwd)
-    for src, outs in fwd.items():
-        for _, tgt in outs:
-            graph.add_edge(src, tgt)
-    recurrent = set()
-    for comp in nx.strongly_connected_components(graph):
-        if len(comp) > 1:
-            recurrent |= comp
-        else:
-            v = next(iter(comp))
-            if graph.has_edge(v, v):
-                recurrent.add(v)
-    return recurrent
+    order = list(fwd)
+    index = {v: k for k, v in enumerate(order)}
+    cyclic = graph.on_cycle([[index[tgt] for _, tgt in fwd[v]] for v in order])
+    return {v for v, hit in zip(order, cyclic) if hit}
 
 
 def left_closing_decide(f: LocalRule,

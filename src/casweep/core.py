@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 
 class ResourceCapError(RuntimeError):
@@ -68,8 +69,7 @@ def word_of_index(i: int, length: int, q: int) -> tuple[int, ...]:
 
 def all_words(length: int, q: int):
     """Iterate all words of a length in lexicographic (index) order."""
-    for i in range(q**length):
-        yield word_of_index(i, length, q)
+    return product(range(q), repeat=length)
 
 
 def pair_symbol(a: int, b: int, q: int) -> int:

@@ -1,0 +1,130 @@
+"""Directed graphs on integer nodes: strong components and reachability.
+
+A graph is a sequence ``succ`` of successor lists over the nodes
+``0..n-1``; duplicate edges are harmless.  Every routine is iterative, so
+path length is bounded by memory, not by the recursion limit.  This is the
+one place the package computes strongly connected components, cycles and
+reachability; callers map their own states to node numbers.
+"""
+
+from __future__ import annotations
+
+
+def strong_components(succ) -> list[int]:
+    """Component number of each node (Tarjan 1972, without recursion).
+
+    Components are numbered in the order Tarjan's algorithm closes them,
+    which is a reverse topological order: an edge between two components
+    always runs from the higher number to the lower one.
+    """
+    n = len(succ)
+    index = [0] * n          # DFS discovery number + 1; 0 = not yet seen
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = 0
+    count = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not index[w]:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                # seen and not yet in a component means still on the stack
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    return comp
+
+
+def on_cycle(succ) -> bytearray:
+    """Flag per node: does some cycle (a self-loop counts) pass through it?"""
+    comp = strong_components(succ)
+    size: dict[int, int] = {}
+    for c in comp:
+        size[c] = size.get(c, 0) + 1
+    return bytearray(size[c] > 1 or v in succ[v] for v, c in enumerate(comp))
+
+
+def reverse(succ) -> list[list[int]]:
+    """Predecessor lists: the same graph with every edge turned around."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, outs in enumerate(succ):
+        for w in outs:
+            pred[w].append(v)
+    return pred
+
+
+def reachable(succ, seeds) -> bytearray:
+    """Flag per node: is it reachable from a seed by zero or more edges?
+
+    Pass `reverse(succ)` to get the nodes that reach a seed instead.
+    """
+    seen = bytearray(len(succ))
+    frontier = []
+    for v in seeds:
+        if not seen[v]:
+            seen[v] = 1
+            frontier.append(v)
+    while frontier:
+        for w in succ[frontier.pop()]:
+            if not seen[w]:
+                seen[w] = 1
+                frontier.append(w)
+    return seen
+
+
+def recurrent(succ, comp: list[int], marked_sets) -> list[int]:
+    """Nodes of the components that hold a cycle and meet every marked set.
+
+    These are the nodes a path can visit infinitely often while visiting
+    each marked set infinitely often.  With no marked sets, every component
+    holding a cycle qualifies.
+    """
+    hits = None
+    for marked in marked_sets:
+        met = {comp[v] for v in marked}
+        hits = met if hits is None else hits & met
+    nodes = [v for v, c in enumerate(comp) if hits is None or c in hits]
+    size: dict[int, int] = {}
+    for v in nodes:
+        size[comp[v]] = size.get(comp[v], 0) + 1
+    return [v for v in nodes if size[comp[v]] > 1 or v in succ[v]]
+
+
+def lasso_free(succ, left_sets, right_sets) -> bool:
+    """Is there no path from a left-recurrent to a right-recurrent node?
+
+    A path exists iff some bi-infinite path visits every left set
+    infinitely often to the left and every right set infinitely often to
+    the right (generalized Buchi acceptance on both sides), so this is the
+    emptiness test of automata on bi-infinite words.
+    """
+    comp = strong_components(succ)
+    targets = recurrent(succ, comp, right_sets)
+    if not targets:
+        return True
+    reach = reachable(succ, recurrent(succ, comp, left_sets))
+    return not any(reach[v] for v in targets)

@@ -17,8 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-
+from . import graph
 from .core import (EpConfig, ResourceCapError, all_words, ep_equal,
                    ep_to_json, random_ep_config, word_index, word_of_index)
 from .ca import LocalRule, apply_ep
@@ -79,9 +78,6 @@ def mealy_from_block(chi: BlockRule) -> MealyAutomaton:
     return MealyAutomaton(chi.q, n, tuple(outs), tuple(nxts))
 
 
-_IDLE = -1
-
-
 def good_states(mealy: MealyAutomaton, cap: int = 1 << 22) -> set[int]:
     """States reached at a boundary by infinitely many anchors of some tail.
 
@@ -93,43 +89,42 @@ def good_states(mealy: MealyAutomaton, cap: int = 1 << 22) -> set[int]:
     equal to it is reachable from a cycle through a flagged edge: the cycle
     supplies infinitely many merged anchors.  Polynomial in |Q|, unlike the
     direct search over state transformations.
+
+    Node (c, u) is numbered c * (|Q| + 1) + u, with u = |Q| for idle.
     """
     Q = mealy.size
     if Q * (Q + 1) * Q > cap:
         raise ResourceCapError("product graph exceeds the cap")
-    graph = nx.DiGraph()
-    flagged = []
+    idle = Q
+    width = Q + 1
+    # shared int objects keep the ~|Q|^3 stored edges small
+    node = list(range(Q * width))
+    rows = [mealy.next_table[c * Q:(c + 1) * Q] for c in range(Q)]
+    succ: list[list[int]] = []
+    merged: list[list[int]] = []    # targets of the flagged edges
     for c in range(Q):
-        for e in range(Q):
-            c2 = mealy.delta(c, e)
-            graph.add_edge((c, _IDLE), (c2, _IDLE))
-            # seed a probe at this letter; an immediate merge flags
-            if e == c2:
-                flagged.append(((c, _IDLE), (c2, _IDLE)))
+        row = rows[c]
+        for u in range(width):
+            if u == idle:
+                # keep the main run alone, or seed a probe at this letter;
+                # a probe equal to the main run at once flags the edge
+                outs = [node[c2 * width + idle] for c2 in row]
+                flags = [outs[e] for e, c2 in enumerate(row) if e == c2]
+                outs += [node[c2 * width + e] for e, c2 in enumerate(row)
+                         if e != c2]
+            elif u == c:
+                outs, flags = [], []
             else:
-                graph.add_edge((c, _IDLE), (c2, e))
-            for u in range(Q):
-                if u == c:
-                    continue
-                u2 = mealy.delta(u, e)
-                if u2 == c2:
-                    flagged.append(((c, u), (c2, _IDLE)))
-                    graph.add_edge((c, u), (c2, _IDLE))
-                else:
-                    graph.add_edge((c, u), (c2, u2))
-    comp = {}
-    for k, scc in enumerate(nx.strongly_connected_components(graph)):
-        for node in scc:
-            comp[node] = k
-    frontier = [dst for src, dst in flagged if comp[src] == comp[dst]]
-    reached = set(frontier)
-    while frontier:
-        node = frontier.pop()
-        for nxt in graph[node]:
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-    return {c for c, _ in reached}
+                outs = [node[c2 * width + (idle if u2 == c2 else u2)]
+                        for c2, u2 in zip(row, rows[u])]
+                # the probe merges exactly on the edges back to idle
+                flags = [d for d in outs if d % width == idle]
+            succ.append(outs)
+            merged.append(flags)
+    comp = graph.strong_components(succ)
+    reached = graph.reachable(succ, (d for v, flags in enumerate(merged)
+                                     for d in flags if comp[d] == comp[v]))
+    return {v // width for v, hit in enumerate(reached) if hit}
 
 
 def _good_states_by_transformations(mealy: MealyAutomaton,
@@ -143,29 +138,29 @@ def _good_states_by_transformations(mealy: MealyAutomaton,
     """
     Q = mealy.size
     identity = tuple(range(Q))
-    graph = nx.DiGraph()
-    values: dict[tuple, set[int]] = {}
+    ids = {identity: 0}
+    succ: list[list[int]] = [[]]
+    values: dict[tuple[int, int], set[int]] = {}
     frontier = [identity]
-    seen = {identity}
     while frontier:
         T = frontier.pop()
+        k = ids[T]
         for e in range(Q):
             T2 = tuple(T[mealy.delta(s, e)] for s in range(Q))
-            values.setdefault((T, T2), set()).add(T[e])
-            graph.add_edge(T, T2)
-            if T2 not in seen:
-                if len(seen) >= cap:
+            k2 = ids.get(T2)
+            if k2 is None:
+                if len(ids) >= cap:
                     raise ResourceCapError(
                         "transformation graph exceeds the cap")
-                seen.add(T2)
+                k2 = ids[T2] = len(succ)
+                succ.append([])
                 frontier.append(T2)
-    comp = {}
-    for k, scc in enumerate(nx.strongly_connected_components(graph)):
-        for node in scc:
-            comp[node] = k
+            succ[k].append(k2)
+            values.setdefault((k, k2), set()).add(T[e])
+    comp = graph.strong_components(succ)
     good = set()
-    for (T, T2), vals in values.items():
-        if comp[T] == comp[T2]:
+    for (k, k2), vals in values.items():
+        if comp[k] == comp[k2]:
             good |= vals
     return good
 
@@ -195,8 +190,7 @@ class SweepOutcome:
                 "limits": [ep_to_json(self.limit), ep_to_json(self.second)]}
 
 
-def sweeper_eval(chi: BlockRule, y: EpConfig,
-                 horizon_cells: int | None = None) -> SweepOutcome:
+def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
     """All accumulation points of chi swept from anchors going left.
 
     For each anchor residue modulo the left period, the sweep window
@@ -204,9 +198,7 @@ def sweeper_eval(chi: BlockRule, y: EpConfig,
     lists the windows seen from arbitrarily far anchors.  Every cycle
     element yields one accumulation configuration: cycling backward writes
     a periodic left tail, sweeping forward across the center settles into
-    the right tail.  Comparisons are exact on eventually periodic
-    configurations, so horizon_cells is accepted only for interface
-    compatibility and never consulted.
+    the right tail.
     """
     if chi.q != y.q:
         raise ValueError("alphabet mismatch")

@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
-
+from . import graph
 from .core import (EpConfig, IntegrityError, ResourceCapError, all_words,
-                   ep_to_json, prime_factors, word_of_index)
+                   ep_to_json, prime_factors, word_index, word_of_index)
 from .ca import LocalRule
 from .closing import ClosingVerdict, _radius_form, left_closing_decide
 
@@ -218,28 +217,19 @@ def stairs_connecting(f: LocalRule, m: int, y: EpConfig,
     # c - r; the DP state before that step is the window x[c-r+1 .. c+r].
     # Inside the periodic zone a state survives iff (window, phase) can
     # reach a cycle of the constraint graph, phase = (c - cs) mod period.
-    graph = nx.DiGraph()
-    for win in all_words(2 * r, q):
+    # Node (win, ph) is numbered word_index(win) * period + ph.
+    succ: list[list[int]] = [[] for _ in range(q ** (2 * r) * period)]
+    for k, win in enumerate(all_words(2 * r, q)):
         for ph in range(period):
             target = z.left_period[ph]
             for a in range(q):
                 if g((a,) + win) == target:
-                    graph.add_edge((win, ph),
-                                   ((a,) + win[:-1], (ph - 1) % period))
-    alive: set = set()
-    for comp in nx.strongly_connected_components(graph):
-        first = next(iter(comp))
-        if len(comp) > 1 or graph.has_edge(first, first):
-            alive |= comp
-    good = set(alive)
-    rev = graph.reverse(copy=False)
-    frontier = list(alive)
-    while frontier:
-        node = frontier.pop()
-        for prev in rev[node]:
-            if prev not in good:
-                good.add(prev)
-                frontier.append(prev)
+                    succ[k * period + ph].append(
+                        word_index((a,) + win[:-1], q) * period
+                        + (ph - 1) % period)
+    alive = graph.on_cycle(succ)
+    good = graph.reachable(graph.reverse(succ),
+                           (v for v, hit in enumerate(alive) if hit))
 
     result = []
     for v in all_words(2 * m, q):
@@ -256,7 +246,7 @@ def stairs_connecting(f: LocalRule, m: int, y: EpConfig,
                 states = {(a,) + win[:-1] for win in states
                           for a in range(q) if g((a,) + win) == target}
                 c -= 1
-            if states and any((win, (c - cs) % period) in good
-                              for win in states):
+            if states and any(good[word_index(win, q) * period
+                                   + (c - cs) % period] for win in states):
                 result.append((v, w))
     return frozenset(result)

@@ -16,18 +16,11 @@ integer, big-endian, so a pair (y, z) reads as y * q + z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
-import networkx as nx
-
-from .core import EpConfig, ResourceCapError, all_words, word_index, \
-    word_of_index
+from . import graph
+from .core import EpConfig, ResourceCapError, all_words, word_of_index
 from .ca import LocalRule, minimize_neighborhood
 from .blockrule import BlockRule
-
-
-def encode_label(symbols: tuple[int, ...], q: int) -> int:
-    return word_index(symbols, q)
 
 
 def decode_label(label: int, q: int, arity: int) -> tuple[int, ...]:
@@ -67,48 +60,24 @@ class ZAutomaton:
                 "F": sorted(index[s] for s in self.final)}
 
 
-def _edge_graph(A: ZAutomaton) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(A.states)
-    g.add_edges_from((s, t) for s, _, t in A.edges)
-    return g
+def _numbered(A: ZAutomaton):
+    """The states in iteration order, their numbers, and the edge graph."""
+    order = list(A.states)
+    index = {s: k for k, s in enumerate(order)}
+    succ: list[list[int]] = [[] for _ in order]
+    for s, _, t in A.edges:
+        succ[index[s]].append(index[t])
+    return order, index, succ
 
 
-def _cyclic_sccs(graph: nx.DiGraph, marked) -> list[set]:
-    """Strongly connected components that contain a cycle and a marked node."""
-    out = []
-    marked = set(marked)
-    for comp in nx.strongly_connected_components(graph):
-        if not comp & marked:
-            continue
-        first = next(iter(comp))
-        if len(comp) > 1 or graph.has_edge(first, first):
-            out.append(comp)
-    return out
-
-
-def _reach_forward(graph: nx.DiGraph, seeds) -> set:
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        node = frontier.pop()
-        for nxt in graph[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def _reach_backward(graph: nx.DiGraph, seeds) -> set:
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        node = frontier.pop()
-        for prv in graph.predecessors(node):
-            if prv not in seen:
-                seen.add(prv)
-                frontier.append(prv)
-    return seen
+def _recurrent_parts(A: ZAutomaton):
+    """Numbered states and graph, plus the nodes of the cycles that can carry
+    the initial and the final recurrence."""
+    order, index, succ = _numbered(A)
+    comp = graph.strong_components(succ)
+    left = graph.recurrent(succ, comp, [[index[s] for s in A.initial]])
+    right = graph.recurrent(succ, comp, [[index[s] for s in A.final]])
+    return order, succ, left, right
 
 
 # ---------------------------------------------------------------------------
@@ -124,43 +93,42 @@ def member(A: ZAutomaton, x: EpConfig) -> bool:
     if x.q != A.label_count:
         raise ValueError("word alphabet does not match the label space")
     succ = A.successors()
-    P = len(x.left_period)
-    left = nx.DiGraph()
-    for s in A.states:
-        for t in range(P):
+    index = {s: k for k, s in enumerate(succ)}
+
+    def period_graph(period, marked):
+        # node k * P + t: state number k at phase t of the period
+        P = len(period)
+        g: list[list[int]] = [[] for _ in range(len(index) * P)]
+        for s, k in index.items():
             for label, d in succ[s]:
-                if label == x.left_period[t]:
-                    left.add_edge((s, t), (d, (t + 1) % P))
-    seeds = _cyclic_sccs(left, ((s, t) for s in A.initial for t in range(P)))
-    good_left = _reach_forward(left, set().union(*seeds)) if seeds else set()
+                for t in range(P):
+                    if label == period[t]:
+                        g[k * P + t].append(index[d] * P + (t + 1) % P)
+        comp = graph.strong_components(g)
+        return g, graph.recurrent(
+            g, comp, [[index[s] * P + t for s in marked for t in range(P)]])
+
+    left, seeds = period_graph(x.left_period, A.initial)
+    good_left = graph.reachable(left, seeds)
     # phase t at boundary p means (p - boundary anchor) = t mod period
-    states = {s for s in A.states if (s, 0) in good_left}
+    P = len(x.left_period)
+    states = {s for s, k in index.items() if good_left[k * P]}
     for p in range(x.center_start, x.center_end):
         symbol = x.cell(p)
         states = {d for s in states for label, d in succ[s] if label == symbol}
         if not states:
             return False
+    right, sinks = period_graph(x.right_period, A.final)
+    good_right = graph.reachable(graph.reverse(right), sinks)
     R = len(x.right_period)
-    right = nx.DiGraph()
-    for s in A.states:
-        for t in range(R):
-            for label, d in succ[s]:
-                if label == x.right_period[t]:
-                    right.add_edge((s, t), (d, (t + 1) % R))
-    sinks = _cyclic_sccs(right, ((s, t) for s in A.final for t in range(R)))
-    good_right = _reach_backward(right, set().union(*sinks)) if sinks else set()
-    return any((s, 0) in good_right for s in states)
+    return any(good_right[index[s] * R] for s in states)
 
 
 def is_empty(A: ZAutomaton) -> bool:
     """No bi-infinite path satisfies both recurrence obligations."""
-    graph = _edge_graph(A)
-    left = _cyclic_sccs(graph, A.initial)
-    right = _cyclic_sccs(graph, A.final)
-    if not left or not right:
-        return True
-    targets = set().union(*right)
-    return not (_reach_forward(graph, set().union(*left)) & targets)
+    _, index, succ = _numbered(A)
+    return graph.lasso_free(succ, [[index[s] for s in A.initial]],
+                            [[index[s] for s in A.final]])
 
 
 def _labeled_path(A: ZAutomaton, sources: set, targets: set):
@@ -218,17 +186,13 @@ def nonempty_witness(A: ZAutomaton) -> EpConfig | None:
     Left lasso labels become the left period, the connecting path the
     center, the right lasso the right period.
     """
-    graph = _edge_graph(A)
-    left = _cyclic_sccs(graph, A.initial)
-    right = _cyclic_sccs(graph, A.final)
-    if not left or not right:
-        return None
-    reach = _reach_forward(graph, set().union(*left))
-    if not (set().union(*right) & reach):
+    order, succ, left, right = _recurrent_parts(A)
+    reach = graph.reachable(succ, left)
+    if not any(reach[v] for v in right):
         return None
     # aim for final states so the right lasso is guaranteed to carry one
-    targets = {s for comp in right for s in comp if s in A.final}
-    i_states = {s for comp in left for s in comp if s in A.initial}
+    targets = {order[v] for v in right} & A.final
+    i_states = {order[v] for v in left} & A.initial
     found = _labeled_path(A, i_states, targets)
     if found is None:
         return None
@@ -241,14 +205,10 @@ def nonempty_witness(A: ZAutomaton) -> EpConfig | None:
 
 def trim(A: ZAutomaton) -> ZAutomaton:
     """Drop states on no accepting bi-infinite path; language unchanged."""
-    graph = _edge_graph(A)
-    left = _cyclic_sccs(graph, A.initial)
-    right = _cyclic_sccs(graph, A.final)
-    if not left or not right:
-        keep: set = set()
-    else:
-        keep = (_reach_forward(graph, set().union(*left)) &
-                _reach_backward(graph, set().union(*right)))
+    order, succ, left, right = _recurrent_parts(A)
+    after_left = graph.reachable(succ, left)
+    before_right = graph.reachable(graph.reverse(succ), right)
+    keep = {s for s, a, b in zip(order, after_left, before_right) if a and b}
     return ZAutomaton(A.q, A.arity, frozenset(keep),
                       frozenset((s, l, t) for s, l, t in A.edges
                                 if s in keep and t in keep),
@@ -306,41 +266,6 @@ def project(A: ZAutomaton, coordinate: int) -> ZAutomaton:
         (s, decode_label(label, A.q, A.arity)[coordinate], t)
         for s, label, t in A.edges)
     return ZAutomaton(A.q, 1, A.states, edges, A.initial, A.final)
-
-
-def _generalized_is_empty(graph: nx.DiGraph, left_sets, right_sets) -> bool:
-    """Emptiness with several recurrence sets per side.
-
-    A single cycle can serve all sets of one side iff some strongly
-    connected component with an edge meets every one of them.
-    """
-    comp_of = {}
-    comps = []
-    for k, comp in enumerate(nx.strongly_connected_components(graph)):
-        comps.append(comp)
-        for node in comp:
-            comp_of[node] = k
-    def cyclic(comp):
-        first = next(iter(comp))
-        return len(comp) > 1 or graph.has_edge(first, first)
-    lefts = [k for k, comp in enumerate(comps)
-             if cyclic(comp) and all(comp & s for s in left_sets)]
-    rights = {k for k, comp in enumerate(comps)
-              if cyclic(comp) and all(comp & s for s in right_sets)}
-    if not lefts or not rights:
-        return True
-    cond = nx.condensation(graph, scc=comps)
-    frontier = list(lefts)
-    seen = set(lefts)
-    while frontier:
-        k = frontier.pop()
-        if k in rights:
-            return False
-        for nxt in cond[k]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return not (seen & rights)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +511,9 @@ def _differs_in_last_two(q: int) -> ZAutomaton:
 def _fiber_square(A: ZAutomaton):
     """Edge graph of pairs of runs of A sharing the first track.
 
-    Returns the graph over (state, state, diff-phase) nodes together with
-    the recurrence sets of both run copies, labels expanded to triples.
+    Returns the graph over numbered (state, state, diff-phase) nodes
+    together with the recurrence sets of both run copies and of the
+    difference tracker, labels expanded to triples.
     """
     if A.arity != 2:
         raise ValueError("fiber product needs a two-track automaton")
@@ -600,21 +526,31 @@ def _fiber_square(A: ZAutomaton):
     dsucc: dict = {}
     for s, label, t in diff.edges:
         dsucc.setdefault((s, label), []).append(t)
-    graph = nx.DiGraph()
+    ids: dict = {}
+    succ: list[list[int]] = []
+
+    def node(key) -> int:
+        k = ids.get(key)
+        if k is None:
+            k = ids[key] = len(succ)
+            succ.append([])
+        return k
+
     for y, group in by_y.items():
         for (s1, z1, t1) in group:
             for (s2, z2, t2) in group:
                 label = (y * q + z1) * q + z2
                 for ds in (("pre",), ("after",)):
                     for dt in dsucc.get((ds, label), ()):
-                        graph.add_edge((s1, s2, ds), (t1, t2, dt))
-    lefts = [{n for n in graph if n[0] in A.initial},
-             {n for n in graph if n[1] in A.initial},
-             {n for n in graph if n[2] in diff.initial}]
-    rights = [{n for n in graph if n[0] in A.final},
-              {n for n in graph if n[1] in A.final},
-              {n for n in graph if n[2] in diff.final}]
-    return graph, lefts, rights
+                        succ[node((s1, s2, ds))].append(node((t1, t2, dt)))
+
+    def marked(track, states):
+        return [k for n, k in ids.items() if n[track] in states]
+
+    lefts = [marked(0, A.initial), marked(1, A.initial),
+             marked(2, diff.initial)]
+    rights = [marked(0, A.final), marked(1, A.final), marked(2, diff.final)]
+    return succ, lefts, rights
 
 
 def is_function(A: ZAutomaton) -> bool:
@@ -624,25 +560,37 @@ def is_function(A: ZAutomaton) -> bool:
     witness non-functionality; the check is emptiness of that three-track
     product, built directly instead of via complementation.
     """
-    graph, lefts, rights = _fiber_square(A)
-    return _generalized_is_empty(graph, lefts, rights)
+    return graph.lasso_free(*_fiber_square(A))
 
 
-def _relation_product_graph(A: ZAutomaton, B: ZAutomaton):
+def _relation_product(A: ZAutomaton, B: ZAutomaton):
+    """Edge graph of pairs of runs of A and B over the same labels.
+
+    Node ka * |B| + kb pairs state number ka of A with kb of B.  Returns
+    the graph with the recurrence sets of both sides.
+    """
     if A.q != B.q or A.arity != B.arity:
         raise ValueError("alphabet mismatch")
+    index_a = {s: k for k, s in enumerate(A.states)}
+    index_b = {s: k for k, s in enumerate(B.states)}
+    na, nb = len(index_a), len(index_b)
     by_label: dict = {}
     for s, label, t in B.edges:
-        by_label.setdefault(label, []).append((s, t))
-    graph = nx.DiGraph()
+        by_label.setdefault(label, []).append((index_b[s], index_b[t]))
+    succ: list[list[int]] = [[] for _ in range(na * nb)]
     for sa, label, ta in A.edges:
+        src, dst = index_a[sa] * nb, index_a[ta] * nb
         for sb, tb in by_label.get(label, ()):
-            graph.add_edge((sa, sb), (ta, tb))
-    lefts = [{n for n in graph if n[0] in A.initial},
-             {n for n in graph if n[1] in B.initial}]
-    rights = [{n for n in graph if n[0] in A.final},
-              {n for n in graph if n[1] in B.final}]
-    return graph, lefts, rights
+            succ[src + sb].append(dst + tb)
+
+    def on_a(states):
+        return [index_a[s] * nb + kb for s in states for kb in range(nb)]
+
+    def on_b(states):
+        return [ka * nb + index_b[s] for s in states for ka in range(na)]
+
+    return (succ, [on_a(A.initial), on_b(B.initial)],
+            [on_a(A.final), on_b(B.final)])
 
 
 def is_slider_rule_for(chi: BlockRule, f: LocalRule,
@@ -652,16 +600,16 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     For bijective rules the relation is total on inputs and maps each input
     to the inputs' full configuration space image, so containment in the
     graph of f already forces equality: it suffices that no represented
-    pair disagrees with f anywhere.
+    pair disagrees with f anywhere.  The slider automaton is trimmed first:
+    only its states on accepting paths can take part in such a pair.
     """
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")
     if not chi.is_bijective():
         raise ValueError("slider relations need a bijective block rule")
-    A = slider_relation_automaton(chi, max_states)
+    A = trim(slider_relation_automaton(chi, max_states))
     B = graph_mismatch_automaton(f)
-    graph, lefts, rights = _relation_product_graph(A, B)
-    return _generalized_is_empty(graph, lefts, rights)
+    return graph.lasso_free(*_relation_product(A, B))
 
 
 def sweeper_defines_function(chi: BlockRule) -> bool:

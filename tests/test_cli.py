@@ -6,6 +6,7 @@ serialized with sorted keys, which the golden comparisons rely on.
 """
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import casweep
 from casweep.blockrule import BlockRule
 from casweep.ca import apply_ep, builtin_rule
 from casweep.cli import main
@@ -412,6 +414,43 @@ def test_module_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["schema"] == "casweep-report-v1"
+
+
+BAD_COUNTS = [
+    (["analyze", data_file("ca102")], "--max-psi"),
+    (["synthesize", data_file("ca102"), "out.json"], "--max-psi"),
+    (["synthesize", data_file("ca102"), "out.json"], "--max-automaton-states"),
+    (["verify", data_file("swap"), data_file("shift")], "--samples"),
+    (["verify", data_file("swap"), data_file("shift"), "--exact"],
+     "--max-automaton-states"),
+    (["sweep", data_file("swap"), data_file("shift")], "--trace"),
+    (["mealy", data_file("swap")], "--max-automaton-states"),
+    (["decompose", data_file("ca102"), "out"], "--samples"),
+    (["automata", "inspect", data_file("swap")], "--max-automaton-states"),
+]
+
+
+@pytest.mark.parametrize("argv,option", BAD_COUNTS,
+                         ids=[argv[0] + option for argv, option in BAD_COUNTS])
+@pytest.mark.parametrize("value", ["-3", "0", "two"])
+def test_counts_and_caps_must_be_positive(capsys, monkeypatch, tmp_path,
+                                          argv, option, value):
+    monkeypatch.chdir(tmp_path)     # output paths are relative
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and option in err
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(casweep.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import casweep.cli, sys; assert 'networkx' not in sys.modules"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_error_exit_code():

@@ -34,6 +34,12 @@ def test_all_words_order():
     assert ws == sorted(ws)
 
 
+@pytest.mark.parametrize("q,length", [(1, 3), (2, 0), (2, 5), (3, 3), (5, 2)])
+def test_all_words_follows_word_of_index(q, length):
+    assert list(all_words(length, q)) == \
+        [word_of_index(k, length, q) for k in range(q ** length)]
+
+
 def test_word_index_rejects_bad_symbols():
     with pytest.raises(ValueError):
         word_index((0, 2), 2)

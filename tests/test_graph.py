@@ -1,0 +1,124 @@
+"""The integer graph kernel, checked against a brute-force closure."""
+
+import random
+
+import pytest
+
+from casweep.graph import (lasso_free, on_cycle, reachable, recurrent,
+                           reverse, strong_components)
+
+
+def random_graph(seed):
+    """Seeded graph on up to 40 nodes: self-loops, isolated nodes and a few
+    duplicate edges."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    isolated = set(rng.sample(range(n), n // 5))
+    others = [v for v in range(n) if v not in isolated]
+    density = rng.choice((0.02, 0.05, 0.1, 0.2))
+    succ = [[] for _ in range(n)]
+    for v in others:
+        succ[v] = [w for w in others if rng.random() < density]
+        if rng.random() < 0.2 and v not in succ[v]:
+            succ[v].append(v)
+        if rng.random() < 0.1:
+            succ[v] += succ[v][:1]      # a duplicate edge
+    return succ
+
+
+def closure(succ):
+    """reach[v][w]: a path of one or more edges leads from v to w."""
+    n = len(succ)
+    reach = [[False] * n for _ in range(n)]
+    for v in range(n):
+        for w in succ[v]:
+            reach[v][w] = True
+    for k in range(n):
+        for v in range(n):
+            if reach[v][k]:
+                row_k = reach[k]
+                row_v = reach[v]
+                for w in range(n):
+                    if row_k[w]:
+                        row_v[w] = True
+    return reach
+
+
+GRAPHS = [random_graph(seed) for seed in range(60)]
+
+
+@pytest.mark.parametrize("succ", GRAPHS)
+def test_components_match_mutual_reachability(succ):
+    n = len(succ)
+    reach = closure(succ)
+    comp = strong_components(succ)
+    assert len(comp) == n
+    for v in range(n):
+        for w in range(n):
+            mutual = v == w or (reach[v][w] and reach[w][v])
+            assert (comp[v] == comp[w]) == mutual
+            # numbering is reverse topological: edges never climb
+            if w in succ[v]:
+                assert comp[v] >= comp[w]
+    assert sorted(set(comp)) == list(range(len(set(comp))))
+
+
+@pytest.mark.parametrize("succ", GRAPHS)
+def test_cycle_nodes_and_reachability(succ):
+    n = len(succ)
+    reach = closure(succ)
+    assert list(on_cycle(succ)) == [int(reach[v][v]) for v in range(n)]
+    rng = random.Random(n)
+    seeds = rng.sample(range(n), min(n, 3))
+    forward = reachable(succ, seeds)
+    backward = reachable(reverse(succ), seeds)
+    for w in range(n):
+        assert forward[w] == any(s == w or reach[s][w] for s in seeds)
+        assert backward[w] == any(s == w or reach[w][s] for s in seeds)
+
+
+@pytest.mark.parametrize("succ", GRAPHS)
+def test_lasso_emptiness_matches_brute_force(succ):
+    n = len(succ)
+    reach = closure(succ)
+    rng = random.Random(2 * n + 1)
+    lefts = [set(rng.sample(range(n), max(1, n // 3))) for _ in range(2)]
+    rights = [set(rng.sample(range(n), max(1, n // 3))) for _ in range(2)]
+
+    def carries(v, sets):
+        # a cycle through v can visit every set iff v reaches and is
+        # reached back from a member of each
+        return reach[v][v] and all(
+            any(w == v or (reach[v][w] and reach[w][v]) for w in s)
+            for s in sets)
+
+    comp = strong_components(succ)
+    assert set(recurrent(succ, comp, lefts)) == \
+        {v for v in range(n) if carries(v, lefts)}
+    expected = not any(carries(a, lefts) and carries(b, rights)
+                       and (a == b or reach[a][b])
+                       for a in range(n) for b in range(n))
+    assert lasso_free(succ, lefts, rights) == expected
+
+
+def test_long_chain_does_not_recurse():
+    n = 200_000
+    succ = [[v + 1] for v in range(n - 1)] + [[0]]
+    comp = strong_components(succ)
+    assert len(set(comp)) == 1
+    assert all(on_cycle(succ))
+    succ[-1] = []
+    comp = strong_components(succ)
+    assert len(set(comp)) == n
+    assert not any(on_cycle(succ))
+    assert all(reachable(succ, [0]))
+    assert sum(reachable(reverse(succ), [n // 2])) == n // 2 + 1
+
+
+def test_empty_graph():
+    assert strong_components([]) == []
+    assert on_cycle([]) == bytearray()
+    assert reverse([]) == []
+    assert reachable([], []) == bytearray()
+    assert recurrent([], [], []) == []
+    assert lasso_free([], [], [])

@@ -127,6 +127,16 @@ def test_exact_slider_check_on_bundled_pairs():
     assert not is_slider_rule_for(builtin_block_rule("xor_block"), builtin_rule("shift"))
 
 
+def test_exact_check_of_synthesized_rules_against_every_ca():
+    names = ("identity", "shift", "ca102")
+    rules = {name: builtin_rule(name) for name in names}
+    blocks = {name: synthesize(f) for name, f in rules.items()}
+    for block_name, chi in blocks.items():
+        for ca_name, f in rules.items():
+            assert is_slider_rule_for(chi, f) == (block_name == ca_name), \
+                (block_name, ca_name)
+
+
 def test_exact_slider_check_needs_bijective_rule():
     with pytest.raises(ValueError):
         is_slider_rule_for(SQUASH, builtin_rule("identity"))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import (EpConfig, ResourceCapError, all_words, check_alphabet,
-                   ep_equal, ep_splice, word_index, word_of_index)
+                   ep_equal, ep_splice, json_int, word_index, word_of_index)
 from .ca import LocalRule, apply_ep
 
 
@@ -72,8 +72,9 @@ class BlockRule:
     @classmethod
     def from_json(cls, obj: dict) -> "BlockRule":
         try:
-            return cls(int(obj["alphabet"]), int(obj["block_length"]),
-                       tuple(obj["table"]))
+            return cls(json_int(obj["alphabet"], "alphabet"),
+                       json_int(obj["block_length"], "block_length"),
+                       tuple(json_int(s, "table") for s in obj["table"]))
         except KeyError as e:
             raise ValueError(f"block rule file missing field {e}") from e
 

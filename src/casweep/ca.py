@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import EpConfig, check_alphabet, word_index, all_words
+from .core import EpConfig, all_words, check_alphabet, json_int, word_index
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,10 @@ class LocalRule:
     @classmethod
     def from_json(cls, obj: dict) -> "LocalRule":
         try:
-            return cls(int(obj["alphabet"]), int(obj["anchor"]),
-                       int(obj["width"]), tuple(obj["table"]))
+            return cls(json_int(obj["alphabet"], "alphabet"),
+                       json_int(obj["anchor"], "anchor"),
+                       json_int(obj["width"], "width"),
+                       tuple(json_int(s, "table") for s in obj["table"]))
         except KeyError as e:
             raise ValueError(f"local rule file missing field {e}") from e
 
@@ -198,11 +200,3 @@ def builtin_rule(name: str) -> LocalRule:
                          f"choose from {', '.join(BUILTIN_RULES)}")
     text = resources.files("casweep.data").joinpath(f"{name}.json").read_text()
     return LocalRule.from_json(json.loads(text))
-
-
-def builtin_rule_metadata(name: str) -> dict:
-    """Raw JSON object for a bundled rule, including optional annotations."""
-    if name not in BUILTIN_RULES:
-        raise ValueError(f"unknown built-in rule {name!r}")
-    text = resources.files("casweep.data").joinpath(f"{name}.json").read_text()
-    return json.loads(text)

@@ -5,7 +5,9 @@ stderr.  Reports carry a fixed schema tag and are serialized with sorted
 keys so they are stable under golden-file comparison.
 
 Exit codes: 0 for an affirmative verdict, 1 for a negative one, 2 for
-usage or input errors, 3 when a resource cap was hit.
+usage or input errors, 3 when a resource cap was hit, 4 for an internal
+error (a failed self-check or an unexpected exception), which is a bug in
+casweep and no verdict.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .blockrule import BlockRule, representation_eval, sweep_range
 from .ca import LocalRule
 from .closing import left_closing_decide, right_closing_decide
 from .core import (
     EpConfig,
+    IntegrityError,
     ResourceCapError,
     ep_from_json,
     ep_to_json,
@@ -28,10 +32,10 @@ from .core import (
     prime_factors,
     vp,
 )
-from .hierarchy import NotBiClosingError, decompose_biclosing, shift_offset, verify_decomposition
+from .hierarchy import NotBiClosingError, decompose_biclosing, verify_decomposition
 from .mealy import good_states, mealy_from_block, slider_sweeper_agree, sweeper_eval
 from .stairs import slider_exists
-from .synthesis import stair_index, synthesize, verify_slider
+from .synthesis import synthesis_manifest, synthesize, verify_slider
 from .zautomata import (
     ZAutomaton,
     graph_mismatch_automaton,
@@ -54,7 +58,7 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 # I/O helpers
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse, kind: str):
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -64,28 +68,28 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
-    return data
+    try:
+        return parse(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: not a {kind}: {exc}") from exc
 
 
 def load_local_rule(path: str) -> LocalRule:
-    try:
-        return LocalRule.from_json(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: not a local rule: {exc}") from exc
+    return _load(path, LocalRule.from_json, "local rule")
 
 
 def load_block_rule(path: str) -> BlockRule:
-    try:
-        return BlockRule.from_json(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: not a block rule: {exc}") from exc
+    return _load(path, BlockRule.from_json, "block rule")
 
 
 def load_config(path: str) -> EpConfig:
-    try:
-        return ep_from_json(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: not a configuration: {exc}") from exc
+    return _load(path, ep_from_json, "configuration")
+
+
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _emit(report: dict, summary: str) -> None:
@@ -95,65 +99,55 @@ def _emit(report: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _lambda_valuations(verdict, q: int) -> dict:
-    lam = verdict.lam
-    primes = set(prime_factors(q))
-    primes |= set(prime_factors(lam.numerator))
-    primes |= set(prime_factors(lam.denominator))
-    return {str(p): vp(lam, p) for p in sorted(primes)}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _analysis_report(f, max_psi: int) -> tuple[dict, bool]:
-    left = left_closing_decide(f)
+def _analysis_report(f, max_psi: int):
+    # the right side first, so its scan never runs while the stairs are held
     right = right_closing_decide(f)
     verdict = slider_exists(f, cap=max_psi)
     report = {
         "rule": f.to_json(),
-        "left_closing": left.to_json(),
+        "left_closing": verdict.left_closing.to_json(),
         "right_closing": right.to_json(),
         "slider": verdict.to_json(),
     }
-    if left:
-        report["lambda_valuations"] = _lambda_valuations(verdict, f.q)
-        report["shift_offset"] = shift_offset(f)
-    return report, bool(verdict)
+    if verdict.left_closing:
+        # slider_exists checks that every prime of lambda divides q
+        report["lambda_valuations"] = {str(p): vp(verdict.lam, p)
+                                       for p in prime_factors(f.q)}
+        report["shift_offset"] = verdict.shift_offset
+    return report, verdict
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     f = load_local_rule(args.rule)
-    report, exists = _analysis_report(f, args.max_psi)
+    report, verdict = _analysis_report(f, args.max_psi)
     report["command"] = "analyze"
-    if exists:
-        _emit(report, f"slider exists at block length "
-                      f"{3 * report['slider']['m']}")
+    if verdict:
+        _emit(report, f"slider exists at block length {3 * verdict.m}")
         return 0
-    if not report["left_closing"]["closed"]:
+    if not verdict.left_closing:
         _emit(report, "no slider: rule is not left-closing")
     else:
-        primes = ", ".join(str(p)
-                           for p in report["slider"]["violating_primes"])
+        primes = ", ".join(map(str, verdict.violating_primes))
         _emit(report, f"no slider: lambda has positive valuation at {primes}")
     return 1
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     f = load_local_rule(args.rule)
-    report, exists = _analysis_report(f, args.max_psi)
+    report, verdict = _analysis_report(f, args.max_psi)
     report["command"] = "synthesize"
-    if not exists:
+    if not verdict:
         _emit(report, "no slider exists for this rule")
         return 1
     chi = synthesize(f)
     if not is_slider_rule_for(chi, f, max_states=args.max_automaton_states):
-        raise RuntimeError("synthesized rule failed its own exact check")
+        raise IntegrityError("synthesized rule failed its own exact check")
     payload = chi.to_json()
-    payload["manifest"] = stair_index(f).manifest()
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    payload["manifest"] = synthesis_manifest(verdict.stairs)
+    _write_json(args.out, payload)
     report["block_length"] = chi.block_length
     report["self_check"] = "exact"
     report["out"] = args.out
@@ -284,20 +278,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     stage_files = []
     for idx, stage in enumerate(decomposition.stages, start=1):
         name = f"stage{idx}.json"
-        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as handle:
-            json.dump(stage.rule.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(os.path.join(args.out_dir, name), stage.rule.to_json())
         stage_files.append({"direction": stage.direction.value, "rule_file": name})
-    manifest = {"claimed_ca_file": args.rule, "stages": stage_files}
-    with open(os.path.join(args.out_dir, "decomposition.json"), "w",
-              encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(os.path.join(args.out_dir, "decomposition.json"),
+                {"claimed_ca_file": args.rule, "stages": stage_files})
     report = {
         "command": "decompose",
         "rule": f.to_json(),
         "biclosing": True,
-        "shift_offset": shift_offset(f),
+        "shift_offset": decomposition.shift_offset,
         "stages": [
             {"direction": stage.direction.value, "block_length": stage.rule.block_length}
             for stage in decomposition.stages
@@ -362,9 +351,7 @@ def cmd_automata(args: argparse.Namespace) -> int:
         "edges": len(auto.edges),
     }
     if args.action == "dump":
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(auto.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.out, auto.to_json())
         base["out"] = args.out
         _emit(base, f"wrote automaton with {len(auto.states)} states to {args.out}")
         return 0
@@ -507,6 +494,10 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

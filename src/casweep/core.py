@@ -219,11 +219,6 @@ def ep_splice(left_src: EpConfig, at: int, w: tuple[int, ...],
     )
 
 
-def ep_replace(x: EpConfig, at: int, w: tuple[int, ...]) -> EpConfig:
-    """Copy of x with cells [at, at+len(w)) replaced by w."""
-    return ep_splice(x, at, w, x)
-
-
 def ep_zip(y: EpConfig, z: EpConfig) -> EpConfig:
     """Pair two configurations into one over the product alphabet q*q.
 
@@ -257,6 +252,14 @@ def ep_unzip(x: EpConfig) -> tuple[EpConfig, EpConfig]:
     return part(0), part(1)
 
 
+def json_int(value, key: str) -> int:
+    """A value read from the JSON field `key`, which must be an integer:
+    floats, bools and strings are refused rather than converted."""
+    if type(value) is not int:
+        raise ValueError(f"field {key!r} must hold integers, got {value!r}")
+    return value
+
+
 def ep_to_json(x: EpConfig) -> dict:
     return {"alphabet": x.q, "left_period": list(x.left_period),
             "center": list(x.center), "center_start": x.center_start,
@@ -265,9 +268,11 @@ def ep_to_json(x: EpConfig) -> dict:
 
 def ep_from_json(obj: dict) -> EpConfig:
     try:
-        return EpConfig(int(obj["alphabet"]), tuple(obj["left_period"]),
-                        tuple(obj["center"]), int(obj["center_start"]),
-                        tuple(obj["right_period"]))
+        word = lambda key: tuple(json_int(s, key) for s in obj[key])
+        return EpConfig(json_int(obj["alphabet"], "alphabet"),
+                        word("left_period"), word("center"),
+                        json_int(obj["center_start"], "center_start"),
+                        word("right_period"))
     except KeyError as e:
         raise ValueError(f"configuration file missing field {e}") from e
 

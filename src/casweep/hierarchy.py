@@ -12,13 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .core import EpConfig, IntegrityError, ep_equal, prime_factors, \
-    random_ep_config, vp
+from .core import EpConfig, ep_equal, random_ep_config
 from .ca import LocalRule, apply_ep, shift_compose, shift_rule
 from .blockrule import BlockRule, identity_block
-from .closing import ClosingVerdict, left_closing_decide, right_closing_decide
+from .closing import ClosingVerdict, right_closing_decide
 from .stairs import NotLeftClosingError, slider_exists
 from .synthesis import synthesize
 from .mealy import sweeper_eval
@@ -63,6 +61,8 @@ class DirectedSlider:
 class Decomposition:
     stages: tuple[DirectedSlider, ...]
     claimed_ca: LocalRule
+    # the k of decompose_biclosing; None for stages assembled by hand
+    shift_offset: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -78,22 +78,11 @@ class Decomposition:
 
 
 def shift_offset(f: LocalRule) -> int:
-    """Smallest k >= 0 making sigma^k o f realizable left to right.
-
-    Each prime p in the numerator of lambda needs v_p(lambda) - k v_p(q)
-    to reach zero; composing with the shift divides lambda by q.
-    """
+    """Smallest k >= 0 making sigma^k o f realizable left to right."""
     verdict = slider_exists(f)
-    if not verdict.left_closing:
+    if verdict.shift_offset is None:
         raise NotLeftClosingError(verdict.left_closing)
-    k = 0
-    for p in verdict.violating_primes:
-        vq = vp(Fraction(f.q), p)
-        if vq == 0:
-            raise IntegrityError(
-                f"prime {p} divides the stair count but not the alphabet")
-        k = max(k, -(-vp(verdict.lam, p) // vq))
-    return k
+    return verdict.shift_offset
 
 
 def decompose_biclosing(f: LocalRule) -> Decomposition:
@@ -104,13 +93,13 @@ def decompose_biclosing(f: LocalRule) -> Decomposition:
     automaton, so the composite is f itself.  The first stage's rule is
     synthesized from the mirror image sigma^k, whose lambda is 1/q^k.
     """
-    left = left_closing_decide(f)
-    if not left:
-        raise NotBiClosingError(left)
+    verdict = slider_exists(f)
+    if not verdict.left_closing:
+        raise NotBiClosingError(verdict.left_closing)
     right = right_closing_decide(f)
     if not right:
         raise NotBiClosingError(right)
-    k = shift_offset(f)
+    k = verdict.shift_offset
     if k == 0:
         first = DirectedSlider(identity_block(f.q, 1),
                                Direction.RIGHT_TO_LEFT)
@@ -119,7 +108,7 @@ def decompose_biclosing(f: LocalRule) -> Decomposition:
                                Direction.RIGHT_TO_LEFT)
     second = DirectedSlider(synthesize(shift_compose(f, k)),
                             Direction.LEFT_TO_RIGHT)
-    return Decomposition((first, second), f)
+    return Decomposition((first, second), f, k)
 
 
 def verify_decomposition(d: Decomposition, samples: int = 100,

@@ -127,44 +127,6 @@ def good_states(mealy: MealyAutomaton, cap: int = 1 << 22) -> set[int]:
     return {v // width for v, hit in enumerate(reached) if hit}
 
 
-def _good_states_by_transformations(mealy: MealyAutomaton,
-                                    cap: int = 1 << 16) -> set[int]:
-    """Reference algorithm: explore state transformations directly.
-
-    Nodes are maps T = delta*(. , u) for already-read suffixes u, rooted at
-    the identity; prepending a letter e gives T o delta(., e), and the edge
-    carries the anchor value T[e].  Worst case |Q|^|Q| nodes, so this is a
-    test oracle, not the production path.
-    """
-    Q = mealy.size
-    identity = tuple(range(Q))
-    ids = {identity: 0}
-    succ: list[list[int]] = [[]]
-    values: dict[tuple[int, int], set[int]] = {}
-    frontier = [identity]
-    while frontier:
-        T = frontier.pop()
-        k = ids[T]
-        for e in range(Q):
-            T2 = tuple(T[mealy.delta(s, e)] for s in range(Q))
-            k2 = ids.get(T2)
-            if k2 is None:
-                if len(ids) >= cap:
-                    raise ResourceCapError(
-                        "transformation graph exceeds the cap")
-                k2 = ids[T2] = len(succ)
-                succ.append([])
-                frontier.append(T2)
-            succ[k].append(k2)
-            values.setdefault((k, k2), set()).add(T[e])
-    comp = graph.strong_components(succ)
-    good = set()
-    for (k, k2), vals in values.items():
-        if comp[k] == comp[k2]:
-            good |= vals
-    return good
-
-
 # ---------------------------------------------------------------------------
 # Sweeper evaluation
 

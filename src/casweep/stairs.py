@@ -15,12 +15,11 @@ exactly when no prime appears with positive exponent in lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import graph
-from .core import (EpConfig, IntegrityError, ResourceCapError, all_words,
-                   ep_to_json, prime_factors, word_index, word_of_index)
+from .core import (IntegrityError, ResourceCapError, all_words, ep_to_json,
+                   prime_factors, vp, word_of_index)
 from .ca import LocalRule
 from .closing import ClosingVerdict, _radius_form, left_closing_decide
 
@@ -38,60 +37,28 @@ class NotLeftClosingError(ValueError):
 
 
 @dataclass(frozen=True)
-class Stair:
-    """One stair: v on cells [m, 3m) of a configuration, w on [0, 2m) of
-    its image."""
-
-    v: tuple[int, ...]
-    w: tuple[int, ...]
-    m: int
-
-    def __post_init__(self):
-        if len(self.v) != 2 * self.m or len(self.w) != 2 * self.m:
-            raise ValueError("stair words must have length 2m")
-
-
-@dataclass(frozen=True)
 class StairSet:
-    """The stair set of one length, possibly cardinality-only."""
+    """The stair set of one length; the pair (v, w) is kept as the code
+    word_index(v + w) and decoded only on request."""
 
+    q: int
     m: int
     cardinality: int
     lam: Fraction
-    pairs: frozenset[tuple[tuple[int, ...], tuple[int, ...]]] | None
+    codes: frozenset[int] = field(repr=False)
 
-    def __contains__(self, pair) -> bool:
-        if self.pairs is None:
-            raise ValueError("stair set was enumerated in counting-only mode")
-        return pair in self.pairs
-
-
-def is_stair(f: LocalRule, m: int, v: tuple[int, ...],
-             w: tuple[int, ...]) -> bool:
-    """Does some configuration carry v on [m, 3m) and image w on [0, 2m)?"""
-    g, r = _radius_form(f)
-    if m < r:
-        raise ValueError(f"stair parameter m={m} below rule radius {r}")
-    if len(v) != 2 * m or len(w) != 2 * m:
-        raise ValueError("stair words must have length 2m")
-    # image cells [m+r, 2m) read only cells of v
-    for c in range(m + r, 2 * m):
-        if g(v[c - r - m:c + r + 1 - m]) != w[c]:
-            return False
-    # remaining image cells also read the free cells [-r, m)
-    for free in all_words(m + r, g.q):
-        x = free + v
-        if all(g(x[c:c + 2 * r + 1]) == w[c] for c in range(min(m + r, 2 * m))):
-            return True
-    return False
+    @property
+    def pairs(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
+        two_m = 2 * self.m
+        words = (word_of_index(c, 2 * two_m, self.q) for c in self.codes)
+        return frozenset((w[:two_m], w[two_m:]) for w in words)
 
 
-def enumerate_stairs(f: LocalRule, m: int, count_only: bool = False,
-                     cap: int = 1 << 24) -> StairSet:
-    """Exact stair set of length 3m (cardinality only when count_only).
+def enumerate_stairs(f: LocalRule, m: int, cap: int = 1 << 24) -> StairSet:
+    """Exact stair set of length 3m.
 
     Scans all q^(3m+r) assignments of the cells the image window can see,
-    packing each resulting (v, w) pair into one integer.
+    packing each resulting (v, w) pair into its code.
     """
     g, r = _radius_form(f)
     if m < r:
@@ -104,56 +71,57 @@ def enumerate_stairs(f: LocalRule, m: int, count_only: bool = False,
     mod = q ** (width - 1)
     two_m = 2 * m
     pack = q ** two_m
-    found: set[int] = set()
-    # tuple index k is tape position k - r
-    for x in all_words(3 * m + r, q):
-        idx = 0
-        for c in x[:width]:
-            idx = idx * q + c
-        w_idx = table[idx]
-        for k in range(1, two_m):
-            idx = (idx % mod) * q + x[width + k - 1]
-            w_idx = w_idx * q + table[idx]
-        v_idx = 0
-        for c in x[m + r:]:
-            v_idx = v_idx * q + c
-        found.add(v_idx * pack + w_idx)
-    pairs = None
-    if not count_only:
-        pairs = frozenset((word_of_index(p // pack, two_m, q),
-                           word_of_index(p % pack, two_m, q)) for p in found)
-    return StairSet(m, len(found), Fraction(len(found), q ** (3 * m)), pairs)
+
+    def codes():
+        # tuple index k is tape position k - r
+        for x in all_words(3 * m + r, q):
+            idx = 0
+            for c in x[:width]:
+                idx = idx * q + c
+            w_idx = table[idx]
+            for k in range(1, two_m):
+                idx = (idx % mod) * q + x[width + k - 1]
+                w_idx = w_idx * q + table[idx]
+            v_idx = 0
+            for c in x[m + r:]:
+                v_idx = v_idx * q + c
+            yield v_idx * pack + w_idx
+
+    # built straight from the generator: no second copy of a large set
+    found = frozenset(codes())
+    return StairSet(q, m, len(found), Fraction(len(found), q ** (3 * m)), found)
 
 
 def lambda_value(f: LocalRule) -> Fraction:
     """The invariant lambda of a left-closing rule.
 
-    Computed at the smallest strong left-closing radius and recomputed at
-    the next radius as a stability self-check; a mismatch means a bug in
-    this library, not a property of the rule.
+    Read from `slider_exists` and recomputed at the next radius as a
+    stability self-check; a mismatch means a bug in this library, not a
+    property of the rule.
     """
-    verdict = left_closing_decide(f)
-    if not verdict:
-        raise NotLeftClosingError(verdict)
-    m = verdict.strong_radius
-    first = enumerate_stairs(f, m, count_only=True)
-    second = enumerate_stairs(f, m + 1, count_only=True)
-    if first.lam != second.lam:
-        raise IntegrityError(
-            f"lambda not stable across radii: |Psi_{3 * m}| = "
-            f"{first.cardinality} gives {first.lam} but |Psi_{3 * (m + 1)}| = "
-            f"{second.cardinality} gives {second.lam}")
-    return first.lam
+    verdict = slider_exists(f)
+    if not verdict.left_closing:
+        raise NotLeftClosingError(verdict.left_closing)
+    second = enumerate_stairs(f, verdict.m + 1)
+    if verdict.lam != second.lam:
+        raise IntegrityError(f"lambda not stable across radii: {verdict.lam} "
+                             f"at m = {verdict.m}, {second.lam} at m + 1")
+    return verdict.lam
 
 
 @dataclass(frozen=True)
 class SliderVerdict:
+    """The analysis of one rule, which every later step reads; the stairs
+    and the shift offset are None when the rule is not left-closing."""
+
     exists: bool
     left_closing: ClosingVerdict
     m: int | None
     psi_cardinality: int | None
     lam: Fraction | None
     violating_primes: tuple[int, ...]
+    stairs: StairSet | None
+    shift_offset: int | None
 
     def __bool__(self) -> bool:
         return self.exists
@@ -176,77 +144,22 @@ def slider_exists(f: LocalRule, cap: int = 1 << 24) -> SliderVerdict:
 
     True iff f is left-closing and |Psi_{3m}| divides q^{3m} at the smallest
     strong left-closing radius m.  The violating primes are exactly the
-    prime factors left in the numerator of lambda.
+    prime factors left in the numerator of lambda.  The shift offset is the
+    smallest k >= 0 making sigma^k o f a slider: composing with the shift
+    divides lambda by q, so each violating prime p needs
+    v_p(lambda) - k v_p(q) to reach zero.
     """
     verdict = left_closing_decide(f)
     if not verdict:
-        return SliderVerdict(False, verdict, None, None, None, ())
-    m = verdict.strong_radius
-    stairs = enumerate_stairs(f, m, count_only=True, cap=cap)
+        return SliderVerdict(False, verdict, None, None, None, (), None, None)
+    stairs = enumerate_stairs(f, verdict.strong_radius, cap=cap)
     bad = tuple(prime_factors(stairs.lam.numerator))
-    return SliderVerdict(not bad, verdict, m, stairs.cardinality, stairs.lam,
-                         bad)
-
-
-# ---------------------------------------------------------------------------
-# Stairs in a fixed context
-
-def stairs_connecting(f: LocalRule, m: int, y: EpConfig,
-                      z: EpConfig) -> frozenset:
-    """Stairs confirmed by configurations with prescribed infinite tails.
-
-    The confirming configuration must equal y on cells [3m, oo) and its
-    image must equal z on cells (-oo, 0); only those cells of y and z are
-    read.  Since the image window [0, 2m) stops r <= m cells short of 3m,
-    the y side never constrains the answer; the z side imposes an infinite
-    leftward run, decided per stair by a window DP that must end in a cycle
-    of the periodic zone.
-    """
-    g, r = _radius_form(f)
-    if m < r:
-        raise ValueError(f"stair parameter m={m} below rule radius {r}")
-    if y.q != g.q or z.q != g.q:
-        raise ValueError("alphabet mismatch")
-    q = g.q
-    cs = z.center_start
-    period = len(z.left_period)
-    # below this cell the z constraint repeats with the left period
-    zstart = min(0, cs)
-
-    # Processing the image constraint at cell c consumes the preimage cell
-    # c - r; the DP state before that step is the window x[c-r+1 .. c+r].
-    # Inside the periodic zone a state survives iff (window, phase) can
-    # reach a cycle of the constraint graph, phase = (c - cs) mod period.
-    # Node (win, ph) is numbered word_index(win) * period + ph.
-    succ: list[list[int]] = [[] for _ in range(q ** (2 * r) * period)]
-    for k, win in enumerate(all_words(2 * r, q)):
-        for ph in range(period):
-            target = z.left_period[ph]
-            for a in range(q):
-                if g((a,) + win) == target:
-                    succ[k * period + ph].append(
-                        word_index((a,) + win[:-1], q) * period
-                        + (ph - 1) % period)
-    alive = graph.on_cycle(succ)
-    good = graph.reachable(graph.reverse(succ),
-                           (v for v, hit in enumerate(alive) if hit))
-
-    result = []
-    for v in all_words(2 * m, q):
-        # image cells [m+r, 2m) read only v, so they force a w suffix
-        forced = tuple(g(v[c - m - r:c - m + r + 1])
-                       for c in range(m + r, 2 * m))
-        for w in all_words(2 * m, q):
-            if w[m + r:] != forced:
-                continue
-            states = {v[:2 * r]}
-            c = m + r - 1
-            while c >= zstart and states:
-                target = w[c] if c >= 0 else z.cell(c)
-                states = {(a,) + win[:-1] for win in states
-                          for a in range(q) if g((a,) + win) == target}
-                c -= 1
-            if states and any(good[word_index(win, q) * period
-                                   + (c - cs) % period] for win in states):
-                result.append((v, w))
-    return frozenset(result)
+    k = 0
+    for p in bad:
+        vq = vp(Fraction(f.q), p)
+        if vq == 0:
+            raise IntegrityError(
+                f"prime {p} divides the stair count but not the alphabet")
+        k = max(k, -(-vp(stairs.lam, p) // vq))
+    return SliderVerdict(not bad, verdict, stairs.m, stairs.cardinality,
+                         stairs.lam, bad, stairs, k)

@@ -18,12 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .core import (EpConfig, IntegrityError, all_words, ep_equal,
-                   random_ep_config, word_index, word_of_index)
+from .core import (IntegrityError, ep_equal, random_ep_config, word_index,
+                   word_of_index)
 from .ca import LocalRule, apply_ep, to_radius_form
 from .blockrule import BlockRule, representation_eval
 from .closing import _radius_form
-from .stairs import SliderVerdict, enumerate_stairs, is_stair, slider_exists
+from .stairs import SliderVerdict, StairSet, slider_exists
 
 
 class NotSliderError(ValueError):
@@ -47,15 +47,14 @@ class StairIndex:
     which is a bijection onto S^n because N * |Psi_n| = q^n.
     """
 
-    q: int
-    m: int
+    stairs: StairSet
     listing: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     N: int
     _index: dict = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
-        return 3 * self.m
+        return 3 * self.stairs.m
 
     @property
     def cardinality(self) -> int:
@@ -68,18 +67,24 @@ class StairIndex:
         if not 1 <= k <= self.N:
             raise ValueError(f"multiplicity {k} outside 1..{self.N}")
         return word_of_index(self._index[pair] * self.N + (k - 1),
-                             self.n, self.q)
+                             self.n, self.stairs.q)
 
     def decode(self, word: tuple[int, ...]):
         """Inverse of pi: word of length n -> ((v, w), k)."""
         if len(word) != self.n:
             raise ValueError(f"word length {len(word)} is not n = {self.n}")
-        idx, rem = divmod(word_index(word, self.q), self.N)
+        idx, rem = divmod(word_index(word, self.stairs.q), self.N)
         return self.listing[idx], rem + 1
 
     def manifest(self) -> dict:
-        return {"n": self.n, "N": self.N, "psi": self.cardinality,
-                "pi": "lex-interleave-v1"}
+        return synthesis_manifest(self.stairs)
+
+
+def synthesis_manifest(stairs: StairSet) -> dict:
+    """How the rule synthesized from a slider's stairs numbers its words."""
+    n = 3 * stairs.m
+    return {"n": n, "N": stairs.q ** n // stairs.cardinality,
+            "psi": stairs.cardinality, "pi": "lex-interleave-v1"}
 
 
 def stair_index(f: LocalRule) -> StairIndex:
@@ -87,33 +92,17 @@ def stair_index(f: LocalRule) -> StairIndex:
     verdict = slider_exists(f)
     if not verdict:
         raise NotSliderError(verdict)
-    m = verdict.m
-    pairs = enumerate_stairs(f, m).pairs
-    listing = tuple(sorted(pairs, key=lambda vw: vw[0] + vw[1]))
+    # v and w have equal lengths, so this sorts by v + w
+    listing = tuple(sorted(verdict.stairs.pairs))
     index = {pair: i for i, pair in enumerate(listing)}
-    return StairIndex(f.q, m, listing, f.q ** (3 * m) // len(listing), index)
-
-
-def unique_predecessor(f: LocalRule, m: int, vc: tuple[int, ...],
-                       wd: tuple[int, ...], b: int) -> int:
-    """The unique a with (a + vc[:-1], (b,) + wd[:-1]) a stair.
-
-    Well defined exactly when m is a strong left-closing radius; zero or
-    multiple candidates signal that it is not.
-    """
-    v, w = vc[:-1], wd[:-1]
-    found = [a for a in range(f.q) if is_stair(f, m, (a,) + v, (b,) + w)]
-    if len(found) != 1:
-        raise IntegrityError(
-            f"{len(found)} predecessors for b={b} at {(vc, wd)}; "
-            f"m={m} is not a strong left-closing radius")
-    return found[0]
+    return StairIndex(verdict.stairs, listing,
+                      f.q ** (3 * verdict.m) // len(listing), index)
 
 
 def synthesize(f: LocalRule) -> BlockRule:
     """Bijective block rule of length 3m + 1 sweeping f left to right."""
     index = stair_index(f)
-    q, m, n, N = index.q, index.m, index.n, index.N
+    q, m, n, N = index.stairs.q, index.stairs.m, index.n, index.N
     g = to_radius_form(_radius_form(f)[0], m)
     table: list[int | None] = [None] * q ** (n + 1)
     for av, bw in index.listing:

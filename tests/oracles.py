@@ -1,0 +1,166 @@
+"""Reference algorithms the tests compare the package against.
+
+Each is a direct, slow restatement of something the package computes
+another way (or a small helper only tests need), kept out of the package
+so that no production path depends on it.
+"""
+
+from __future__ import annotations
+
+import json
+from importlib import resources
+
+from casweep import graph
+from casweep.ca import BUILTIN_RULES, LocalRule
+from casweep.closing import _radius_form
+from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
+                          all_words, ep_splice, word_index)
+from casweep.mealy import MealyAutomaton
+
+
+def ep_replace(x: EpConfig, at: int, w: tuple[int, ...]) -> EpConfig:
+    """Copy of x with cells [at, at+len(w)) replaced by w."""
+    return ep_splice(x, at, w, x)
+
+
+def builtin_rule_metadata(name: str) -> dict:
+    """Raw JSON object for a bundled rule, including optional annotations."""
+    if name not in BUILTIN_RULES:
+        raise ValueError(f"unknown built-in rule {name!r}")
+    text = resources.files("casweep.data").joinpath(f"{name}.json").read_text()
+    return json.loads(text)
+
+
+def is_stair(f: LocalRule, m: int, v: tuple[int, ...],
+             w: tuple[int, ...]) -> bool:
+    """Does some configuration carry v on [m, 3m) and image w on [0, 2m)?"""
+    g, r = _radius_form(f)
+    if m < r:
+        raise ValueError(f"stair parameter m={m} below rule radius {r}")
+    if len(v) != 2 * m or len(w) != 2 * m:
+        raise ValueError("stair words must have length 2m")
+    # image cells [m+r, 2m) read only cells of v
+    for c in range(m + r, 2 * m):
+        if g(v[c - r - m:c + r + 1 - m]) != w[c]:
+            return False
+    # remaining image cells also read the free cells [-r, m)
+    for free in all_words(m + r, g.q):
+        x = free + v
+        if all(g(x[c:c + 2 * r + 1]) == w[c] for c in range(min(m + r, 2 * m))):
+            return True
+    return False
+
+
+def stairs_connecting(f: LocalRule, m: int, y: EpConfig,
+                      z: EpConfig) -> frozenset:
+    """Stairs confirmed by configurations with prescribed infinite tails.
+
+    The confirming configuration must equal y on cells [3m, oo) and its
+    image must equal z on cells (-oo, 0); only those cells of y and z are
+    read.  Since the image window [0, 2m) stops r <= m cells short of 3m,
+    the y side never constrains the answer; the z side imposes an infinite
+    leftward run, decided per stair by a window DP that must end in a cycle
+    of the periodic zone.
+    """
+    g, r = _radius_form(f)
+    if m < r:
+        raise ValueError(f"stair parameter m={m} below rule radius {r}")
+    if y.q != g.q or z.q != g.q:
+        raise ValueError("alphabet mismatch")
+    q = g.q
+    cs = z.center_start
+    period = len(z.left_period)
+    # below this cell the z constraint repeats with the left period
+    zstart = min(0, cs)
+
+    # Processing the image constraint at cell c consumes the preimage cell
+    # c - r; the DP state before that step is the window x[c-r+1 .. c+r].
+    # Inside the periodic zone a state survives iff (window, phase) can
+    # reach a cycle of the constraint graph, phase = (c - cs) mod period.
+    # Node (win, ph) is numbered word_index(win) * period + ph.
+    succ: list[list[int]] = [[] for _ in range(q ** (2 * r) * period)]
+    for k, win in enumerate(all_words(2 * r, q)):
+        for ph in range(period):
+            target = z.left_period[ph]
+            for a in range(q):
+                if g((a,) + win) == target:
+                    succ[k * period + ph].append(
+                        word_index((a,) + win[:-1], q) * period
+                        + (ph - 1) % period)
+    alive = graph.on_cycle(succ)
+    good = graph.reachable(graph.reverse(succ),
+                           (v for v, hit in enumerate(alive) if hit))
+
+    result = []
+    for v in all_words(2 * m, q):
+        # image cells [m+r, 2m) read only v, so they force a w suffix
+        forced = tuple(g(v[c - m - r:c - m + r + 1])
+                       for c in range(m + r, 2 * m))
+        for w in all_words(2 * m, q):
+            if w[m + r:] != forced:
+                continue
+            states = {v[:2 * r]}
+            c = m + r - 1
+            while c >= zstart and states:
+                target = w[c] if c >= 0 else z.cell(c)
+                states = {(a,) + win[:-1] for win in states
+                          for a in range(q) if g((a,) + win) == target}
+                c -= 1
+            if states and any(good[word_index(win, q) * period
+                                   + (c - cs) % period] for win in states):
+                result.append((v, w))
+    return frozenset(result)
+
+
+def unique_predecessor(f: LocalRule, m: int, vc: tuple[int, ...],
+                       wd: tuple[int, ...], b: int) -> int:
+    """The unique a with (a + vc[:-1], (b,) + wd[:-1]) a stair.
+
+    Well defined exactly when m is a strong left-closing radius; zero or
+    multiple candidates signal that it is not.
+    """
+    v, w = vc[:-1], wd[:-1]
+    found = [a for a in range(f.q) if is_stair(f, m, (a,) + v, (b,) + w)]
+    if len(found) != 1:
+        raise IntegrityError(
+            f"{len(found)} predecessors for b={b} at {(vc, wd)}; "
+            f"m={m} is not a strong left-closing radius")
+    return found[0]
+
+
+def good_states_by_transformations(mealy: MealyAutomaton,
+                                   cap: int = 1 << 16) -> set[int]:
+    """Reference algorithm: explore state transformations directly.
+
+    Nodes are maps T = delta*(. , u) for already-read suffixes u, rooted at
+    the identity; prepending a letter e gives T o delta(., e), and the edge
+    carries the anchor value T[e].  Worst case |Q|^|Q| nodes, so this is a
+    test oracle, not the production path.
+    """
+    Q = mealy.size
+    identity = tuple(range(Q))
+    ids = {identity: 0}
+    succ: list[list[int]] = [[]]
+    values: dict[tuple[int, int], set[int]] = {}
+    frontier = [identity]
+    while frontier:
+        T = frontier.pop()
+        k = ids[T]
+        for e in range(Q):
+            T2 = tuple(T[mealy.delta(s, e)] for s in range(Q))
+            k2 = ids.get(T2)
+            if k2 is None:
+                if len(ids) >= cap:
+                    raise ResourceCapError(
+                        "transformation graph exceeds the cap")
+                k2 = ids[T2] = len(succ)
+                succ.append([])
+                frontier.append(T2)
+            succ[k].append(k2)
+            values.setdefault((k, k2), set()).add(T[e])
+    comp = graph.strong_components(succ)
+    good = set()
+    for (k, k2), vals in values.items():
+        if comp[k] == comp[k2]:
+            good |= vals
+    return good

@@ -407,6 +407,67 @@ def test_wrong_rule_kind(capsys):
     assert "not a block rule" in err
 
 
+# every integer field of each input kind, with the command that loads it
+LOADERS = {
+    "local-rule": (["analyze"], "ca102"),
+    "block-rule": (["mealy"], "swap"),
+    "configuration": (["sweep", data_file("swap")], None),
+}
+INT_FIELDS = {
+    "local-rule": ("alphabet", "anchor", "width", "table"),
+    "block-rule": ("alphabet", "block_length", "table"),
+    "configuration": ("alphabet", "left_period", "center", "center_start",
+                      "right_period"),
+}
+LOADER_CASES = [(kind, key, bad) for kind, keys in INT_FIELDS.items()
+                for key in keys for bad in (float, bool, str)]
+
+
+@pytest.mark.parametrize("kind,key,bad", LOADER_CASES,
+                         ids=[f"{kind}-{key}-{bad.__name__}"
+                              for kind, key, bad in LOADER_CASES])
+def test_loaders_refuse_non_integers(capsys, tmp_path, kind, key, bad):
+    argv, name = LOADERS[kind]
+    obj = (json.loads(Path(data_file(name)).read_text()) if name
+           else ep_to_json(IMPULSE))
+    if isinstance(obj[key], list):
+        obj[key][-1] = bad(obj[key][-1])
+    else:
+        obj[key] = bad(obj[key])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, report, err = run(capsys, *argv, str(path))
+    assert code == 2 and report is None
+    assert err.startswith("error:") and repr(key) in err
+
+
+def test_fractional_alphabet_is_not_truncated(capsys, tmp_path):
+    obj = json.loads(Path(data_file("ca102")).read_text())
+    obj["alphabet"] = 2.7
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2 and "2.7" in err
+
+
+def _raise_unexpected(*args, **kwargs):
+    raise ZeroDivisionError("unexpected")
+
+
+@pytest.mark.parametrize("name,replacement", [
+    ("is_slider_rule_for", lambda *args, **kwargs: False),
+    ("slider_exists", _raise_unexpected),
+], ids=["failed-self-check", "unexpected-exception"])
+def test_internal_errors_exit_4(capsys, monkeypatch, tmp_path, name,
+                                replacement):
+    monkeypatch.setattr(f"casweep.cli.{name}", replacement)
+    out = tmp_path / "chi.json"
+    code, report, err = run(capsys, "synthesize", data_file("shift"), str(out))
+    assert code == 4 and report is None
+    assert err.splitlines()[-1].startswith("internal error:")
+    assert not out.exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "casweep", "analyze", data_file("ca102")],

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from casweep.core import (EpConfig, all_words, ep_equal, ep_replace,
-                          ep_splice, ep_unzip, ep_zip, is_prime, pair_symbol,
-                          prime_factors, random_ep_config, split_symbol, vp,
-                          word_index, word_of_index)
+from casweep.core import (EpConfig, all_words, ep_equal, ep_splice, ep_unzip,
+                          ep_zip, is_prime, pair_symbol, prime_factors,
+                          random_ep_config, split_symbol, vp, word_index,
+                          word_of_index)
+from oracles import ep_replace
 
 
 def test_word_index_roundtrip():

@@ -8,10 +8,10 @@ from casweep.blockrule import BlockRule, builtin_block_rule
 from casweep.ca import apply_ep, builtin_rule
 from casweep.core import (EpConfig, ResourceCapError, all_words, ep_equal,
                           random_ep_config)
-from casweep.mealy import (MealyAutomaton, _good_states_by_transformations,
-                           good_states, mealy_from_block, slider_sweeper_agree,
-                           sweeper_eval)
+from casweep.mealy import (MealyAutomaton, good_states, mealy_from_block,
+                           slider_sweeper_agree, sweeper_eval)
 from casweep.synthesis import synthesize
+from oracles import good_states_by_transformations
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 
@@ -58,10 +58,10 @@ def test_good_states_matches_transformation_reference():
     for _ in range(30):
         tbl = tuple(rng.randrange(4) for _ in range(4))
         mm = mealy_from_block(BlockRule(2, 2, tbl))
-        assert good_states(mm) == _good_states_by_transformations(mm)
+        assert good_states(mm) == good_states_by_transformations(mm)
     for name in ("swap", "xor_block", "identity_block", "not_closed"):
         mm = mealy_from_block(builtin_block_rule(name))
-        assert good_states(mm) == _good_states_by_transformations(mm)
+        assert good_states(mm) == good_states_by_transformations(mm)
 
 
 def test_good_states_constant_delta():
@@ -69,7 +69,7 @@ def test_good_states_constant_delta():
     nxt_t = tuple(2 for _ in range(16))
     mm = MealyAutomaton(2, 2, out_t, nxt_t)
     assert good_states(mm) == {2}
-    assert _good_states_by_transformations(mm) == {2}
+    assert good_states_by_transformations(mm) == {2}
 
 
 def test_goodness_is_forward_closed():
@@ -87,7 +87,7 @@ def test_good_states_resource_caps():
     with pytest.raises(ResourceCapError):
         good_states(mm, cap=3)
     with pytest.raises(ResourceCapError):
-        _good_states_by_transformations(mm, cap=1)
+        good_states_by_transformations(mm, cap=1)
 
 
 def test_sweeper_xor_block_gives_ca102_image():

@@ -8,10 +8,10 @@ import pytest
 from casweep.ca import builtin_rule, shift_compose
 from casweep.closing import left_closing_decide
 from casweep.core import (IntegrityError, ResourceCapError, all_words,
-                          random_ep_config)
-from casweep.stairs import (NotLeftClosingError, Stair, enumerate_stairs,
-                            is_stair, lambda_value, slider_exists,
-                            stairs_connecting)
+                          random_ep_config, word_index)
+from casweep.stairs import (NotLeftClosingError, enumerate_stairs,
+                            lambda_value, slider_exists)
+from oracles import is_stair, stairs_connecting
 
 # hand-counted at m=2: free cells times forced cells, see each rule's window
 PSI6 = {
@@ -34,18 +34,17 @@ def test_stair_counts_q2(name):
 
 def test_stair_counts_product_rule():
     f = builtin_rule("sigma2_x_sigma3inv")
-    assert enumerate_stairs(f, 1, count_only=True).cardinality == 324
+    assert enumerate_stairs(f, 1).cardinality == 324
     assert 324 == 2 ** 2 * 3 ** 4
-    bigger = enumerate_stairs(f, 2, count_only=True)
+    bigger = enumerate_stairs(f, 2)
     assert bigger.cardinality == 69984
     assert bigger.lam == Fraction(3, 2)
 
 
-def test_counting_mode_has_no_pairs():
-    s = enumerate_stairs(builtin_rule("ca102"), 2, count_only=True)
-    assert s.pairs is None
-    with pytest.raises(ValueError):
-        ((0, 0, 0, 0), (0, 0, 0, 0)) in s
+def test_stair_set_keeps_codes():
+    s = enumerate_stairs(builtin_rule("ca102"), 2)
+    assert s.cardinality == len(s.codes) == len(s.pairs) == 64
+    assert {word_index(v + w, 2) for v, w in s.pairs} == s.codes
 
 
 def test_identity_stairs_copy_cells():
@@ -75,8 +74,6 @@ def test_is_stair_rejects_bad_lengths():
     f = builtin_rule("ca102")
     with pytest.raises(ValueError):
         is_stair(f, 2, (0, 0), (0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        Stair((0, 0), (0, 0, 0, 0), 2)
 
 
 def test_enumeration_resource_cap():
@@ -170,7 +167,7 @@ def test_psi_prime_factors_divide_q():
                     ("sigma2_x_sigma3inv", 1)):
         f = builtin_rule(name)
         assert left_closing_decide(f)
-        card = enumerate_stairs(f, m, count_only=True).cardinality
+        card = enumerate_stairs(f, m).cardinality
         assert all(f.q % p == 0 for p in prime_factors(card))
 
 

@@ -11,7 +11,8 @@ from casweep.closing import left_closing_decide
 from casweep.core import IntegrityError, ep_equal, random_ep_config
 from casweep.stairs import enumerate_stairs
 from casweep.synthesis import (NotSliderError, stair_index, synthesize,
-                               unique_predecessor, verify_slider)
+                               verify_slider)
+from oracles import unique_predecessor
 
 
 @pytest.mark.parametrize("name", ("identity", "ca102", "shift"))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from casweep.core import EpConfig, ep_zip, ep_replace, random_ep_config
+from casweep.core import EpConfig, ep_zip, random_ep_config
 from casweep.ca import builtin_rule, apply_ep
 from casweep.blockrule import (BlockRule, identity_block, builtin_block_rule,
                                representation_eval)
@@ -16,6 +16,7 @@ from casweep.zautomata import (ZAutomaton, member, is_empty, nonempty_witness,
                                slider_relation_automaton,
                                sweeper_relation_automaton,
                                graph_mismatch_automaton)
+from oracles import ep_replace
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 

@@ -18,8 +18,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import (EpConfig, ResourceCapError, all_words, check_alphabet,
-                   ep_equal, ep_splice, json_int, word_index, word_of_index)
+from .core import (EpConfig, all_words, check_alphabet, check_cap, ep_equal,
+                   ep_splice, json_int, word_index, word_of_index)
 from .ca import LocalRule, apply_ep
 
 
@@ -222,9 +222,7 @@ def count_representations(rule: BlockRule, f: LocalRule, y: EpConfig, i: int,
     if rule.q != y.q or f.q != y.q:
         raise ValueError("alphabet mismatch")
     m = rule.block_length
-    if rule.q**m > cap:
-        raise ResourceCapError(
-            f"{rule.q ** m} candidate middle words exceed the cap {cap}")
+    check_cap(rule.q ** m, cap, "candidate middle words")
     z = apply_ep(f, y)
     count = 0
     for w in all_words(m, rule.q):

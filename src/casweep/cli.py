@@ -25,6 +25,7 @@ from .core import (
     EpConfig,
     IntegrityError,
     ResourceCapError,
+    check_cap,
     ep_from_json,
     ep_to_json,
     ep_unzip,
@@ -142,7 +143,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     if not verdict:
         _emit(report, "no slider exists for this rule")
         return 1
-    chi = synthesize(f)
+    chi = synthesize(f, verdict)
     if not is_slider_rule_for(chi, f, max_states=args.max_automaton_states):
         raise IntegrityError("synthesized rule failed its own exact check")
     payload = chi.to_json()
@@ -213,6 +214,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     x = load_config(args.config)
     if chi.q != x.q:
         raise InputError("block rule and configuration use different alphabets")
+    if args.mode == "slider" and not chi.is_bijective():
+        raise InputError("slider sweeps need a bijective block rule")
     report: dict = {
         "command": "sweep",
         "mode": args.mode,
@@ -323,6 +326,9 @@ def _build_automaton(args: argparse.Namespace) -> ZAutomaton:
             raise InputError("--vs only applies to slider and sweeper automata")
         return graph_mismatch_automaton(load_local_rule(args.source))
     chi = load_block_rule(args.source)
+    f = None if args.vs is None else load_local_rule(args.vs)
+    if f is not None and f.q != chi.q:
+        raise InputError("block rule and --vs rule use different alphabets")
     try:
         if args.kind == "slider":
             auto = slider_relation_automaton(
@@ -332,12 +338,10 @@ def _build_automaton(args: argparse.Namespace) -> ZAutomaton:
                 chi, max_states=args.max_automaton_states)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if args.vs is not None:
-        auto = intersect(auto, graph_mismatch_automaton(load_local_rule(args.vs)))
-        cap = args.max_automaton_states
-        if cap is not None and len(auto.states) > cap:
-            raise ResourceCapError(
-                f"intersection has {len(auto.states)} states, cap is {cap}")
+    if f is not None:
+        auto = intersect(auto, graph_mismatch_automaton(f))
+        check_cap(len(auto.states), args.max_automaton_states,
+                  "intersection states")
     return auto
 
 

@@ -21,10 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graph
-from .core import (EpConfig, IntegrityError, ResourceCapError, all_words,
-                   ep_equal, ep_to_json)
+from .core import (EpConfig, IntegrityError, all_words, check_cap, ep_equal,
+                   ep_to_json)
 from .ca import (LocalRule, apply_ep, minimize_neighborhood, mirror,
                  to_radius_form)
+
+# Windows one pair graph or strong-radius scan may test: 60 times the 6^7
+# that the largest bundled rule needs.
+MAX_WINDOWS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,8 @@ def is_strong_left_closing_radius(f: LocalRule, m: int) -> StrongRadiusCheck:
     if m < 2 * r:
         return StrongRadiusCheck(False, "m_below_2r")
     q = g.q
+    check_cap(q ** (2 * m + 2 * r + 1), MAX_WINDOWS,
+              f"strong-radius scan at m = {m}")
     table = g.table
     width = 2 * r + 1
     mod = q ** (width - 1)
@@ -167,14 +173,16 @@ def _recurrent_vertices(fwd) -> set:
     return {v for v, hit in zip(order, cyclic) if hit}
 
 
-def left_closing_decide(f: LocalRule,
-                        max_radius: int | None = None) -> ClosingVerdict:
+def left_closing_decide(f: LocalRule) -> ClosingVerdict:
     """Decide left-closingness.
 
     Returns the smallest strong closing radius, or a witness pair of
-    distinct right-asymptotic configurations with equal images.
+    distinct right-asymptotic configurations with equal images.  Raises
+    ResourceCapError when the pair graph or a radius scan would test more
+    than MAX_WINDOWS windows.
     """
     g, r = _radius_form(f)
+    check_cap(g.q ** (4 * r + 2), MAX_WINDOWS, "pair graph edge tests")
     fwd, back, differing = _pair_graph(g, r)
     recurrent = _recurrent_vertices(fwd)
     has_history = _bfs_tree(recurrent, fwd)
@@ -188,13 +196,9 @@ def left_closing_decide(f: LocalRule,
             return ClosingVerdict("left", False, None, witness)
 
     m = 2 * r
-    while True:
-        if max_radius is not None and m > max_radius:
-            raise ResourceCapError(
-                f"no strong closing radius found up to {max_radius}")
-        if is_strong_left_closing_radius(g, m):
-            return ClosingVerdict("left", True, m, None)
+    while not is_strong_left_closing_radius(g, m):
         m += 1
+    return ClosingVerdict("left", True, m, None)
 
 
 def _build_witness(g, fwd, recurrent, has_history, reaches_diagonal,
@@ -241,10 +245,9 @@ def _build_witness(g, fwd, recurrent, has_history, reaches_diagonal,
     return x1, x2
 
 
-def right_closing_decide(f: LocalRule,
-                         max_radius: int | None = None) -> ClosingVerdict:
+def right_closing_decide(f: LocalRule) -> ClosingVerdict:
     """Mirror image of left_closing_decide."""
-    v = left_closing_decide(mirror(f), max_radius)
+    v = left_closing_decide(mirror(f))
     witness = None
     if v.witness is not None:
         witness = (v.witness[0].reversed(), v.witness[1].reversed())

@@ -25,6 +25,13 @@ class ResourceCapError(RuntimeError):
     """An enumeration or construction would exceed its configured cap."""
 
 
+def check_cap(size: int, cap: int | None, what: str) -> None:
+    """Raise ResourceCapError when a size is over the cap (None: no cap);
+    enumerations pass their predicted size before they allocate anything."""
+    if cap is not None and size > cap:
+        raise ResourceCapError(f"{what}: {size} is over the cap {cap}")
+
+
 class IntegrityError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 

@@ -101,14 +101,14 @@ def decompose_biclosing(f: LocalRule) -> Decomposition:
         raise NotBiClosingError(right)
     k = verdict.shift_offset
     if k == 0:
-        first = DirectedSlider(identity_block(f.q, 1),
-                               Direction.RIGHT_TO_LEFT)
+        first = identity_block(f.q, 1)
+        second = synthesize(f, verdict)
     else:
-        first = DirectedSlider(synthesize(shift_rule(f.q, k)),
-                               Direction.RIGHT_TO_LEFT)
-    second = DirectedSlider(synthesize(shift_compose(f, k)),
-                            Direction.LEFT_TO_RIGHT)
-    return Decomposition((first, second), f, k)
+        first = synthesize(shift_rule(f.q, k))
+        second = synthesize(shift_compose(f, k))
+    return Decomposition((DirectedSlider(first, Direction.RIGHT_TO_LEFT),
+                          DirectedSlider(second, Direction.LEFT_TO_RIGHT)),
+                         f, k)
 
 
 def verify_decomposition(d: Decomposition, samples: int = 100,

@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 
 from . import graph
-from .core import (EpConfig, ResourceCapError, all_words, ep_equal,
-                   ep_to_json, random_ep_config, word_index, word_of_index)
+from .core import (EpConfig, all_words, check_cap, ep_equal, ep_to_json,
+                   random_ep_config, word_index, word_of_index)
 from .ca import LocalRule, apply_ep
 from .blockrule import (BlockRule, representation_eval, sweep_step,
                         sweep_right_limit_from)
@@ -93,8 +93,7 @@ def good_states(mealy: MealyAutomaton, cap: int = 1 << 22) -> set[int]:
     Node (c, u) is numbered c * (|Q| + 1) + u, with u = |Q| for idle.
     """
     Q = mealy.size
-    if Q * (Q + 1) * Q > cap:
-        raise ResourceCapError("product graph exceeds the cap")
+    check_cap(Q * (Q + 1) * Q, cap, "good-state product edges")
     idle = Q
     width = Q + 1
     # shared int objects keep the ~|Q|^3 stored edges small

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (IntegrityError, ResourceCapError, all_words, ep_to_json,
+from .core import (IntegrityError, all_words, check_cap, ep_to_json,
                    prime_factors, vp, word_of_index)
 from .ca import LocalRule
 from .closing import ClosingVerdict, _radius_form, left_closing_decide
@@ -64,9 +64,7 @@ def enumerate_stairs(f: LocalRule, m: int, cap: int = 1 << 24) -> StairSet:
     if m < r:
         raise ValueError(f"stair parameter m={m} below rule radius {r}")
     q, table = g.q, g.table
-    if q ** (4 * m) > cap:
-        raise ResourceCapError(
-            f"stair bound {q}^{4 * m} exceeds the cap {cap}")
+    check_cap(q ** (4 * m), cap, f"stair bound {q}^{4 * m}")
     width = 2 * r + 1
     mod = q ** (width - 1)
     two_m = 2 * m

@@ -87,9 +87,11 @@ def synthesis_manifest(stairs: StairSet) -> dict:
             "psi": stairs.cardinality, "pi": "lex-interleave-v1"}
 
 
-def stair_index(f: LocalRule) -> StairIndex:
-    """Stair listing for synthesis; raises NotSliderError when f has none."""
-    verdict = slider_exists(f)
+def stair_index(f: LocalRule,
+                verdict: SliderVerdict | None = None) -> StairIndex:
+    """Stair listing for synthesis from f's slider verdict (computed when
+    not passed); raises NotSliderError when f has none."""
+    verdict = slider_exists(f) if verdict is None else verdict
     if not verdict:
         raise NotSliderError(verdict)
     # v and w have equal lengths, so this sorts by v + w
@@ -99,9 +101,11 @@ def stair_index(f: LocalRule) -> StairIndex:
                       f.q ** (3 * verdict.m) // len(listing), index)
 
 
-def synthesize(f: LocalRule) -> BlockRule:
-    """Bijective block rule of length 3m + 1 sweeping f left to right."""
-    index = stair_index(f)
+def synthesize(f: LocalRule,
+               verdict: SliderVerdict | None = None) -> BlockRule:
+    """Bijective block rule of length 3m + 1 sweeping f left to right;
+    `verdict` is `slider_exists(f)` when the caller holds it."""
+    index = stair_index(f, verdict)
     q, m, n, N = index.stairs.q, index.stairs.m, index.n, index.N
     g = to_radius_form(_radius_form(f)[0], m)
     table: list[int | None] = [None] * q ** (n + 1)

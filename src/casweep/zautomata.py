@@ -9,6 +9,10 @@ enough to decide exactly whether a block rule's sweeps realize a given
 cellular automaton: no complementation is ever needed because the "differs
 somewhere from the image" relation is itself directly recognizable.
 
+One lockstep product, `_product`, pairs the runs of two automata over equal
+labels for `member`, `intersect` and `is_slider_rule_for`; `_fiber_square`
+(for `is_function`) is the only other product.
+
 Labels are plain integers; a k-track label packs k symbols below q in one
 integer, big-endian, so a pair (y, z) reads as y * q + z.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graph
-from .core import EpConfig, ResourceCapError, all_words, word_of_index
+from .core import EpConfig, all_words, check_cap, word_of_index
 from .ca import LocalRule, minimize_neighborhood
 from .blockrule import BlockRule
 
@@ -86,42 +90,25 @@ def _recurrent_parts(A: ZAutomaton):
 def member(A: ZAutomaton, x: EpConfig) -> bool:
     """Is the eventually periodic word x accepted?
 
-    A left lasso over the left period must reach the center run, which must
-    reach a right lasso over the right period; the lassos carry the
-    recurrence obligations.
+    The shifts of x form the language of a small automaton: a cycle over
+    the left period (initial), the center as a chain, then a cycle over the
+    right period (final).  Accepted languages are shift-invariant, because
+    a shifted accepting path is still an accepting path, so A accepts x
+    exactly when its product with that automaton is not empty.
     """
     if x.q != A.label_count:
         raise ValueError("word alphabet does not match the label space")
-    succ = A.successors()
-    index = {s: k for k, s in enumerate(succ)}
-
-    def period_graph(period, marked):
-        # node k * P + t: state number k at phase t of the period
-        P = len(period)
-        g: list[list[int]] = [[] for _ in range(len(index) * P)]
-        for s, k in index.items():
-            for label, d in succ[s]:
-                for t in range(P):
-                    if label == period[t]:
-                        g[k * P + t].append(index[d] * P + (t + 1) % P)
-        comp = graph.strong_components(g)
-        return g, graph.recurrent(
-            g, comp, [[index[s] * P + t for s in marked for t in range(P)]])
-
-    left, seeds = period_graph(x.left_period, A.initial)
-    good_left = graph.reachable(left, seeds)
-    # phase t at boundary p means (p - boundary anchor) = t mod period
-    P = len(x.left_period)
-    states = {s for s, k in index.items() if good_left[k * P]}
-    for p in range(x.center_start, x.center_end):
-        symbol = x.cell(p)
-        states = {d for s in states for label, d in succ[s] if label == symbol}
-        if not states:
-            return False
-    right, sinks = period_graph(x.right_period, A.final)
-    good_right = graph.reachable(graph.reverse(right), sinks)
-    R = len(x.right_period)
-    return any(good_right[index[s] * R] for s in states)
+    # node p - lo reads cell p next; each period's last node also steps
+    # back to the period's first
+    start, end = x.center_start, x.center_end
+    lo, hi = start - len(x.left_period), end + len(x.right_period)
+    edges = {(p - lo, x.cell(p), p + 1 - lo) for p in range(lo, hi - 1)}
+    edges.add((start - 1 - lo, x.cell(start - 1), 0))
+    edges.add((hi - 1 - lo, x.cell(hi - 1), end - lo))
+    shifts = ZAutomaton(A.q, A.arity, frozenset(range(hi - lo)),
+                        frozenset(edges), frozenset(range(start - lo)),
+                        frozenset(range(end - lo, hi - lo)))
+    return not _disjoint(A, shifts)
 
 
 def is_empty(A: ZAutomaton) -> bool:
@@ -218,33 +205,67 @@ def trim(A: ZAutomaton) -> ZAutomaton:
 # ---------------------------------------------------------------------------
 # Products and projections
 
+def _product(A: ZAutomaton, B: ZAutomaton):
+    """Edge graph of pairs of runs of A and B over the same labels.
+
+    Node ka * |B| + kb pairs state order_a[ka] of A with order_b[kb] of B,
+    and succ[v] lists the (label, node) edges leaving node v.  Returns the
+    two state orders, succ, the initial sets of both sides and their final
+    sets.
+    """
+    if A.q != B.q or A.arity != B.arity:
+        raise ValueError("alphabet mismatch")
+    order_a, order_b = list(A.states), list(B.states)
+    index_a = {s: k for k, s in enumerate(order_a)}
+    index_b = {s: k for k, s in enumerate(order_b)}
+    na, nb = len(order_a), len(order_b)
+    by_label: dict = {}
+    for s, label, t in B.edges:
+        by_label.setdefault(label, []).append((index_b[s], index_b[t]))
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(na * nb)]
+    for sa, label, ta in A.edges:
+        src, dst = index_a[sa] * nb, index_a[ta] * nb
+        for sb, tb in by_label.get(label, ()):
+            succ[src + sb].append((label, dst + tb))
+
+    def on_a(states):
+        return [index_a[s] * nb + kb for s in states for kb in range(nb)]
+
+    def on_b(states):
+        return [ka * nb + index_b[s] for s in states for ka in range(na)]
+
+    return (order_a, order_b, succ, [on_a(A.initial), on_b(B.initial)],
+            [on_a(A.final), on_b(B.final)])
+
+
+def _disjoint(A: ZAutomaton, B: ZAutomaton) -> bool:
+    """Do L(A) and L(B) share no word?  Emptiness of their product."""
+    _, _, succ, lefts, rights = _product(A, B)
+    return graph.lasso_free([[w for _, w in out] for out in succ],
+                            lefts, rights)
+
+
 def intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
-    """Automaton for L(A) & L(B).
+    """Automaton for L(A) & L(B) on the states (sa, sb, lflag, rflag).
 
     Each side owes two recurrence visits; one alternation flag per side
     reduces them to one: the flag advances when the currently watched
     component recurs, and the product recurrence set is "flag at rest and
     the first component recurring".
     """
-    if A.q != B.q or A.arity != B.arity:
-        raise ValueError("alphabet mismatch")
+    order_a, order_b, succ, _, _ = _product(A, B)
+    nb = len(order_b)
     states = set()
     edges = set()
-    by_label: dict = {}
-    for sb, label, tb in B.edges:
-        by_label.setdefault(label, []).append((sb, tb))
-    for sa, label, ta in A.edges:
-        for sb, tb in by_label.get(label, ()):
-            for lflag_t in (0, 1):
-                if lflag_t == 0:
-                    lflag_s = 1 if ta in A.initial else 0
-                else:
-                    lflag_s = 0 if tb in B.initial else 1
-                for rflag_s in (0, 1):
-                    if rflag_s == 0:
-                        rflag_t = 1 if sa in A.final else 0
-                    else:
-                        rflag_t = 0 if sb in B.final else 1
+    for v, out in enumerate(succ):
+        sa, sb = order_a[v // nb], order_b[v % nb]
+        # (source flag, target flag) pairs each side's flag can take
+        rflags = ((0, int(sa in A.final)), (1, int(sb not in B.final)))
+        for label, w in out:
+            ta, tb = order_a[w // nb], order_b[w % nb]
+            lflags = ((int(ta in A.initial), 0), (int(tb not in B.initial), 1))
+            for lflag_s, lflag_t in lflags:
+                for rflag_s, rflag_t in rflags:
                     src = (sa, sb, lflag_s, rflag_s)
                     dst = (ta, tb, lflag_t, rflag_t)
                     states.add(src)
@@ -286,11 +307,8 @@ def slider_relation_automaton(chi: BlockRule,
     if not chi.is_bijective():
         raise ValueError("slider relations need a bijective block rule")
     q, m = chi.q, chi.block_length
-    predicted = 2 if m == 1 else m * q ** (2 * m - 2)
-    if max_states is not None and predicted > max_states:
-        raise ResourceCapError(
-            f"slider automaton needs about {predicted} states, cap is "
-            f"{max_states}")
+    check_cap(2 if m == 1 else m * q ** (2 * m - 2), max_states,
+              "slider automaton states")
     inv = chi.inverse()
     states = set()
     edges = set()
@@ -373,12 +391,9 @@ def sweeper_relation_automaton(chi: BlockRule,
     membership; no obligation falls on the right side.
     """
     q, m = chi.q, chi.block_length
-    predicted = 1 if m == 1 else \
-        2 * q ** (2 * m - 2) * (1 + sum(q ** t for t in range(1, m)))
-    if max_states is not None and predicted > max_states:
-        raise ResourceCapError(
-            f"sweeper automaton needs about {predicted} states, cap is "
-            f"{max_states}")
+    check_cap(1 if m == 1 else
+              2 * q ** (2 * m - 2) * (1 + sum(q ** t for t in range(1, m))),
+              max_states, "sweeper automaton states")
     states = set()
     edges = set()
 
@@ -563,36 +578,6 @@ def is_function(A: ZAutomaton) -> bool:
     return graph.lasso_free(*_fiber_square(A))
 
 
-def _relation_product(A: ZAutomaton, B: ZAutomaton):
-    """Edge graph of pairs of runs of A and B over the same labels.
-
-    Node ka * |B| + kb pairs state number ka of A with kb of B.  Returns
-    the graph with the recurrence sets of both sides.
-    """
-    if A.q != B.q or A.arity != B.arity:
-        raise ValueError("alphabet mismatch")
-    index_a = {s: k for k, s in enumerate(A.states)}
-    index_b = {s: k for k, s in enumerate(B.states)}
-    na, nb = len(index_a), len(index_b)
-    by_label: dict = {}
-    for s, label, t in B.edges:
-        by_label.setdefault(label, []).append((index_b[s], index_b[t]))
-    succ: list[list[int]] = [[] for _ in range(na * nb)]
-    for sa, label, ta in A.edges:
-        src, dst = index_a[sa] * nb, index_a[ta] * nb
-        for sb, tb in by_label.get(label, ()):
-            succ[src + sb].append(dst + tb)
-
-    def on_a(states):
-        return [index_a[s] * nb + kb for s in states for kb in range(nb)]
-
-    def on_b(states):
-        return [ka * nb + index_b[s] for s in states for ka in range(na)]
-
-    return (succ, [on_a(A.initial), on_b(B.initial)],
-            [on_a(A.final), on_b(B.final)])
-
-
 def is_slider_rule_for(chi: BlockRule, f: LocalRule,
                        max_states: int | None = None) -> bool:
     """Is the relation represented by the block rule exactly the graph of f?
@@ -605,11 +590,8 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     """
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")
-    if not chi.is_bijective():
-        raise ValueError("slider relations need a bijective block rule")
-    A = trim(slider_relation_automaton(chi, max_states))
-    B = graph_mismatch_automaton(f)
-    return graph.lasso_free(*_relation_product(A, B))
+    return _disjoint(trim(slider_relation_automaton(chi, max_states)),
+                     graph_mismatch_automaton(f))
 
 
 def sweeper_defines_function(chi: BlockRule) -> bool:

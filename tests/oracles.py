@@ -16,6 +16,7 @@ from casweep.closing import _radius_form
 from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
                           all_words, ep_splice, word_index)
 from casweep.mealy import MealyAutomaton
+from casweep.zautomata import ZAutomaton
 
 
 def ep_replace(x: EpConfig, at: int, w: tuple[int, ...]) -> EpConfig:
@@ -164,3 +165,82 @@ def good_states_by_transformations(mealy: MealyAutomaton,
         if comp[k] == comp[k2]:
             good |= vals
     return good
+
+
+def period_member(A: ZAutomaton, x: EpConfig) -> bool:
+    """Reference membership test: is the eventually periodic word x accepted?
+
+    A left lasso over the left period must reach the center run, which must
+    reach a right lasso over the right period; the lassos carry the
+    recurrence obligations.
+    """
+    if x.q != A.label_count:
+        raise ValueError("word alphabet does not match the label space")
+    succ = A.successors()
+    index = {s: k for k, s in enumerate(succ)}
+
+    def period_graph(period, marked):
+        # node k * P + t: state number k at phase t of the period
+        P = len(period)
+        g: list[list[int]] = [[] for _ in range(len(index) * P)]
+        for s, k in index.items():
+            for label, d in succ[s]:
+                for t in range(P):
+                    if label == period[t]:
+                        g[k * P + t].append(index[d] * P + (t + 1) % P)
+        comp = graph.strong_components(g)
+        return g, graph.recurrent(
+            g, comp, [[index[s] * P + t for s in marked for t in range(P)]])
+
+    left, seeds = period_graph(x.left_period, A.initial)
+    good_left = graph.reachable(left, seeds)
+    # phase t at boundary p means (p - boundary anchor) = t mod period
+    P = len(x.left_period)
+    states = {s for s, k in index.items() if good_left[k * P]}
+    for p in range(x.center_start, x.center_end):
+        symbol = x.cell(p)
+        states = {d for s in states for label, d in succ[s] if label == symbol}
+        if not states:
+            return False
+    right, sinks = period_graph(x.right_period, A.final)
+    good_right = graph.reachable(graph.reverse(right), sinks)
+    R = len(x.right_period)
+    return any(good_right[index[s] * R] for s in states)
+
+
+def flag_intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
+    """Reference intersection: the flag product built on tuple states.
+
+    Each side owes two recurrence visits; one alternation flag per side
+    reduces them to one: the flag advances when the currently watched
+    component recurs, and the product recurrence set is "flag at rest and
+    the first component recurring".
+    """
+    if A.q != B.q or A.arity != B.arity:
+        raise ValueError("alphabet mismatch")
+    states = set()
+    edges = set()
+    by_label: dict = {}
+    for sb, label, tb in B.edges:
+        by_label.setdefault(label, []).append((sb, tb))
+    for sa, label, ta in A.edges:
+        for sb, tb in by_label.get(label, ()):
+            for lflag_t in (0, 1):
+                if lflag_t == 0:
+                    lflag_s = 1 if ta in A.initial else 0
+                else:
+                    lflag_s = 0 if tb in B.initial else 1
+                for rflag_s in (0, 1):
+                    if rflag_s == 0:
+                        rflag_t = 1 if sa in A.final else 0
+                    else:
+                        rflag_t = 0 if sb in B.final else 1
+                    src = (sa, sb, lflag_s, rflag_s)
+                    dst = (ta, tb, lflag_t, rflag_t)
+                    states.add(src)
+                    states.add(dst)
+                    edges.add((src, label, dst))
+    initial = frozenset(s for s in states if s[2] == 0 and s[0] in A.initial)
+    final = frozenset(s for s in states if s[3] == 0 and s[0] in A.final)
+    return ZAutomaton(A.q, A.arity, frozenset(states), frozenset(edges),
+                      initial, final)

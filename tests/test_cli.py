@@ -7,8 +7,10 @@ serialized with sorted keys, which the golden comparisons rely on.
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 
 import casweep
 from casweep.blockrule import BlockRule
-from casweep.ca import apply_ep, builtin_rule
+from casweep.ca import LocalRule, apply_ep, builtin_rule
 from casweep.cli import main
 from casweep.core import EpConfig, ep_equal, ep_from_json, ep_to_json
 from casweep.zautomata import ZAutomaton, decode_label
@@ -211,6 +213,16 @@ def test_sweep_alphabet_mismatch(capsys, tmp_path):
     assert code == 2
 
 
+def test_sweep_slider_needs_bijective_block(capsys, tmp_path):
+    squash = tmp_path / "squash.json"
+    squash.write_text(json.dumps(BlockRule(2, 2, (0, 0, 3, 3)).to_json()))
+    config = write_config(tmp_path / "x.json", EpConfig(2, (0, 1), (), 0, (0, 1)))
+    code, report, err = run(capsys, "sweep", str(squash), config,
+                            "--mode", "slider")
+    assert code == 2 and report is None
+    assert err.splitlines()[-1].startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # mealy
 
@@ -279,6 +291,20 @@ def test_decompose_rejects_non_biclosing(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # closing
 
+@pytest.mark.parametrize("command", ["closing", "analyze"])
+def test_closing_enumerations_are_capped(capsys, tmp_path, command):
+    # radius 2 over 6 symbols: 6^10 pair-graph edge tests
+    rng = random.Random(17)
+    rule = LocalRule(6, -2, 5, tuple(rng.randrange(6) for _ in range(6 ** 5)))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(rule.to_json()))
+    start = time.perf_counter()
+    code, report, err = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and report is None
+    assert "cap" in err
+
+
 def test_closing_verdicts(capsys):
     code, report, _ = run(capsys, "closing", data_file("ca102"))
     assert code == 0
@@ -342,6 +368,14 @@ def test_automata_empty_with_mismatch(capsys):
     witness_out = ep_from_json(report["witness"]["output"])
     shifted = apply_ep(builtin_rule("shift"), witness_in)
     assert ep_equal(shifted, witness_out)
+
+
+def test_automata_vs_alphabet_mismatch(capsys):
+    code, report, err = run(capsys, "automata", "empty",
+                            data_file("not_closed"), "--kind", "slider",
+                            "--vs", data_file("identity"))
+    assert code == 2 and report is None
+    assert err.splitlines()[-1].startswith("error:")
 
 
 def test_automata_mismatch_kind(capsys, tmp_path):

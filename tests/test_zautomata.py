@@ -5,9 +5,9 @@ import random
 import pytest
 
 from casweep.core import EpConfig, ep_zip, random_ep_config
-from casweep.ca import builtin_rule, apply_ep
-from casweep.blockrule import (BlockRule, identity_block, builtin_block_rule,
-                               representation_eval)
+from casweep.ca import BUILTIN_RULES, builtin_rule, apply_ep
+from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule, identity_block,
+                               builtin_block_rule, representation_eval)
 from casweep.mealy import sweeper_eval
 from casweep.synthesis import synthesize
 from casweep.zautomata import (ZAutomaton, member, is_empty, nonempty_witness,
@@ -16,7 +16,7 @@ from casweep.zautomata import (ZAutomaton, member, is_empty, nonempty_witness,
                                slider_relation_automaton,
                                sweeper_relation_automaton,
                                graph_mismatch_automaton)
-from oracles import ep_replace
+from oracles import ep_replace, flag_intersect, period_member
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 
@@ -223,6 +223,42 @@ def test_intersection_membership_is_conjunction():
         assert member(t0, x) == (0 in rp)
         assert member(t1, x) == (1 in rp)
         assert member(both, x) is expect
+
+
+KINDS = {"slider": slider_relation_automaton,
+         "sweeper": sweeper_relation_automaton}
+SAME_ALPHABET = [(b, f) for b in BUILTIN_BLOCK_RULES for f in BUILTIN_RULES
+                 if builtin_block_rule(b).q == builtin_rule(f).q]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("block_name,ca_name", SAME_ALPHABET)
+def test_intersect_matches_flag_product(kind, block_name, ca_name):
+    A = KINDS[kind](builtin_block_rule(block_name))
+    B = graph_mismatch_automaton(builtin_rule(ca_name))
+    assert intersect(A, B) == flag_intersect(A, B)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", BUILTIN_BLOCK_RULES)
+def test_member_matches_period_oracle(kind, name):
+    chi = builtin_block_rule(name)
+    A = KINDS[kind](chi)
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(30):
+        x = random_ep_config(rng, chi.q)
+        if kind == "slider":
+            y, z = representation_eval(chi, x, rng.randrange(-3, 4))
+        else:
+            y, z = x, sweeper_eval(chi, x).limit
+        for pair in (ep_zip(y, z),
+                     ep_zip(y, mutate(z, rng.randrange(-3, 4), chi.q)),
+                     ep_zip(y, random_ep_config(rng, chi.q))):
+            expect = period_member(A, pair)
+            assert member(A, pair) is expect
+            seen.add(expect)
+    assert seen == {True, False}
 
 
 def test_trim_preserves_language():

@@ -8,14 +8,22 @@ eventually periodic configuration the whole limit is computed exactly by
 running the sweep as a finite-state transducer and detecting the cycle its
 window state enters inside the periodic tail.
 
+The transducer's state is the m-cell window as one block index below q^m,
+so the rule's table is its transition table: one step rewrites the window
+with the table, emits the leftmost cell (final from then on) and shifts in
+the next tape cell, ``out, rest = divmod(table[w], q**(m-1))`` and
+``w = rest * q + incoming``.
+
 Right-to-left sweeps are reduced to left-to-right ones by reversing both the
-tape and the rule, so there is exactly one sweep engine.
+tape and the rule, so there is exactly one sweep engine.  A rule derives its
+inverse and its mirror image once, on first use, and keeps them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .core import (EpConfig, all_words, check_alphabet, check_cap, ep_equal,
@@ -29,7 +37,9 @@ class BlockRule:
 
     The table maps `word_index` of the input block to `word_index` of the
     output block.  Most operations require the table to be a permutation;
-    `is_bijective` checks and `inverse` inverts.
+    `is_bijective` checks and `inverse` inverts.  The inverse and the mirror
+    image are derived once per rule and cached on the instance, outside the
+    dataclass fields, so equality, hashing and the JSON form ignore them.
     """
 
     q: int
@@ -58,12 +68,20 @@ class BlockRule:
         return sorted(self.table) == list(range(self.q**self.block_length))
 
     def inverse(self) -> "BlockRule":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "BlockRule":
         if not self.is_bijective():
             raise ValueError("block rule is not bijective")
         inv = [0] * len(self.table)
         for u, v in enumerate(self.table):
             inv[v] = u
         return BlockRule(self.q, self.block_length, tuple(inv))
+
+    @cached_property
+    def _mirror(self) -> "BlockRule":
+        return reverse_block(self)
 
     def to_json(self) -> dict:
         return {"alphabet": self.q, "block_length": self.block_length,
@@ -124,17 +142,21 @@ def sweep_range(rule: BlockRule, x: EpConfig, i: int, j: int,
                     x.window(hi, hi + rper))
 
 
-def sweep_step(rule: BlockRule, window: tuple[int, ...],
-               incoming: int) -> tuple[int, tuple[int, ...]]:
-    """One transducer step of a left-to-right sweep.
+def _sweep_cells(rule: BlockRule, window: int,
+                 cells: tuple[int, ...]) -> tuple[list[int], int]:
+    """Sweep the block-index window across the incoming cells.
 
-    The window holds the m tape cells the next application will rewrite.
-    Applying the rule finalizes the leftmost cell (that is the emitted
-    output) and shifting in the next original tape symbol forms the window
-    of the following position.
+    Returns the cells finalized on the way, one per incoming cell, and the
+    window after the last one is shifted in.
     """
-    img = rule(window)
-    return img[0], img[1:] + (incoming,)
+    table, q = rule.table, rule.q
+    high = q ** (rule.block_length - 1)
+    outs = []
+    for c in cells:
+        out, rest = divmod(table[window], high)
+        outs.append(out)
+        window = rest * q + c
+    return outs, window
 
 
 def sweep_right_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:
@@ -146,33 +168,36 @@ def sweep_right_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:
     """
     if x.q != rule.q:
         raise ValueError("alphabet mismatch")
-    return sweep_right_limit_from(rule, x, i, x.window(i, i + rule.block_length))
+    window = word_index(x.window(i, i + rule.block_length), rule.q)
+    return sweep_right_limit_from(rule, x, i, window)
 
 
 def sweep_right_limit_from(rule: BlockRule, x: EpConfig, i: int,
-                           window: tuple[int, ...]) -> EpConfig:
+                           window: int) -> EpConfig:
     """Rightward limit sweep continued from a mid-sweep window.
 
-    Like sweep_right_limit but the m cells at [i, i+m) are taken from the
-    given window instead of the tape; cells below i are returned as in x.
+    Like sweep_right_limit but the m cells at [i, i+m) are the block whose
+    `word_index` is `window` instead of the tape's cells; cells below i are
+    returned as in x.  The (window, phase) pairs of the periodic tail are
+    keyed as the integer window * period + phase.
     """
-    m = rule.block_length
-    rper = len(x.right_period)
-    outs: list[int] = []
-    p = i
-    while p + m < x.center_end:
-        out, window = sweep_step(rule, window, x.cell(p + m))
-        outs.append(out)
-        p += 1
-    seen: dict[tuple[tuple[int, ...], int], int] = {}
+    m, q, table = rule.block_length, rule.q, rule.table
+    high = q ** (m - 1)
+    period = x.right_period
+    rper = len(period)
+    outs, window = _sweep_cells(rule, window, x.window(i + m, x.center_end))
+    seen: dict[int, int] = {}
     tail: list[int] = []
-    phase = (p + m - x.center_end) % rper
-    while (window, phase) not in seen:
-        seen[(window, phase)] = len(tail)
-        out, window = sweep_step(rule, window, x.right_period[phase])
+    phase = (max(i + m, x.center_end) - x.center_end) % rper
+    key = window * rper + phase
+    while key not in seen:
+        seen[key] = len(tail)
+        out, rest = divmod(table[window], high)
         tail.append(out)
+        window = rest * q + period[phase]
         phase = (phase + 1) % rper
-    start = seen[(window, phase)]
+        key = window * rper + phase
+    start = seen[key]
     cs = min(i, x.center_start)
     lper = len(x.left_period)
     center = x.window(cs, i) + tuple(outs) + tuple(tail[:start])
@@ -188,7 +213,7 @@ def sweep_left_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:
     applications at i-1, i-2, ... become ascending applications starting at
     position 2 - i - m of the reversed tape.
     """
-    y = sweep_right_limit(reverse_block(rule), x.reversed(),
+    y = sweep_right_limit(rule._mirror, x.reversed(),
                           2 - i - rule.block_length)
     return y.reversed()
 

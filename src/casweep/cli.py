@@ -339,7 +339,10 @@ def _build_automaton(args: argparse.Namespace) -> ZAutomaton:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if f is not None:
-        auto = intersect(auto, graph_mismatch_automaton(f))
+        mismatch = graph_mismatch_automaton(f)
+        check_cap(len(auto.states) * len(mismatch.states),
+                  args.max_automaton_states, "intersection product nodes")
+        auto = intersect(auto, mismatch)
         check_cap(len(auto.states), args.max_automaton_states,
                   "intersection states")
     return auto

@@ -21,7 +21,7 @@ from . import graph
 from .core import (EpConfig, all_words, check_cap, ep_equal, ep_to_json,
                    random_ep_config, word_index, word_of_index)
 from .ca import LocalRule, apply_ep
-from .blockrule import (BlockRule, representation_eval, sweep_step,
+from .blockrule import (BlockRule, _sweep_cells, representation_eval,
                         sweep_right_limit_from)
 
 
@@ -65,17 +65,22 @@ class MealyAutomaton:
 
 
 def mealy_from_block(chi: BlockRule) -> MealyAutomaton:
-    """Block-level transducer: apply chi at positions 0..n-1 of state+letter."""
-    n = chi.block_length
+    """Block-level transducer: apply chi at positions 0..n-1 of state+letter.
+
+    The sweep window starts as the state block and takes in the letter's
+    cells one by one; the n finalized cells are the output block and the
+    last window is the next state.
+    """
+    n, q = chi.block_length, chi.q
     outs = []
     nxts = []
-    for sa in all_words(2 * n, chi.q):
-        cells = list(sa)
-        for p in range(n):
-            cells[p:p + n] = chi(tuple(cells[p:p + n]))
-        outs.append(word_index(tuple(cells[:n]), chi.q))
-        nxts.append(word_index(tuple(cells[n:]), chi.q))
-    return MealyAutomaton(chi.q, n, tuple(outs), tuple(nxts))
+    letters = list(all_words(n, q))
+    for s in range(q ** n):
+        for a in letters:
+            cells, w = _sweep_cells(chi, s, a)
+            outs.append(word_index(cells, q))
+            nxts.append(w)
+    return MealyAutomaton(q, n, tuple(outs), tuple(nxts))
 
 
 def good_states(mealy: MealyAutomaton, cap: int = 1 << 22) -> set[int]:
@@ -169,34 +174,23 @@ def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
     limits: list[EpConfig] = []
     for d in range(P):
         sp = base - d
-        start = y.window(sp, sp + m)
-        # windows at sp reachable from anchors sp - k*P, k large
-        orbit = {start: 0}
-        trail = [start]
-        window = start
-        while True:
-            outs_seg = []
-            for t in range(P):
-                out, window = sweep_step(chi, window, y.cell(sp - P + t + m))
-                outs_seg.append(out)
-            if window in orbit:
-                cycle = trail[orbit[window]:]
-                break
-            orbit[window] = len(trail)
-            trail.append(window)
-        outs = {}
-        w = cycle[0]
-        for _ in cycle:
-            seg = []
-            for t in range(P):
-                out, w = sweep_step(chi, w, y.cell(sp - P + t + m))
-                seg.append(out)
-            outs[cycle[len(outs)]] = (tuple(seg), w)
+        # the cells shifted in while the window crosses one period copy
+        incoming = y.window(sp - P + m, sp + m)
+        # windows arriving at sp from anchors sp - k*P, k = 0, 1, ..., each
+        # with the cells it emits crossing one copy and the window after;
+        # the eventual cycle is what arbitrarily far anchors leave at sp
+        crossing: dict[int, tuple[list[int], int]] = {}
+        window = word_index(y.window(sp, sp + m), chi.q)
+        while window not in crossing:
+            crossing[window] = _sweep_cells(chi, window, incoming)
+            window = crossing[window][1]
+        trail = list(crossing)
+        cycle = trail[trail.index(window):]
         for e in cycle:
             left = []
             w = e
             for _ in cycle:
-                seg, w = outs[w]
+                seg, w = crossing[w]
                 left.extend(seg)
             piece = sweep_right_limit_from(chi, y, sp, e)
             hi = max(piece.center_end, sp)

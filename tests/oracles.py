@@ -11,11 +11,12 @@ import json
 from importlib import resources
 
 from casweep import graph
+from casweep.blockrule import BlockRule, reverse_block
 from casweep.ca import BUILTIN_RULES, LocalRule
 from casweep.closing import _radius_form
 from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
-                          all_words, ep_splice, word_index)
-from casweep.mealy import MealyAutomaton
+                          all_words, ep_equal, ep_splice, word_index)
+from casweep.mealy import MealyAutomaton, SweepOutcome
 from casweep.zautomata import ZAutomaton
 
 
@@ -244,3 +245,143 @@ def flag_intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
     final = frozenset(s for s in states if s[3] == 0 and s[0] in A.final)
     return ZAutomaton(A.q, A.arity, frozenset(states), frozenset(edges),
                       initial, final)
+
+
+# ---------------------------------------------------------------------------
+# The sweep engine on window tuples
+
+def tuple_sweep_step(rule: BlockRule, window: tuple[int, ...],
+                     incoming: int) -> tuple[int, tuple[int, ...]]:
+    """One transducer step of a left-to-right sweep.
+
+    The window holds the m tape cells the next application will rewrite.
+    Applying the rule finalizes the leftmost cell (that is the emitted
+    output) and shifting in the next original tape symbol forms the window
+    of the following position.
+    """
+    img = rule(window)
+    return img[0], img[1:] + (incoming,)
+
+
+def tuple_sweep_right_limit_from(rule: BlockRule, x: EpConfig, i: int,
+                                 window: tuple[int, ...]) -> EpConfig:
+    """Rightward limit sweep continued from a mid-sweep window.
+
+    Like tuple_sweep_right_limit but the m cells at [i, i+m) are taken from
+    the given window instead of the tape; cells below i are returned as in x.
+    """
+    m = rule.block_length
+    rper = len(x.right_period)
+    outs: list[int] = []
+    p = i
+    while p + m < x.center_end:
+        out, window = tuple_sweep_step(rule, window, x.cell(p + m))
+        outs.append(out)
+        p += 1
+    seen: dict[tuple[tuple[int, ...], int], int] = {}
+    tail: list[int] = []
+    phase = (p + m - x.center_end) % rper
+    while (window, phase) not in seen:
+        seen[(window, phase)] = len(tail)
+        out, window = tuple_sweep_step(rule, window, x.right_period[phase])
+        tail.append(out)
+        phase = (phase + 1) % rper
+    start = seen[(window, phase)]
+    cs = min(i, x.center_start)
+    lper = len(x.left_period)
+    center = x.window(cs, i) + tuple(outs) + tuple(tail[:start])
+    return EpConfig(x.q, x.window(cs - lper, cs), center, cs,
+                    tuple(tail[start:])).normalize()
+
+
+def tuple_sweep_right_limit(rule: BlockRule, x: EpConfig,
+                            i: int) -> EpConfig:
+    """Limit of applying the rule at i, i+1, i+2, ... forever."""
+    return tuple_sweep_right_limit_from(rule, x, i,
+                                        x.window(i, i + rule.block_length))
+
+
+def tuple_sweep_left_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:
+    """Limit of applying the rule at i-1, i-2, ..., through the mirror
+    image built afresh on every call."""
+    y = tuple_sweep_right_limit(reverse_block(rule), x.reversed(),
+                                2 - i - rule.block_length)
+    return y.reversed()
+
+
+def tuple_representation_eval(rule: BlockRule, x: EpConfig,
+                              i: int) -> tuple[EpConfig, EpConfig]:
+    """Pair (y, z) represented by seed x at anchor i, with the inverse
+    table built afresh from the rule's table."""
+    inv = [0] * len(rule.table)
+    for u, v in enumerate(rule.table):
+        inv[v] = u
+    inverse = BlockRule(rule.q, rule.block_length, tuple(inv))
+    return (tuple_sweep_left_limit(inverse, x, i),
+            tuple_sweep_right_limit(rule, x, i))
+
+
+def tuple_sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
+    """All accumulation points of chi swept from anchors going left, with
+    orbit and cycle keyed by window tuples."""
+    m = chi.block_length
+    P = len(y.left_period)
+    base = y.center_start - m
+    limits: list[EpConfig] = []
+    for d in range(P):
+        sp = base - d
+        start = y.window(sp, sp + m)
+        # windows at sp reachable from anchors sp - k*P, k large
+        orbit = {start: 0}
+        trail = [start]
+        window = start
+        while True:
+            outs_seg = []
+            for t in range(P):
+                out, window = tuple_sweep_step(chi, window,
+                                               y.cell(sp - P + t + m))
+                outs_seg.append(out)
+            if window in orbit:
+                cycle = trail[orbit[window]:]
+                break
+            orbit[window] = len(trail)
+            trail.append(window)
+        outs = {}
+        w = cycle[0]
+        for _ in cycle:
+            seg = []
+            for t in range(P):
+                out, w = tuple_sweep_step(chi, w, y.cell(sp - P + t + m))
+                seg.append(out)
+            outs[cycle[len(outs)]] = (tuple(seg), w)
+        for e in cycle:
+            left = []
+            w = e
+            for _ in cycle:
+                seg, w = outs[w]
+                left.extend(seg)
+            piece = tuple_sweep_right_limit_from(chi, y, sp, e)
+            hi = max(piece.center_end, sp)
+            rper = len(piece.right_period)
+            z = EpConfig(y.q, tuple(left), piece.window(sp, hi), sp,
+                         tuple(piece.cell(hi + t) for t in range(rper)))
+            limits.append(z.normalize())
+    first = limits[0]
+    for z in limits[1:]:
+        if not ep_equal(first, z):
+            return SweepOutcome(first, z)
+    return SweepOutcome(first)
+
+
+def tuple_mealy_from_block(chi: BlockRule) -> MealyAutomaton:
+    """Block-level transducer: apply chi at positions 0..n-1 of state+letter."""
+    n = chi.block_length
+    outs = []
+    nxts = []
+    for sa in all_words(2 * n, chi.q):
+        cells = list(sa)
+        for p in range(n):
+            cells[p:p + n] = chi(tuple(cells[p:p + n]))
+        outs.append(word_index(tuple(cells[:n]), chi.q))
+        nxts.append(word_index(tuple(cells[n:]), chi.q))
+    return MealyAutomaton(chi.q, n, tuple(outs), tuple(nxts))

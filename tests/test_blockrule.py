@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from casweep import blockrule
 from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule, apply_at,
                                builtin_block_rule, count_representations,
                                identity_block, representation_eval,
@@ -57,6 +58,44 @@ def test_reverse_block():
         for b in range(3):
             assert rev((a, b)) == tuple(reversed(rule((b, a))))
     assert reverse_block(rev) == rule
+
+
+def test_mirror_is_built_once_per_rule(monkeypatch):
+    built = []
+    real = blockrule.reverse_block
+
+    def counting(rule):
+        built.append(rule)
+        return real(rule)
+
+    monkeypatch.setattr(blockrule, "reverse_block", counting)
+    rng = random.Random(3)
+    rule = random_permutation_rule(rng, 2, 3)
+    for _ in range(200):
+        representation_eval(rule, random_ep_config(rng, 2), rng.randrange(-3, 4))
+    assert len(built) <= 1
+
+
+def test_derived_rules_leave_the_value_alone():
+    rng = random.Random(4)
+    rule = random_permutation_rule(rng, 3, 2)
+    twin = BlockRule(rule.q, rule.block_length, rule.table)
+    before = (hash(rule), repr(rule), rule.to_json())
+    inv = rule.inverse()
+    representation_eval(rule, random_ep_config(rng, 3), 0)
+    sweep_left_limit(rule, random_ep_config(rng, 3), 1)
+    assert rule.inverse() is inv
+    assert rule == twin and twin == rule
+    assert (hash(rule), repr(rule), rule.to_json()) == before
+    assert BlockRule.from_json(rule.to_json()) == rule
+
+
+def test_representation_needs_bijective_rule():
+    squash = BlockRule(2, 2, (0, 0, 3, 3))
+    x = EpConfig(2, (0, 1), (), 0, (0, 1))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            representation_eval(squash, x, 0)
 
 
 def test_apply_at():

@@ -400,6 +400,21 @@ def test_automata_resource_cap(capsys, tmp_path):
     assert report is None
 
 
+def test_automata_vs_product_capped_before_it_is_built(capsys, tmp_path):
+    """The slider automaton (28,672 states) fits the cap, the product with
+    the mismatch automaton does not: refused before it is allocated."""
+    out = str(tmp_path / "block.json")
+    assert main(["synthesize", data_file("ca102"), out]) == 0
+    capsys.readouterr()
+    start = time.monotonic()
+    code, report, err = run(capsys, "automata", "inspect", out,
+                            "--kind", "slider", "--vs", data_file("ca102"),
+                            "--max-automaton-states", "30000")
+    assert time.monotonic() - start < 2
+    assert code == 3 and report is None
+    assert "intersection product nodes" in err
+
+
 # ---------------------------------------------------------------------------
 # golden reports
 

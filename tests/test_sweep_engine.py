@@ -1,0 +1,100 @@
+"""The block-index sweep engine against the tuple engine it replaced.
+
+The oracles step the m-cell window as a tuple and rebuild the inverse and
+the mirror image on every call; the package steps the window as one block
+index and derives both once per rule.  Every limit and every Mealy table
+must come out the same.
+"""
+
+import random
+
+import pytest
+
+from casweep.blockrule import (BlockRule, representation_eval,
+                               sweep_left_limit, sweep_right_limit)
+from casweep.ca import builtin_rule
+from casweep.core import ep_equal, random_ep_config
+from casweep.mealy import mealy_from_block, sweeper_eval
+from casweep.synthesis import synthesize
+from oracles import (tuple_mealy_from_block, tuple_representation_eval,
+                     tuple_sweep_left_limit, tuple_sweep_right_limit,
+                     tuple_sweeper_eval)
+
+SHAPES = [(q, m) for q in (2, 3) for m in (1, 2, 3, 4)]
+
+
+def permutation_rule(rng, q, m):
+    table = list(range(q**m))
+    rng.shuffle(table)
+    return BlockRule(q, m, tuple(table))
+
+
+def non_bijective_rule(rng, q, m):
+    size = q**m
+    while True:
+        rule = BlockRule(q, m, tuple(rng.randrange(size) for _ in range(size)))
+        if not rule.is_bijective():
+            return rule
+
+
+def same_outcome(a, b):
+    if a.converges != b.converges or not ep_equal(a.limit, b.limit):
+        return False
+    return a.converges or ep_equal(a.second, b.second)
+
+
+def check_forward(rule, x, i):
+    assert ep_equal(sweep_right_limit(rule, x, i),
+                    tuple_sweep_right_limit(rule, x, i))
+    assert same_outcome(sweeper_eval(rule, x), tuple_sweeper_eval(rule, x))
+
+
+def check_backward(rule, x, i):
+    assert ep_equal(sweep_left_limit(rule, x, i),
+                    tuple_sweep_left_limit(rule, x, i))
+    y, z = representation_eval(rule, x, i)
+    y0, z0 = tuple_representation_eval(rule, x, i)
+    assert ep_equal(y, y0) and ep_equal(z, z0)
+
+
+@pytest.mark.parametrize("q,m", SHAPES)
+def test_permutation_rules_match_tuple_engine(q, m):
+    rng = random.Random(100 * q + m)
+    for _ in range(4):
+        rule = permutation_rule(rng, q, m)
+        for _ in range(10):
+            x = random_ep_config(rng, q)
+            i = rng.randrange(-5, 6)
+            check_forward(rule, x, i)
+            check_backward(rule, x, i)
+
+
+@pytest.mark.parametrize("q,m", SHAPES)
+def test_non_bijective_rules_match_tuple_engine(q, m):
+    rng = random.Random(200 * q + m)
+    for _ in range(4):
+        rule = non_bijective_rule(rng, q, m)
+        for _ in range(10):
+            check_forward(rule, random_ep_config(rng, q), rng.randrange(-5, 6))
+
+
+@pytest.mark.parametrize("q,m", SHAPES)
+def test_mealy_tables_match_tuple_engine(q, m):
+    rng = random.Random(300 * q + m)
+    for rule in (permutation_rule(rng, q, m), non_bijective_rule(rng, q, m)):
+        assert mealy_from_block(rule) == tuple_mealy_from_block(rule)
+
+
+@pytest.fixture(scope="module")
+def ca102_block():
+    return synthesize(builtin_rule("ca102"))
+
+
+def test_synthesized_ca102_rule_matches_tuple_engine(ca102_block):
+    rng = random.Random(400)
+    for _ in range(30):
+        x = random_ep_config(rng, 2, max_period=4, max_center=8, span=6)
+        i = rng.randrange(-8, 9)
+        check_forward(ca102_block, x, i)
+        check_backward(ca102_block, x, i)
+    assert mealy_from_block(ca102_block) == tuple_mealy_from_block(ca102_block)

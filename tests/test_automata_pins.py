@@ -1,0 +1,216 @@
+"""Pinned dumps and witnesses of the bundled relation automata.
+
+For each bundled block rule, each automaton kind, alone and intersected
+with the mismatch automaton of every same-alphabet CA (as `automata dump`
+and `automata empty --vs` build them), the table holds the sha256 of the
+sorted-key JSON dump and the JSON of `nonempty_witness`.  The table was
+generated once from the named-state implementation; any change to state
+numbering, edge order or witness search that shows up in a report fails
+here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from casweep.blockrule import builtin_block_rule
+from casweep.ca import builtin_rule
+from casweep.core import ep_to_json
+from casweep.zautomata import (graph_mismatch_automaton, intersect,
+                               nonempty_witness, slider_relation_automaton,
+                               sweeper_relation_automaton)
+
+KINDS = {"slider": slider_relation_automaton,
+         "sweeper": sweeper_relation_automaton}
+
+# (kind, block rule, --vs rule or None, dump sha256, witness JSON or None)
+PINS = [
+    ("slider", "swap", None,
+     "a92fbec2c3237431019fde6f4ac66e9bd2d8dd28019aa995a9e832083e1e93c1",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "swap", "identity",
+     "473e0274e94b9afe2bdc41bebf5029ce48a24ed6801eac435f239217030b11b0",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [1, 2]}),
+    ("slider", "swap", "shift",
+     "2cbede669267fe8c4814e1f7bd51fbd5fad90fb6a67c95c9ac8fab27b8f1bb1d",
+     None),
+    ("slider", "swap", "shift_inv",
+     "32b53a1263dcb650be2d019ea55abca9361316920c5836e46514fbdebed2b6ab",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 2,
+      "right_period": [1, 2]}),
+    ("slider", "swap", "ca102",
+     "a0cb93a9e0f7463051b14c2e416b4fd13f1a00b170635bcf29338398d8e48745",
+     {"alphabet": 4, "left_period": [1, 2], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "swap", "xor_left",
+     "6440f49ae657eec8b7df046827eb6b7cfb82ff49662b6c34ec3b382f514a9b7b",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [1, 2]}),
+    ("slider", "swap", "and_rule",
+     "a871691375c3d6eece628dd0300b3db3ef41f75dc13ce7e8126b1e7dea28e014",
+     {"alphabet": 4, "left_period": [1, 2], "center": [], "center_start": 1,
+      "right_period": [0]}),
+    ("sweeper", "swap", None,
+     "6991a8531cd6e66f12d17a18ab4c4f3cb7d0755a949f9e37c4271b150b7578ae",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "swap", "identity",
+     "28af5dab741dc94c7c28ee332cebba5c4b7f042fefa42971f7eec37852cb1dfb",
+     {"alphabet": 4, "left_period": [0], "center": [1, 2], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "swap", "shift",
+     "ffad2183c9886275660741d1d21cf9a5cea123ade44b1f51317d125f81a0470d",
+     None),
+    ("sweeper", "swap", "shift_inv",
+     "e8e1b7bdbffd499ed02f7ff95eb8633f9eb93fb5b16d0bbdf48a2aa82f279d67",
+     {"alphabet": 4, "left_period": [0], "center": [1, 2], "center_start": 1,
+      "right_period": [0]}),
+    ("sweeper", "swap", "ca102",
+     "2990c3378af2fb82373c8b69b80a8806c759bc0ea4bb4222b9bc0ba1aa78475a",
+     {"alphabet": 4, "left_period": [1, 2], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "swap", "xor_left",
+     "6cbab9f1002cdba0a3c38971e0218ddcc174c94a2a2ce6ec5a3bc4d0258877c3",
+     {"alphabet": 4, "left_period": [0], "center": [1, 2], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "swap", "and_rule",
+     "f6d372fe00530666914cc84db09ae732bfcfeff02e04d887b911a714514a19f3",
+     {"alphabet": 4, "left_period": [0, 1, 2], "center": [], "center_start":
+      1, "right_period": [0]}),
+    ("slider", "xor_block", None,
+     "d8c7197e7caf1a001f0a81c0f9e10059f32ec13ccfaa5ae602ec5af588701cb7",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "xor_block", "identity",
+     "2a4fe986010ad398f4802401e384d785efa0854c21bd627e9925fb28b7dbfa6d",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [1, 3]}),
+    ("slider", "xor_block", "shift",
+     "9e9f4aab296898117bf7d9cfddb2e8b94d532f2630c110038a3edda52b29c3fc",
+     {"alphabet": 4, "left_period": [1, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "xor_block", "shift_inv",
+     "b5b95604b76c3e2d51394af918e309410f200b10765413b9a9f2c5e5159b933d",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 2,
+      "right_period": [1, 3]}),
+    ("slider", "xor_block", "ca102",
+     "863c73696f59cf2d34938001eb5e46e41f7d8e3cfff4b90cd14d20e93751942f",
+     None),
+    ("slider", "xor_block", "xor_left",
+     "6801da48dd7092de8b41baa16050ca4724fb3b56b435a1cb84435bc8fa383d47",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [1, 3]}),
+    ("slider", "xor_block", "and_rule",
+     "68e127d82e40e1205fbf55bf2ab8144c283b1d8a8760420ee23428dfc45771c2",
+     {"alphabet": 4, "left_period": [1, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "xor_block", None,
+     "115294743cd4f7db7abc57d75ae89ff8fcb44a7cb2132daa277d0b59cf47e861",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "xor_block", "identity",
+     "00e0fcdf39d22cf34b550cffe044205d23d52135916f607348659a3da5cb685a",
+     {"alphabet": 4, "left_period": [0], "center": [1], "center_start": 0,
+      "right_period": [2]}),
+    ("sweeper", "xor_block", "shift",
+     "83392ac9ec58f6c3586d47d741cb873ab8d3a3fc793fafc371680fe5ba58c8ef",
+     {"alphabet": 4, "left_period": [2], "center": [], "center_start": 0,
+      "right_period": [2]}),
+    ("sweeper", "xor_block", "shift_inv",
+     "30226ceac894dafdb9296c05762522d6ae0c1b6cd6f406a4f917c878a7900a10",
+     {"alphabet": 4, "left_period": [0], "center": [1], "center_start": 1,
+      "right_period": [2]}),
+    ("sweeper", "xor_block", "ca102",
+     "912b50655c246fa106c2ad18eda94d88ce3bea2542daca7e302acf2c7ea118d1",
+     None),
+    ("sweeper", "xor_block", "xor_left",
+     "02e0160c578a170690f9013e88b2a3bf4ff8568fdfc5b173e5f3883fc7c5361f",
+     {"alphabet": 4, "left_period": [0], "center": [1], "center_start": 0,
+      "right_period": [2]}),
+    ("sweeper", "xor_block", "and_rule",
+     "191960eac903e144a0e132116d7e481e6df67003a74cebbee31e0377b6fd7d5c",
+     {"alphabet": 4, "left_period": [3, 1], "center": [], "center_start": 0,
+      "right_period": [2]}),
+    ("slider", "identity_block", None,
+     "a98cace148cefd48dbe593c07a3345de0ee99bca5e38deb38e95cee5c6a224aa",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "identity_block", "identity",
+     "778244bb8865ec4f8fba7734ef56f2eac5d1a1626fee2ee7453ee1501aa4c073",
+     None),
+    ("slider", "identity_block", "shift",
+     "8c14400064b59fca86ec270c37acb56656058c914aff9860966159d10f80a298",
+     {"alphabet": 4, "left_period": [0, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "identity_block", "shift_inv",
+     "33822a69e6a46cf3f762ffca7be5bd0173d97f1a0754953b5393d9eab43230e9",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 1,
+      "right_period": [0, 3]}),
+    ("slider", "identity_block", "ca102",
+     "d3868b8d549841b76a3bbeab4fe2307d238c2c79f3d6a42d537074359a81c70c",
+     {"alphabet": 4, "left_period": [3, 0], "center": [], "center_start": 0,
+      "right_period": [3, 0]}),
+    ("slider", "identity_block", "xor_left",
+     "e842e1c2672c7fcd2cb9c8efb8c229fee5f353061bde0d6187d15b9411374d77",
+     {"alphabet": 4, "left_period": [0, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "identity_block", "and_rule",
+     "e2cc9c8add5422dc812391b4bf9ca9ec14ebea59c3d3299134cd21226c813cb7",
+     {"alphabet": 4, "left_period": [0, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "identity_block", None,
+     "f3146b784840fac747ec1092407bfd2eb9e77a28399cc0b45299bdc41b0b7180",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "identity_block", "identity",
+     "e1b72029bc5009f673bf194d2d35ca03df57b3091c25b198d6608efa8ad92eb4",
+     None),
+    ("sweeper", "identity_block", "shift",
+     "47a88aa5b881d7f21d0552e07fceafcbee961c21a560143412f8dc874df255a5",
+     {"alphabet": 4, "left_period": [0], "center": [3], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "identity_block", "shift_inv",
+     "6022e69ff5c75878c1d51de6de9309c67060de4ca27946f4bb6c56e35c6fa9b2",
+     {"alphabet": 4, "left_period": [0], "center": [3], "center_start": 1,
+      "right_period": [0]}),
+    ("sweeper", "identity_block", "ca102",
+     "ef89a469cf0200ff28af39b0250f3b28eca87fb550fca0f5358c4082a6c5a6a0",
+     {"alphabet": 4, "left_period": [0], "center": [3], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "identity_block", "xor_left",
+     "c73e5ea89734a4f7ffc04db38ed7088ff9e540189042afd3f24070e92b547369",
+     {"alphabet": 4, "left_period": [0, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "identity_block", "and_rule",
+     "c41036efaf79dd1f4d08f035677a8a626bc47205d6538a60140a8019d9ae66a2",
+     {"alphabet": 4, "left_period": [0, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "not_closed", None,
+     "ad61e08b688bdeb18f51d4f46c7d4b605b8ceca19f6430928e92db09a0d0a2f0",
+     {"alphabet": 16, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "not_closed", None,
+     "403806478b7d67181b70052bb5d2fb7fd135b4a76b434f068d638801ca49ef39",
+     {"alphabet": 16, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [0]}),
+]
+
+
+def test_table_covers_every_case():
+    assert len(PINS) == 44
+    assert len({row[:3] for row in PINS}) == 44
+
+
+@pytest.mark.parametrize("kind,block,vs,digest,witness", PINS,
+                         ids=lambda v: str(v)[:12])
+def test_dump_and_witness_are_pinned(kind, block, vs, digest, witness):
+    A = KINDS[kind](builtin_block_rule(block))
+    if vs is not None:
+        A = intersect(A, graph_mismatch_automaton(builtin_rule(vs)))
+    blob = json.dumps(A.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+    found = nonempty_witness(A)
+    assert (None if found is None else ep_to_json(found)) == witness

@@ -370,8 +370,6 @@ def cmd_automata(args: argparse.Namespace) -> int:
         _emit(base, f"{len(auto.states)} states, {len(auto.edges)} edges")
         return 0
     if args.action == "member":
-        if auto.arity != 2:
-            raise InputError("member needs a pair automaton")
         y = load_config(args.input)
         z = load_config(args.output)
         try:
@@ -384,12 +382,8 @@ def cmd_automata(args: argparse.Namespace) -> int:
     empty = is_empty(auto)
     base["empty"] = empty
     if not empty:
-        witness = nonempty_witness(auto)
-        if auto.arity == 2:
-            wy, wz = ep_unzip(witness)
-            base["witness"] = {"input": ep_to_json(wy), "output": ep_to_json(wz)}
-        else:
-            base["witness"] = ep_to_json(witness)
+        wy, wz = ep_unzip(nonempty_witness(auto))
+        base["witness"] = {"input": ep_to_json(wy), "output": ep_to_json(wz)}
     _emit(base, "language is empty" if empty else "language is nonempty")
     return 0 if empty else 1
 

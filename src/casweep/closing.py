@@ -142,30 +142,6 @@ def _pair_graph(g: LocalRule, r: int):
     return fwd, back, differing
 
 
-def _bfs_tree(starts, adjacency):
-    """Parent map vertex -> (previous vertex, edge label), None at starts."""
-    parents = {s: None for s in starts}
-    frontier = list(starts)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for lab, w in adjacency[v]:
-                if w not in parents:
-                    parents[w] = (v, lab)
-                    nxt.append(w)
-        frontier = nxt
-    return parents
-
-
-def _walk_to_root(parents, v):
-    """Labels collected walking v towards its tree root, plus the root."""
-    labs = []
-    while parents[v] is not None:
-        v, lab = parents[v]
-        labs.append(lab)
-    return labs, v
-
-
 def _recurrent_vertices(fwd) -> set:
     order = list(fwd)
     index = {v: k for k, v in enumerate(order)}
@@ -185,14 +161,14 @@ def left_closing_decide(f: LocalRule) -> ClosingVerdict:
     check_cap(g.q ** (4 * r + 2), MAX_WINDOWS, "pair graph edge tests")
     fwd, back, differing = _pair_graph(g, r)
     recurrent = _recurrent_vertices(fwd)
-    has_history = _bfs_tree(recurrent, fwd)
+    has_history = graph.bfs_tree(fwd, recurrent)
     diagonal = [v for v in fwd if v[0] == v[1]]
-    reaches_diagonal = _bfs_tree(diagonal, back)
+    reaches_diagonal = graph.bfs_tree(back, diagonal)
 
     for src, lab, tgt in differing:
         if src in has_history and tgt in reaches_diagonal:
-            witness = _build_witness(g, fwd, recurrent, has_history,
-                                     reaches_diagonal, src, lab, tgt)
+            witness = _build_witness(g, fwd, has_history, reaches_diagonal,
+                                     src, lab, tgt)
             return ClosingVerdict("left", False, None, witness)
 
     m = 2 * r
@@ -201,8 +177,7 @@ def left_closing_decide(f: LocalRule) -> ClosingVerdict:
     return ClosingVerdict("left", True, m, None)
 
 
-def _build_witness(g, fwd, recurrent, has_history, reaches_diagonal,
-                   src, lab, tgt):
+def _build_witness(g, fwd, has_history, reaches_diagonal, src, lab, tgt):
     """Two configurations tracing cycle -> src -> differing edge -> diagonal.
 
     The cycle labels become the shared-structure left periods, the finite
@@ -210,30 +185,14 @@ def _build_witness(g, fwd, recurrent, has_history, reaches_diagonal,
     them.  The differing edge guarantees distinctness; edge constraints
     guarantee equal images.
     """
-    labs_up, root = _walk_to_root(has_history, src)
+    labs_up, root = graph.walk_to_root(has_history, src)
     approach = list(reversed(labs_up))  # labels along root -> src
-    # shortest nonempty cycle through root, found by BFS until root recurs
-    cycle = None
-    seen = set()
-    level = [(root, [])]
-    while cycle is None:
-        nxt = []
-        for v, labs in level:
-            for elab, w in fwd[v]:
-                if w == root:
-                    cycle = labs + [elab]
-                    break
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append((w, labs + [elab]))
-            if cycle is not None:
-                break
-        if cycle is None and not nxt:
-            raise IntegrityError("recurrent vertex lies on no cycle")
-        level = nxt
+    cycle = graph.shortest_cycle(fwd, root)
+    if cycle is None:
+        raise IntegrityError("recurrent vertex lies on no cycle")
     # walking tgt towards the diagonal follows forward edges, so the labels
     # come out already in tape order
-    into_diag, _ = _walk_to_root(reaches_diagonal, tgt)
+    into_diag, _ = graph.walk_to_root(reaches_diagonal, tgt)
 
     seq = approach + [lab] + into_diag
     x1 = EpConfig(g.q, tuple(a for a, _ in cycle), tuple(a for a, _ in seq),

@@ -1,10 +1,16 @@
-"""Directed graphs on integer nodes: strong components and reachability.
+"""Directed graphs: strong components, reachability and shortest paths.
 
 A graph is a sequence ``succ`` of successor lists over the nodes
 ``0..n-1``; duplicate edges are harmless.  Every routine is iterative, so
 path length is bounded by memory, not by the recursion limit.  This is the
 one place the package computes strongly connected components, cycles and
 reachability; callers map their own states to node numbers.
+
+It is also the one labeled path search, behind the witnesses of both the
+closing analysis and the automata: `bfs_tree`, `walk_to_root` and
+`shortest_cycle` take an ``adjacency`` that maps each vertex (any hashable
+value, such as a node number or a pair of windows) to its (label, vertex)
+edges, and break ties by the order of the starts and of those edges.
 """
 
 from __future__ import annotations
@@ -128,3 +134,40 @@ def lasso_free(succ, left_sets, right_sets) -> bool:
         return True
     reach = reachable(succ, recurrent(succ, comp, left_sets))
     return not any(reach[v] for v in targets)
+
+
+def bfs_tree(adjacency, starts) -> dict:
+    """Breadth-first tree: vertex -> (previous vertex, edge label).
+
+    The starts map to None.  Keys are in discovery order, so the first key
+    that meets a condition is a nearest such vertex, and `walk_to_root`
+    reads off a shortest path to it.
+    """
+    parents = {s: None for s in starts}
+    queue = list(parents)
+    for v in queue:  # the loop also visits what it appends
+        for label, w in adjacency[v]:
+            if w not in parents:
+                parents[w] = (v, label)
+                queue.append(w)
+    return parents
+
+
+def walk_to_root(parents, v) -> tuple[list, object]:
+    """Labels met walking from v back to its tree root, and that root."""
+    labels = []
+    while parents[v] is not None:
+        v, label = parents[v]
+        labels.append(label)
+    return labels, v
+
+
+def shortest_cycle(adjacency, v) -> list | None:
+    """Labels of a shortest cycle from v back to v, or None if v is on none."""
+    parents = bfs_tree(adjacency, [v])
+    for u in parents:
+        for label, w in adjacency[u]:
+            if w == v:
+                labels, _ = walk_to_root(parents, u)
+                return labels[::-1] + [label]
+    return None

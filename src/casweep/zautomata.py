@@ -9,9 +9,21 @@ enough to decide exactly whether a block rule's sweeps realize a given
 cellular automaton: no complementation is ever needed because the "differs
 somewhere from the image" relation is itself directly recognizable.
 
+States are the numbers 0..n-1, fixed once when an automaton is built.  The
+builders name their states and `ZAutomaton.from_named` numbers them in
+`repr` order of the names, with each successor list sorted by (label,
+target); `trim` keeps a subset of the numbers in order, and `intersect`
+numbers its states (a, b, lflag, rflag) lexicographically, which is the
+`repr` order of the product names (a's name, b's name, lflag, rflag).  Since
+the numbering is a function of the language's presentation, not of set
+iteration order, `to_json` writes the stored lists as they are, dataclass
+`==` compares automata directly, and the witness search walks the successor
+lists in stored order, so dumps and witnesses are reproducible.
+
 One lockstep product, `_product`, pairs the runs of two automata over equal
 labels for `member`, `intersect` and `is_slider_rule_for`; `_fiber_square`
-(for `is_function`) is the only other product.
+(for `is_function`) is the only other product.  Witness paths and cycles
+come from the shared labeled path search in `casweep.graph`.
 
 Labels are plain integers; a k-track label packs k symbols below q in one
 integer, big-endian, so a pair (y, z) reads as y * q + z.
@@ -27,61 +39,68 @@ from .ca import LocalRule, minimize_neighborhood
 from .blockrule import BlockRule
 
 
-def decode_label(label: int, q: int, arity: int) -> tuple[int, ...]:
-    return word_of_index(label, arity, q)
-
-
 @dataclass(frozen=True)
 class ZAutomaton:
-    """States, labeled edges, and the two recurrence sets."""
+    """Numbered states, labeled successor lists, and the recurrence sets.
+
+    State k is named `states[k]`; `succ[k]` lists the (label, target) edges
+    leaving it, sorted; `initial` and `final` are ascending state numbers.
+    """
 
     q: int
     arity: int
-    states: frozenset
-    edges: frozenset
-    initial: frozenset
-    final: frozenset
+    states: tuple
+    succ: tuple[tuple[tuple[int, int], ...], ...]
+    initial: tuple[int, ...]
+    final: tuple[int, ...]
+
+    @classmethod
+    def from_named(cls, q: int, arity: int, states, edges, initial,
+                   final) -> ZAutomaton:
+        """Number named states in `repr` order; edges is a set of (state,
+        label, state) triples."""
+        names = tuple(sorted(states, key=repr))
+        index = {s: k for k, s in enumerate(names)}
+        succ: list[list[tuple[int, int]]] = [[] for _ in names]
+        for s, label, t in edges:
+            succ[index[s]].append((label, index[t]))
+        return cls(q, arity, names, tuple(tuple(sorted(out)) for out in succ),
+                   tuple(sorted(index[s] for s in initial)),
+                   tuple(sorted(index[s] for s in final)))
 
     @property
     def label_count(self) -> int:
         return self.q ** self.arity
 
-    def successors(self) -> dict:
-        # sorted so path and witness extraction are reproducible across runs
-        succ: dict = {s: [] for s in self.states}
-        for src, label, dst in sorted(self.edges, key=repr):
-            succ[src].append((label, dst))
-        return succ
+    @property
+    def edges(self) -> _Edges:
+        """The (state, label, state) triples, sized without being listed."""
+        return _Edges(self.succ)
 
     def to_json(self) -> dict:
-        order = sorted(self.states, key=repr)
-        index = {s: k for k, s in enumerate(order)}
         return {"alphabet": self.q, "arity": self.arity,
-                "states": len(order),
-                "edges": sorted((index[s], l, index[t])
-                                for s, l, t in self.edges),
-                "I": sorted(index[s] for s in self.initial),
-                "F": sorted(index[s] for s in self.final)}
+                "states": len(self.states), "edges": list(self.edges),
+                "I": list(self.initial), "F": list(self.final)}
 
 
-def _numbered(A: ZAutomaton):
-    """The states in iteration order, their numbers, and the edge graph."""
-    order = list(A.states)
-    index = {s: k for k, s in enumerate(order)}
-    succ: list[list[int]] = [[] for _ in order]
-    for s, _, t in A.edges:
-        succ[index[s]].append(index[t])
-    return order, index, succ
+class _Edges:
+    """Edges of an automaton in (state, label, target) order."""
+
+    def __init__(self, succ):
+        self._succ = succ
+
+    def __len__(self) -> int:
+        return sum(map(len, self._succ))
+
+    def __iter__(self):
+        for s, out in enumerate(self._succ):
+            for label, t in out:
+                yield s, label, t
 
 
-def _recurrent_parts(A: ZAutomaton):
-    """Numbered states and graph, plus the nodes of the cycles that can carry
-    the initial and the final recurrence."""
-    order, index, succ = _numbered(A)
-    comp = graph.strong_components(succ)
-    left = graph.recurrent(succ, comp, [[index[s] for s in A.initial]])
-    right = graph.recurrent(succ, comp, [[index[s] for s in A.final]])
-    return order, succ, left, right
+def _targets(A: ZAutomaton) -> list[list[int]]:
+    """The edge graph without labels, for the graph kernel."""
+    return [[t for _, t in out] for out in A.succ]
 
 
 # ---------------------------------------------------------------------------
@@ -102,104 +121,62 @@ def member(A: ZAutomaton, x: EpConfig) -> bool:
     # back to the period's first
     start, end = x.center_start, x.center_end
     lo, hi = start - len(x.left_period), end + len(x.right_period)
-    edges = {(p - lo, x.cell(p), p + 1 - lo) for p in range(lo, hi - 1)}
-    edges.add((start - 1 - lo, x.cell(start - 1), 0))
-    edges.add((hi - 1 - lo, x.cell(hi - 1), end - lo))
-    shifts = ZAutomaton(A.q, A.arity, frozenset(range(hi - lo)),
-                        frozenset(edges), frozenset(range(start - lo)),
-                        frozenset(range(end - lo, hi - lo)))
+    succ = [[(x.cell(p), p + 1 - lo)] for p in range(lo, hi - 1)] + [[]]
+    succ[start - 1 - lo].insert(0, (x.cell(start - 1), 0))
+    succ[hi - 1 - lo].append((x.cell(hi - 1), end - lo))
+    shifts = ZAutomaton(A.q, A.arity, tuple(range(lo, hi)),
+                        tuple(map(tuple, succ)), tuple(range(start - lo)),
+                        tuple(range(end - lo, hi - lo)))
     return not _disjoint(A, shifts)
 
 
 def is_empty(A: ZAutomaton) -> bool:
     """No bi-infinite path satisfies both recurrence obligations."""
-    _, index, succ = _numbered(A)
-    return graph.lasso_free(succ, [[index[s] for s in A.initial]],
-                            [[index[s] for s in A.final]])
-
-
-def _labeled_path(A: ZAutomaton, sources: set, targets: set):
-    """Shortest edge-label word from any source to any target state."""
-    succ = A.successors()
-    ordered = sorted(sources, key=repr)
-    parents = {s: None for s in ordered}
-    frontier = ordered
-    while frontier:
-        nxt_frontier = []
-        for s in frontier:
-            if s in targets:
-                labels = []
-                node = s
-                while parents[node] is not None:
-                    prev, label = parents[node]
-                    labels.append(label)
-                    node = prev
-                return node, list(reversed(labels)), s
-            for label, d in succ[s]:
-                if d not in parents:
-                    parents[d] = (s, label)
-                    nxt_frontier.append(d)
-        frontier = nxt_frontier
-    return None
-
-
-def _cycle_through(A: ZAutomaton, state) -> list[int]:
-    """Labels of a shortest cycle through the given state."""
-    succ = A.successors()
-    parents = {state: None}
-    frontier = [state]
-    while frontier:
-        nxt_frontier = []
-        for s in frontier:
-            for label, d in succ[s]:
-                if d == state:
-                    labels = [label]
-                    node = s
-                    while parents[node] is not None:
-                        prev, lab = parents[node]
-                        labels.append(lab)
-                        node = prev
-                    return list(reversed(labels))
-                if d not in parents:
-                    parents[d] = (s, label)
-                    nxt_frontier.append(d)
-        frontier = nxt_frontier
-    raise ValueError("state lies on no cycle")
+    return graph.lasso_free(_targets(A), [A.initial], [A.final])
 
 
 def nonempty_witness(A: ZAutomaton) -> EpConfig | None:
     """An accepted eventually periodic word, if any exists.
 
-    Left lasso labels become the left period, the connecting path the
-    center, the right lasso the right period.
+    A shortest path leads from the first recurrent initial state that can
+    to the nearest recurrent final state; shortest cycles through its two
+    ends become the left and the right period, the path the center.
     """
-    order, succ, left, right = _recurrent_parts(A)
-    reach = graph.reachable(succ, left)
-    if not any(reach[v] for v in right):
+    succ = _targets(A)
+    comp = graph.strong_components(succ)
+    initial = set(A.initial)
+    starts = [v for v in graph.recurrent(succ, comp, [A.initial])
+              if v in initial]
+    ends = set(graph.recurrent(succ, comp, [A.final])).intersection(A.final)
+    parents = graph.bfs_tree(A.succ, starts)
+    f0 = next((v for v in parents if v in ends), None)
+    if f0 is None:
         return None
-    # aim for final states so the right lasso is guaranteed to carry one
-    targets = {order[v] for v in right} & A.final
-    i_states = {order[v] for v in left} & A.initial
-    found = _labeled_path(A, i_states, targets)
-    if found is None:
-        return None
-    i0, center, f0 = found
-    lp = _cycle_through(A, i0)
-    rp = _cycle_through(A, f0)
-    return EpConfig(A.label_count, tuple(lp), tuple(center), 0,
+    labels, i0 = graph.walk_to_root(parents, f0)
+    lp = graph.shortest_cycle(A.succ, i0)
+    rp = graph.shortest_cycle(A.succ, f0)
+    return EpConfig(A.label_count, tuple(lp), tuple(reversed(labels)), 0,
                     tuple(rp)).normalize()
 
 
 def trim(A: ZAutomaton) -> ZAutomaton:
     """Drop states on no accepting bi-infinite path; language unchanged."""
-    order, succ, left, right = _recurrent_parts(A)
-    after_left = graph.reachable(succ, left)
-    before_right = graph.reachable(graph.reverse(succ), right)
-    keep = {s for s, a, b in zip(order, after_left, before_right) if a and b}
-    return ZAutomaton(A.q, A.arity, frozenset(keep),
-                      frozenset((s, l, t) for s, l, t in A.edges
-                                if s in keep and t in keep),
-                      A.initial & keep, A.final & keep)
+    succ = _targets(A)
+    comp = graph.strong_components(succ)
+    after_left = graph.reachable(succ, graph.recurrent(succ, comp,
+                                                       [A.initial]))
+    before_right = graph.reachable(graph.reverse(succ), graph.recurrent(
+        succ, comp, [A.final]))
+    keep = [v for v in range(len(succ)) if after_left[v] and before_right[v]]
+    number = [-1] * len(succ)
+    for k, v in enumerate(keep):
+        number[v] = k
+    return ZAutomaton(
+        A.q, A.arity, tuple(A.states[v] for v in keep),
+        tuple(tuple((label, number[t]) for label, t in A.succ[v]
+                    if number[t] >= 0) for v in keep),
+        tuple(number[v] for v in A.initial if number[v] >= 0),
+        tuple(number[v] for v in A.final if number[v] >= 0))
 
 
 # ---------------------------------------------------------------------------
@@ -208,41 +185,47 @@ def trim(A: ZAutomaton) -> ZAutomaton:
 def _product(A: ZAutomaton, B: ZAutomaton):
     """Edge graph of pairs of runs of A and B over the same labels.
 
-    Node ka * |B| + kb pairs state order_a[ka] of A with order_b[kb] of B,
-    and succ[v] lists the (label, node) edges leaving node v.  Returns the
-    two state orders, succ, the initial sets of both sides and their final
-    sets.
+    Node a * |B| + b pairs state a of A with state b of B, and succ[v]
+    lists the (label, node) edges leaving node v, sorted.  Returns succ,
+    the initial sets of both sides and their final sets.
     """
     if A.q != B.q or A.arity != B.arity:
         raise ValueError("alphabet mismatch")
-    order_a, order_b = list(A.states), list(B.states)
-    index_a = {s: k for k, s in enumerate(order_a)}
-    index_b = {s: k for k, s in enumerate(order_b)}
-    na, nb = len(order_a), len(order_b)
+    na, nb = len(A.states), len(B.states)
     by_label: dict = {}
-    for s, label, t in B.edges:
-        by_label.setdefault(label, []).append((index_b[s], index_b[t]))
+    for sb, out in enumerate(B.succ):
+        for label, tb in out:
+            by_label.setdefault(label, []).append((sb, tb))
     succ: list[list[tuple[int, int]]] = [[] for _ in range(na * nb)]
-    for sa, label, ta in A.edges:
-        src, dst = index_a[sa] * nb, index_a[ta] * nb
-        for sb, tb in by_label.get(label, ()):
-            succ[src + sb].append((label, dst + tb))
+    for sa, out in enumerate(A.succ):
+        src = sa * nb
+        for label, ta in out:
+            dst = ta * nb
+            for sb, tb in by_label.get(label, ()):
+                succ[src + sb].append((label, dst + tb))
 
     def on_a(states):
-        return [index_a[s] * nb + kb for s in states for kb in range(nb)]
+        return [a * nb + b for a in states for b in range(nb)]
 
     def on_b(states):
-        return [ka * nb + index_b[s] for s in states for ka in range(na)]
+        return [a * nb + b for b in states for a in range(na)]
 
-    return (order_a, order_b, succ, [on_a(A.initial), on_b(B.initial)],
+    return (succ, [on_a(A.initial), on_b(B.initial)],
             [on_a(A.final), on_b(B.final)])
 
 
 def _disjoint(A: ZAutomaton, B: ZAutomaton) -> bool:
     """Do L(A) and L(B) share no word?  Emptiness of their product."""
-    _, _, succ, lefts, rights = _product(A, B)
+    succ, lefts, rights = _product(A, B)
     return graph.lasso_free([[w for _, w in out] for out in succ],
                             lefts, rights)
+
+
+def _marks(n: int, states) -> bytearray:
+    flags = bytearray(n)
+    for s in states:
+        flags[s] = 1
+    return flags
 
 
 def intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
@@ -251,30 +234,44 @@ def intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
     Each side owes two recurrence visits; one alternation flag per side
     reduces them to one: the flag advances when the currently watched
     component recurs, and the product recurrence set is "flag at rest and
-    the first component recurring".
+    the first component recurring".  Only states on some edge are kept.
     """
-    order_a, order_b, succ, _, _ = _product(A, B)
-    nb = len(order_b)
-    states = set()
-    edges = set()
-    for v, out in enumerate(succ):
-        sa, sb = order_a[v // nb], order_b[v % nb]
-        # (source flag, target flag) pairs each side's flag can take
-        rflags = ((0, int(sa in A.final)), (1, int(sb not in B.final)))
-        for label, w in out:
-            ta, tb = order_a[w // nb], order_b[w % nb]
-            lflags = ((int(ta in A.initial), 0), (int(tb not in B.initial), 1))
-            for lflag_s, lflag_t in lflags:
-                for rflag_s, rflag_t in rflags:
-                    src = (sa, sb, lflag_s, rflag_s)
-                    dst = (ta, tb, lflag_t, rflag_t)
-                    states.add(src)
-                    states.add(dst)
-                    edges.add((src, label, dst))
-    initial = frozenset(s for s in states if s[2] == 0 and s[0] in A.initial)
-    final = frozenset(s for s in states if s[3] == 0 and s[0] in A.final)
-    return ZAutomaton(A.q, A.arity, frozenset(states), frozenset(edges),
-                      initial, final)
+    succ, _, _ = _product(A, B)
+    nb = len(B.states)
+    ia, fa = _marks(len(A.states), A.initial), _marks(len(A.states), A.final)
+    ib, fb = _marks(nb, B.initial), _marks(nb, B.final)
+
+    def flag_edges():
+        # state (v, lflag, rflag) is key 4v + 2 lflag + rflag, so keys
+        # ascend with (sa, sb, lflag, rflag)
+        for v, out in enumerate(succ):
+            # (source flag, target flag) pairs each side's flag can take
+            rflags = ((0, fa[v // nb]), (1, 1 - fb[v % nb]))
+            for label, w in out:
+                lflags = ((ia[w // nb], 0), (1 - ib[w % nb], 1))
+                for lflag_s, lflag_t in lflags:
+                    for rflag_s, rflag_t in rflags:
+                        yield (4 * v + 2 * lflag_s + rflag_s, label,
+                               4 * w + 2 * lflag_t + rflag_t)
+
+    used = bytearray(4 * len(succ))
+    for src, _, dst in flag_edges():
+        used[src] = used[dst] = 1
+    keys = [k for k, hit in enumerate(used) if hit]
+    number = [-1] * len(used)
+    for n, k in enumerate(keys):
+        number[k] = n
+    out_lists: list[list[tuple[int, int]]] = [[] for _ in keys]
+    for src, label, dst in flag_edges():
+        out_lists[number[src]].append((label, number[dst]))
+    names = tuple((A.states[k // 4 // nb], B.states[k // 4 % nb],
+                   k // 2 % 2, k % 2) for k in keys)
+    return ZAutomaton(
+        A.q, A.arity, names, tuple(map(tuple, out_lists)),
+        tuple(n for n, k in enumerate(keys) if k // 2 % 2 == 0
+              and ia[k // 4 // nb]),
+        tuple(n for n, k in enumerate(keys) if k % 2 == 0
+              and fa[k // 4 // nb]))
 
 
 def project(A: ZAutomaton, coordinate: int) -> ZAutomaton:
@@ -283,10 +280,11 @@ def project(A: ZAutomaton, coordinate: int) -> ZAutomaton:
         raise ValueError("projection needs a product alphabet")
     if not 0 <= coordinate < A.arity:
         raise ValueError("coordinate out of range")
-    edges = frozenset(
-        (s, decode_label(label, A.q, A.arity)[coordinate], t)
-        for s, label, t in A.edges)
-    return ZAutomaton(A.q, 1, A.states, edges, A.initial, A.final)
+    succ = tuple(
+        tuple(sorted({(word_of_index(label, A.arity, A.q)[coordinate], t)
+                      for label, t in out}))
+        for out in A.succ)
+    return ZAutomaton(A.q, 1, A.states, succ, A.initial, A.final)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +323,7 @@ def slider_relation_automaton(chi: BlockRule,
             edges.add((L, lab(y, z), L))
             edges.add((L, lab(y, z), R))
             edges.add((R, lab(y, z), R))
-        return ZAutomaton(q, 2, frozenset(states), frozenset(edges),
-                          frozenset([L]), frozenset([R]))
+        return ZAutomaton.from_named(q, 2, states, edges, [L], [R])
 
     for vt in all_words(m - 1, q):
         for z in range(q):
@@ -372,10 +369,9 @@ def slider_relation_automaton(chi: BlockRule,
                     dst = ("R", img[1:], zpend[1:] + (z,))
                     states.update((src, dst))
                     edges.add((src, lab(y, z), dst))
-    initial = frozenset(s for s in states if s[0] == "L")
-    final = frozenset(s for s in states if s[0] == "R")
-    return ZAutomaton(q, 2, frozenset(states), frozenset(edges), initial,
-                      final)
+    return ZAutomaton.from_named(q, 2, states, edges,
+                                 [s for s in states if s[0] == "L"],
+                                 [s for s in states if s[0] == "R"])
 
 
 def sweeper_relation_automaton(chi: BlockRule,
@@ -404,8 +400,7 @@ def sweeper_relation_automaton(chi: BlockRule,
         S = ("S",)
         for y in range(q):
             edges.add((S, lab(y, chi((y,))[0]), S))
-        return ZAutomaton(q, 2, frozenset([S]), frozenset(edges),
-                          frozenset([S]), frozenset([S]))
+        return ZAutomaton.from_named(q, 2, [S], edges, [S], [S])
 
     idle = ("idle",)
     partials = [idle] + [w for t in range(1, m) for w in all_words(t, q)]
@@ -436,10 +431,8 @@ def sweeper_relation_automaton(chi: BlockRule,
                                 dst = ("S", m2, zp2, u2, flag2)
                                 states.add(dst)
                                 edges.add((src, lab(y, z), dst))
-    initial = frozenset(s for s in states if s[4])
-    final = frozenset(states)
-    return ZAutomaton(q, 2, frozenset(states), frozenset(edges), initial,
-                      final)
+    return ZAutomaton.from_named(q, 2, states, edges,
+                                 [s for s in states if s[4]], states)
 
 
 def graph_mismatch_automaton(f: LocalRule) -> ZAutomaton:
@@ -501,71 +494,44 @@ def graph_mismatch_automaton(f: LocalRule) -> ZAutomaton:
                 for z in range(q):
                     if z != value:
                         edges.add((src, lab(y, z), after))
-    initial = frozenset(s for s in states if s[0] == "pre")
-    return ZAutomaton(q, 2, frozenset(states), frozenset(edges), initial,
-                      frozenset([after]))
-
-
-def _differs_in_last_two(q: int) -> ZAutomaton:
-    """Triples (y, z, z') with z unequal to z' at some position."""
-    pre = ("pre",)
-    after = ("after",)
-    edges = set()
-    for y in range(q):
-        for z in range(q):
-            for z2 in range(q):
-                label = (y * q + z) * q + z2
-                edges.add((pre, label, pre))
-                edges.add((after, label, after))
-                if z != z2:
-                    edges.add((pre, label, after))
-    return ZAutomaton(q, 3, frozenset([pre, after]), frozenset(edges),
-                      frozenset([pre]), frozenset([after]))
+    return ZAutomaton.from_named(q, 2, states, edges,
+                                 [s for s in states if s[0] == "pre"],
+                                 [after])
 
 
 def _fiber_square(A: ZAutomaton):
     """Edge graph of pairs of runs of A sharing the first track.
 
-    Returns the graph over numbered (state, state, diff-phase) nodes
-    together with the recurrence sets of both run copies and of the
-    difference tracker, labels expanded to triples.
+    Node 2 (a * n + b) + d pairs states a and b of A, with d = 1 once their
+    second tracks have differed.  Returns the graph with the recurrence
+    sets of both run copies and of the difference (before it to the left,
+    after it to the right).
     """
     if A.arity != 2:
         raise ValueError("fiber product needs a two-track automaton")
-    q = A.q
+    n = len(A.states)
     by_y: dict = {}
-    for s, label, t in A.edges:
-        y, z = decode_label(label, q, 2)
-        by_y.setdefault(y, []).append((s, z, t))
-    diff = _differs_in_last_two(q)
-    dsucc: dict = {}
-    for s, label, t in diff.edges:
-        dsucc.setdefault((s, label), []).append(t)
-    ids: dict = {}
-    succ: list[list[int]] = []
-
-    def node(key) -> int:
-        k = ids.get(key)
-        if k is None:
-            k = ids[key] = len(succ)
-            succ.append([])
-        return k
-
-    for y, group in by_y.items():
+    for s, out in enumerate(A.succ):
+        for label, t in out:
+            y, z = divmod(label, A.q)
+            by_y.setdefault(y, []).append((s, z, t))
+    succ: list[list[int]] = [[] for _ in range(2 * n * n)]
+    for group in by_y.values():
         for (s1, z1, t1) in group:
             for (s2, z2, t2) in group:
-                label = (y * q + z1) * q + z2
-                for ds in (("pre",), ("after",)):
-                    for dt in dsucc.get((ds, label), ()):
-                        succ[node((s1, s2, ds))].append(node((t1, t2, dt)))
+                src, dst = 2 * (s1 * n + s2), 2 * (t1 * n + t2)
+                succ[src].append(dst)
+                succ[src + 1].append(dst + 1)
+                if z1 != z2:
+                    succ[src].append(dst + 1)
 
-    def marked(track, states):
-        return [k for n, k in ids.items() if n[track] in states]
+    def on(states, copy: int):
+        marked = _marks(n, states)
+        return [v for v in range(len(succ))
+                if marked[v // 2 // n if copy == 0 else v // 2 % n]]
 
-    lefts = [marked(0, A.initial), marked(1, A.initial),
-             marked(2, diff.initial)]
-    rights = [marked(0, A.final), marked(1, A.final), marked(2, diff.final)]
-    return succ, lefts, rights
+    return (succ, [on(A.initial, 0), on(A.initial, 1), range(0, len(succ), 2)],
+            [on(A.final, 0), on(A.final, 1), range(1, len(succ), 2)])
 
 
 def is_function(A: ZAutomaton) -> bool:

@@ -8,6 +8,7 @@ so that no production path depends on it.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from importlib import resources
 
 from casweep import graph
@@ -177,74 +178,224 @@ def period_member(A: ZAutomaton, x: EpConfig) -> bool:
     """
     if x.q != A.label_count:
         raise ValueError("word alphabet does not match the label space")
-    succ = A.successors()
-    index = {s: k for k, s in enumerate(succ)}
+    n = len(A.states)
 
     def period_graph(period, marked):
-        # node k * P + t: state number k at phase t of the period
+        # node k * P + t: state k at phase t of the period
         P = len(period)
-        g: list[list[int]] = [[] for _ in range(len(index) * P)]
-        for s, k in index.items():
-            for label, d in succ[s]:
+        g: list[list[int]] = [[] for _ in range(n * P)]
+        for k, out in enumerate(A.succ):
+            for label, d in out:
                 for t in range(P):
                     if label == period[t]:
-                        g[k * P + t].append(index[d] * P + (t + 1) % P)
+                        g[k * P + t].append(d * P + (t + 1) % P)
         comp = graph.strong_components(g)
         return g, graph.recurrent(
-            g, comp, [[index[s] * P + t for s in marked for t in range(P)]])
+            g, comp, [[k * P + t for k in marked for t in range(P)]])
 
     left, seeds = period_graph(x.left_period, A.initial)
     good_left = graph.reachable(left, seeds)
     # phase t at boundary p means (p - boundary anchor) = t mod period
     P = len(x.left_period)
-    states = {s for s, k in index.items() if good_left[k * P]}
+    states = {k for k in range(n) if good_left[k * P]}
     for p in range(x.center_start, x.center_end):
         symbol = x.cell(p)
-        states = {d for s in states for label, d in succ[s] if label == symbol}
+        states = {d for s in states for label, d in A.succ[s]
+                  if label == symbol}
         if not states:
             return False
     right, sinks = period_graph(x.right_period, A.final)
     good_right = graph.reachable(graph.reverse(right), sinks)
     R = len(x.right_period)
-    return any(good_right[index[s] * R] for s in states)
+    return any(good_right[k * R] for k in states)
 
 
 def flag_intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
-    """Reference intersection: the flag product built on tuple states.
+    """Reference intersection: the flag product built on named states.
 
     Each side owes two recurrence visits; one alternation flag per side
     reduces them to one: the flag advances when the currently watched
     component recurs, and the product recurrence set is "flag at rest and
-    the first component recurring".
+    the first component recurring".  States are named (name in A, name in
+    B, lflag, rflag) and numbered by `ZAutomaton.from_named`.
     """
     if A.q != B.q or A.arity != B.arity:
         raise ValueError("alphabet mismatch")
+    init_a, init_b = set(A.initial), set(B.initial)
+    final_a, final_b = set(A.final), set(B.final)
     states = set()
     edges = set()
     by_label: dict = {}
-    for sb, label, tb in B.edges:
-        by_label.setdefault(label, []).append((sb, tb))
-    for sa, label, ta in A.edges:
-        for sb, tb in by_label.get(label, ()):
-            for lflag_t in (0, 1):
-                if lflag_t == 0:
-                    lflag_s = 1 if ta in A.initial else 0
-                else:
-                    lflag_s = 0 if tb in B.initial else 1
-                for rflag_s in (0, 1):
-                    if rflag_s == 0:
-                        rflag_t = 1 if sa in A.final else 0
+    for sb, out in enumerate(B.succ):
+        for label, tb in out:
+            by_label.setdefault(label, []).append((sb, tb))
+    for sa, out in enumerate(A.succ):
+        for label, ta in out:
+            for sb, tb in by_label.get(label, ()):
+                for lflag_t in (0, 1):
+                    if lflag_t == 0:
+                        lflag_s = 1 if ta in init_a else 0
                     else:
-                        rflag_t = 0 if sb in B.final else 1
-                    src = (sa, sb, lflag_s, rflag_s)
-                    dst = (ta, tb, lflag_t, rflag_t)
-                    states.add(src)
-                    states.add(dst)
-                    edges.add((src, label, dst))
-    initial = frozenset(s for s in states if s[2] == 0 and s[0] in A.initial)
-    final = frozenset(s for s in states if s[3] == 0 and s[0] in A.final)
-    return ZAutomaton(A.q, A.arity, frozenset(states), frozenset(edges),
-                      initial, final)
+                        lflag_s = 0 if tb in init_b else 1
+                    for rflag_s in (0, 1):
+                        if rflag_s == 0:
+                            rflag_t = 1 if sa in final_a else 0
+                        else:
+                            rflag_t = 0 if sb in final_b else 1
+                        src = (A.states[sa], B.states[sb], lflag_s, rflag_s)
+                        dst = (A.states[ta], B.states[tb], lflag_t, rflag_t)
+                        states.add(src)
+                        states.add(dst)
+                        edges.add((src, label, dst))
+    init_names = {A.states[k] for k in init_a}
+    final_names = {A.states[k] for k in final_a}
+    return ZAutomaton.from_named(
+        A.q, A.arity, states, edges,
+        [s for s in states if s[2] == 0 and s[0] in init_names],
+        [s for s in states if s[3] == 0 and s[0] in final_names])
+
+
+# ---------------------------------------------------------------------------
+# Automata on named states
+
+@dataclass(frozen=True)
+class NamedAutomaton:
+    """An automaton as sets of named states and (state, label, state) edges,
+    with the trimming, emptiness and witness search that ran on it before
+    states were numbered."""
+
+    q: int
+    arity: int
+    states: frozenset
+    edges: frozenset
+    initial: frozenset
+    final: frozenset
+
+    @property
+    def label_count(self) -> int:
+        return self.q ** self.arity
+
+    def successors(self) -> dict:
+        # sorted so path and witness extraction are reproducible across runs
+        succ: dict = {s: [] for s in self.states}
+        for src, label, dst in sorted(self.edges, key=repr):
+            succ[src].append((label, dst))
+        return succ
+
+    def numbered(self) -> ZAutomaton:
+        return ZAutomaton.from_named(self.q, self.arity, self.states,
+                                     self.edges, self.initial, self.final)
+
+
+def _numbered(A: NamedAutomaton):
+    """The states in iteration order, their numbers, and the edge graph."""
+    order = list(A.states)
+    index = {s: k for k, s in enumerate(order)}
+    succ: list[list[int]] = [[] for _ in order]
+    for s, _, t in A.edges:
+        succ[index[s]].append(index[t])
+    return order, index, succ
+
+
+def _recurrent_parts(A: NamedAutomaton):
+    """Numbered states and graph, plus the nodes of the cycles that can carry
+    the initial and the final recurrence."""
+    order, index, succ = _numbered(A)
+    comp = graph.strong_components(succ)
+    left = graph.recurrent(succ, comp, [[index[s] for s in A.initial]])
+    right = graph.recurrent(succ, comp, [[index[s] for s in A.final]])
+    return order, succ, left, right
+
+
+def named_is_empty(A: NamedAutomaton) -> bool:
+    """No bi-infinite path satisfies both recurrence obligations."""
+    _, index, succ = _numbered(A)
+    return graph.lasso_free(succ, [[index[s] for s in A.initial]],
+                            [[index[s] for s in A.final]])
+
+
+def _labeled_path(A: NamedAutomaton, sources: set, targets: set):
+    """Shortest edge-label word from any source to any target state."""
+    succ = A.successors()
+    ordered = sorted(sources, key=repr)
+    parents = {s: None for s in ordered}
+    frontier = ordered
+    while frontier:
+        nxt_frontier = []
+        for s in frontier:
+            if s in targets:
+                labels = []
+                node = s
+                while parents[node] is not None:
+                    prev, label = parents[node]
+                    labels.append(label)
+                    node = prev
+                return node, list(reversed(labels)), s
+            for label, d in succ[s]:
+                if d not in parents:
+                    parents[d] = (s, label)
+                    nxt_frontier.append(d)
+        frontier = nxt_frontier
+    return None
+
+
+def _cycle_through(A: NamedAutomaton, state) -> list[int]:
+    """Labels of a shortest cycle through the given state."""
+    succ = A.successors()
+    parents = {state: None}
+    frontier = [state]
+    while frontier:
+        nxt_frontier = []
+        for s in frontier:
+            for label, d in succ[s]:
+                if d == state:
+                    labels = [label]
+                    node = s
+                    while parents[node] is not None:
+                        prev, lab = parents[node]
+                        labels.append(lab)
+                        node = prev
+                    return list(reversed(labels))
+                if d not in parents:
+                    parents[d] = (s, label)
+                    nxt_frontier.append(d)
+        frontier = nxt_frontier
+    raise ValueError("state lies on no cycle")
+
+
+def named_nonempty_witness(A: NamedAutomaton) -> EpConfig | None:
+    """An accepted eventually periodic word, if any exists.
+
+    Left lasso labels become the left period, the connecting path the
+    center, the right lasso the right period.
+    """
+    order, succ, left, right = _recurrent_parts(A)
+    reach = graph.reachable(succ, left)
+    if not any(reach[v] for v in right):
+        return None
+    # aim for final states so the right lasso is guaranteed to carry one
+    targets = {order[v] for v in right} & A.final
+    i_states = {order[v] for v in left} & A.initial
+    found = _labeled_path(A, i_states, targets)
+    if found is None:
+        return None
+    i0, center, f0 = found
+    lp = _cycle_through(A, i0)
+    rp = _cycle_through(A, f0)
+    return EpConfig(A.label_count, tuple(lp), tuple(center), 0,
+                    tuple(rp)).normalize()
+
+
+def named_trim(A: NamedAutomaton) -> NamedAutomaton:
+    """Drop states on no accepting bi-infinite path; language unchanged."""
+    order, succ, left, right = _recurrent_parts(A)
+    after_left = graph.reachable(succ, left)
+    before_right = graph.reachable(graph.reverse(succ), right)
+    keep = {s for s, a, b in zip(order, after_left, before_right) if a and b}
+    return NamedAutomaton(A.q, A.arity, frozenset(keep),
+                          frozenset((s, l, t) for s, l, t in A.edges
+                                    if s in keep and t in keep),
+                          A.initial & keep, A.final & keep)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import casweep
 from casweep.blockrule import BlockRule
 from casweep.ca import LocalRule, apply_ep, builtin_rule
 from casweep.cli import main
-from casweep.core import EpConfig, ep_equal, ep_from_json, ep_to_json
-from casweep.zautomata import ZAutomaton, decode_label
+from casweep.core import (EpConfig, ep_equal, ep_from_json, ep_to_json,
+                          word_of_index)
 
 
 def data_file(name: str) -> str:
@@ -335,7 +335,7 @@ def test_automata_dump_round_trips(capsys, tmp_path):
     assert blob["states"] == report["states"]
     assert blob["arity"] == 2
     assert all(len(edge) == 3 for edge in blob["edges"])
-    labels = {decode_label(e[1], blob["alphabet"], blob["arity"])
+    labels = {word_of_index(e[1], blob["arity"], blob["alphabet"])
               for e in blob["edges"]}
     assert all(len(pair) == 2 for pair in labels)
 

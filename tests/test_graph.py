@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from casweep.graph import (lasso_free, on_cycle, reachable, recurrent,
-                           reverse, strong_components)
+from casweep.graph import (bfs_tree, lasso_free, on_cycle, reachable,
+                           recurrent, reverse, shortest_cycle,
+                           strong_components, walk_to_root)
 
 
 def random_graph(seed):
@@ -101,12 +102,52 @@ def test_lasso_emptiness_matches_brute_force(succ):
     assert lasso_free(succ, lefts, rights) == expected
 
 
+def follow(adjacency, v, labels):
+    """End of the path from v whose edges carry the given labels."""
+    for label in labels:
+        v = dict(adjacency[v])[label]
+    return v
+
+
+@pytest.mark.parametrize("succ", GRAPHS)
+def test_path_search_matches_brute_force(succ):
+    n = len(succ)
+    reach = closure(succ)
+    # each edge is labeled by its position in the successor list
+    adjacency = [list(enumerate(out)) for out in succ]
+    seeds = random.Random(3 * n).sample(range(n), min(n, 2))
+    dist = {s: 0 for s in seeds}
+    for _ in range(n):
+        for v in list(dist):
+            for w in succ[v]:
+                dist[w] = min(dist.get(w, n), dist[v] + 1)
+    parents = bfs_tree(adjacency, seeds)
+    assert set(parents) == set(dist)
+    assert [dist[v] for v in parents] == sorted(dist.values())
+    for w in parents:
+        labels, root = walk_to_root(parents, w)
+        assert root in seeds and len(labels) == dist[w]
+        assert follow(adjacency, root, labels[::-1]) == w
+    for v in range(n):
+        cycle = shortest_cycle(adjacency, v)
+        if not reach[v][v]:
+            assert cycle is None
+            continue
+        assert follow(adjacency, v, cycle) == v
+        around = [len(walk_to_root(bfs_tree(adjacency, [v]), u)[0]) + 1
+                  for u in range(n) if v in succ[u]
+                  and (u == v or reach[v][u])]
+        assert len(cycle) == min(around)
+
+
 def test_long_chain_does_not_recurse():
     n = 200_000
     succ = [[v + 1] for v in range(n - 1)] + [[0]]
     comp = strong_components(succ)
     assert len(set(comp)) == 1
     assert all(on_cycle(succ))
+    assert shortest_cycle([[(0, w) for w in out] for out in succ], 0) \
+        == [0] * n
     succ[-1] = []
     comp = strong_components(succ)
     assert len(set(comp)) == n
@@ -122,3 +163,4 @@ def test_empty_graph():
     assert reachable([], []) == bytearray()
     assert recurrent([], [], []) == []
     assert lasso_free([], [], [])
+    assert bfs_tree([], []) == {}

@@ -16,7 +16,9 @@ from casweep.zautomata import (ZAutomaton, member, is_empty, nonempty_witness,
                                slider_relation_automaton,
                                sweeper_relation_automaton,
                                graph_mismatch_automaton)
-from oracles import ep_replace, flag_intersect, period_member
+from oracles import (NamedAutomaton, ep_replace, flag_intersect,
+                     named_is_empty, named_nonempty_witness, named_trim,
+                     period_member)
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 
@@ -146,9 +148,9 @@ def test_exact_slider_check_needs_bijective_rule():
 def test_is_function_examples():
     assert is_function(slider_relation_automaton(builtin_block_rule("swap")))
     assert is_function(slider_relation_automaton(identity_block(2, 1)))
-    full = ZAutomaton(2, 2, frozenset([0]),
-                      frozenset((0, l, 0) for l in range(4)),
-                      frozenset([0]), frozenset([0]))
+    full = ZAutomaton.from_named(2, 2, frozenset([0]),
+                                 frozenset((0, l, 0) for l in range(4)),
+                                 frozenset([0]), frozenset([0]))
     assert not is_function(full)
 
 
@@ -178,16 +180,16 @@ def test_mismatch_automaton_semantics(name):
 # emptiness, witnesses, trimming
 
 def test_acyclic_automaton_is_empty():
-    A = ZAutomaton(2, 1, frozenset([0, 1]), frozenset([(0, 1, 1)]),
-                   frozenset([0]), frozenset([1]))
+    A = ZAutomaton.from_named(2, 1, frozenset([0, 1]), frozenset([(0, 1, 1)]),
+                              frozenset([0]), frozenset([1]))
     assert is_empty(A)
     assert nonempty_witness(A) is None
 
 
 def test_two_loop_automaton_witness():
-    A = ZAutomaton(2, 1, frozenset([0, 1]),
-                   frozenset([(0, 0, 0), (0, 1, 1), (1, 1, 1)]),
-                   frozenset([0]), frozenset([1]))
+    A = ZAutomaton.from_named(2, 1, frozenset([0, 1]),
+                              frozenset([(0, 0, 0), (0, 1, 1), (1, 1, 1)]),
+                              frozenset([0]), frozenset([1]))
     assert not is_empty(A)
     w = nonempty_witness(A)
     assert member(A, w)
@@ -211,11 +213,12 @@ def test_intersection_with_confirming_mismatch_is_empty():
 
 def test_intersection_membership_is_conjunction():
     # i.o. many 0s and i.o. many 1s to the right, built as an intersection
-    t0 = ZAutomaton(2, 1, frozenset("ab"),
-                    frozenset([(s, 0, "a") for s in "ab"] +
-                              [(s, 1, "b") for s in "ab"]),
-                    frozenset("ab"), frozenset("a"))
-    t1 = ZAutomaton(2, 1, t0.states, t0.edges, t0.initial, frozenset("b"))
+    edges = frozenset([(s, 0, "a") for s in "ab"] +
+                      [(s, 1, "b") for s in "ab"])
+    t0 = ZAutomaton.from_named(2, 1, frozenset("ab"), edges,
+                               frozenset("ab"), frozenset("a"))
+    t1 = ZAutomaton.from_named(2, 1, frozenset("ab"), edges,
+                               frozenset("ab"), frozenset("b"))
     both = intersect(t0, t1)
     cases = [((0, 1), True), ((0,), False), ((1,), False), ((0, 1, 1), True)]
     for rp, expect in cases:
@@ -267,12 +270,53 @@ def test_trim_preserves_language():
         chi = builtin_block_rule(name)
         A = sweeper_relation_automaton(chi)
         At = trim(A)
-        assert At.states <= A.states
+        assert set(At.states) <= set(A.states)
         for _ in range(25):
             y = random_ep_config(rng, chi.q)
             z = random_ep_config(rng, chi.q)
             x = ep_zip(y, z)
             assert member(A, x) == member(At, x)
+
+
+def random_named(rng, q):
+    """1-12 states named by scattered integers (so `repr` order is not
+    numeric order), edges over 1-4 labels, self-loops and isolated states
+    left to chance."""
+    names = rng.sample(range(40), rng.randint(1, 12))
+    labels = range(rng.randint(1, q))
+    density = rng.choice((0.05, 0.15, 0.3))
+    edges = frozenset((s, l, t) for s in names for l in labels for t in names
+                      if rng.random() < density)
+    return NamedAutomaton(q, 1, frozenset(names), edges,
+                          frozenset(s for s in names if rng.random() < 0.4),
+                          frozenset(s for s in names if rng.random() < 0.4))
+
+
+def test_numbered_automata_match_named_oracles():
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(60):
+        q = rng.randint(2, 4)
+        N, M = random_named(rng, q), random_named(rng, q)
+        A, B = N.numbered(), M.numbered()
+        T, O = trim(A), named_trim(N)
+        assert set(T.states) == O.states
+        assert {(T.states[s], l, T.states[t]) for s, l, t in T.edges} \
+            == O.edges
+        assert {T.states[k] for k in T.initial} == O.initial
+        assert {T.states[k] for k in T.final} == O.final
+        assert T == O.numbered()  # trimming keeps the `repr` numbering
+        assert is_empty(A) == named_is_empty(N)
+        w = nonempty_witness(A)
+        assert w == named_nonempty_witness(N)
+        kinds.add(w is None)
+        words = [random_ep_config(rng, q) for _ in range(4)]
+        for x in words + ([] if w is None else [w]):
+            assert member(A, x) is period_member(A, x)
+        if w is not None:
+            assert member(A, w)
+        assert intersect(A, B) == flag_intersect(A, B)
+    assert kinds == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +330,8 @@ def test_projection_of_slider_inputs_is_total():
 
 
 def test_projection_needs_product_alphabet():
-    A = ZAutomaton(2, 1, frozenset([0]), frozenset([(0, 0, 0)]),
-                   frozenset([0]), frozenset([0]))
+    A = ZAutomaton.from_named(2, 1, frozenset([0]), frozenset([(0, 0, 0)]),
+                              frozenset([0]), frozenset([0]))
     with pytest.raises(ValueError):
         project(A, 0)
     with pytest.raises(ValueError):

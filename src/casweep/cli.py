@@ -34,7 +34,7 @@ from .core import (
     vp,
 )
 from .hierarchy import NotBiClosingError, decompose_biclosing, verify_decomposition
-from .mealy import good_states, mealy_from_block, slider_sweeper_agree, sweeper_eval
+from .mealy import good_states, mealy_from_block, sweeper_eval
 from .stairs import slider_exists
 from .synthesis import synthesis_manifest, synthesize, verify_slider
 from .zautomata import (
@@ -88,9 +88,12 @@ def load_config(path: str) -> EpConfig:
 
 
 def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(obj, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(report: dict, summary: str) -> None:
@@ -159,11 +162,14 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     chi = load_block_rule(args.block)
     f = load_local_rule(args.rule)
-    if args.exact:
-        try:
+    try:
+        if args.exact:
             ok = is_slider_rule_for(chi, f, max_states=args.max_automaton_states)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        else:
+            result = verify_slider(chi, f, samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    if args.exact:
         report = {
             "command": "verify",
             "mode": "exact",
@@ -172,19 +178,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
         _emit(report, "exact check passed" if ok else "exact check failed")
         return 0 if ok else 1
-    try:
-        result = verify_slider(chi, f, samples=args.samples, seed=args.seed)
-        agree = slider_sweeper_agree(chi, f, samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    verified = result.ok and agree
+    verified = result.ok and result.sweeper_agreement
     report = {
         "command": "verify",
         "mode": "sample",
         "samples": args.samples,
         "seed": args.seed,
         "slider_samples_ok": result.ok,
-        "sweeper_agreement": agree,
+        "sweeper_agreement": result.sweeper_agreement,
         "verified": verified,
     }
     if result.counterexample is not None:
@@ -277,7 +278,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return 1
     verified = verify_decomposition(decomposition, samples=args.samples,
                                     seed=args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out_dir}: {exc}") from exc
     stage_files = []
     for idx, stage in enumerate(decomposition.stages, start=1):
         name = f"stage{idx}.json"

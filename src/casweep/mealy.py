@@ -14,15 +14,12 @@ infinitely many anchors of some left-infinite input.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import graph
 from .core import (EpConfig, all_words, check_cap, ep_equal, ep_to_json,
-                   random_ep_config, word_index, word_of_index)
-from .ca import LocalRule, apply_ep
-from .blockrule import (BlockRule, _sweep_cells, representation_eval,
-                        sweep_right_limit_from)
+                   word_index, word_of_index)
+from .blockrule import BlockRule, _sweep_cells, sweep_right_limit_from
 
 
 @dataclass(frozen=True)
@@ -204,30 +201,3 @@ def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
             return SweepOutcome(first, z)
     return SweepOutcome(first)
 
-
-def slider_sweeper_agree(chi: BlockRule, f: LocalRule, samples: int = 100,
-                         seed: int = 0) -> bool:
-    """Do the sampled slider and sweeper checks reach the same verdicts?
-
-    Per sample, the slider side asks whether the anchored representation of
-    a random configuration satisfies z = f(y); the sweeper side asks whether
-    the anchored sweeps of that configuration converge to its f-image.  True
-    when the two answers coincide on every sample, which they must whenever
-    the two relations define the same function.
-    """
-    if chi.q != f.q:
-        raise ValueError("alphabet mismatch")
-    if not chi.is_bijective():
-        raise ValueError("candidate block rule is not bijective")
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = random_ep_config(rng, chi.q)
-        i = rng.randrange(-3, 4)
-        y, z = representation_eval(chi, x, i)
-        slider_ok = ep_equal(z, apply_ep(f, y))
-        outcome = sweeper_eval(chi, x)
-        sweeper_ok = outcome.converges and ep_equal(outcome.limit,
-                                                    apply_ep(f, x))
-        if slider_ok != sweeper_ok:
-            return False
-    return True

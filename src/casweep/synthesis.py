@@ -11,18 +11,24 @@ and the block rule of length n + 1 maps
 so each application consumes the next input cell c on the right and emits the
 finished output cell b on the left, keeping a stair of partially rewritten
 cells in between.
+
+It works on stair codes (`stairs.StairSet`): (v, w) is word_index(v + w) =
+v * q^(2m) + w.  As v and w both have length 2m, ascending codes list the
+pairs lexicographically, which is pi's listing: the stair at position k
+names the words k*N .. k*N + N - 1.  The code of (vc, wd) is arithmetic on
+that of (av, bw): ((av mod q^(2m-1)) * q + c) * q^(2m) + w * q + d.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import (IntegrityError, ep_equal, random_ep_config, word_index,
-                   word_of_index)
+from .core import IntegrityError, ep_equal, random_ep_config
 from .ca import LocalRule, apply_ep, to_radius_form
 from .blockrule import BlockRule, representation_eval
 from .closing import _radius_form
+from .mealy import sweeper_eval
 from .stairs import SliderVerdict, StairSet, slider_exists
 
 
@@ -39,47 +45,6 @@ class NotSliderError(ValueError):
         self.verdict = verdict
 
 
-@dataclass(frozen=True)
-class StairIndex:
-    """Lexicographic listing of Psi_n with the word bijection pi.
-
-    pi((v, w), k) = word_of_index(idx(v, w) * N + (k - 1)) for k in 1..N,
-    which is a bijection onto S^n because N * |Psi_n| = q^n.
-    """
-
-    stairs: StairSet
-    listing: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    N: int
-    _index: dict = field(repr=False, compare=False)
-
-    @property
-    def n(self) -> int:
-        return 3 * self.stairs.m
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.listing)
-
-    def __contains__(self, pair) -> bool:
-        return pair in self._index
-
-    def pi(self, pair, k: int) -> tuple[int, ...]:
-        if not 1 <= k <= self.N:
-            raise ValueError(f"multiplicity {k} outside 1..{self.N}")
-        return word_of_index(self._index[pair] * self.N + (k - 1),
-                             self.n, self.stairs.q)
-
-    def decode(self, word: tuple[int, ...]):
-        """Inverse of pi: word of length n -> ((v, w), k)."""
-        if len(word) != self.n:
-            raise ValueError(f"word length {len(word)} is not n = {self.n}")
-        idx, rem = divmod(word_index(word, self.stairs.q), self.N)
-        return self.listing[idx], rem + 1
-
-    def manifest(self) -> dict:
-        return synthesis_manifest(self.stairs)
-
-
 def synthesis_manifest(stairs: StairSet) -> dict:
     """How the rule synthesized from a slider's stairs numbers its words."""
     n = 3 * stairs.m
@@ -88,38 +53,38 @@ def synthesis_manifest(stairs: StairSet) -> dict:
 
 
 def stair_index(f: LocalRule,
-                verdict: SliderVerdict | None = None) -> StairIndex:
-    """Stair listing for synthesis from f's slider verdict (computed when
-    not passed); raises NotSliderError when f has none."""
+                verdict: SliderVerdict | None = None) -> tuple[int, ...]:
+    """pi's listing: the stair codes of f's slider verdict (computed when
+    not passed) in ascending order; raises NotSliderError when f has none."""
     verdict = slider_exists(f) if verdict is None else verdict
     if not verdict:
         raise NotSliderError(verdict)
-    # v and w have equal lengths, so this sorts by v + w
-    listing = tuple(sorted(verdict.stairs.pairs))
-    index = {pair: i for i, pair in enumerate(listing)}
-    return StairIndex(verdict.stairs, listing,
-                      f.q ** (3 * verdict.m) // len(listing), index)
+    return tuple(sorted(verdict.stairs.codes))
 
 
 def synthesize(f: LocalRule,
                verdict: SliderVerdict | None = None) -> BlockRule:
     """Bijective block rule of length 3m + 1 sweeping f left to right;
     `verdict` is `slider_exists(f)` when the caller holds it."""
-    index = stair_index(f, verdict)
-    q, m, n, N = index.stairs.q, index.stairs.m, index.n, index.N
+    verdict = slider_exists(f) if verdict is None else verdict
+    listing = stair_index(f, verdict)
+    q, m, n = f.q, verdict.m, 3 * verdict.m
+    N = q ** n // len(listing)
+    pack, half = q ** (2 * m), q ** (2 * m - 1)
+    position = {code: k for k, code in enumerate(listing)}
     g = to_radius_form(_radius_form(f)[0], m)
     table: list[int | None] = [None] * q ** (n + 1)
-    for av, bw in index.listing:
-        a, v, b, w = av[0], av[1:], bw[0], bw[1:]
-        base_in = index._index[(av, bw)] * N
+    for k_in, code in enumerate(listing):
+        av, bw = divmod(code, pack)
+        b, w = divmod(bw, half)
         for c in range(q):
-            d = g(av + (c,))
-            target = (v + (c,), w + (d,))
-            if target not in index:
-                raise IntegrityError(f"constructed pair {target} is no stair")
-            base_out = b * q ** n + index._index[target] * N
+            d = g.table[av * q + c]
+            target = ((av % half) * q + c) * pack + w * q + d
+            if target not in position:
+                raise IntegrityError(f"constructed code {target} is no stair")
+            base_out = b * q ** n + position[target] * N
             for k in range(N):
-                slot = (base_in + k) * q + c
+                slot = (k_in * N + k) * q + c
                 if table[slot] is not None:
                     raise IntegrityError("block rule table slot assigned twice")
                 table[slot] = base_out + k
@@ -131,9 +96,14 @@ def synthesize(f: LocalRule,
 
 @dataclass(frozen=True)
 class VerifyResult:
+    """`ok`, `samples` and `counterexample` answer the slider check (the
+    first failing draw, and how many draws it took); `sweeper_agreement`
+    is whether the sweeper check gave the same answer on every draw."""
+
     ok: bool
     samples: int
     counterexample: tuple | None = None
+    sweeper_agreement: bool = True
 
     def __bool__(self) -> bool:
         return self.ok
@@ -141,21 +111,28 @@ class VerifyResult:
 
 def verify_slider(chi: BlockRule, f: LocalRule, samples: int = 100,
                   seed: int = 0) -> VerifyResult:
-    """Sampling check that chi's sweeps realize f.
-
-    Draws random eventually periodic configurations and anchors, evaluates
-    the two limit sweeps, and compares the forward result against f applied
-    to the backward one.  Deterministic for a given seed.
-    """
+    """Sampling check that chi's sweeps realize f, on seeded random draws
+    of an eventually periodic x and an anchor i: does the anchored
+    representation (y, z) of x satisfy z = f(y), and do the sweeps of x
+    (`sweeper_eval`) converge to f(x) on exactly the same draws?  Stops
+    once it holds both a counterexample and a disagreement."""
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")
     if not chi.is_bijective():
         raise ValueError("candidate block rule is not bijective")
     rng = random.Random(seed)
+    counterexample, tried, agree = None, samples, True
     for trial in range(samples):
         x = random_ep_config(rng, chi.q)
         i = rng.randrange(-3, 4)
         y, z = representation_eval(chi, x, i)
-        if not ep_equal(z, apply_ep(f, y)):
-            return VerifyResult(False, trial + 1, (x, i, y, z))
-    return VerifyResult(True, samples)
+        slider_ok = ep_equal(z, apply_ep(f, y))
+        if not slider_ok and counterexample is None:
+            counterexample, tried = (x, i, y, z), trial + 1
+        if agree:
+            outcome = sweeper_eval(chi, x)
+            agree = slider_ok == (outcome.converges
+                                  and ep_equal(outcome.limit, apply_ep(f, x)))
+        if counterexample is not None and not agree:
+            break
+    return VerifyResult(counterexample is None, tried, counterexample, agree)

@@ -8,16 +8,20 @@ so that no production path depends on it.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from importlib import resources
 
 from casweep import graph
-from casweep.blockrule import BlockRule, reverse_block
-from casweep.ca import BUILTIN_RULES, LocalRule
+from casweep.blockrule import BlockRule, representation_eval, reverse_block
+from casweep.ca import BUILTIN_RULES, LocalRule, apply_ep, to_radius_form
 from casweep.closing import _radius_form
 from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
-                          all_words, ep_equal, ep_splice, word_index)
-from casweep.mealy import MealyAutomaton, SweepOutcome
+                          all_words, ep_equal, ep_splice, random_ep_config,
+                          word_index)
+from casweep.mealy import MealyAutomaton, SweepOutcome, sweeper_eval
+from casweep.stairs import SliderVerdict, slider_exists
+from casweep.synthesis import NotSliderError, VerifyResult
 from casweep.zautomata import ZAutomaton
 
 
@@ -536,3 +540,79 @@ def tuple_mealy_from_block(chi: BlockRule) -> MealyAutomaton:
         outs.append(word_index(tuple(cells[:n]), chi.q))
         nxts.append(word_index(tuple(cells[n:]), chi.q))
     return MealyAutomaton(chi.q, n, tuple(outs), tuple(nxts))
+
+
+# ---------------------------------------------------------------------------
+# Synthesis on tuple pairs and the two-loop sampled check
+
+def pair_synthesize(f: LocalRule,
+                    verdict: SliderVerdict | None = None) -> BlockRule:
+    """The slider construction on decoded (v, w) tuple pairs.
+
+    Lists Psi_n lexicographically and maps pi((av, bw), k) . c to
+    b . pi((vc, wd), k) with d = f_loc(a v c), looking every pair up in a
+    dict keyed by the pairs.
+    """
+    verdict = slider_exists(f) if verdict is None else verdict
+    if not verdict:
+        raise NotSliderError(verdict)
+    # v and w have equal lengths, so this sorts by v + w
+    listing = sorted(verdict.stairs.pairs)
+    index = {pair: i for i, pair in enumerate(listing)}
+    q, m = f.q, verdict.m
+    n = 3 * m
+    N = q ** n // len(listing)
+    g = to_radius_form(_radius_form(f)[0], m)
+    table: list[int | None] = [None] * q ** (n + 1)
+    for av, bw in listing:
+        v, b, w = av[1:], bw[0], bw[1:]
+        base_in = index[(av, bw)] * N
+        for c in range(q):
+            d = g(av + (c,))
+            target = (v + (c,), w + (d,))
+            if target not in index:
+                raise IntegrityError(f"constructed pair {target} is no stair")
+            base_out = b * q ** n + index[target] * N
+            for k in range(N):
+                slot = (base_in + k) * q + c
+                if table[slot] is not None:
+                    raise IntegrityError("block rule table slot assigned twice")
+                table[slot] = base_out + k
+    rule = BlockRule(q, n + 1, tuple(table))
+    if not rule.is_bijective():
+        raise IntegrityError("synthesized block rule is not a permutation")
+    return rule
+
+
+def two_pass_verify(chi: BlockRule, f: LocalRule, samples: int = 100,
+                    seed: int = 0) -> VerifyResult:
+    """The sampled check as two loops over the same seeded draws: the
+    slider loop stops at the first counterexample, the agreement loop at
+    the first draw where the slider and sweeper sides answer differently."""
+    if chi.q != f.q:
+        raise ValueError("alphabet mismatch")
+    if not chi.is_bijective():
+        raise ValueError("candidate block rule is not bijective")
+    found = VerifyResult(True, samples)
+    rng = random.Random(seed)
+    for trial in range(samples):
+        x = random_ep_config(rng, chi.q)
+        i = rng.randrange(-3, 4)
+        y, z = representation_eval(chi, x, i)
+        if not ep_equal(z, apply_ep(f, y)):
+            found = VerifyResult(False, trial + 1, (x, i, y, z))
+            break
+    agree = True
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x = random_ep_config(rng, chi.q)
+        i = rng.randrange(-3, 4)
+        y, z = representation_eval(chi, x, i)
+        slider_ok = ep_equal(z, apply_ep(f, y))
+        outcome = sweeper_eval(chi, x)
+        sweeper_ok = outcome.converges and ep_equal(outcome.limit,
+                                                    apply_ep(f, x))
+        if slider_ok != sweeper_ok:
+            agree = False
+            break
+    return VerifyResult(found.ok, found.samples, found.counterexample, agree)

@@ -21,9 +21,9 @@ from casweep.cli import main
 from casweep.closing import left_closing_decide
 from casweep.core import EpConfig, ep_equal, ep_zip, random_ep_config, vp
 from casweep.hierarchy import decompose_biclosing, verify_decomposition
-from casweep.mealy import good_states, mealy_from_block, slider_sweeper_agree, sweeper_eval
+from casweep.mealy import good_states, mealy_from_block, sweeper_eval
 from casweep.stairs import enumerate_stairs, lambda_value, slider_exists
-from casweep.synthesis import stair_index, synthesize
+from casweep.synthesis import synthesis_manifest, synthesize, verify_slider
 from casweep.zautomata import (
     is_slider_rule_for,
     member,
@@ -85,7 +85,7 @@ def test_05_representation_count_times_stair_count_is_alphabet_power():
     for name in ("identity", "shift", "ca102"):
         f = builtin_rule(name)
         chi = synthesize(f)
-        manifest = stair_index(f).manifest()
+        manifest = synthesis_manifest(slider_exists(f).stairs)
         psi, n = manifest["psi"], manifest["n"]
         rng = random.Random(5)
         for _ in range(5):
@@ -150,7 +150,8 @@ def test_09_sampling_agreement_matches_exact_decision():
     ]
     for chi, f in matched:
         exact = is_slider_rule_for(chi, f)
-        sampled = slider_sweeper_agree(chi, f, samples=60, seed=9)
+        sampled = verify_slider(chi, f, samples=60,
+                               seed=9).sweeper_agreement
         assert exact is True and sampled == exact
     crossed = [
         (builtin_block_rule("swap"), builtin_rule("identity")),

@@ -456,6 +456,31 @@ def test_wrong_rule_kind(capsys):
     assert "not a block rule" in err
 
 
+def assert_cannot_write(code, report, err):
+    assert code == 2 and report is None
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write")
+
+
+def test_synthesize_to_unwritable_path(capsys, tmp_path):
+    out = tmp_path / "absent" / "out.json"
+    assert_cannot_write(*run(capsys, "synthesize", data_file("ca102"),
+                             str(out)))
+
+
+def test_automata_dump_to_unwritable_path(capsys, tmp_path):
+    out = tmp_path / "absent" / "x.json"
+    assert_cannot_write(*run(capsys, "automata", "dump", data_file("swap"),
+                             "--out", str(out)))
+
+
+def test_decompose_into_existing_file(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert_cannot_write(*run(capsys, "decompose", data_file("ca102"),
+                             str(taken)))
+
+
 # every integer field of each input kind, with the command that loads it
 LOADERS = {
     "local-rule": (["analyze"], "ca102"),

@@ -9,8 +9,8 @@ from casweep.ca import apply_ep, builtin_rule
 from casweep.core import (EpConfig, ResourceCapError, all_words, ep_equal,
                           random_ep_config)
 from casweep.mealy import (MealyAutomaton, good_states, mealy_from_block,
-                           slider_sweeper_agree, sweeper_eval)
-from casweep.synthesis import synthesize
+                           sweeper_eval)
+from casweep.synthesis import synthesize, verify_slider
 from oracles import good_states_by_transformations
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
@@ -174,23 +174,23 @@ def test_sweeper_on_synthesized_rule():
 
 
 def test_slider_sweeper_agree_matched_pairs():
-    assert slider_sweeper_agree(builtin_block_rule("swap"),
-                                builtin_rule("shift"), 60, 3)
-    assert slider_sweeper_agree(builtin_block_rule("xor_block"),
-                                builtin_rule("ca102"), 60, 3)
-    assert slider_sweeper_agree(builtin_block_rule("identity_block"),
-                                builtin_rule("identity"), 60, 3)
+    assert verify_slider(builtin_block_rule("swap"),
+                         builtin_rule("shift"), 60, 3).sweeper_agreement
+    assert verify_slider(builtin_block_rule("xor_block"),
+                         builtin_rule("ca102"), 60, 3).sweeper_agreement
+    assert verify_slider(builtin_block_rule("identity_block"),
+                         builtin_rule("identity"), 60, 3).sweeper_agreement
 
 
 def test_slider_sweeper_agree_when_both_fail():
     # both side checks reject the pair on the same samples
-    assert slider_sweeper_agree(builtin_block_rule("swap"),
-                                builtin_rule("identity"), 60, 3)
+    assert verify_slider(builtin_block_rule("swap"),
+                         builtin_rule("identity"), 60, 3).sweeper_agreement
 
 
 def test_slider_sweeper_agree_requires_bijective():
     with pytest.raises(ValueError):
-        slider_sweeper_agree(SQUASH, builtin_rule("identity"))
+        verify_slider(SQUASH, builtin_rule("identity")).sweeper_agreement
 
 
 def test_sweep_outcome_json():

@@ -8,10 +8,11 @@ from casweep.blockrule import (BlockRule, builtin_block_rule,
                                count_representations, representation_eval)
 from casweep.ca import apply_ep, builtin_rule
 from casweep.closing import left_closing_decide
-from casweep.core import IntegrityError, ep_equal, random_ep_config
-from casweep.stairs import enumerate_stairs
-from casweep.synthesis import (NotSliderError, stair_index, synthesize,
-                               verify_slider)
+from casweep.core import (IntegrityError, ep_equal, random_ep_config,
+                          word_of_index)
+from casweep.stairs import enumerate_stairs, slider_exists
+from casweep.synthesis import (NotSliderError, stair_index, synthesis_manifest,
+                               synthesize, verify_slider)
 from oracles import unique_predecessor
 
 
@@ -25,21 +26,22 @@ def test_synthesis_roundtrip(name):
 
 
 def test_stair_index_is_bijection():
-    idx = stair_index(builtin_rule("shift"))
-    assert idx.N == 2 and idx.cardinality == 32 and idx.n == 6
-    words = set()
-    for pair in idx.listing:
-        for k in range(1, idx.N + 1):
-            word = idx.pi(pair, k)
-            assert idx.decode(word) == (pair, k)
-            words.add(word)
-    assert len(words) == 2 ** 6
+    f = builtin_rule("shift")
+    listing = stair_index(f)
+    assert listing == tuple(sorted(slider_exists(f).stairs.codes))
+    N, n = 2, 6
+    assert len(listing) == 32 and N * len(listing) == 2 ** n
+    # ascending codes are the lexicographic order of the (v, w) pairs
+    pairs = [(w[:4], w[4:]) for w in (word_of_index(c, 8, 2) for c in listing)]
+    assert pairs == sorted(slider_exists(f).stairs.pairs)
+    numbers = sorted(k * N + j for k in range(len(listing)) for j in range(N))
+    assert numbers == list(range(2 ** n))
 
 
 def test_stair_index_manifest():
-    assert stair_index(builtin_rule("ca102")).manifest() == {
+    assert synthesis_manifest(slider_exists(builtin_rule("ca102")).stairs) == {
         "n": 6, "N": 1, "psi": 64, "pi": "lex-interleave-v1"}
-    assert stair_index(builtin_rule("shift")).manifest() == {
+    assert synthesis_manifest(slider_exists(builtin_rule("shift")).stairs) == {
         "n": 6, "N": 2, "psi": 32, "pi": "lex-interleave-v1"}
 
 

@@ -8,21 +8,23 @@ synthesized from `identity`, `shift` and `ca102`, against each q=2 bundled
 rule and seeds 0-3 at 60 samples, the sampled check's `ok`, `samples`, the
 sha256 of the counterexample's JSON (None when there is none) and the
 slider/sweeper agreement.  Both tables were generated once from the
-tuple-pair construction and the two-loop sampling check; any change to
+tuple-pair construction and the two-loop sampling check, which live on
+as `oracles.pair_synthesize` and `oracles.two_pass_verify`; any change to
 the table numbering, the draw order or either early stop fails here.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from casweep.blockrule import BUILTIN_BLOCK_RULES, builtin_block_rule
 from casweep.ca import BUILTIN_RULES, LocalRule, builtin_rule
 from casweep.core import ep_to_json
-from casweep.mealy import slider_sweeper_agree
 from casweep.stairs import slider_exists
 from casweep.synthesis import synthesize, verify_slider
+from oracles import pair_synthesize, two_pass_verify
 
 
 def eca(n: int) -> LocalRule:
@@ -52,14 +54,12 @@ def digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def sampled_outcome(chi, f, seed: int):
-    result = verify_slider(chi, f, samples=60, seed=seed)
-    agreement = slider_sweeper_agree(chi, f, samples=60, seed=seed)
+def sampled_outcome(result):
     cx = result.counterexample
     if cx is not None:
         x, i, y, z = cx
         cx = digest([ep_to_json(x), i, ep_to_json(y), ep_to_json(z)])
-    return result.ok, result.samples, cx, agreement
+    return result.ok, result.samples, cx, result.sweeper_agreement
 
 
 # (rule, sha256 of the JSON list of the synthesized table)
@@ -429,5 +429,26 @@ def test_synthesized_table_is_pinned(name, expected):
 def test_sampled_outcomes_are_pinned(block):
     chi = pinned_block_rule(block)
     for _, rule, seed, *expected in (r for r in SAMPLED if r[0] == block):
-        got = sampled_outcome(chi, builtin_rule(rule), seed)
-        assert got == tuple(expected), (block, rule, seed)
+        f = builtin_rule(rule)
+        result = verify_slider(chi, f, samples=60, seed=seed)
+        assert sampled_outcome(result) == tuple(expected), (block, rule, seed)
+        # the one-pass loop answers exactly what two loops answered
+        assert result == two_pass_verify(chi, f, samples=60, seed=seed)
+
+
+def test_code_construction_matches_pair_oracle():
+    rules = [pinned_rule(name) for name, _ in TABLES]
+    # and a seeded sample of width-2 rules over q = 2 and 3
+    rng = random.Random(71)
+    for _ in range(300):
+        q = rng.choice((2, 3))
+        rules.append(LocalRule(q, rng.randrange(-1, 1), 2,
+                               tuple(rng.randrange(q) for _ in range(q * q))))
+    sliders = 0
+    for f in rules:
+        verdict = slider_exists(f)
+        if verdict:
+            sliders += 1
+            assert synthesize(f, verdict) == pair_synthesize(f, verdict)
+    assert sliders == 33 + 40
+

@@ -9,16 +9,11 @@ enough to decide exactly whether a block rule's sweeps realize a given
 cellular automaton: no complementation is ever needed because the "differs
 somewhere from the image" relation is itself directly recognizable.
 
-States are the numbers 0..n-1, fixed once when an automaton is built.  The
-builders name their states and `ZAutomaton.from_named` numbers them in
-`repr` order of the names, with each successor list sorted by (label,
-target); `trim` keeps a subset of the numbers in order, and `intersect`
-numbers its states (a, b, lflag, rflag) lexicographically, which is the
-`repr` order of the product names (a's name, b's name, lflag, rflag).  Since
-the numbering is a function of the language's presentation, not of set
-iteration order, `to_json` writes the stored lists as they are, dataclass
-`==` compares automata directly, and the witness search walks the successor
-lists in stored order, so dumps and witnesses are reproducible.
+States are the numbers 0..n-1, each a mixed-radix code computed by its
+builder (the state's kind, then the `word_index` of its parts; `trim` keeps
+a subset in order, `intersect` orders (a, b, lflag, rflag)
+lexicographically), with successors sorted by (label, target), so dumps,
+`==` and witnesses are reproducible.
 
 One lockstep product, `_product`, pairs the runs of two automata over equal
 labels for `member`, `intersect` and `is_slider_rule_for`; `_fiber_square`
@@ -31,10 +26,11 @@ integer, big-endian, so a pair (y, z) reads as y * q + z.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import graph
-from .core import EpConfig, all_words, check_cap, word_of_index
+from .core import EpConfig, check_cap, word_of_index
 from .ca import LocalRule, minimize_neighborhood
 from .blockrule import BlockRule
 
@@ -43,30 +39,18 @@ from .blockrule import BlockRule
 class ZAutomaton:
     """Numbered states, labeled successor lists, and the recurrence sets.
 
-    State k is named `states[k]`; `succ[k]` lists the (label, target) edges
-    leaving it, sorted; `initial` and `final` are ascending state numbers.
+    `states` has one entry per state: the builders use range(n), `trim` and
+    `intersect` carry over the entries of the states they keep; `succ[k]`
+    lists the (label, target) edges leaving state k, sorted; `initial` and
+    `final` are ascending state numbers.
     """
 
     q: int
     arity: int
-    states: tuple
+    states: Sequence
     succ: tuple[tuple[tuple[int, int], ...], ...]
     initial: tuple[int, ...]
     final: tuple[int, ...]
-
-    @classmethod
-    def from_named(cls, q: int, arity: int, states, edges, initial,
-                   final) -> ZAutomaton:
-        """Number named states in `repr` order; edges is a set of (state,
-        label, state) triples."""
-        names = tuple(sorted(states, key=repr))
-        index = {s: k for k, s in enumerate(names)}
-        succ: list[list[tuple[int, int]]] = [[] for _ in names]
-        for s, label, t in edges:
-            succ[index[s]].append((label, index[t]))
-        return cls(q, arity, names, tuple(tuple(sorted(out)) for out in succ),
-                   tuple(sorted(index[s] for s in initial)),
-                   tuple(sorted(index[s] for s in final)))
 
     @property
     def label_count(self) -> int:
@@ -301,77 +285,58 @@ def slider_relation_automaton(chi: BlockRule,
     comparison by m-1 cells.  The left states and right states carry the
     recurrence obligations, so accepted paths cross the bridge exactly once;
     shift invariance of the relation makes the crossing position immaterial.
+
+    Every state pairs a window v with a buffer r, both words of length m-1:
+    L(v, r) holds the inverse sweep's window and the pending inputs, B(t, v,
+    r) the handed-over window with m-1-t pending inputs then t guessed
+    outputs, R(v, r) the forward sweep's window and the pending outputs.
+    State B(t, v, r) is (t-1) Q^2 + v Q + r with Q = q^(m-1), then L, then
+    R; each bridge step shifts the buffer's first input out and a guessed
+    output in.
     """
     if not chi.is_bijective():
         raise ValueError("slider relations need a bijective block rule")
-    q, m = chi.q, chi.block_length
+    q, m, table = chi.q, chi.block_length, chi.table
     check_cap(2 if m == 1 else m * q ** (2 * m - 2), max_states,
               "slider automaton states")
-    inv = chi.inverse()
-    states = set()
-    edges = set()
-
-    def lab(y, z):
-        return y * q + z
-
     if m == 1:
-        L = ("L", (), ())
-        R = ("R", (), ())
-        states.update((L, R))
+        labels = [y * q + table[y] for y in range(q)]
+        return ZAutomaton(q, 2, range(2),
+                          (tuple((a, t) for a in labels for t in (0, 1)),
+                           tuple((a, 1) for a in labels)), (0,), (1,))
+    Q, h = q ** (m - 1), q ** (m - 2)
+    L, R = (m - 2) * Q * Q, (m - 1) * Q * Q
+    succ = []
+    for k in range(m - 2):
+        nxt = (k + 1) * Q * Q if k < m - 3 else R
+        for v in range(Q):
+            for r in range(Q):
+                y, rest = divmod(r, h)
+                dst = nxt + v * Q + rest * q
+                succ.append(tuple((y * q + z, dst + z) for z in range(q)))
+    first = 0 if m > 2 else R
+    for v in range(Q):
+        # (z, target less rest * q): the inverse steps chi(v em) = z vt,
+        # then the bridge's first step; the order holds for every buffer
+        steps = sorted([(z, L + vt * Q + em) for em in range(q)
+                        for z, vt in [divmod(table[v * q + em], Q)]]
+                       + [(z, first + v * Q + z) for z in range(q)])
+        for r in range(Q):
+            y, rest = divmod(r, h)
+            succ.append(tuple((y * q + z, base + rest * q)
+                              for z, base in steps))
+    for v in range(Q):
+        # forward steps chi(v y) = z0 v2, grouped by the output z0 they owe
+        owed: list[list[tuple[int, int]]] = [[] for _ in range(q)]
         for y in range(q):
-            z = chi((y,))[0]
-            edges.add((L, lab(y, z), L))
-            edges.add((L, lab(y, z), R))
-            edges.add((R, lab(y, z), R))
-        return ZAutomaton.from_named(q, 2, states, edges, [L], [R])
-
-    for vt in all_words(m - 1, q):
-        for z in range(q):
-            img = inv((z,) + vt)
-            vs, em = img[:m - 1], img[m - 1]
-            for y0 in range(q):
-                for ytail in all_words(m - 2, q):
-                    src = ("L", vs, (y0,) + ytail)
-                    dst = ("L", vt, ytail + (em,))
-                    states.update((src, dst))
-                    edges.add((src, lab(y0, z), dst))
-    # bridge: hand the guessed window across while draining the y-buffer
-    for v in all_words(m - 1, q):
-        for ybuf in all_words(m - 1, q):
-            src = ("L", v, ybuf)
-            for z in range(q):
-                if m == 2:
-                    dst = ("R", v, (z,))
-                else:
-                    dst = ("B", 1, v, ybuf[1:], (z,))
-                states.update((src, dst))
-                edges.add((src, lab(ybuf[0], z), dst))
-    for t in range(1, m - 1):
-        for v in all_words(m - 1, q):
-            for yrest in all_words(m - 1 - t, q):
-                for zacc in all_words(t, q):
-                    src = ("B", t, v, yrest, zacc)
-                    for z in range(q):
-                        if t + 1 < m - 1:
-                            dst = ("B", t + 1, v, yrest[1:], zacc + (z,))
-                        else:
-                            dst = ("R", v, zacc + (z,))
-                        states.update((src, dst))
-                        edges.add((src, lab(yrest[0], z), dst))
-    for c in all_words(m - 1, q):
-        for zpend in all_words(m - 1, q):
-            src = ("R", c, zpend)
-            for y in range(q):
-                img = chi(c + (y,))
-                if img[0] != zpend[0]:
-                    continue
-                for z in range(q):
-                    dst = ("R", img[1:], zpend[1:] + (z,))
-                    states.update((src, dst))
-                    edges.add((src, lab(y, z), dst))
-    return ZAutomaton.from_named(q, 2, states, edges,
-                                 [s for s in states if s[0] == "L"],
-                                 [s for s in states if s[0] == "R"])
+            z0, v2 = divmod(table[v * q + y], Q)
+            owed[z0].append((y, R + v2 * Q))
+        for r in range(Q):
+            z0, rest = divmod(r, h)
+            succ.append(tuple((y * q + z, base + rest * q + z)
+                              for y, base in owed[z0] for z in range(q)))
+    return ZAutomaton(q, 2, range(m * Q * Q), tuple(succ), tuple(range(L, R)),
+                      tuple(range(R, m * Q * Q)))
 
 
 def sweeper_relation_automaton(chi: BlockRule,
@@ -385,54 +350,48 @@ def sweeper_relation_automaton(chi: BlockRule,
     with the chain, which flags the state.  Flags recurring to the left
     mean arbitrarily far anchors reach the chain, which is exactly
     membership; no obligation falls on the right side.
+
+    A state is the chain's window v, the pending outputs r (both words of
+    length m-1), the probe's partial word u and the flag, numbered
+    ((v Q + r) P + u) 2 + flag with Q = q^(m-1).  The P partial words are
+    numbered idle first, then by length, then by index, so the word u
+    extended by y is 1 + q u + y; the last Q of them are the full windows.
     """
-    q, m = chi.q, chi.block_length
+    q, m, table = chi.q, chi.block_length, chi.table
     check_cap(1 if m == 1 else
               2 * q ** (2 * m - 2) * (1 + sum(q ** t for t in range(1, m))),
               max_states, "sweeper automaton states")
-    states = set()
-    edges = set()
-
-    def lab(y, z):
-        return y * q + z
-
     if m == 1:
-        S = ("S",)
-        for y in range(q):
-            edges.add((S, lab(y, chi((y,))[0]), S))
-        return ZAutomaton.from_named(q, 2, [S], edges, [S], [S])
+        return ZAutomaton(q, 2, range(1),
+                          (tuple((y * q + table[y], 0) for y in range(q)),),
+                          (0,), (0,))
+    Q, h = q ** (m - 1), q ** (m - 2)
+    P = sum(q ** t for t in range(m))
+    full = P - Q
 
-    idle = ("idle",)
-    partials = [idle] + [w for t in range(1, m) for w in all_words(t, q)]
-    for mm in all_words(m - 1, q):
-        for zp in all_words(m - 1, q):
-            for u in partials:
-                for flag in (False, True):
-                    src = ("S", mm, zp, u, flag)
-                    states.add(src)
-                    for y in range(q):
-                        img = chi(mm + (y,))
-                        if img[0] != zp[0]:
-                            continue
-                        m2 = img[1:]
-                        for z in range(q):
-                            zp2 = zp[1:] + (z,)
-                            moves = []
-                            if u == idle:
-                                moves.append((idle, False))
-                                moves.append(((y,), False))
-                            elif len(u) < m - 1:
-                                moves.append((u + (y,), False))
-                            elif u == mm:
-                                moves.append((idle, True))
-                            else:
-                                moves.append((chi(u + (y,))[1:], False))
-                            for u2, flag2 in moves:
-                                dst = ("S", m2, zp2, u2, flag2)
-                                states.add(dst)
-                                edges.add((src, lab(y, z), dst))
-    return ZAutomaton.from_named(q, 2, states, edges,
-                                 [s for s in states if s[4]], states)
+    def moves(u, v, y):
+        """(partial word, flag) pairs the probe u moves to on input y."""
+        if u < full:
+            return ((0, 0), (1 + y, 0)) if u == 0 else ((1 + q * u + y, 0),)
+        if u - full == v:
+            return ((0, 1),)
+        return ((full + table[(u - full) * q + y] % Q, 0),)
+
+    succ = []
+    for v in range(Q):
+        runs = [divmod(table[v * q + y], Q) + (y,) for y in range(q)]
+        for r in range(Q):
+            z0, rest = divmod(r, h)
+            chain = [(y, (v2 * Q + rest * q) * P) for w0, v2, y in runs
+                     if w0 == z0]
+            for u in range(P):
+                out = tuple((y * q + z, (base + z * P + u2) * 2 + flag)
+                            for y, base in chain for z in range(q)
+                            for u2, flag in moves(u, v, y))
+                succ += (out, out)
+    n = len(succ)
+    return ZAutomaton(q, 2, range(n), tuple(succ), tuple(range(1, n, 2)),
+                      tuple(range(n)))
 
 
 def graph_mismatch_automaton(f: LocalRule) -> ZAutomaton:
@@ -441,62 +400,42 @@ def graph_mismatch_automaton(f: LocalRule) -> ZAutomaton:
     The run tracks enough recent input to evaluate one local window, guesses
     the differing position, and falls into an absorbing state; when the rule
     looks ahead the comparison value is carried in a countdown instead.
+
+    State 0 is the absorbing state; when the rule looks back d = -lag > 0
+    cells, the countdown comes next: cmp(value) is 1 + value and
+    count(value, steps) for steps 2..d is 1 + q + value (d-1) + steps - 2.
+    The remaining states pre(ybuf, zbuf) follow in `word_index` order of
+    ybuf + zbuf.
     """
     g = minimize_neighborhood(f)
-    q, w = g.q, g.width
+    q, w, table = g.q, g.width, g.table
     lag = g.anchor + g.width - 1
-    after = ("after",)
-    states = {after}
-    edges = set()
-
-    def lab(y, z):
-        return y * q + z
-
-    all_labels = [lab(y, z) for y in range(q) for z in range(q)]
-    for label in all_labels:
-        edges.add((after, label, after))
-    zlen = max(lag, 0)
-    for ybuf in all_words(w - 1, q):
-        for zbuf in all_words(zlen, q):
-            src = ("pre", ybuf, zbuf)
-            states.add(src)
+    wait = max(-lag, 0)
+    Y, Z = q ** (w - 1), q ** max(lag, 0)
+    pre = 1 + q * wait
+    every = range(q * q)
+    succ = [tuple((a, 0) for a in every)]
+    succ += [tuple((a, 0) for a in every if a % q != value)
+             for value in range(q) if wait]
+    succ += [tuple((a, 1 + q + value * (wait - 1) + steps - 3 if steps > 2
+                    else 1 + value) for a in every)
+             for value in range(q) for steps in range(2, wait + 1)]
+    for ybuf in range(Y):
+        for zbuf in range(Z):
+            out = []
             for y in range(q):
+                value = table[ybuf * q + y]
                 for z in range(q):
-                    dst = ("pre", (ybuf + (y,))[1:] if w > 1 else (),
-                           (zbuf + (z,))[1:] if zlen else ())
-                    states.add(dst)
-                    edges.add((src, lab(y, z), dst))
-                    value = g(ybuf + (y,))
-                    compare = zbuf[0] if lag > 0 else (z if lag == 0 else None)
-                    if compare is not None:
-                        if value != compare:
-                            edges.add((src, lab(y, z), after))
-                    else:
-                        # rule looks left of the output cell: count down
-                        steps = -lag
-                        dst2 = ("count", value, steps) if steps > 1 \
-                            else ("cmp", value)
-                        states.add(dst2)
-                        edges.add((src, lab(y, z), dst2))
-    if lag < 0:
-        for value in range(q):
-            for steps in range(2, -lag + 1):
-                src = ("count", value, steps)
-                states.add(src)
-                dst = ("count", value, steps - 1) if steps > 2 \
-                    else ("cmp", value)
-                states.add(dst)
-                for label in all_labels:
-                    edges.add((src, label, dst))
-            src = ("cmp", value)
-            states.add(src)
-            for y in range(q):
-                for z in range(q):
-                    if z != value:
-                        edges.add((src, lab(y, z), after))
-    return ZAutomaton.from_named(q, 2, states, edges,
-                                 [s for s in states if s[0] == "pre"],
-                                 [after])
+                    if lag < 0:
+                        out.append((y * q + z, 1 + value if wait == 1 else
+                                    1 + q + value * (wait - 1) + wait - 2))
+                    elif value != (zbuf * q // Z if lag else z):
+                        out.append((y * q + z, 0))
+                    out.append((y * q + z, pre + (ybuf * q + y) % Y * Z
+                                + (zbuf * q + z) % Z))
+            succ.append(tuple(out))
+    n = len(succ)
+    return ZAutomaton(q, 2, range(n), tuple(succ), tuple(range(pre, n)), (0,))
 
 
 def _fiber_square(A: ZAutomaton):

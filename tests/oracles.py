@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from casweep import graph
 from casweep.blockrule import BlockRule, representation_eval, reverse_block
-from casweep.ca import BUILTIN_RULES, LocalRule, apply_ep, to_radius_form
+from casweep.ca import (BUILTIN_RULES, LocalRule, apply_ep,
+                        minimize_neighborhood, to_radius_form)
 from casweep.closing import _radius_form
 from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
                           all_words, ep_equal, ep_splice, random_ep_config,
@@ -220,8 +221,10 @@ def flag_intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
     Each side owes two recurrence visits; one alternation flag per side
     reduces them to one: the flag advances when the currently watched
     component recurs, and the product recurrence set is "flag at rest and
-    the first component recurring".  States are named (name in A, name in
-    B, lflag, rflag) and numbered by `ZAutomaton.from_named`.
+    the first component recurring".  States are the tuples (state of A,
+    state of B, lflag, rflag), numbered in sorted order by `from_named` and
+    then renamed (A's entry, B's entry, lflag, rflag), as `intersect` names
+    them.
     """
     if A.q != B.q or A.arity != B.arity:
         raise ValueError("alphabet mismatch")
@@ -246,17 +249,277 @@ def flag_intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
                             rflag_t = 1 if sa in final_a else 0
                         else:
                             rflag_t = 0 if sb in final_b else 1
-                        src = (A.states[sa], B.states[sb], lflag_s, rflag_s)
-                        dst = (A.states[ta], B.states[tb], lflag_t, rflag_t)
+                        src = (sa, sb, lflag_s, rflag_s)
+                        dst = (ta, tb, lflag_t, rflag_t)
                         states.add(src)
                         states.add(dst)
                         edges.add((src, label, dst))
-    init_names = {A.states[k] for k in init_a}
-    final_names = {A.states[k] for k in final_a}
-    return ZAutomaton.from_named(
+    product = from_named(
         A.q, A.arity, states, edges,
-        [s for s in states if s[2] == 0 and s[0] in init_names],
-        [s for s in states if s[3] == 0 and s[0] in final_names])
+        [s for s in states if s[2] == 0 and s[0] in init_a],
+        [s for s in states if s[3] == 0 and s[0] in final_a], key=None)
+    return replace(product, states=tuple(
+        (A.states[a], B.states[b], lflag, rflag)
+        for a, b, lflag, rflag in product.states))
+
+
+# ---------------------------------------------------------------------------
+# Relation automata on named states
+
+def from_named(q: int, arity: int, states, edges, initial, final,
+               key=repr) -> ZAutomaton:
+    """Number named states in `key` order (the names' own order for None),
+    with each successor list sorted by (label, target); edges is a set of
+    (state, label, state) triples.  The numbered automaton keeps the names
+    as its `states`."""
+    names = tuple(sorted(states, key=key))
+    index = {s: k for k, s in enumerate(names)}
+    succ: list[list[tuple[int, int]]] = [[] for _ in names]
+    for s, label, t in edges:
+        succ[index[s]].append((label, index[t]))
+    return ZAutomaton(q, arity, names,
+                      tuple(tuple(sorted(out)) for out in succ),
+                      tuple(sorted(index[s] for s in initial)),
+                      tuple(sorted(index[s] for s in final)))
+
+
+def renumbered(A: ZAutomaton, number) -> ZAutomaton:
+    """A with state named s renumbered number(s), which must map the names
+    onto 0..n-1; the result's `states` is range(n), as the builders'."""
+    new = [number(s) for s in A.states]
+    n = len(new)
+    if sorted(new) != list(range(n)):
+        raise ValueError("numbering is not a bijection onto 0..n-1")
+    succ: list = [None] * n
+    for k, out in enumerate(A.succ):
+        succ[new[k]] = tuple(sorted((label, new[t]) for label, t in out))
+    return ZAutomaton(A.q, A.arity, range(n), tuple(succ),
+                      tuple(sorted(new[k] for k in A.initial)),
+                      tuple(sorted(new[k] for k in A.final)))
+
+
+def slider_state_number(chi: BlockRule, name) -> int:
+    """The documented number of a named slider state: block k * Q^2 plus
+    `word_index` of its concatenated parts, Q = q^(m-1), k counting
+    B(t=1..m-2), then L, then R."""
+    q, m = chi.q, chi.block_length
+    kind, parts = name[0], name[1:]
+    if kind == "B":
+        block, parts = parts[0] - 1, parts[1:]
+    else:
+        block = max(m - 2, 0) + (kind == "R")
+    return block * q ** (2 * m - 2) + word_index(sum(parts, ()), q)
+
+
+def sweeper_state_number(chi: BlockRule, name) -> int:
+    """The documented number of a named sweeper state ("S", mm, zp, u,
+    flag): mixed radix over mm, zp, the probe's partial word u (idle first,
+    then by length, then by index) and the flag."""
+    q, m = chi.q, chi.block_length
+    if m == 1:
+        return 0
+    _, mm, zp, u, flag = name
+    Q, P = q ** (m - 1), sum(q ** t for t in range(m))
+    partial = 0 if u == ("idle",) else (
+        sum(q ** t for t in range(len(u))) + word_index(u, q))
+    return ((word_index(mm + zp, q)) * P + partial) * 2 + flag
+
+
+def mismatch_state_number(f: LocalRule, name) -> int:
+    """The documented number of a named mismatch state: after, then
+    cmp(value), then count(value, steps), then pre(ybuf, zbuf) by
+    `word_index` of ybuf + zbuf."""
+    g = minimize_neighborhood(f)
+    q, lag = g.q, g.anchor + g.width - 1
+    wait = max(-lag, 0)
+    kind = name[0]
+    if kind == "after":
+        return 0
+    if kind == "cmp":
+        return 1 + name[1]
+    if kind == "count":
+        return 1 + q + name[1] * (wait - 1) + name[2] - 2
+    return 1 + q * wait + word_index(name[1] + name[2], q)
+
+
+def named_slider_relation_automaton(chi: BlockRule) -> ZAutomaton:
+    """The slider relation automaton built on named states (see
+    `zautomata.slider_relation_automaton`) and numbered by `from_named`."""
+    if not chi.is_bijective():
+        raise ValueError("slider relations need a bijective block rule")
+    q, m = chi.q, chi.block_length
+    inv = chi.inverse()
+    states = set()
+    edges = set()
+
+    def lab(y, z):
+        return y * q + z
+
+    if m == 1:
+        L = ("L", (), ())
+        R = ("R", (), ())
+        states.update((L, R))
+        for y in range(q):
+            z = chi((y,))[0]
+            edges.add((L, lab(y, z), L))
+            edges.add((L, lab(y, z), R))
+            edges.add((R, lab(y, z), R))
+        return from_named(q, 2, states, edges, [L], [R])
+
+    for vt in all_words(m - 1, q):
+        for z in range(q):
+            img = inv((z,) + vt)
+            vs, em = img[:m - 1], img[m - 1]
+            for y0 in range(q):
+                for ytail in all_words(m - 2, q):
+                    src = ("L", vs, (y0,) + ytail)
+                    dst = ("L", vt, ytail + (em,))
+                    states.update((src, dst))
+                    edges.add((src, lab(y0, z), dst))
+    # bridge: hand the guessed window across while draining the y-buffer
+    for v in all_words(m - 1, q):
+        for ybuf in all_words(m - 1, q):
+            src = ("L", v, ybuf)
+            for z in range(q):
+                if m == 2:
+                    dst = ("R", v, (z,))
+                else:
+                    dst = ("B", 1, v, ybuf[1:], (z,))
+                states.update((src, dst))
+                edges.add((src, lab(ybuf[0], z), dst))
+    for t in range(1, m - 1):
+        for v in all_words(m - 1, q):
+            for yrest in all_words(m - 1 - t, q):
+                for zacc in all_words(t, q):
+                    src = ("B", t, v, yrest, zacc)
+                    for z in range(q):
+                        if t + 1 < m - 1:
+                            dst = ("B", t + 1, v, yrest[1:], zacc + (z,))
+                        else:
+                            dst = ("R", v, zacc + (z,))
+                        states.update((src, dst))
+                        edges.add((src, lab(yrest[0], z), dst))
+    for c in all_words(m - 1, q):
+        for zpend in all_words(m - 1, q):
+            src = ("R", c, zpend)
+            for y in range(q):
+                img = chi(c + (y,))
+                if img[0] != zpend[0]:
+                    continue
+                for z in range(q):
+                    dst = ("R", img[1:], zpend[1:] + (z,))
+                    states.update((src, dst))
+                    edges.add((src, lab(y, z), dst))
+    return from_named(q, 2, states, edges,
+                      [s for s in states if s[0] == "L"],
+                      [s for s in states if s[0] == "R"])
+
+
+def named_sweeper_relation_automaton(chi: BlockRule) -> ZAutomaton:
+    """The sweeper relation automaton built on named states (see
+    `zautomata.sweeper_relation_automaton`) and numbered by `from_named`."""
+    q, m = chi.q, chi.block_length
+    states = set()
+    edges = set()
+
+    def lab(y, z):
+        return y * q + z
+
+    if m == 1:
+        S = ("S",)
+        for y in range(q):
+            edges.add((S, lab(y, chi((y,))[0]), S))
+        return from_named(q, 2, [S], edges, [S], [S])
+
+    idle = ("idle",)
+    partials = [idle] + [w for t in range(1, m) for w in all_words(t, q)]
+    for mm in all_words(m - 1, q):
+        for zp in all_words(m - 1, q):
+            for u in partials:
+                for flag in (False, True):
+                    src = ("S", mm, zp, u, flag)
+                    states.add(src)
+                    for y in range(q):
+                        img = chi(mm + (y,))
+                        if img[0] != zp[0]:
+                            continue
+                        m2 = img[1:]
+                        for z in range(q):
+                            zp2 = zp[1:] + (z,)
+                            moves = []
+                            if u == idle:
+                                moves.append((idle, False))
+                                moves.append(((y,), False))
+                            elif len(u) < m - 1:
+                                moves.append((u + (y,), False))
+                            elif u == mm:
+                                moves.append((idle, True))
+                            else:
+                                moves.append((chi(u + (y,))[1:], False))
+                            for u2, flag2 in moves:
+                                dst = ("S", m2, zp2, u2, flag2)
+                                states.add(dst)
+                                edges.add((src, lab(y, z), dst))
+    return from_named(q, 2, states, edges, [s for s in states if s[4]], states)
+
+
+def named_graph_mismatch_automaton(f: LocalRule) -> ZAutomaton:
+    """The mismatch automaton built on named states (see
+    `zautomata.graph_mismatch_automaton`) and numbered by `from_named`."""
+    g = minimize_neighborhood(f)
+    q, w = g.q, g.width
+    lag = g.anchor + g.width - 1
+    after = ("after",)
+    states = {after}
+    edges = set()
+
+    def lab(y, z):
+        return y * q + z
+
+    all_labels = [lab(y, z) for y in range(q) for z in range(q)]
+    for label in all_labels:
+        edges.add((after, label, after))
+    zlen = max(lag, 0)
+    for ybuf in all_words(w - 1, q):
+        for zbuf in all_words(zlen, q):
+            src = ("pre", ybuf, zbuf)
+            states.add(src)
+            for y in range(q):
+                for z in range(q):
+                    dst = ("pre", (ybuf + (y,))[1:] if w > 1 else (),
+                           (zbuf + (z,))[1:] if zlen else ())
+                    states.add(dst)
+                    edges.add((src, lab(y, z), dst))
+                    value = g(ybuf + (y,))
+                    compare = zbuf[0] if lag > 0 else (z if lag == 0 else None)
+                    if compare is not None:
+                        if value != compare:
+                            edges.add((src, lab(y, z), after))
+                    else:
+                        # rule looks left of the output cell: count down
+                        steps = -lag
+                        dst2 = ("count", value, steps) if steps > 1 \
+                            else ("cmp", value)
+                        states.add(dst2)
+                        edges.add((src, lab(y, z), dst2))
+    if lag < 0:
+        for value in range(q):
+            for steps in range(2, -lag + 1):
+                src = ("count", value, steps)
+                states.add(src)
+                dst = ("count", value, steps - 1) if steps > 2 \
+                    else ("cmp", value)
+                states.add(dst)
+                for label in all_labels:
+                    edges.add((src, label, dst))
+            src = ("cmp", value)
+            states.add(src)
+            for y in range(q):
+                for z in range(q):
+                    if z != value:
+                        edges.add((src, lab(y, z), after))
+    return from_named(q, 2, states, edges,
+                      [s for s in states if s[0] == "pre"], [after])
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +550,8 @@ class NamedAutomaton:
         return succ
 
     def numbered(self) -> ZAutomaton:
-        return ZAutomaton.from_named(self.q, self.arity, self.states,
-                                     self.edges, self.initial, self.final)
+        return from_named(self.q, self.arity, self.states, self.edges,
+                          self.initial, self.final)
 
 
 def _numbered(A: NamedAutomaton):

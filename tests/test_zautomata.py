@@ -5,20 +5,25 @@ import random
 import pytest
 
 from casweep.core import EpConfig, ep_zip, random_ep_config
-from casweep.ca import BUILTIN_RULES, builtin_rule, apply_ep
+from casweep.ca import (BUILTIN_RULES, LocalRule, builtin_rule, apply_ep,
+                        minimize_neighborhood)
 from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule, identity_block,
                                builtin_block_rule, representation_eval)
 from casweep.mealy import sweeper_eval
 from casweep.synthesis import synthesize
-from casweep.zautomata import (ZAutomaton, member, is_empty, nonempty_witness,
+from casweep.zautomata import (member, is_empty, nonempty_witness,
                                trim, intersect, project, is_function,
                                is_slider_rule_for, sweeper_defines_function,
                                slider_relation_automaton,
                                sweeper_relation_automaton,
                                graph_mismatch_automaton)
-from oracles import (NamedAutomaton, ep_replace, flag_intersect,
-                     named_is_empty, named_nonempty_witness, named_trim,
-                     period_member)
+from oracles import (NamedAutomaton, ep_replace, flag_intersect, from_named,
+                     mismatch_state_number, named_graph_mismatch_automaton,
+                     named_is_empty, named_nonempty_witness,
+                     named_slider_relation_automaton,
+                     named_sweeper_relation_automaton, named_trim,
+                     period_member, renumbered, slider_state_number,
+                     sweeper_state_number)
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 
@@ -148,9 +153,9 @@ def test_exact_slider_check_needs_bijective_rule():
 def test_is_function_examples():
     assert is_function(slider_relation_automaton(builtin_block_rule("swap")))
     assert is_function(slider_relation_automaton(identity_block(2, 1)))
-    full = ZAutomaton.from_named(2, 2, frozenset([0]),
-                                 frozenset((0, l, 0) for l in range(4)),
-                                 frozenset([0]), frozenset([0]))
+    full = from_named(2, 2, frozenset([0]),
+                      frozenset((0, l, 0) for l in range(4)),
+                      frozenset([0]), frozenset([0]))
     assert not is_function(full)
 
 
@@ -180,16 +185,16 @@ def test_mismatch_automaton_semantics(name):
 # emptiness, witnesses, trimming
 
 def test_acyclic_automaton_is_empty():
-    A = ZAutomaton.from_named(2, 1, frozenset([0, 1]), frozenset([(0, 1, 1)]),
-                              frozenset([0]), frozenset([1]))
+    A = from_named(2, 1, frozenset([0, 1]), frozenset([(0, 1, 1)]),
+                   frozenset([0]), frozenset([1]))
     assert is_empty(A)
     assert nonempty_witness(A) is None
 
 
 def test_two_loop_automaton_witness():
-    A = ZAutomaton.from_named(2, 1, frozenset([0, 1]),
-                              frozenset([(0, 0, 0), (0, 1, 1), (1, 1, 1)]),
-                              frozenset([0]), frozenset([1]))
+    A = from_named(2, 1, frozenset([0, 1]),
+                   frozenset([(0, 0, 0), (0, 1, 1), (1, 1, 1)]),
+                   frozenset([0]), frozenset([1]))
     assert not is_empty(A)
     w = nonempty_witness(A)
     assert member(A, w)
@@ -215,10 +220,10 @@ def test_intersection_membership_is_conjunction():
     # i.o. many 0s and i.o. many 1s to the right, built as an intersection
     edges = frozenset([(s, 0, "a") for s in "ab"] +
                       [(s, 1, "b") for s in "ab"])
-    t0 = ZAutomaton.from_named(2, 1, frozenset("ab"), edges,
-                               frozenset("ab"), frozenset("a"))
-    t1 = ZAutomaton.from_named(2, 1, frozenset("ab"), edges,
-                               frozenset("ab"), frozenset("b"))
+    t0 = from_named(2, 1, frozenset("ab"), edges,
+                    frozenset("ab"), frozenset("a"))
+    t1 = from_named(2, 1, frozenset("ab"), edges,
+                    frozenset("ab"), frozenset("b"))
     both = intersect(t0, t1)
     cases = [((0, 1), True), ((0,), False), ((1,), False), ((0, 1, 1), True)]
     for rp, expect in cases:
@@ -320,6 +325,76 @@ def test_numbered_automata_match_named_oracles():
 
 
 # ---------------------------------------------------------------------------
+# numbered builders against the named-state builders
+
+def seeded_block_rules():
+    """A bijective and a non-bijective block rule for each q in {2, 3} and
+    block length 1-4."""
+    rng = random.Random(83)
+    for q in (2, 3):
+        for m in range(1, 5):
+            perm = list(range(q ** m))
+            rng.shuffle(perm)
+            yield BlockRule(q, m, tuple(perm))
+            yield BlockRule(q, m, (0, 0) + tuple(rng.randrange(q ** m)
+                                                 for _ in range(q ** m - 2)))
+
+
+def seeded_local_rules():
+    """Rules over q in {2, 3} whose output cell lies 3 cells left of the
+    window to 3 cells right of it, so every kind of mismatch state occurs."""
+    rng = random.Random(84)
+    for q in (2, 3):
+        for width in (1, 2, 3):
+            for anchor in range(-3 - width + 1, 4 - width + 1):
+                yield LocalRule(q, anchor, width, tuple(
+                    rng.randrange(q) for _ in range(q ** width)))
+
+
+@pytest.mark.parametrize("chi", seeded_block_rules(),
+                         ids=lambda chi: f"q{chi.q}m{chi.block_length}")
+def test_block_rule_builders_number_the_named_states(chi):
+    sweeper = sweeper_relation_automaton(chi)
+    named = named_sweeper_relation_automaton(chi)
+    assert sweeper == renumbered(
+        named, lambda s: sweeper_state_number(chi, s))
+    # the sweeper numbering departs from the names' `repr` order at block
+    # length 3 and more; the languages and the witnesses do not change
+    if len(sweeper.states) < 10_000:
+        shift = graph_mismatch_automaton(
+            LocalRule(chi.q, 0, 2, tuple(range(chi.q)) * chi.q))
+        for A, B in ((sweeper, named),
+                     (intersect(sweeper, shift), intersect(named, shift))):
+            assert is_empty(A) == is_empty(B)
+            w = nonempty_witness(A)
+            if w is not None:
+                assert member(A, w) and member(B, w)
+    if not chi.is_bijective():
+        with pytest.raises(ValueError):
+            slider_relation_automaton(chi)
+        return
+    assert slider_relation_automaton(chi) == renumbered(
+        named_slider_relation_automaton(chi),
+        lambda s: slider_state_number(chi, s))
+
+
+def test_local_rules_cover_every_lag():
+    lags = set()
+    for f in seeded_local_rules():
+        g = minimize_neighborhood(f)
+        lags.add(g.anchor + g.width - 1)
+    assert {-3, -2, -1, 0, 1, 2, 3} <= lags
+
+
+@pytest.mark.parametrize("f", seeded_local_rules(),
+                         ids=lambda f: f"q{f.q}a{f.anchor}w{f.width}")
+def test_mismatch_builder_numbers_the_named_states(f):
+    assert graph_mismatch_automaton(f) == renumbered(
+        named_graph_mismatch_automaton(f),
+        lambda s: mismatch_state_number(f, s))
+
+
+# ---------------------------------------------------------------------------
 # projections and serialization
 
 def test_projection_of_slider_inputs_is_total():
@@ -330,8 +405,8 @@ def test_projection_of_slider_inputs_is_total():
 
 
 def test_projection_needs_product_alphabet():
-    A = ZAutomaton.from_named(2, 1, frozenset([0]), frozenset([(0, 0, 0)]),
-                              frozenset([0]), frozenset([0]))
+    A = from_named(2, 1, frozenset([0]), frozenset([(0, 0, 0)]),
+                   frozenset([0]), frozenset([0]))
     with pytest.raises(ValueError):
         project(A, 0)
     with pytest.raises(ValueError):

@@ -51,6 +51,10 @@ from .zautomata import (
 
 SCHEMA = "casweep-report-v1"
 
+# cells `sweep` may build: each slider limit spans the anchor and the
+# configuration's center, and each trace row rebuilds that span
+SWEEP_CELLS_CAP = 1 << 18
+
 
 class InputError(ValueError):
     """Bad file contents or arguments that violate a command precondition."""
@@ -94,6 +98,13 @@ def _write_json(path: str, obj: dict) -> None:
             handle.write("\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_out_dir(path: str) -> None:
+    """Refuse an output path whose directory is missing, before any work."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise InputError(f"cannot write {path}: {parent} is not a directory")
 
 
 def _emit(report: dict, summary: str) -> None:
@@ -141,6 +152,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     f = load_local_rule(args.rule)
+    _check_out_dir(args.out)
     report, verdict = _analysis_report(f, args.max_psi)
     report["command"] = "synthesize"
     if not verdict:
@@ -217,6 +229,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError("block rule and configuration use different alphabets")
     if args.mode == "slider" and not chi.is_bijective():
         raise InputError("slider sweeps need a bijective block rule")
+    lo = min(args.anchor - 2, x.center_start)
+    hi = max(args.anchor + args.trace + chi.block_length + 2, x.center_end)
+    rows = (args.trace + 1 if args.trace else 0) + (args.mode == "slider")
+    check_cap((hi - lo) * rows, SWEEP_CELLS_CAP, "sweep cells")
     report: dict = {
         "command": "sweep",
         "mode": args.mode,
@@ -288,7 +304,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         _write_json(os.path.join(args.out_dir, name), stage.rule.to_json())
         stage_files.append({"direction": stage.direction.value, "rule_file": name})
     _write_json(os.path.join(args.out_dir, "decomposition.json"),
-                {"claimed_ca_file": args.rule, "stages": stage_files})
+                {"claimed_ca_file": os.path.relpath(args.rule, args.out_dir),
+                 "stages": stage_files})
     report = {
         "command": "decompose",
         "rule": f.to_json(),
@@ -353,6 +370,8 @@ def _build_automaton(args: argparse.Namespace) -> ZAutomaton:
 
 
 def cmd_automata(args: argparse.Namespace) -> int:
+    if args.action == "dump":
+        _check_out_dir(args.out)
     auto = _build_automaton(args)
     base = {
         "command": "automata",

@@ -28,6 +28,13 @@ def data_file(name: str) -> str:
     return str(resources.files("casweep.data").joinpath(f"{name}.json"))
 
 
+def package_env() -> dict:
+    """The environment with the imported casweep package first on the path,
+    so subprocesses run the code under test."""
+    return dict(os.environ,
+                PYTHONPATH=str(Path(casweep.__file__).resolve().parents[1]))
+
+
 def run(capsys, *argv: str):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -188,6 +195,33 @@ def test_sweep_trace_grid(capsys, tmp_path):
     assert err.count("\n") >= 6
 
 
+FAR = str(10 ** 12)
+
+
+@pytest.mark.parametrize("extra,config", [
+    (["--anchor", FAR], IMPULSE),
+    ([], EpConfig(2, (0,), (1,), 10 ** 12, (0,))),
+    (["--trace", FAR], IMPULSE),
+    (["--mode", "sweeper", "--anchor", "-5", "--trace", "3000"], IMPULSE),
+], ids=["anchor", "center", "trace", "sweeper-trace"])
+def test_sweep_cells_are_capped(capsys, tmp_path, extra, config):
+    path = write_config(tmp_path / "x.json", config)
+    start = time.perf_counter()
+    code, report, err = run(capsys, "sweep", data_file("swap"), path, *extra)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and report is None
+    assert err.startswith("resource cap exceeded: sweep cells")
+
+
+def test_sweeper_mode_ignores_far_anchor(capsys, tmp_path):
+    # sweeper limits are taken from anchors going left of the center, so
+    # the anchor builds no cells unless a trace is asked for
+    config = write_config(tmp_path / "x.json", IMPULSE)
+    code, report, _ = run(capsys, "sweep", data_file("swap"), config,
+                          "--mode", "sweeper", "--anchor", FAR)
+    assert code == 0 and report["outcome"]["converges"] is True
+
+
 def test_sweep_sweeper_convergent(capsys, tmp_path):
     config = write_config(tmp_path / "x.json", IMPULSE)
     code, report, _ = run(capsys, "sweep", data_file("xor_block"), config,
@@ -267,6 +301,22 @@ def test_decompose_ca102(capsys, tmp_path):
     stage2 = BlockRule.from_json(
         json.loads((out_dir / "stage2.json").read_text()))
     assert stage2.is_bijective()
+
+
+def test_decompose_records_rule_relative_to_out_dir(capsys, monkeypatch,
+                                                    tmp_path):
+    (tmp_path / "rules").mkdir()
+    (tmp_path / "rules" / "ca102.json").write_text(
+        Path(data_file("ca102")).read_text())
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "decompose", os.path.join("rules", "ca102.json"),
+                     os.path.join("out", "stages"), "--samples", "5")
+    assert code == 0
+    monkeypatch.chdir(tmp_path / "out")
+    manifest = json.loads(Path("stages", "decomposition.json").read_text())
+    claimed = json.loads(
+        Path("stages", manifest["claimed_ca_file"]).read_text())
+    assert LocalRule.from_json(claimed) == builtin_rule("ca102")
 
 
 def test_decompose_positive_offset(capsys, tmp_path):
@@ -456,6 +506,10 @@ def test_wrong_rule_kind(capsys):
     assert "not a block rule" in err
 
 
+def _raise_unexpected(*args, **kwargs):
+    raise ZeroDivisionError("unexpected")
+
+
 def assert_cannot_write(code, report, err):
     assert code == 2 and report is None
     assert len(err.splitlines()) == 1
@@ -466,6 +520,16 @@ def test_synthesize_to_unwritable_path(capsys, tmp_path):
     out = tmp_path / "absent" / "out.json"
     assert_cannot_write(*run(capsys, "synthesize", data_file("ca102"),
                              str(out)))
+
+
+def test_synthesize_checks_out_dir_before_any_work(capsys, monkeypatch,
+                                                  tmp_path):
+    monkeypatch.setattr("casweep.cli.slider_exists", _raise_unexpected)
+    monkeypatch.setattr("casweep.cli.synthesize", _raise_unexpected)
+    out = tmp_path / "absent" / "out.json"
+    assert_cannot_write(*run(capsys, "synthesize", data_file("ca102"),
+                             str(out)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_automata_dump_to_unwritable_path(capsys, tmp_path):
@@ -524,10 +588,6 @@ def test_fractional_alphabet_is_not_truncated(capsys, tmp_path):
     assert code == 2 and "2.7" in err
 
 
-def _raise_unexpected(*args, **kwargs):
-    raise ZeroDivisionError("unexpected")
-
-
 @pytest.mark.parametrize("name,replacement", [
     ("is_slider_rule_for", lambda *args, **kwargs: False),
     ("slider_exists", _raise_unexpected),
@@ -545,7 +605,7 @@ def test_internal_errors_exit_4(capsys, monkeypatch, tmp_path, name,
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "casweep", "analyze", data_file("ca102")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["schema"] == "casweep-report-v1"
@@ -579,16 +639,14 @@ def test_counts_and_caps_must_be_positive(capsys, monkeypatch, tmp_path,
 
 
 def test_cli_import_leaves_networkx_unloaded():
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(casweep.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import casweep.cli, sys; assert 'networkx' not in sys.modules"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "casweep", "bogus"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=package_env())
     assert proc.returncode == 2

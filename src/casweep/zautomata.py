@@ -290,9 +290,10 @@ def slider_relation_automaton(chi: BlockRule,
     L(v, r) holds the inverse sweep's window and the pending inputs, B(t, v,
     r) the handed-over window with m-1-t pending inputs then t guessed
     outputs, R(v, r) the forward sweep's window and the pending outputs.
-    State B(t, v, r) is (t-1) Q^2 + v Q + r with Q = q^(m-1), then L, then
-    R; each bridge step shifts the buffer's first input out and a guessed
-    output in.
+    With Q = q^(m-1), state B(t, v, r) is (t-1) Q^2 + v Q + r, L(v, r) is
+    (m-2) Q^2 + v Q + r and R(v, r) is (m-1) Q^2 + v Q + r.  Each bridge
+    step, L to B(1) to ... to B(m-2) to R, shifts the buffer's first input
+    out and a guessed output in.
     """
     if not chi.is_bijective():
         raise ValueError("slider relations need a bijective block rule")
@@ -401,11 +402,11 @@ def graph_mismatch_automaton(f: LocalRule) -> ZAutomaton:
     the differing position, and falls into an absorbing state; when the rule
     looks ahead the comparison value is carried in a countdown instead.
 
-    State 0 is the absorbing state; when the rule looks back d = -lag > 0
-    cells, the countdown comes next: cmp(value) is 1 + value and
-    count(value, steps) for steps 2..d is 1 + q + value (d-1) + steps - 2.
-    The remaining states pre(ybuf, zbuf) follow in `word_index` order of
-    ybuf + zbuf.
+    State 0 is the absorbing state.  When the output cell lies d = -lag > 0
+    cells right of the window, the countdown comes next: cmp(value) is
+    1 + value and count(value, steps) for steps 2..d is
+    1 + q + value (d-1) + steps - 2.  The states pre(ybuf, zbuf) follow in
+    `word_index` order of ybuf + zbuf.
     """
     g = minimize_neighborhood(f)
     q, w, table = g.q, g.width, g.table
@@ -414,11 +415,15 @@ def graph_mismatch_automaton(f: LocalRule) -> ZAutomaton:
     Y, Z = q ** (w - 1), q ** max(lag, 0)
     pre = 1 + q * wait
     every = range(q * q)
+
+    def countdown(value, steps):
+        return 1 + value if steps == 1 else \
+            1 + q + value * (wait - 1) + steps - 2
+
     succ = [tuple((a, 0) for a in every)]
     succ += [tuple((a, 0) for a in every if a % q != value)
              for value in range(q) if wait]
-    succ += [tuple((a, 1 + q + value * (wait - 1) + steps - 3 if steps > 2
-                    else 1 + value) for a in every)
+    succ += [tuple((a, countdown(value, steps - 1)) for a in every)
              for value in range(q) for steps in range(2, wait + 1)]
     for ybuf in range(Y):
         for zbuf in range(Z):
@@ -427,8 +432,7 @@ def graph_mismatch_automaton(f: LocalRule) -> ZAutomaton:
                 value = table[ybuf * q + y]
                 for z in range(q):
                     if lag < 0:
-                        out.append((y * q + z, 1 + value if wait == 1 else
-                                    1 + q + value * (wait - 1) + wait - 2))
+                        out.append((y * q + z, countdown(value, wait)))
                     elif value != (zbuf * q // Z if lag else z):
                         out.append((y * q + z, 0))
                     out.append((y * q + z, pre + (ybuf * q + y) % Y * Z

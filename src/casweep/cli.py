@@ -370,8 +370,6 @@ def _build_automaton(args: argparse.Namespace) -> ZAutomaton:
 
 
 def cmd_automata(args: argparse.Namespace) -> int:
-    if args.action == "dump":
-        _check_out_dir(args.out)
     auto = _build_automaton(args)
     base = {
         "command": "automata",

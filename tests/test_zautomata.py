@@ -341,8 +341,8 @@ def seeded_block_rules():
 
 
 def seeded_local_rules():
-    """Rules over q in {2, 3} whose output cell lies 3 cells left of the
-    window to 3 cells right of it, so every kind of mismatch state occurs."""
+    """Rules over q in {2, 3} whose window ends 3 cells left to 3 cells
+    right of the output cell, so every kind of mismatch state occurs."""
     rng = random.Random(84)
     for q in (2, 3):
         for width in (1, 2, 3):
@@ -359,7 +359,8 @@ def test_block_rule_builders_number_the_named_states(chi):
     assert sweeper == renumbered(
         named, lambda s: sweeper_state_number(chi, s))
     # the sweeper numbering departs from the names' `repr` order at block
-    # length 3 and more; the languages and the witnesses do not change
+    # length 3 and more; emptiness does not change, and each witness is
+    # accepted by both numberings
     if len(sweeper.states) < 10_000:
         shift = graph_mismatch_automaton(
             LocalRule(chi.q, 0, 2, tuple(range(chi.q)) * chi.q))

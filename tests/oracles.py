@@ -136,6 +136,48 @@ def unique_predecessor(f: LocalRule, m: int, vc: tuple[int, ...],
     return found[0]
 
 
+def scan_strong_radius(f: LocalRule, m: int) -> set[str]:
+    """Every way m fails to be a strong left-closing radius, by window scan.
+
+    Enumerates every preimage window on positions [-r, 2m+r] of the radius
+    form and buckets it by (s, t), where s is the preimage on (m, 2m] and t
+    the image on (0, 2m]; within a bucket it records, for each image b at
+    0, the preimage cells a at position m.  Returns {"ok"} when every b of
+    every bucket has exactly one a, {"m_below_2r"} when m < 2r, and
+    otherwise the reasons found over all buckets: "existence" for a b with
+    no a, "uniqueness" for a b with several.
+    """
+    g, r = _radius_form(f)
+    if m < 2 * r:
+        return {"m_below_2r"}
+    q, table = g.q, g.table
+    width = 2 * r + 1
+    mod = q ** (width - 1)
+    buckets: dict[tuple, list[set[int]]] = {}
+    for z in all_words(2 * m + 2 * r + 1, q):
+        idx = 0
+        for c in z[:width]:
+            idx = idx * q + c
+        imgs = [table[idx]]
+        for c in z[width:]:
+            idx = (idx % mod) * q + c
+            imgs.append(table[idx])
+        # z[k] is the preimage cell at position k - r; imgs[c] is image cell c
+        key = (z[m + 1 + r:2 * m + r + 1], tuple(imgs[1:]))
+        per_b = buckets.get(key)
+        if per_b is None:
+            per_b = buckets[key] = [set() for _ in range(q)]
+        per_b[imgs[0]].add(z[m + r])
+    reasons = set()
+    for per_b in buckets.values():
+        for aset in per_b:
+            if not aset:
+                reasons.add("existence")
+            elif len(aset) > 1:
+                reasons.add("uniqueness")
+    return reasons or {"ok"}
+
+
 def good_states_by_transformations(mealy: MealyAutomaton,
                                    cap: int = 1 << 16) -> set[int]:
     """Reference algorithm: explore state transformations directly.

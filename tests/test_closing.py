@@ -1,11 +1,15 @@
 """Closing decisions, strong radii, and non-closing witnesses."""
 
+import random
+
 import pytest
 
-from casweep.ca import BUILTIN_RULES, apply_ep, builtin_rule, mirror
+from casweep.ca import BUILTIN_RULES, LocalRule, apply_ep, builtin_rule, mirror
 from casweep.closing import (is_strong_left_closing_radius,
                              left_closing_decide, right_closing_decide)
 from casweep.core import EpConfig, ep_equal, ep_splice
+
+from oracles import scan_strong_radius
 
 CLOSING_BOTH_SIDES = tuple(n for n in BUILTIN_RULES if n != "and_rule")
 
@@ -59,7 +63,52 @@ def test_strong_radius_check_reasons():
     low = is_strong_left_closing_radius(ca102, 1)
     assert not low and low.reason == "m_below_2r"
     bad = is_strong_left_closing_radius(builtin_rule("and_rule"), 2)
-    assert not bad and bad.reason in ("existence", "uniqueness")
+    assert not bad
+    assert bad.reason in scan_strong_radius(builtin_rule("and_rule"), 2)
+
+
+def _random_rule(rng, q, width):
+    return LocalRule(q, -(width // 2), width,
+                     tuple(rng.randrange(q) for _ in range(q ** width)))
+
+
+def _left_permutive_rule(rng, q, width):
+    # the mirror of a rule whose last cell, for every fixed rest, is
+    # permuted onto the alphabet: such rules are left-closing
+    table = [s for _ in range(q ** (width - 1)) for s in rng.sample(range(q), q)]
+    return mirror(LocalRule(q, -(width // 2), width, tuple(table)))
+
+
+def _radius_cases(family):
+    """(label, rule, m) triples of one cross-check family."""
+    if family == "eca":
+        for n in range(256):
+            f = LocalRule(2, -1, 3, tuple((n >> k) & 1 for k in range(8)))
+            for m in range(1, 5):
+                yield f"eca{n}", f, m
+    elif family == "bundled":
+        for name in BUILTIN_RULES:
+            for m in (2,) if name == "sigma2_x_sigma3inv" else range(1, 5):
+                yield name, builtin_rule(name), m
+    else:
+        q, width, rules, ms = {"q3w3": (3, 3, 30, (2, 3)),
+                               "q2w5": (2, 5, 10, (4, 5))}[family]
+        rng = random.Random(f"strong radius {family}")
+        for k in range(rules):
+            for kind, make in (("random", _random_rule),
+                               ("left-permutive", _left_permutive_rule)):
+                f = make(rng, q, width)
+                for m in ms:
+                    yield f"{kind} {family} #{k}", f, m
+
+
+@pytest.mark.parametrize("family", ["eca", "bundled", "q3w3", "q2w5"])
+def test_strong_radius_matches_window_scan(family):
+    for label, f, m in _radius_cases(family):
+        check = is_strong_left_closing_radius(f, m)
+        reasons = scan_strong_radius(f, m)
+        assert bool(check) == ("ok" in reasons), (label, m)
+        assert check.reason in reasons, (label, m, check.reason, reasons)
 
 
 @pytest.mark.parametrize("name", ("ca102", "shift", "xor_left"))

@@ -13,7 +13,9 @@ For a left-closing rule the module also finds the smallest strong closing
 radius: the least m >= 2r such that knowing m preimage cells to the right
 and the 2m image cells below them pins down, for every possible next image
 cell, exactly one next preimage cell.  That unique-extension property powers
-the stair counting and synthesis modules.
+the stair counting and synthesis modules.  A candidate m is tested by one
+right-to-left pass that carries, for each partial preimage, the set of
+partial preimages with the same image, instead of enumerating all windows.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from .core import (EpConfig, IntegrityError, all_words, check_cap, ep_equal,
 from .ca import (LocalRule, apply_ep, minimize_neighborhood, mirror,
                  to_radius_form)
 
-# Windows one pair graph or strong-radius scan may test: 60 times the 6^7
-# that the largest bundled rule needs.
+# Cap on the q^(4r+2) edge tests of one pair graph and on the q^(2m+2r+1)
+# windows one strong-radius test decides about (a bound on the entries of
+# each layer of its pass): 60 times the 6^7 that the largest bundled rule
+# needs.
 MAX_WINDOWS = 1 << 24
 
 
@@ -69,46 +73,89 @@ def _radius_form(f: LocalRule) -> tuple[LocalRule, int]:
 def is_strong_left_closing_radius(f: LocalRule, m: int) -> StrongRadiusCheck:
     """Test whether m is a strong left-closing radius of f.
 
-    Enumerates every preimage window on positions [-r, 2m+r] and buckets it
-    by (s, t, b) where s is the preimage on (m, 2m], t the image on (0, 2m]
-    and b the image at 0.  The radius is strong when each occurring (s, t)
-    leaves, for every b, exactly one choice of preimage cell a at position m.
-    A transfer-matrix formulation would avoid the full enumeration; at the
-    window lengths used here the direct scan is fast enough.
+    Take f in radius form (radius r) and a preimage window P on positions
+    [-r, 2m+r].  Its bucket is every window with the same preimage s on
+    (m, 2m] and the same image t on (0, 2m]; m is strong when each bucket
+    leaves, for every image b at 0, exactly one preimage cell a at m.
+
+    The test makes one right-to-left pass over the de Bruijn graph of
+    2r-cell states, numbered by word index below q^(2r).  Each layer entry
+    is P's state and the frozenset of partner states, and the pass starts
+    from every state on positions [m+1, m+2r] (inside s, as m >= 2r) with
+    itself as its only partner.  It then prepends the cells m, m-1, ...,
+    1-r: P takes each of the q cells, and the new partners are the
+    prepends of old partners whose image equals the image P just
+    produced.  The cell a partner takes at m becomes its tag.  At the end
+    the states cover [1-r, r]; the tags of a partner set are grouped, and
+    a group's image-0 set is {table[y q^(2r) + p'] : y, p' in the group}.
+    m is strong iff for every partner set these sets are pairwise disjoint
+    and cover the alphabet ("existence" fails when some set leaves a
+    symbol uncovered, else "uniqueness" when two groups overlap).
+
+    Why this is exact:
+
+    - A window Q of P's bucket may take P's cells 2m+1 ... 2m+r and stay
+      in the bucket: the images that change lie at 2m+1-r or beyond, so
+      they read only cells after m (m >= 2r), where Q now equals P.  So
+      the bucket's (cells [1-r, r], cell m) pairs are those of windows
+      that equal P on (m, 2m+r] and match its images on (0, m+r], which
+      the pass enumerates image by image, and cell -r is free in it.
+      A final partner set is therefore exactly that set of pairs.
+    - An entry is fixed by the suffix of P the pass has read, at most
+      m+3r cells, and m+3r < 2m+2r+1, so the cap on the q^(2m+2r+1)
+      windows of a scan also bounds the entries of every layer.
     """
     g, r = _radius_form(f)
     if m < 2 * r:
         return StrongRadiusCheck(False, "m_below_2r")
     q = g.q
     check_cap(q ** (2 * m + 2 * r + 1), MAX_WINDOWS,
-              f"strong-radius scan at m = {m}")
+              f"strong-radius windows at m = {m}")
     table = g.table
-    width = 2 * r + 1
-    mod = q ** (width - 1)
-    buckets: dict[tuple, list[set[int]]] = {}
-    for z in all_words(2 * m + 2 * r + 1, q):
-        idx = 0
-        for c in z[:width]:
-            idx = idx * q + c
-        imgs = [table[idx]]
-        for c in z[width:]:
-            idx = (idx % mod) * q + c
-            imgs.append(table[idx])
-        # z[k] is the preimage cell at position k - r; imgs[c] is image cell c
-        s = z[m + 1 + r:2 * m + r + 1]
-        key = (s, tuple(imgs[1:]))
-        per_b = buckets.get(key)
-        if per_b is None:
-            per_b = [set() for _ in range(q)]
-            buckets[key] = per_b
-        per_b[imgs[0]].add(z[m + r])
-    for per_b in buckets.values():
-        for aset in per_b:
-            if not aset:
-                return StrongRadiusCheck(False, "existence")
-            if len(aset) > 1:
-                return StrongRadiusCheck(False, "uniqueness")
-    return StrongRadiusCheck(True, "ok")
+    n = q ** (2 * r)
+    # prepending cell c to state u reads window c*n + u, whose image is
+    # table[c*n + u] and whose first 2r cells are the next state
+    moves = [[[] for _ in range(q)] for _ in range(n)]
+    for w, b in enumerate(table):
+        moves[w % n][b].append((w // n, w // q))
+    # a partner is tag * n + state, tagged with its cell at m
+    layer = {(u, frozenset((u,))) for u in range(n)}
+    for k in range(m + r):
+        nxt = set()
+        by_image_of: dict[frozenset, list[frozenset]] = {}
+        for u, partners in layer:
+            by_image = by_image_of.get(partners)
+            if by_image is None:
+                by_image = [set() for _ in range(q)]
+                for x in partners:
+                    tag, v = divmod(x, n)
+                    for b, out in enumerate(moves[v]):
+                        for c, v2 in out:
+                            by_image[b].add((c if k == 0 else tag) * n + v2)
+                by_image = by_image_of[partners] = [frozenset(s)
+                                                    for s in by_image]
+            for c in range(q):
+                w = c * n + u
+                nxt.add((w // q, by_image[table[w]]))
+        layer = nxt
+    image0 = [0] * n  # bitmask of the images at 0 over the cell at -r
+    for w, b in enumerate(table):
+        image0[w % n] |= 1 << b
+    full = (1 << q) - 1
+    reason = "ok"
+    for partners in {partners for _, partners in layer}:
+        groups: dict[int, int] = {}
+        for x in partners:
+            tag, v = divmod(x, n)
+            groups[tag] = groups.get(tag, 0) | image0[v]
+        union = 0
+        for mask in groups.values():
+            if union & mask:
+                reason = "uniqueness"
+            union |= mask
+        if union != full:
+            return StrongRadiusCheck(False, "existence")
+    return StrongRadiusCheck(reason == "ok", reason)
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +166,21 @@ def _pair_graph(g: LocalRule, r: int):
     windows by one cell, allowed only when the two images agree.  Returns
     the labeled adjacency, its reversal, and the differing-letter edges.
     """
-    q = g.q
+    q, table = g.q, g.table
+    windows = list(all_words(2 * r, q))
+    # u + (b,) is the window numbered iu*q + b, and u[1:] + (b,) its suffix
+    images = [table[iu * q:iu * q + q] for iu in range(len(windows))]
+    shifted = [[u[1:] + (b,) for b in range(q)] for u in windows]
     fwd: dict[tuple, list[tuple]] = {}
     differing = []
-    for u in all_words(2 * r, q):
-        for v in all_words(2 * r, q):
+    for u, fu, su in zip(windows, images, shifted):
+        for v, fv, sv in zip(windows, images, shifted):
             outs = []
-            for b in range(q):
-                fb = g(u + (b,))
-                for b2 in range(q):
-                    if fb != g(v + (b2,)):
+            for b, fb in enumerate(fu):
+                for b2, fb2 in enumerate(fv):
+                    if fb != fb2:
                         continue
-                    tgt = (u[1:] + (b,), v[1:] + (b2,))
+                    tgt = (su[b], sv[b2])
                     outs.append(((b, b2), tgt))
                     if b != b2:
                         differing.append(((u, v), (b, b2), tgt))
@@ -154,8 +204,8 @@ def left_closing_decide(f: LocalRule) -> ClosingVerdict:
 
     Returns the smallest strong closing radius, or a witness pair of
     distinct right-asymptotic configurations with equal images.  Raises
-    ResourceCapError when the pair graph or a radius scan would test more
-    than MAX_WINDOWS windows.
+    ResourceCapError when the pair graph or a candidate radius is over
+    MAX_WINDOWS.
     """
     g, r = _radius_form(f)
     check_cap(g.q ** (4 * r + 2), MAX_WINDOWS, "pair graph edge tests")

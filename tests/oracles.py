@@ -152,22 +152,20 @@ def scan_strong_radius(f: LocalRule, m: int) -> set[str]:
         return {"m_below_2r"}
     q, table = g.q, g.table
     width = 2 * r + 1
-    mod = q ** (width - 1)
+    length = 2 * m + 2 * r + 1
+    # window w is a base-q number, most significant digit first: the cell
+    # at position k - r is the digit of q^(length-1-k)
+    reads = [q ** (length - width - c) for c in range(2 * m + 1)]
+    n_windows, s_at, n_s, a_at = q ** width, q ** r, q ** m, q ** (m + r)
     buckets: dict[tuple, list[set[int]]] = {}
-    for z in all_words(2 * m + 2 * r + 1, q):
-        idx = 0
-        for c in z[:width]:
-            idx = idx * q + c
-        imgs = [table[idx]]
-        for c in z[width:]:
-            idx = (idx % mod) * q + c
-            imgs.append(table[idx])
-        # z[k] is the preimage cell at position k - r; imgs[c] is image cell c
-        key = (z[m + 1 + r:2 * m + r + 1], tuple(imgs[1:]))
+    for w in range(q ** length):
+        # imgs[c] is the image cell c
+        imgs = [table[w // p % n_windows] for p in reads]
+        key = (w // s_at % n_s, tuple(imgs[1:]))
         per_b = buckets.get(key)
         if per_b is None:
             per_b = buckets[key] = [set() for _ in range(q)]
-        per_b[imgs[0]].add(z[m + r])
+        per_b[imgs[0]].add(w // a_at % q)
     reasons = set()
     for per_b in buckets.values():
         for aset in per_b:

@@ -343,16 +343,19 @@ def test_decompose_rejects_non_biclosing(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["closing", "analyze"])
 def test_closing_enumerations_are_capped(capsys, tmp_path, command):
-    # radius 2 over 6 symbols: 6^10 pair-graph edge tests
+    # radius 2 over 6 symbols: 6^10 pair-graph edge tests; radius 6 over 2
+    # symbols: 2^26
     rng = random.Random(17)
-    rule = LocalRule(6, -2, 5, tuple(rng.randrange(6) for _ in range(6 ** 5)))
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps(rule.to_json()))
-    start = time.perf_counter()
-    code, report, err = run(capsys, command, str(path))
-    assert time.perf_counter() - start < 1.0
-    assert code == 3 and report is None
-    assert "cap" in err
+    for q, width in ((6, 5), (2, 13)):
+        rule = LocalRule(q, -(width // 2), width,
+                         tuple(rng.randrange(q) for _ in range(q ** width)))
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(rule.to_json()))
+        start = time.perf_counter()
+        code, report, err = run(capsys, command, str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and report is None
+        assert err.startswith("resource cap exceeded: pair graph edge tests")
 
 
 def test_closing_verdicts(capsys):

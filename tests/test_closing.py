@@ -1,13 +1,15 @@
 """Closing decisions, strong radii, and non-closing witnesses."""
 
+import itertools
 import random
+import time
 
 import pytest
 
 from casweep.ca import BUILTIN_RULES, LocalRule, apply_ep, builtin_rule, mirror
 from casweep.closing import (is_strong_left_closing_radius,
                              left_closing_decide, right_closing_decide)
-from casweep.core import EpConfig, ep_equal, ep_splice
+from casweep.core import EpConfig, ResourceCapError, ep_equal, ep_splice
 
 from oracles import scan_strong_radius
 
@@ -90,6 +92,13 @@ def _radius_cases(family):
         for name in BUILTIN_RULES:
             for m in (2,) if name == "sigma2_x_sigma3inv" else range(1, 5):
                 yield name, builtin_rule(name), m
+    elif family == "q3w2":
+        # every rule permuting its last cell; some are left-closing without
+        # being left-permutive, which pins where the pass stops
+        rows = itertools.permutations(range(3))
+        for k, perm in enumerate(itertools.product(rows, repeat=3)):
+            table = tuple(s for row in perm for s in row)
+            yield f"right-permutive q3w2 #{k}", LocalRule(3, 0, 2, table), 2
     else:
         q, width, rules, ms = {"q3w3": (3, 3, 30, (2, 3)),
                                "q2w5": (2, 5, 10, (4, 5))}[family]
@@ -102,13 +111,22 @@ def _radius_cases(family):
                     yield f"{kind} {family} #{k}", f, m
 
 
-@pytest.mark.parametrize("family", ["eca", "bundled", "q3w3", "q2w5"])
+@pytest.mark.parametrize("family", ["eca", "bundled", "q3w3", "q2w5", "q3w2"])
 def test_strong_radius_matches_window_scan(family):
     for label, f, m in _radius_cases(family):
         check = is_strong_left_closing_radius(f, m)
         reasons = scan_strong_radius(f, m)
         assert bool(check) == ("ok" in reasons), (label, m)
         assert check.reason in reasons, (label, m, check.reason, reasons)
+
+
+def test_strong_radius_cap_stops_before_any_work():
+    # radius 2 over 4 symbols at m = 4: 4^13 windows, over the 2^24 cap
+    f = _random_rule(random.Random("strong radius cap"), 4, 5)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="strong-radius windows at m = 4"):
+        is_strong_left_closing_radius(f, 4)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("name", ("ca102", "shift", "xor_left"))

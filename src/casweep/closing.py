@@ -168,8 +168,8 @@ def _pair_graph(g: LocalRule, r: int):
     """
     q, table = g.q, g.table
     windows = list(all_words(2 * r, q))
-    # u + (b,) is the window numbered iu*q + b, and u[1:] + (b,) its suffix
-    images = [table[iu * q:iu * q + q] for iu in range(len(windows))]
+    # the window u + (b,) is numbered word_index(u)*q + b
+    images = [table[i:i + q] for i in range(0, len(table), q)]
     shifted = [[u[1:] + (b,) for b in range(q)] for u in windows]
     fwd: dict[tuple, list[tuple]] = {}
     differing = []

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from casweep.ca import BUILTIN_RULES, LocalRule, apply_ep, builtin_rule, mirror
+from casweep.ca import (BUILTIN_RULES, LocalRule, apply_ep, builtin_rule,
+                        mirror)
 from casweep.closing import (is_strong_left_closing_radius,
                              left_closing_decide, right_closing_decide)
 from casweep.core import EpConfig, ResourceCapError, ep_equal, ep_splice
@@ -77,7 +78,8 @@ def _random_rule(rng, q, width):
 def _left_permutive_rule(rng, q, width):
     # the mirror of a rule whose last cell, for every fixed rest, is
     # permuted onto the alphabet: such rules are left-closing
-    table = [s for _ in range(q ** (width - 1)) for s in rng.sample(range(q), q)]
+    table = [s for _ in range(q ** (width - 1))
+             for s in rng.sample(range(q), q)]
     return mirror(LocalRule(q, -(width // 2), width, tuple(table)))
 
 
@@ -124,7 +126,8 @@ def test_strong_radius_cap_stops_before_any_work():
     # radius 2 over 4 symbols at m = 4: 4^13 windows, over the 2^24 cap
     f = _random_rule(random.Random("strong radius cap"), 4, 5)
     start = time.perf_counter()
-    with pytest.raises(ResourceCapError, match="strong-radius windows at m = 4"):
+    with pytest.raises(ResourceCapError,
+                       match="strong-radius windows at m = 4"):
         is_strong_left_closing_radius(f, 4)
     assert time.perf_counter() - start < 1.0
 

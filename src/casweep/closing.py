@@ -7,7 +7,9 @@ whose edges are constrained by image equality: the rule fails to be
 left-closing exactly when some differing-letter edge has an infinite
 incoming history (its source is reachable from a cycle) and an outgoing
 path into the diagonal.  Such a path skeleton converts directly into an
-eventually periodic witness pair.
+eventually periodic witness pair.  A vertex is the number u*q^(2r) + v of
+its two windows' word indices, and the witness search runs on these
+numbers, from the cycle vertices in ascending order.
 
 For a left-closing rule the module also finds the smallest strong closing
 radius: the least m >= 2r such that knowing m preimage cells to the right
@@ -23,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graph
-from .core import (EpConfig, IntegrityError, all_words, check_cap, ep_equal,
-                   ep_to_json)
+from .core import EpConfig, IntegrityError, check_cap, ep_equal, ep_to_json
 from .ca import (LocalRule, apply_ep, minimize_neighborhood, mirror,
                  to_radius_form)
 
@@ -162,41 +163,30 @@ def is_strong_left_closing_radius(f: LocalRule, m: int) -> StrongRadiusCheck:
 # Pair graph
 
 def _pair_graph(g: LocalRule, r: int):
-    """Vertices: pairs of 2r-windows.  An edge labeled (b, b') extends both
-    windows by one cell, allowed only when the two images agree.  Returns
-    the labeled adjacency, its reversal, and the differing-letter edges.
+    """Labeled pair graph on numbered vertices, and its reversal.
+
+    With n = q^(2r), the pair (u, v) of 2r-windows, each numbered by word
+    index, is vertex u*n + v.  An edge labeled (b, b') extends u by b and v
+    by b', allowed only when the windows u*q + b and v*q + b' of the table
+    have the same image, and leads to ((u*q + b) mod n, (v*q + b') mod n).
+    Edges run in (b, b') order.  The witness search scans vertices and
+    edges in this order and starts its history tree from the cycle
+    vertices in ascending number, so each witness is one fixed choice.
     """
     q, table = g.q, g.table
-    windows = list(all_words(2 * r, q))
-    # the window u + (b,) is numbered word_index(u)*q + b
-    images = [table[i:i + q] for i in range(0, len(table), q)]
-    shifted = [[u[1:] + (b,) for b in range(q)] for u in windows]
-    fwd: dict[tuple, list[tuple]] = {}
-    differing = []
-    for u, fu, su in zip(windows, images, shifted):
-        for v, fv, sv in zip(windows, images, shifted):
-            outs = []
-            for b, fb in enumerate(fu):
-                for b2, fb2 in enumerate(fv):
-                    if fb != fb2:
-                        continue
-                    tgt = (su[b], sv[b2])
-                    outs.append(((b, b2), tgt))
-                    if b != b2:
-                        differing.append(((u, v), (b, b2), tgt))
-            fwd[(u, v)] = outs
-    back: dict[tuple, list[tuple]] = {v: [] for v in fwd}
-    for src, outs in fwd.items():
+    n = q ** (2 * r)
+    # (b, image, next window) of each window u*q + b, which loses its first
+    # cell to become the next window
+    rows = [[(w % q, table[w], w % n) for w in range(u * q, u * q + q)]
+            for u in range(n)]
+    fwd = [[((b, b2), su * n + sv)
+            for b, fb, su in row_u for b2, fb2, sv in row_v if fb == fb2]
+           for row_u in rows for row_v in rows]
+    back: list[list] = [[] for _ in fwd]
+    for src, outs in enumerate(fwd):
         for lab, tgt in outs:
             back[tgt].append((lab, src))
-    return fwd, back, differing
-
-
-def _recurrent_vertices(fwd) -> set:
-    order = list(fwd)
-    index = {v: k for k, v in enumerate(order)}
-    cyclic = graph.on_cycle([[index[tgt] for _, tgt in fwd[v]] for v in order])
-    return {v for v, hit in zip(order, cyclic) if hit}
+    return fwd, back
 
 
 def left_closing_decide(f: LocalRule) -> ClosingVerdict:
@@ -209,17 +199,21 @@ def left_closing_decide(f: LocalRule) -> ClosingVerdict:
     """
     g, r = _radius_form(f)
     check_cap(g.q ** (4 * r + 2), MAX_WINDOWS, "pair graph edge tests")
-    fwd, back, differing = _pair_graph(g, r)
-    recurrent = _recurrent_vertices(fwd)
-    has_history = graph.bfs_tree(fwd, recurrent)
-    diagonal = [v for v in fwd if v[0] == v[1]]
-    reaches_diagonal = graph.bfs_tree(back, diagonal)
+    fwd, back = _pair_graph(g, r)
+    succ = [[tgt for _, tgt in outs] for outs in fwd]
+    cyclic = graph.recurrent(succ, graph.strong_components(succ), [])
+    has_history = graph.bfs_tree(fwd, cyclic)
+    n = g.q ** (2 * r)
+    reaches_diagonal = graph.bfs_tree(back, range(0, n * n, n + 1))  # u*n + u
 
-    for src, lab, tgt in differing:
-        if src in has_history and tgt in reaches_diagonal:
-            witness = _build_witness(g, fwd, has_history, reaches_diagonal,
-                                     src, lab, tgt)
-            return ClosingVerdict("left", False, None, witness)
+    for src, outs in enumerate(fwd):
+        if src not in has_history:
+            continue
+        for lab, tgt in outs:
+            if lab[0] != lab[1] and tgt in reaches_diagonal:
+                witness = _build_witness(g, fwd, has_history,
+                                         reaches_diagonal, src, lab, tgt)
+                return ClosingVerdict("left", False, None, witness)
 
     m = 2 * r
     while not is_strong_left_closing_radius(g, m):

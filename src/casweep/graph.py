@@ -8,9 +8,10 @@ reachability; callers map their own states to node numbers.
 
 It is also the one labeled path search, behind the witnesses of both the
 closing analysis and the automata: `bfs_tree`, `walk_to_root` and
-`shortest_cycle` take an ``adjacency`` that maps each vertex (any hashable
-value, such as a node number or a pair of windows) to its (label, vertex)
-edges, and break ties by the order of the starts and of those edges.
+`shortest_cycle` take an ``adjacency`` that lists, for each node number,
+its (label, node) edges, and break ties by the order of the starts and of
+those edges.  The nodes on a cycle are `recurrent(succ,
+strong_components(succ), [])`.
 """
 
 from __future__ import annotations
@@ -63,15 +64,6 @@ def strong_components(succ) -> list[int]:
                     if low[v] < low[u]:
                         low[u] = low[v]
     return comp
-
-
-def on_cycle(succ) -> bytearray:
-    """Flag per node: does some cycle (a self-loop counts) pass through it?"""
-    comp = strong_components(succ)
-    size: dict[int, int] = {}
-    for c in comp:
-        size[c] = size.get(c, 0) + 1
-    return bytearray(size[c] > 1 or v in succ[v] for v, c in enumerate(comp))
 
 
 def reverse(succ) -> list[list[int]]:

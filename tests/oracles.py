@@ -95,9 +95,8 @@ def stairs_connecting(f: LocalRule, m: int, y: EpConfig,
                     succ[k * period + ph].append(
                         word_index((a,) + win[:-1], q) * period
                         + (ph - 1) % period)
-    alive = graph.on_cycle(succ)
-    good = graph.reachable(graph.reverse(succ),
-                           (v for v, hit in enumerate(alive) if hit))
+    cyclic = graph.recurrent(succ, graph.strong_components(succ), [])
+    good = graph.reachable(graph.reverse(succ), cyclic)
 
     result = []
     for v in all_words(2 * m, q):

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from casweep.graph import (bfs_tree, lasso_free, on_cycle, reachable,
-                           recurrent, reverse, shortest_cycle,
-                           strong_components, walk_to_root)
+from casweep.graph import (bfs_tree, lasso_free, reachable, recurrent,
+                           reverse, shortest_cycle, strong_components,
+                           walk_to_root)
 
 
 def random_graph(seed):
@@ -68,7 +68,8 @@ def test_components_match_mutual_reachability(succ):
 def test_cycle_nodes_and_reachability(succ):
     n = len(succ)
     reach = closure(succ)
-    assert list(on_cycle(succ)) == [int(reach[v][v]) for v in range(n)]
+    assert recurrent(succ, strong_components(succ), []) \
+        == [v for v in range(n) if reach[v][v]]
     rng = random.Random(n)
     seeds = rng.sample(range(n), min(n, 3))
     forward = reachable(succ, seeds)
@@ -145,20 +146,20 @@ def test_long_chain_does_not_recurse():
     succ = [[v + 1] for v in range(n - 1)] + [[0]]
     comp = strong_components(succ)
     assert len(set(comp)) == 1
-    assert all(on_cycle(succ))
+    assert recurrent(succ, comp, []) == list(range(n))
     assert shortest_cycle([[(0, w) for w in out] for out in succ], 0) \
         == [0] * n
     succ[-1] = []
     comp = strong_components(succ)
     assert len(set(comp)) == n
-    assert not any(on_cycle(succ))
+    assert recurrent(succ, comp, []) == []
     assert all(reachable(succ, [0]))
     assert sum(reachable(reverse(succ), [n // 2])) == n // 2 + 1
 
 
 def test_empty_graph():
     assert strong_components([]) == []
-    assert on_cycle([]) == bytearray()
+    assert recurrent([], strong_components([]), []) == []
     assert reverse([]) == []
     assert reachable([], []) == bytearray()
     assert recurrent([], [], []) == []

@@ -13,6 +13,7 @@ casweep and no verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ from .blockrule import BlockRule, representation_eval, sweep_range
 from .ca import LocalRule
 from .closing import left_closing_decide, right_closing_decide
 from .core import (
+    MAX_AUTOMATON_STATES,
     EpConfig,
     IntegrityError,
     ResourceCapError,
@@ -262,10 +264,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_mealy(args: argparse.Namespace) -> int:
     chi = load_block_rule(args.block)
     machine = mealy_from_block(chi)
-    if args.max_automaton_states is not None:
-        good = good_states(machine, cap=args.max_automaton_states)
-    else:
-        good = good_states(machine)
+    good = good_states(machine, cap=args.max_automaton_states)
     bad = sorted(set(range(machine.size)) - good)
     report = {
         "command": "mealy",
@@ -424,11 +423,14 @@ def positive_int(text: str) -> int:
 
 
 def _add_cap(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-automaton-states", type=positive_int, default=None,
+    parser.add_argument("--max-automaton-states", type=positive_int,
+                        default=MAX_AUTOMATON_STATES,
                         help="abort with exit code 3 beyond this many states")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="casweep",
         description="decide, synthesize, and verify single-sweep block "

@@ -25,6 +25,12 @@ class ResourceCapError(RuntimeError):
     """An enumeration or construction would exceed its configured cap."""
 
 
+# Default cap on the predicted states of an automaton or product: far above
+# the 28,672 slider states of a synthesized q=2 rule and the 3,720,087 of a
+# block-7 q=3 rule.
+MAX_AUTOMATON_STATES = 1 << 22
+
+
 def check_cap(size: int, cap: int | None, what: str) -> None:
     """Raise ResourceCapError when a size is over the cap (None: no cap);
     enumerations pass their predicted size before they allocate anything."""

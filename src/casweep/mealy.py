@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graph
-from .core import (EpConfig, all_words, check_cap, ep_equal, ep_to_json,
-                   word_index, word_of_index)
+from .core import (MAX_AUTOMATON_STATES, EpConfig, all_words, check_cap,
+                   ep_equal, ep_to_json, word_index, word_of_index)
 from .blockrule import BlockRule, _sweep_cells, sweep_right_limit_from
 
 
@@ -80,7 +80,8 @@ def mealy_from_block(chi: BlockRule) -> MealyAutomaton:
     return MealyAutomaton(q, n, tuple(outs), tuple(nxts))
 
 
-def good_states(mealy: MealyAutomaton, cap: int = 1 << 22) -> set[int]:
+def good_states(mealy: MealyAutomaton,
+                cap: int = MAX_AUTOMATON_STATES) -> set[int]:
     """States reached at a boundary by infinitely many anchors of some tail.
 
     Tracked on the product of a main run with one merge probe at a time:

@@ -19,7 +19,7 @@ import pytest
 import casweep
 from casweep.blockrule import BlockRule
 from casweep.ca import LocalRule, apply_ep, builtin_rule
-from casweep.cli import main
+from casweep.cli import build_parser, main
 from casweep.core import (EpConfig, ep_equal, ep_from_json, ep_to_json,
                           word_of_index)
 
@@ -96,6 +96,10 @@ def test_analyze_non_left_closing_rule(capsys):
     assert "shift_offset" not in report
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_analyze_report_is_deterministic(capsys):
     main(["analyze", data_file("ca102")])
     first = capsys.readouterr().out
@@ -156,6 +160,20 @@ def test_verify_exact_mode_both_ways(capsys):
     code, report, _ = run(capsys, "verify", data_file("swap"),
                           data_file("identity"), "--exact")
     assert code == 1 and report["verified"] is False
+
+
+def test_verify_exact_is_capped_by_default(capsys, tmp_path):
+    """The identity block rule of length 12 predicts 12 * 2^22 slider
+    states, over the default cap of 2^22: refused before it is built."""
+    block = tmp_path / "identity12.json"
+    block.write_text(json.dumps(
+        BlockRule(2, 12, tuple(range(1 << 12))).to_json()))
+    start = time.monotonic()
+    code, report, err = run(capsys, "verify", str(block),
+                            data_file("identity"), "--exact")
+    assert time.monotonic() - start < 1
+    assert code == 3 and report is None
+    assert err.startswith("resource cap exceeded: slider automaton states")
 
 
 def test_verify_exact_needs_bijective_block(capsys, tmp_path):

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
-from .core import (EpConfig, all_words, check_alphabet, check_cap, ep_equal,
-                   ep_splice, json_int, word_index, word_of_index)
-from .ca import LocalRule, apply_ep
+from .core import (EpConfig, all_words, check_alphabet, json_int, word_index,
+                   word_of_index)
 
 
 @dataclass(frozen=True)
@@ -111,11 +110,6 @@ def identity_block(q: int, m: int = 1) -> BlockRule:
 
 # ---------------------------------------------------------------------------
 # Finite sweeps
-
-def apply_at(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:
-    """Apply the rule once, in place, at position i."""
-    return sweep_range(rule, x, i, i + 1)
-
 
 def sweep_range(rule: BlockRule, x: EpConfig, i: int, j: int,
                 reverse: bool = False) -> EpConfig:
@@ -234,28 +228,6 @@ def representation_eval(rule: BlockRule, x: EpConfig,
     y = sweep_left_limit(inv, x, i)
     z = sweep_right_limit(rule, x, i)
     return y, z
-
-
-def count_representations(rule: BlockRule, f: LocalRule, y: EpConfig, i: int,
-                          cap: int = 1 << 16) -> int:
-    """How many seeds witness the pair (y, f(y)) at anchor i.
-
-    Tries every middle word w of block length: the seed is f(y) below i,
-    then w, then y from i+m on.  The count is the same for every y and every
-    anchor when the rule actually realizes f as a sweep.
-    """
-    if rule.q != y.q or f.q != y.q:
-        raise ValueError("alphabet mismatch")
-    m = rule.block_length
-    check_cap(rule.q ** m, cap, "candidate middle words")
-    z = apply_ep(f, y)
-    count = 0
-    for w in all_words(m, rule.q):
-        x = ep_splice(z, i, w, y)
-        y2, z2 = representation_eval(rule, x, i)
-        if ep_equal(y2, y) and ep_equal(z2, z):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

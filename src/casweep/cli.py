@@ -36,7 +36,8 @@ from .core import (
     vp,
 )
 from .hierarchy import NotBiClosingError, decompose_biclosing, verify_decomposition
-from .mealy import good_states, mealy_from_block, sweeper_eval
+from .mealy import (check_good_states_cap, good_states, mealy_from_block,
+                    sweeper_eval)
 from .stairs import slider_exists
 from .synthesis import synthesis_manifest, synthesize, verify_slider
 from .zautomata import (
@@ -103,10 +104,23 @@ def _write_json(path: str, obj: dict) -> None:
 
 
 def _check_out_dir(path: str) -> None:
-    """Refuse an output path whose directory is missing, before any work."""
+    """Refuse an output path whose directory is missing, or that is itself
+    a directory, before any work."""
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise InputError(f"cannot write {path}: {parent} is not a directory")
+    if os.path.isdir(path):
+        raise InputError(f"cannot write {path}: it is a directory")
+
+
+def _check_dir_path(path: str) -> None:
+    """Refuse a directory path that is, or lies under, an existing
+    non-directory, before any work; the directory itself need not exist."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise InputError(f"cannot write {path}: {head} is not a directory")
 
 
 def _emit(report: dict, summary: str) -> None:
@@ -263,6 +277,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_mealy(args: argparse.Namespace) -> int:
     chi = load_block_rule(args.block)
+    check_good_states_cap(chi.q ** chi.block_length, args.max_automaton_states)
     machine = mealy_from_block(chi)
     good = good_states(machine, cap=args.max_automaton_states)
     bad = sorted(set(range(machine.size)) - good)
@@ -279,6 +294,7 @@ def cmd_mealy(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     f = load_local_rule(args.rule)
+    _check_dir_path(args.out_dir)
     try:
         decomposition = decompose_biclosing(f)
     except NotBiClosingError as exc:
@@ -344,7 +360,8 @@ def _build_automaton(args: argparse.Namespace) -> ZAutomaton:
     if args.kind == "mismatch":
         if args.vs is not None:
             raise InputError("--vs only applies to slider and sweeper automata")
-        return graph_mismatch_automaton(load_local_rule(args.source))
+        return graph_mismatch_automaton(load_local_rule(args.source),
+                                        args.max_automaton_states)
     chi = load_block_rule(args.source)
     f = None if args.vs is None else load_local_rule(args.vs)
     if f is not None and f.q != chi.q:
@@ -359,7 +376,7 @@ def _build_automaton(args: argparse.Namespace) -> ZAutomaton:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if f is not None:
-        mismatch = graph_mismatch_automaton(f)
+        mismatch = graph_mismatch_automaton(f, args.max_automaton_states)
         check_cap(len(auto.states) * len(mismatch.states),
                   args.max_automaton_states, "intersection product nodes")
         auto = intersect(auto, mismatch)
@@ -369,6 +386,8 @@ def _build_automaton(args: argparse.Namespace) -> ZAutomaton:
 
 
 def cmd_automata(args: argparse.Namespace) -> int:
+    if args.action == "dump":
+        _check_out_dir(args.out)
     auto = _build_automaton(args)
     base = {
         "command": "automata",

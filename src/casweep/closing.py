@@ -18,6 +18,20 @@ cell, exactly one next preimage cell.  That unique-extension property powers
 the stair counting and synthesis modules.  A candidate m is tested by one
 right-to-left pass that carries, for each partial preimage, the set of
 partial preimages with the same image, instead of enumerating all windows.
+
+Counting lemma: for m >= 2r (radius form), "exactly one" is implied by "at
+least one".  Call a context C the cells [m+1, m+2r] and the images
+[1, m+r] of some configuration, which is exactly what a partner set fixes,
+and let A(C, b) be the set of cells at m over the configurations with
+context C and image b at 0.  A context C' shifted one cell left (cells
+[m, m+2r-1], images [0, m+r-1]) extends in exactly q ways to cells
+[m, m+2r] and images [0, m+r]: the cell at m+2r is free, as it changes
+only images at m+r and beyond, and once chosen it fixes the image at m+r.
+Each extension is exactly one triple (C, b, a) with a in A(C, b).  The
+full shift is shift-invariant, so there are as many contexts C' as
+contexts C, say N, and the sum of |A(C, b)| over the qN pairs (C, b) is
+qN.  Hence every A(C, b) is nonempty iff every A(C, b) has exactly one
+element iff every A(C, b) has at most one.
 """
 
 from __future__ import annotations
@@ -34,17 +48,6 @@ from .ca import (LocalRule, apply_ep, minimize_neighborhood, mirror,
 # each layer of its pass): 60 times the 6^7 that the largest bundled rule
 # needs.
 MAX_WINDOWS = 1 << 24
-
-
-@dataclass(frozen=True)
-class StrongRadiusCheck:
-    """Outcome of testing one candidate strong closing radius."""
-
-    ok: bool
-    reason: str  # "ok", "m_below_2r", "existence", "uniqueness"
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -71,13 +74,16 @@ def _radius_form(f: LocalRule) -> tuple[LocalRule, int]:
     return g, (g.width - 1) // 2
 
 
-def is_strong_left_closing_radius(f: LocalRule, m: int) -> StrongRadiusCheck:
+def is_strong_left_closing_radius(f: LocalRule, m: int) -> bool:
     """Test whether m is a strong left-closing radius of f.
 
     Take f in radius form (radius r) and a preimage window P on positions
     [-r, 2m+r].  Its bucket is every window with the same preimage s on
     (m, 2m] and the same image t on (0, 2m]; m is strong when each bucket
     leaves, for every image b at 0, exactly one preimage cell a at m.
+    By the counting lemma in the module docstring, it suffices that it
+    leaves at least one, so for m >= 2r only that existence is tested;
+    m < 2r is never strong.
 
     The test makes one right-to-left pass over the de Bruijn graph of
     2r-cell states, numbered by word index below q^(2r).  Each layer entry
@@ -86,29 +92,26 @@ def is_strong_left_closing_radius(f: LocalRule, m: int) -> StrongRadiusCheck:
     itself as its only partner.  It then prepends the cells m, m-1, ...,
     1-r: P takes each of the q cells, and the new partners are the
     prepends of old partners whose image equals the image P just
-    produced.  The cell a partner takes at m becomes its tag.  At the end
-    the states cover [1-r, r]; the tags of a partner set are grouped, and
-    a group's image-0 set is {table[y q^(2r) + p'] : y, p' in the group}.
-    m is strong iff for every partner set these sets are pairwise disjoint
-    and cover the alphabet ("existence" fails when some set leaves a
-    symbol uncovered, else "uniqueness" when two groups overlap).
+    produced.  At the end the states cover [1-r, r], and m is strong iff
+    for every partner set the images at 0, {table[y q^(2r) + p'] : y, p'
+    in the set}, cover the alphabet.
 
     Why this is exact:
 
     - A window Q of P's bucket may take P's cells 2m+1 ... 2m+r and stay
       in the bucket: the images that change lie at 2m+1-r or beyond, so
       they read only cells after m (m >= 2r), where Q now equals P.  So
-      the bucket's (cells [1-r, r], cell m) pairs are those of windows
-      that equal P on (m, 2m+r] and match its images on (0, m+r], which
-      the pass enumerates image by image, and cell -r is free in it.
-      A final partner set is therefore exactly that set of pairs.
+      the bucket's cells [1-r, r] are those of windows that equal P on
+      (m, 2m+r] and match its images on (0, m+r], which the pass
+      enumerates image by image, and cell -r is free in it.  A final
+      partner set is therefore exactly that set of states.
     - An entry is fixed by the suffix of P the pass has read, at most
       m+3r cells, and m+3r < 2m+2r+1, so the cap on the q^(2m+2r+1)
       windows of a scan also bounds the entries of every layer.
     """
     g, r = _radius_form(f)
     if m < 2 * r:
-        return StrongRadiusCheck(False, "m_below_2r")
+        return False
     q = g.q
     check_cap(q ** (2 * m + 2 * r + 1), MAX_WINDOWS,
               f"strong-radius windows at m = {m}")
@@ -118,21 +121,18 @@ def is_strong_left_closing_radius(f: LocalRule, m: int) -> StrongRadiusCheck:
     # table[c*n + u] and whose first 2r cells are the next state
     moves = [[[] for _ in range(q)] for _ in range(n)]
     for w, b in enumerate(table):
-        moves[w % n][b].append((w // n, w // q))
-    # a partner is tag * n + state, tagged with its cell at m
+        moves[w % n][b].append(w // q)
     layer = {(u, frozenset((u,))) for u in range(n)}
-    for k in range(m + r):
+    for _ in range(m + r):
         nxt = set()
         by_image_of: dict[frozenset, list[frozenset]] = {}
         for u, partners in layer:
             by_image = by_image_of.get(partners)
             if by_image is None:
                 by_image = [set() for _ in range(q)]
-                for x in partners:
-                    tag, v = divmod(x, n)
+                for v in partners:
                     for b, out in enumerate(moves[v]):
-                        for c, v2 in out:
-                            by_image[b].add((c if k == 0 else tag) * n + v2)
+                        by_image[b].update(out)
                 by_image = by_image_of[partners] = [frozenset(s)
                                                     for s in by_image]
             for c in range(q):
@@ -143,20 +143,13 @@ def is_strong_left_closing_radius(f: LocalRule, m: int) -> StrongRadiusCheck:
     for w, b in enumerate(table):
         image0[w % n] |= 1 << b
     full = (1 << q) - 1
-    reason = "ok"
     for partners in {partners for _, partners in layer}:
-        groups: dict[int, int] = {}
-        for x in partners:
-            tag, v = divmod(x, n)
-            groups[tag] = groups.get(tag, 0) | image0[v]
         union = 0
-        for mask in groups.values():
-            if union & mask:
-                reason = "uniqueness"
-            union |= mask
+        for v in partners:
+            union |= image0[v]
         if union != full:
-            return StrongRadiusCheck(False, "existence")
-    return StrongRadiusCheck(reason == "ok", reason)
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

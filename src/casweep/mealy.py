@@ -80,6 +80,12 @@ def mealy_from_block(chi: BlockRule) -> MealyAutomaton:
     return MealyAutomaton(q, n, tuple(outs), tuple(nxts))
 
 
+def check_good_states_cap(size: int, cap: int | None) -> None:
+    """Refuse good_states on |Q| = size before any table or graph is built:
+    its product has |Q| (|Q| + 1) nodes of |Q| edges each."""
+    check_cap(size * (size + 1) * size, cap, "good-state product edges")
+
+
 def good_states(mealy: MealyAutomaton,
                 cap: int = MAX_AUTOMATON_STATES) -> set[int]:
     """States reached at a boundary by infinitely many anchors of some tail.
@@ -96,7 +102,7 @@ def good_states(mealy: MealyAutomaton,
     Node (c, u) is numbered c * (|Q| + 1) + u, with u = |Q| for idle.
     """
     Q = mealy.size
-    check_cap(Q * (Q + 1) * Q, cap, "good-state product edges")
+    check_good_states_cap(Q, cap)
     idle = Q
     width = Q + 1
     # shared int objects keep the ~|Q|^3 stored edges small

@@ -395,7 +395,8 @@ def sweeper_relation_automaton(chi: BlockRule,
                       tuple(range(n)))
 
 
-def graph_mismatch_automaton(f: LocalRule) -> ZAutomaton:
+def graph_mismatch_automaton(f: LocalRule,
+                             max_states: int | None = None) -> ZAutomaton:
     """Automaton for the pairs (y, z) with z differing from f(y) somewhere.
 
     The run tracks enough recent input to evaluate one local window, guesses
@@ -414,6 +415,7 @@ def graph_mismatch_automaton(f: LocalRule) -> ZAutomaton:
     wait = max(-lag, 0)
     Y, Z = q ** (w - 1), q ** max(lag, 0)
     pre = 1 + q * wait
+    check_cap(pre + Y * Z, max_states, "mismatch automaton states")
     every = range(q * q)
 
     def countdown(value, steps):
@@ -496,11 +498,16 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     graph of f already forces equality: it suffices that no represented
     pair disagrees with f anywhere.  The slider automaton is trimmed first:
     only its states on accepting paths can take part in such a pair.
+    max_states bounds the slider automaton, the mismatch automaton and
+    their product, each checked before it is built.
     """
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")
-    return _disjoint(trim(slider_relation_automaton(chi, max_states)),
-                     graph_mismatch_automaton(f))
+    slider = trim(slider_relation_automaton(chi, max_states))
+    mismatch = graph_mismatch_automaton(f, max_states)
+    check_cap(len(slider.states) * len(mismatch.states), max_states,
+              "slider-mismatch product nodes")
+    return _disjoint(slider, mismatch)
 
 
 def sweeper_defines_function(chi: BlockRule) -> bool:

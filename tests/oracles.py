@@ -18,8 +18,8 @@ from casweep.ca import (BUILTIN_RULES, LocalRule, apply_ep,
                         minimize_neighborhood, to_radius_form)
 from casweep.closing import _radius_form
 from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
-                          all_words, ep_equal, ep_splice, random_ep_config,
-                          word_index)
+                          all_words, check_cap, ep_equal, ep_splice,
+                          random_ep_config, word_index)
 from casweep.mealy import MealyAutomaton, SweepOutcome, sweeper_eval
 from casweep.stairs import SliderVerdict, slider_exists
 from casweep.synthesis import NotSliderError, VerifyResult
@@ -133,6 +133,28 @@ def unique_predecessor(f: LocalRule, m: int, vc: tuple[int, ...],
             f"{len(found)} predecessors for b={b} at {(vc, wd)}; "
             f"m={m} is not a strong left-closing radius")
     return found[0]
+
+
+def count_representations(rule: BlockRule, f: LocalRule, y: EpConfig, i: int,
+                          cap: int = 1 << 16) -> int:
+    """How many seeds witness the pair (y, f(y)) at anchor i.
+
+    Tries every middle word w of block length: the seed is f(y) below i,
+    then w, then y from i+m on.  The count is the same for every y and every
+    anchor when the rule actually realizes f as a sweep.
+    """
+    if rule.q != y.q or f.q != y.q:
+        raise ValueError("alphabet mismatch")
+    m = rule.block_length
+    check_cap(rule.q ** m, cap, "candidate middle words")
+    z = apply_ep(f, y)
+    count = 0
+    for w in all_words(m, rule.q):
+        x = ep_splice(z, i, w, y)
+        y2, z2 = representation_eval(rule, x, i)
+        if ep_equal(y2, y) and ep_equal(z2, z):
+            count += 1
+    return count
 
 
 def scan_strong_radius(f: LocalRule, m: int) -> set[str]:

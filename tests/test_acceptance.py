@@ -13,7 +13,6 @@ from fractions import Fraction
 from casweep.blockrule import (
     BlockRule,
     builtin_block_rule,
-    count_representations,
     representation_eval,
 )
 from casweep.ca import apply_ep, builtin_rule, shift_rule
@@ -30,6 +29,8 @@ from casweep.zautomata import (
     slider_relation_automaton,
     sweeper_relation_automaton,
 )
+
+from oracles import count_representations
 
 
 def data_file(name: str) -> str:

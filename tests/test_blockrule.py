@@ -5,14 +5,16 @@ import random
 import pytest
 
 from casweep import blockrule
-from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule, apply_at,
-                               builtin_block_rule, count_representations,
-                               identity_block, representation_eval,
-                               reverse_block, sweep_range, sweep_left_limit,
+from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule,
+                               builtin_block_rule, identity_block,
+                               representation_eval, reverse_block,
+                               sweep_range, sweep_left_limit,
                                sweep_right_limit)
 from casweep.ca import apply_ep, builtin_rule
 from casweep.core import EpConfig, ResourceCapError, ep_equal, ep_splice, \
     random_ep_config
+
+from oracles import count_representations
 
 
 def random_permutation_rule(rng, q, m):
@@ -101,10 +103,10 @@ def test_representation_needs_bijective_rule():
 def test_apply_at():
     swap = builtin_block_rule("swap")
     x = EpConfig(2, (0,), (1, 0), 0, (0,))
-    y = apply_at(swap, x, 0)
+    y = sweep_range(swap, x, 0, 1)
     assert [y.cell(i) for i in range(-1, 3)] == [0, 0, 1, 0]
     # tails untouched
-    y2 = apply_at(swap, x, -3)
+    y2 = sweep_range(swap, x, -3, -2)
     assert ep_equal(y2, x)  # swap of (0, 0) is a fixed point
 
 
@@ -119,11 +121,11 @@ def test_sweep_range_matches_sequential(seed):
     j = i + rng.randrange(0, 6)
     y = x
     for p in range(i, j):
-        y = apply_at(rule, y, p)
+        y = sweep_range(rule, y, p, p + 1)
     assert ep_equal(sweep_range(rule, x, i, j), y)
     y = x
     for p in reversed(range(i, j)):
-        y = apply_at(rule, y, p)
+        y = sweep_range(rule, y, p, p + 1)
     assert ep_equal(sweep_range(rule, x, i, j, reverse=True), y)
 
 

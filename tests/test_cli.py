@@ -303,6 +303,21 @@ def test_mealy_resource_cap(capsys):
     assert "cap" in err
 
 
+def test_mealy_checks_cap_before_building(capsys, monkeypatch, tmp_path):
+    """The identity block rule of length 10 has |Q| = 2^10, so the
+    good-state product needs 2^10 * (2^10 + 1) * 2^10 edges, over the
+    default cap: refused before the 2^20-entry tables are built."""
+    monkeypatch.setattr("casweep.cli.mealy_from_block", _raise_unexpected)
+    block = tmp_path / "identity10.json"
+    block.write_text(json.dumps(
+        BlockRule(2, 10, tuple(range(1 << 10))).to_json()))
+    start = time.monotonic()
+    code, report, err = run(capsys, "mealy", str(block))
+    assert time.monotonic() - start < 1
+    assert code == 3 and report is None
+    assert err.startswith("resource cap exceeded: good-state product edges")
+
+
 # ---------------------------------------------------------------------------
 # decompose
 
@@ -460,6 +475,20 @@ def test_automata_mismatch_kind(capsys, tmp_path):
     assert code == 2
 
 
+def test_automata_mismatch_is_capped_by_default(capsys, tmp_path):
+    """x0 xor x11 (anchor 0) needs 1 + 2^11 * 2^11 mismatch states, over
+    the default cap of 2^22: refused before it is built."""
+    table = tuple((w >> 11) ^ (w & 1) for w in range(1 << 12))
+    rule = tmp_path / "xor0_11.json"
+    rule.write_text(json.dumps(LocalRule(2, 0, 12, table).to_json()))
+    start = time.monotonic()
+    code, report, err = run(capsys, "automata", "inspect", str(rule),
+                            "--kind", "mismatch")
+    assert time.monotonic() - start < 1
+    assert code == 3 and report is None
+    assert err.startswith("resource cap exceeded: mismatch automaton states")
+
+
 def test_automata_resource_cap(capsys, tmp_path):
     out = str(tmp_path / "block.json")
     assert main(["synthesize", data_file("ca102"), out]) == 0
@@ -550,7 +579,33 @@ def test_synthesize_checks_out_dir_before_any_work(capsys, monkeypatch,
     out = tmp_path / "absent" / "out.json"
     assert_cannot_write(*run(capsys, "synthesize", data_file("ca102"),
                              str(out)))
+    assert_cannot_write(*run(capsys, "synthesize", data_file("ca102"),
+                             str(tmp_path)))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_automata_dump_checks_out_dir_before_any_work(capsys, monkeypatch,
+                                                     tmp_path):
+    monkeypatch.setattr("casweep.cli.slider_relation_automaton",
+                        _raise_unexpected)
+    out = tmp_path / "absent" / "x.json"
+    assert_cannot_write(*run(capsys, "automata", "dump", data_file("swap"),
+                             "--kind", "slider", "--out", str(out)))
+    assert_cannot_write(*run(capsys, "automata", "dump", data_file("swap"),
+                             "--kind", "slider", "--out", str(tmp_path)))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("below", [(), ("stages",)])
+def test_decompose_checks_out_dir_before_any_work(capsys, monkeypatch,
+                                                  tmp_path, below):
+    monkeypatch.setattr("casweep.cli.decompose_biclosing", _raise_unexpected)
+    monkeypatch.setattr("casweep.cli.verify_decomposition", _raise_unexpected)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert_cannot_write(*run(capsys, "decompose", data_file("ca102"),
+                             str(taken.joinpath(*below))))
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def test_automata_dump_to_unwritable_path(capsys, tmp_path):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from casweep.blockrule import (BlockRule, builtin_block_rule,
-                               count_representations, representation_eval)
+                               representation_eval)
 from casweep.ca import apply_ep, builtin_rule
 from casweep.closing import left_closing_decide
 from casweep.core import (IntegrityError, ep_equal, random_ep_config,
@@ -13,7 +13,7 @@ from casweep.core import (IntegrityError, ep_equal, random_ep_config,
 from casweep.stairs import enumerate_stairs, slider_exists
 from casweep.synthesis import (NotSliderError, stair_index, synthesis_manifest,
                                synthesize, verify_slider)
-from oracles import unique_predecessor
+from oracles import count_representations, unique_predecessor
 
 
 @pytest.mark.parametrize("name", ("identity", "ca102", "shift"))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from casweep.core import EpConfig, ep_zip, random_ep_config
+from casweep.core import EpConfig, ResourceCapError, ep_zip, random_ep_config
 from casweep.ca import (BUILTIN_RULES, LocalRule, builtin_rule, apply_ep,
                         minimize_neighborhood)
 from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule, identity_block,
@@ -143,6 +143,19 @@ def test_exact_check_of_synthesized_rules_against_every_ca():
         for ca_name, f in rules.items():
             assert is_slider_rule_for(chi, f) == (block_name == ca_name), \
                 (block_name, ca_name)
+
+
+def test_exact_slider_check_caps_its_product():
+    """The slider and the mismatch automaton each fit the cap while their
+    product does not: refused before the product is allocated."""
+    chi, f = builtin_block_rule("swap"), builtin_rule("shift")
+    slider = slider_relation_automaton(chi)
+    mismatch = graph_mismatch_automaton(f)
+    cap = max(len(slider.states), len(mismatch.states))
+    assert len(trim(slider).states) * len(mismatch.states) > cap
+    with pytest.raises(ResourceCapError,
+                       match="slider-mismatch product nodes"):
+        is_slider_rule_for(chi, f, max_states=cap)
 
 
 def test_exact_slider_check_needs_bijective_rule():

@@ -38,7 +38,7 @@ from .core import (
 from .hierarchy import NotBiClosingError, decompose_biclosing, verify_decomposition
 from .mealy import (check_good_states_cap, good_states, mealy_from_block,
                     sweeper_eval)
-from .stairs import slider_exists
+from .stairs import MAX_STAIR_BOUND, slider_exists
 from .synthesis import synthesis_manifest, synthesize, verify_slider
 from .zautomata import (
     ZAutomaton,
@@ -458,14 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="closing structure and slider existence")
     p.add_argument("rule", help="local rule JSON file")
-    p.add_argument("--max-psi", type=positive_int, default=1 << 24,
+    p.add_argument("--max-psi", type=positive_int, default=MAX_STAIR_BOUND,
                    help="cap on the stair enumeration")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synthesize", help="build a block rule realizing the CA")
     p.add_argument("rule", help="local rule JSON file")
     p.add_argument("out", help="output block rule JSON file")
-    p.add_argument("--max-psi", type=positive_int, default=1 << 24)
+    p.add_argument("--max-psi", type=positive_int, default=MAX_STAIR_BOUND,
+                   help="cap on the stair enumeration")
     _add_cap(p)
     p.set_defaults(func=cmd_synthesize)
 

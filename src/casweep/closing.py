@@ -15,16 +15,19 @@ For a left-closing rule the module also finds the smallest strong closing
 radius: the least m >= 2r such that knowing m preimage cells to the right
 and the 2m image cells below them pins down, for every possible next image
 cell, exactly one next preimage cell.  That unique-extension property powers
-the stair counting and synthesis modules.  A candidate m is tested by one
-right-to-left pass that carries, for each partial preimage, the set of
-partial preimages with the same image, instead of enumerating all windows.
+the stair counting and synthesis modules.  It is read off the same pair
+graph: m fails to be strong exactly when some path of m - r edges ends at
+the source of a differing-label edge into a vertex that reaches the
+diagonal (the proof is in `left_closing_decide`), so one longest-path pass
+over the vertices without history gives m.
 
 Counting lemma: for m >= 2r (radius form), "exactly one" is implied by "at
 least one".  Call a context C the cells [m+1, m+2r] and the images
-[1, m+r] of some configuration, which is exactly what a partner set fixes,
-and let A(C, b) be the set of cells at m over the configurations with
-context C and image b at 0.  A context C' shifted one cell left (cells
-[m, m+2r-1], images [0, m+r-1]) extends in exactly q ways to cells
+[1, m+r] of some configuration, and let A(C, b) be the set of cells at m
+over the configurations with context C and image b at 0; a bucket of
+windows on [-r, 2m+r] leaves, for each b, exactly such a set (first step of
+the proof in `left_closing_decide`).  A context C' shifted one cell left
+(cells [m, m+2r-1], images [0, m+r-1]) extends in exactly q ways to cells
 [m, m+2r] and images [0, m+r]: the cell at m+2r is free, as it changes
 only images at m+r and beyond, and once chosen it fixes the image at m+r.
 Each extension is exactly one triple (C, b, a) with a in A(C, b).  The
@@ -43,10 +46,9 @@ from .core import EpConfig, IntegrityError, check_cap, ep_equal, ep_to_json
 from .ca import (LocalRule, apply_ep, minimize_neighborhood, mirror,
                  to_radius_form)
 
-# Cap on the q^(4r+2) edge tests of one pair graph and on the q^(2m+2r+1)
-# windows one strong-radius test decides about (a bound on the entries of
-# each layer of its pass): 60 times the 6^7 that the largest bundled rule
-# needs.
+# Cap on the q^(4r+2) edge tests of one pair graph, the only exponential
+# work of the closing analysis: 360 times the 6^6 that the largest bundled
+# rule needs.
 MAX_WINDOWS = 1 << 24
 
 
@@ -72,84 +74,6 @@ class ClosingVerdict:
 def _radius_form(f: LocalRule) -> tuple[LocalRule, int]:
     g = to_radius_form(minimize_neighborhood(f))
     return g, (g.width - 1) // 2
-
-
-def is_strong_left_closing_radius(f: LocalRule, m: int) -> bool:
-    """Test whether m is a strong left-closing radius of f.
-
-    Take f in radius form (radius r) and a preimage window P on positions
-    [-r, 2m+r].  Its bucket is every window with the same preimage s on
-    (m, 2m] and the same image t on (0, 2m]; m is strong when each bucket
-    leaves, for every image b at 0, exactly one preimage cell a at m.
-    By the counting lemma in the module docstring, it suffices that it
-    leaves at least one, so for m >= 2r only that existence is tested;
-    m < 2r is never strong.
-
-    The test makes one right-to-left pass over the de Bruijn graph of
-    2r-cell states, numbered by word index below q^(2r).  Each layer entry
-    is P's state and the frozenset of partner states, and the pass starts
-    from every state on positions [m+1, m+2r] (inside s, as m >= 2r) with
-    itself as its only partner.  It then prepends the cells m, m-1, ...,
-    1-r: P takes each of the q cells, and the new partners are the
-    prepends of old partners whose image equals the image P just
-    produced.  At the end the states cover [1-r, r], and m is strong iff
-    for every partner set the images at 0, {table[y q^(2r) + p'] : y, p'
-    in the set}, cover the alphabet.
-
-    Why this is exact:
-
-    - A window Q of P's bucket may take P's cells 2m+1 ... 2m+r and stay
-      in the bucket: the images that change lie at 2m+1-r or beyond, so
-      they read only cells after m (m >= 2r), where Q now equals P.  So
-      the bucket's cells [1-r, r] are those of windows that equal P on
-      (m, 2m+r] and match its images on (0, m+r], which the pass
-      enumerates image by image, and cell -r is free in it.  A final
-      partner set is therefore exactly that set of states.
-    - An entry is fixed by the suffix of P the pass has read, at most
-      m+3r cells, and m+3r < 2m+2r+1, so the cap on the q^(2m+2r+1)
-      windows of a scan also bounds the entries of every layer.
-    """
-    g, r = _radius_form(f)
-    if m < 2 * r:
-        return False
-    q = g.q
-    check_cap(q ** (2 * m + 2 * r + 1), MAX_WINDOWS,
-              f"strong-radius windows at m = {m}")
-    table = g.table
-    n = q ** (2 * r)
-    # prepending cell c to state u reads window c*n + u, whose image is
-    # table[c*n + u] and whose first 2r cells are the next state
-    moves = [[[] for _ in range(q)] for _ in range(n)]
-    for w, b in enumerate(table):
-        moves[w % n][b].append(w // q)
-    layer = {(u, frozenset((u,))) for u in range(n)}
-    for _ in range(m + r):
-        nxt = set()
-        by_image_of: dict[frozenset, list[frozenset]] = {}
-        for u, partners in layer:
-            by_image = by_image_of.get(partners)
-            if by_image is None:
-                by_image = [set() for _ in range(q)]
-                for v in partners:
-                    for b, out in enumerate(moves[v]):
-                        by_image[b].update(out)
-                by_image = by_image_of[partners] = [frozenset(s)
-                                                    for s in by_image]
-            for c in range(q):
-                w = c * n + u
-                nxt.add((w // q, by_image[table[w]]))
-        layer = nxt
-    image0 = [0] * n  # bitmask of the images at 0 over the cell at -r
-    for w, b in enumerate(table):
-        image0[w % n] |= 1 << b
-    full = (1 << q) - 1
-    for partners in {partners for _, partners in layer}:
-        union = 0
-        for v in partners:
-            union |= image0[v]
-        if union != full:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -186,32 +110,83 @@ def left_closing_decide(f: LocalRule) -> ClosingVerdict:
     """Decide left-closingness.
 
     Returns the smallest strong closing radius, or a witness pair of
-    distinct right-asymptotic configurations with equal images.  Raises
-    ResourceCapError when the pair graph or a candidate radius is over
-    MAX_WINDOWS.
+    distinct right-asymptotic configurations with equal images; both are
+    read off one pair graph.  Raises ResourceCapError when its q^(4r+2)
+    edge tests are over MAX_WINDOWS.
+
+    Call a vertex a source when a differing-label edge leads from it to a
+    vertex that reaches the diagonal.  A source with history gives the
+    witness.  When no source
+    has history, the rule is left-closing, and with D the longest path
+    ending at a source, the smallest strong radius is max(2r, D + r + 1)
+    (2r when there is no source).  Why:
+
+    - Take windows on [-r, 2m+r], m >= 2r.  A window Q of P's bucket may
+      take P's cells 2m+1 ... 2m+r and stay in the bucket: the images that
+      change lie at 2m+1-r or beyond, so they read only cells after m
+      (m >= 2r), where Q now equals P.  So m fails uniqueness (a bucket
+      leaves two cells a at m for one image b at 0) iff two windows agree
+      on (m, 2m+r], have equal images on [0, 2m] and differ at m.
+    - Such a pair is a path: start at the vertex of its cells [-r, r-1],
+      take the m - r edges that add the cells r ... m-1, then the differing
+      edge that adds cell m, then the 2r equal-label edges that add cells
+      m+1 ... m+2r and end on the diagonal.  The edge adding cell c checks
+      the image at c - r, so the path checks the images on [0, m+r], and
+      the images on (m+r, 2m] read only cells after m, where the windows
+      agree.  So the vertex after m - r edges is a source.
+    - Conversely, take a path of k >= m - r edges ending at a source s and
+      go on along the differing edge and a path into the diagonal.  Its
+      last differing edge leaves a vertex s' that ends a path of at least k
+      edges, and at least 2r equal-label edges follow it, since a vertex is
+      on the diagonal only when its last 2r cells agree.  The last m - r
+      edges before s', that edge and the next 2r edges, extended by equal
+      cells up to 2m+r, are a pair as above.  So m fails uniqueness iff
+      m - r <= D: the failures are downward closed in m.
+    - By the counting lemma in the module docstring, m is strong iff no
+      bucket fails uniqueness, so iff m - r > D.
+    - D is finite: no source has history, and the vertices without history
+      carry no cycle and have no predecessor with history.  Their longest
+      paths take one pass in topological order, which is descending
+      component number, and only when some source exists.
     """
     g, r = _radius_form(f)
     check_cap(g.q ** (4 * r + 2), MAX_WINDOWS, "pair graph edge tests")
     fwd, back = _pair_graph(g, r)
     succ = [[tgt for _, tgt in outs] for outs in fwd]
-    cyclic = graph.recurrent(succ, graph.strong_components(succ), [])
-    has_history = graph.bfs_tree(fwd, cyclic)
+    comp = graph.strong_components(succ)
+    has_history = graph.bfs_tree(fwd, graph.recurrent(succ, comp, []))
     n = g.q ** (2 * r)
     reaches_diagonal = graph.bfs_tree(back, range(0, n * n, n + 1))  # u*n + u
 
+    sources = []
     for src, outs in enumerate(fwd):
-        if src not in has_history:
-            continue
         for lab, tgt in outs:
             if lab[0] != lab[1] and tgt in reaches_diagonal:
-                witness = _build_witness(g, fwd, has_history,
-                                         reaches_diagonal, src, lab, tgt)
-                return ClosingVerdict("left", False, None, witness)
+                if src in has_history:
+                    witness = _build_witness(g, fwd, has_history,
+                                             reaches_diagonal, src, lab, tgt)
+                    return ClosingVerdict("left", False, None, witness)
+                sources.append(src)
+                break
+    if not sources:
+        return ClosingVerdict("left", True, 2 * r, None)
+    depth: dict[int, int] = {}  # longest path ending at a vertex
+    for v in sorted((v for v in range(n * n) if v not in has_history),
+                    key=comp.__getitem__, reverse=True):
+        depth[v] = max((depth[u] + 1 for _, u in back[v]), default=0)
+    longest = max(depth[s] for s in sources)
+    return ClosingVerdict("left", True, max(2 * r, longest + r + 1), None)
 
-    m = 2 * r
-    while not is_strong_left_closing_radius(g, m):
-        m += 1
-    return ClosingVerdict("left", True, m, None)
+
+def is_strong_left_closing_radius(f: LocalRule, m: int) -> bool:
+    """Is m a strong left-closing radius of f?
+
+    True iff f is left-closing and m is at least its smallest strong
+    radius: by the proof in `left_closing_decide`, the strong radii of a
+    left-closing rule are exactly the m from that one on.
+    """
+    verdict = left_closing_decide(f)
+    return verdict.closed and m >= verdict.strong_radius
 
 
 def _build_witness(g, fwd, has_history, reaches_diagonal, src, lab, tgt):

@@ -23,6 +23,10 @@ from .core import (IntegrityError, all_words, check_cap, ep_to_json,
 from .ca import LocalRule
 from .closing import ClosingVerdict, _radius_form, left_closing_decide
 
+# Default cap on the q^(4m) stair codes one enumeration may produce: the
+# bundled base-six rule needs 6^8 at m = 2.
+MAX_STAIR_BOUND = 1 << 24
+
 
 class NotLeftClosingError(ValueError):
     """Raised when an operation requires a left-closing rule.
@@ -54,7 +58,8 @@ class StairSet:
         return frozenset((w[:two_m], w[two_m:]) for w in words)
 
 
-def enumerate_stairs(f: LocalRule, m: int, cap: int = 1 << 24) -> StairSet:
+def enumerate_stairs(f: LocalRule, m: int,
+                     cap: int = MAX_STAIR_BOUND) -> StairSet:
     """Exact stair set of length 3m.
 
     Scans all q^(3m+r) assignments of the cells the image window can see,
@@ -95,7 +100,10 @@ def lambda_value(f: LocalRule) -> Fraction:
 
     Read from `slider_exists` and recomputed at the next radius as a
     stability self-check; a mismatch means a bug in this library, not a
-    property of the rule.
+    property of the rule.  The self-check enumerates q^(4m+4) stair codes
+    under the default cap, so it raises ResourceCapError on some rules whose
+    lambda `slider_exists` reads: on the bundled base-six rule it needs
+    6^12, where `slider_exists` reads 3/2 from 6^8.
     """
     verdict = slider_exists(f)
     if not verdict.left_closing:
@@ -137,7 +145,7 @@ class SliderVerdict:
                 "slider_exists": self.exists}
 
 
-def slider_exists(f: LocalRule, cap: int = 1 << 24) -> SliderVerdict:
+def slider_exists(f: LocalRule, cap: int = MAX_STAIR_BOUND) -> SliderVerdict:
     """Decide whether f is realizable as a left-to-right slider.
 
     True iff f is left-closing and |Psi_{3m}| divides q^{3m} at the smallest

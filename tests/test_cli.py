@@ -391,6 +391,24 @@ def test_closing_enumerations_are_capped(capsys, tmp_path, command):
         assert err.startswith("resource cap exceeded: pair graph edge tests")
 
 
+def test_closing_decides_a_q4_radius_two_rule(capsys, tmp_path):
+    # x_0 + x_1 x_2 mod 4: left-closing at strong radius 4 = 2r, not
+    # right-closing; its stairs at m = 4 are over the default cap
+    table = tuple((a + b * c) % 4
+                  for a in range(4) for b in range(4) for c in range(4))
+    path = tmp_path / "q4.json"
+    path.write_text(json.dumps(LocalRule(4, 0, 3, table).to_json()))
+    code, report, _ = run(capsys, "closing", str(path))
+    assert code == 1
+    assert report["left"] == {"side": "left", "closed": True,
+                              "strong_radius": 4}
+    assert report["right"]["closed"] is False
+    assert len(report["right"]["witness"]) == 2
+    code, report, err = run(capsys, "analyze", str(path))
+    assert code == 3 and report is None
+    assert err.startswith("resource cap exceeded: stair bound 4^16")
+
+
 def test_closing_verdicts(capsys):
     code, report, _ = run(capsys, "closing", data_file("ca102"))
     assert code == 0

@@ -66,6 +66,12 @@ def test_strong_radius_check_reasons():
     assert is_strong_left_closing_radius(builtin_rule("and_rule"), 2) is False
 
 
+def test_strong_radius_beyond_any_window_scan():
+    # the pair graph decides every m at once; a window scan at m = 12 would
+    # cover 2^27 windows
+    assert is_strong_left_closing_radius(builtin_rule("ca102"), 12) is True
+
+
 def _random_rule(rng, q, width):
     return LocalRule(q, -(width // 2), width,
                      tuple(rng.randrange(q) for _ in range(q ** width)))
@@ -97,6 +103,13 @@ def _radius_cases(family):
         for k, perm in enumerate(itertools.product(rows, repeat=3)):
             table = tuple(s for row in perm for s in row)
             yield f"right-permutive q3w2 #{k}", LocalRule(3, 0, 2, table), 2
+    elif family == "q4w3":
+        # reversible: 2 (x_{i+1} mod 2) + ((x_i div 2) xor (x_{i-1} mod 2));
+        # its pair graph has sources without history
+        table = tuple(2 * (x1 % 2) + ((x0 // 2) ^ (xm % 2))
+                      for xm in range(4) for x0 in range(4) for x1 in range(4))
+        for m in range(1, 4):
+            yield "reversible q4w3", LocalRule(4, -1, 3, table), m
     else:
         q, width, rules, ms = {"q3w3": (3, 3, 30, (2, 3)),
                                "q2w5": (2, 5, 10, (4, 5))}[family]
@@ -109,7 +122,8 @@ def _radius_cases(family):
                     yield f"{kind} {family} #{k}", f, m
 
 
-@pytest.mark.parametrize("family", ["eca", "bundled", "q3w3", "q2w5", "q3w2"])
+@pytest.mark.parametrize("family", ["eca", "bundled", "q3w3", "q2w5", "q3w2",
+                                    "q4w3"])
 def test_strong_radius_matches_window_scan(family):
     for label, f, m in _radius_cases(family):
         check = is_strong_left_closing_radius(f, m)
@@ -121,12 +135,11 @@ def test_strong_radius_matches_window_scan(family):
 
 
 def test_strong_radius_cap_stops_before_any_work():
-    # radius 2 over 4 symbols at m = 4: 4^13 windows, over the 2^24 cap
-    f = _random_rule(random.Random("strong radius cap"), 4, 5)
+    # radius 3 over 4 symbols: 4^14 pair graph edge tests, over the 2^24 cap
+    f = _random_rule(random.Random("strong radius cap"), 4, 7)
     start = time.perf_counter()
-    with pytest.raises(ResourceCapError,
-                       match="strong-radius windows at m = 4"):
-        is_strong_left_closing_radius(f, 4)
+    with pytest.raises(ResourceCapError, match="pair graph edge tests"):
+        is_strong_left_closing_radius(f, 6)
     assert time.perf_counter() - start < 1.0
 
 

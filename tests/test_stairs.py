@@ -1,6 +1,7 @@
 """Stair enumeration, the invariant lambda, and slider existence."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,17 @@ def test_lambda_values():
     assert lambda_value(builtin_rule("ca102")) == 1
     assert lambda_value(builtin_rule("identity")) == 1
     assert lambda_value(builtin_rule("shift")) == Fraction(1, 2)
+
+
+def test_lambda_self_check_is_capped_before_it_scans():
+    # slider_exists reads lambda = 3/2 from the 6^8 stair codes at m = 2,
+    # but the self-check at m + 1 would need 6^12, over the default cap
+    f = builtin_rule("sigma2_x_sigma3inv")
+    assert slider_exists(f).lam == Fraction(3, 2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=r"stair bound 6\^12"):
+        lambda_value(f)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lambda_requires_left_closing():

@@ -1,6 +1,7 @@
 """Bi-infinite-word automata: membership, emptiness, products, decisions."""
 
 import random
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from casweep.synthesis import synthesize
 from casweep.zautomata import (member, is_empty, nonempty_witness,
                                trim, intersect, project, is_function,
                                is_slider_rule_for, sweeper_defines_function,
-                               slider_relation_automaton,
+                               live_slider_automaton, slider_relation_automaton,
                                sweeper_relation_automaton,
                                graph_mismatch_automaton)
 from oracles import (NamedAutomaton, ep_replace, flag_intersect, from_named,
@@ -161,6 +162,65 @@ def test_exact_slider_check_caps_its_product():
 def test_exact_slider_check_needs_bijective_rule():
     with pytest.raises(ValueError):
         is_slider_rule_for(SQUASH, builtin_rule("identity"))
+    with pytest.raises(ValueError):
+        live_slider_automaton(SQUASH)
+
+
+# ---------------------------------------------------------------------------
+# the live part of the slider automaton
+
+def live_gate_rules():
+    """Seeded bijective rules over q in {2, 3} of block length 1-5, and the
+    synthesized identity, shift and ca102 rules (block length 7)."""
+    rng = random.Random(91)
+    for q in (2, 3):
+        for m in range(1, 6):
+            for _ in range(2):
+                yield BlockRule(q, m, tuple(rng.sample(range(q ** m), q ** m)))
+    for name in ("identity", "shift", "ca102"):
+        yield synthesize(builtin_rule(name))
+
+
+@pytest.mark.parametrize("chi", live_gate_rules(),
+                         ids=lambda chi: f"q{chi.q}m{chi.block_length}")
+def test_live_slider_automaton_is_the_trimmed_one(chi):
+    live = live_slider_automaton(chi)
+    full = trim(slider_relation_automaton(chi))
+    assert live.q == full.q and live.arity == full.arity
+    assert live.states == full.states
+    assert live.succ == full.succ
+    assert live.initial == full.initial
+    assert live.final == full.final
+
+
+@pytest.mark.parametrize("name", ["identity", "shift", "ca102"])
+def test_live_slider_automaton_counts_before_it_builds(name, monkeypatch):
+    """One state below the candidate total is refused by the running
+    count, before the last layer or the candidates' edges are built."""
+    chi = synthesize(builtin_rule(name))
+    total = len(live_slider_automaton(chi).states)
+    assert len(live_slider_automaton(chi, max_states=total).states) == total
+
+    def unexpected(_):
+        raise AssertionError("edges built over the cap")
+
+    monkeypatch.setattr("casweep.zautomata._slider_edges", unexpected)
+    with pytest.raises(ResourceCapError,
+                       match=f"slider live states: {total} is over the cap "
+                             f"{total - 1}$"):
+        is_slider_rule_for(chi, builtin_rule(name), max_states=total - 1)
+
+
+def test_exact_check_of_a_q3_block7_rule():
+    """This q=3 width-2 rule is synthesized with block length 7: its slider
+    automaton has 3,720,087 states, of which 8,505 are live."""
+    f = LocalRule(3, 0, 2, (0, 2, 1, 1, 2, 0, 0, 2, 1))
+    chi = synthesize(f)
+    assert chi.block_length == 7
+    start = time.monotonic()
+    assert len(live_slider_automaton(chi).states) == 8505
+    assert is_slider_rule_for(chi, f) is True
+    assert time.monotonic() - start < 10
 
 
 def test_is_function_examples():

@@ -445,7 +445,8 @@ def live_slider_automaton(chi: BlockRule,
     edges = _slider_edges(chi)
     return trim(ZAutomaton(
         q, 2, tuple(codes),
-        tuple(tuple((label, number[t]) for label, t in edges(s) if t in number)
+        tuple(tuple((label, number[dst]) for label, dst in edges(s)
+                    if dst in number)
               for s in codes),
         tuple(k for k, s in enumerate(codes) if L <= s < R),
         tuple(k for k, s in enumerate(codes) if s >= R)))

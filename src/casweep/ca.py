@@ -3,7 +3,7 @@
 A `LocalRule` reads the window ``x[i+anchor .. i+anchor+width)`` to produce
 output cell i.  Tables are flat tuples indexed by `word_index` of the window,
 so two rules with the same alphabet and neighborhood are equal iff their
-tables are equal; `equal` refines both rules to a common neighborhood first.
+tables are equal.
 
 A small library of named rules ships as JSON data files, including the
 running examples used throughout the test suite.
@@ -64,18 +64,6 @@ class LocalRule:
             raise ValueError(f"local rule file missing field {e}") from e
 
 
-def apply_word(f: LocalRule, u: tuple[int, ...]) -> tuple[int, ...]:
-    """Image of a finite word; the result is width-1 symbols shorter.
-
-    Position k of the result is f applied to ``u[k : k+width]``; the anchor
-    plays no role for plain words, only for configurations.
-    """
-    if len(u) < f.width:
-        raise ValueError("word shorter than the rule window")
-    return tuple(f.table[word_index(u[k:k + f.width], f.q)]
-                 for k in range(len(u) - f.width + 1))
-
-
 def apply_ep(f: LocalRule, x: EpConfig) -> EpConfig:
     """Image of an eventually periodic configuration.
 
@@ -97,16 +85,6 @@ def apply_ep(f: LocalRule, x: EpConfig) -> EpConfig:
         lo,
         tuple(out_cell(i) for i in range(hi, hi + rper)),
     )
-
-
-def compose(f: LocalRule, g: LocalRule) -> LocalRule:
-    """Rule computing f after g: apply_ep(compose(f, g), x) == f(g(x))."""
-    if f.q != g.q:
-        raise ValueError("alphabet mismatch")
-    w = f.width + g.width - 1
-    table = tuple(f.table[word_index(apply_word(g, u), f.q)]
-                  for u in all_words(w, f.q))
-    return LocalRule(f.q, f.anchor + g.anchor, w, table)
 
 
 def shift_rule(q: int, k: int = 1) -> LocalRule:
@@ -174,16 +152,6 @@ def minimize_neighborhood(f: LocalRule) -> LocalRule:
             width -= 1
             changed = True
     return LocalRule(q, anchor, width, table)
-
-
-def equal(f: LocalRule, g: LocalRule) -> bool:
-    """Do two rules define the same map on configurations?"""
-    if f.q != g.q:
-        return False
-    anchor = min(f.anchor, g.anchor)
-    top = max(f.anchor + f.width, g.anchor + g.width)
-    width = top - anchor
-    return refine(f, anchor, width).table == refine(g, anchor, width).table
 
 
 # ---------------------------------------------------------------------------

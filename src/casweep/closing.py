@@ -47,8 +47,8 @@ from .ca import (LocalRule, apply_ep, minimize_neighborhood, mirror,
                  to_radius_form)
 
 # Cap on the q^(4r+2) edge tests of one pair graph, the only exponential
-# work of the closing analysis: 360 times the 6^6 that the largest bundled
-# rule needs.
+# work of the closing analysis, checked before the radius-r table is built:
+# 360 times the 6^6 that the largest bundled rule needs.
 MAX_WINDOWS = 1 << 24
 
 
@@ -72,8 +72,12 @@ class ClosingVerdict:
 
 
 def _radius_form(f: LocalRule) -> tuple[LocalRule, int]:
-    g = to_radius_form(minimize_neighborhood(f))
-    return g, (g.width - 1) // 2
+    """f refined to [-r, r], r = max(radius, 1) of its minimized form, and r;
+    the pair graph's cap is checked before that q^(2r+1)-entry table is built."""
+    g = minimize_neighborhood(f)
+    r = max(g.radius, 1)
+    check_cap(g.q ** (4 * r + 2), MAX_WINDOWS, "pair graph edge tests")
+    return to_radius_form(g, r), r
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +154,6 @@ def left_closing_decide(f: LocalRule) -> ClosingVerdict:
       component number, and only when some source exists.
     """
     g, r = _radius_form(f)
-    check_cap(g.q ** (4 * r + 2), MAX_WINDOWS, "pair graph edge tests")
     fwd, back = _pair_graph(g, r)
     succ = [[tgt for _, tgt in outs] for outs in fwd]
     comp = graph.strong_components(succ)

@@ -85,15 +85,6 @@ def all_words(length: int, q: int):
     return product(range(q), repeat=length)
 
 
-def pair_symbol(a: int, b: int, q: int) -> int:
-    """Encode a pair of symbols over 0..q-1 as one symbol over 0..q*q-1."""
-    return a * q + b
-
-
-def split_symbol(s: int, q: int) -> tuple[int, int]:
-    return divmod(s, q)
-
-
 # ---------------------------------------------------------------------------
 # Eventually periodic configurations
 
@@ -139,11 +130,6 @@ class EpConfig:
     def window(self, lo: int, hi: int) -> tuple[int, ...]:
         """Cells at positions lo <= i < hi."""
         return tuple(self.cell(i) for i in range(lo, hi))
-
-    def shifted(self, k: int) -> "EpConfig":
-        """Configuration y with y[i] = self[i + k] (k = 1 is the left shift)."""
-        return EpConfig(self.q, self.left_period, self.center,
-                        self.center_start - k, self.right_period)
 
     def reversed(self) -> "EpConfig":
         """Configuration y with y[i] = self[-i]."""
@@ -211,31 +197,10 @@ def ep_equal(x: EpConfig, y: EpConfig) -> bool:
     return x.window(lo - lper, hi + rper) == y.window(lo - lper, hi + rper)
 
 
-def ep_splice(left_src: EpConfig, at: int, w: tuple[int, ...],
-              right_src: EpConfig) -> EpConfig:
-    """Configuration equal to left_src below `at`, to `w` on
-    [at, at+len(w)), and to right_src from at+len(w) on."""
-    if left_src.q != right_src.q:
-        raise ValueError("alphabet mismatch in splice")
-    cut = at + len(w)
-    cs = min(left_src.center_start, at)
-    ce = max(right_src.center_end, cut)
-    lper = left_src.left_period
-    rper = right_src.right_period
-    center = (left_src.window(cs, at) + tuple(w) + right_src.window(cut, ce))
-    return EpConfig(
-        left_src.q,
-        left_src.window(cs - len(lper), cs),
-        center,
-        cs,
-        right_src.window(ce, ce + len(rper)),
-    )
-
-
 def ep_zip(y: EpConfig, z: EpConfig) -> EpConfig:
     """Pair two configurations into one over the product alphabet q*q.
 
-    Cell i of the result is ``pair_symbol(y[i], z[i], q)``.  This is how the
+    Cell i of the result is ``y[i] * q + z[i]``.  This is how the
     bi-infinite automata consume relations: a pair of configurations becomes
     a single probe word.
     """
@@ -247,7 +212,7 @@ def ep_zip(y: EpConfig, z: EpConfig) -> EpConfig:
     lper = math.lcm(len(y.left_period), len(z.left_period))
     rper = math.lcm(len(y.right_period), len(z.right_period))
     cells = lambda lo, hi: tuple(
-        pair_symbol(y.cell(i), z.cell(i), q) for i in range(lo, hi))
+        y.cell(i) * q + z.cell(i) for i in range(lo, hi))
     return EpConfig(q * q, cells(cs - lper, cs), cells(cs, ce), cs,
                     cells(ce, ce + rper))
 
@@ -258,7 +223,7 @@ def ep_unzip(x: EpConfig) -> tuple[EpConfig, EpConfig]:
     if q * q != x.q:
         raise ValueError("config alphabet is not a product of two equal factors")
     def part(which):
-        pick = lambda s: split_symbol(s, q)[which]
+        pick = lambda s: divmod(s, q)[which]
         return EpConfig(q, tuple(map(pick, x.left_period)),
                         tuple(map(pick, x.center)), x.center_start,
                         tuple(map(pick, x.right_period)))

@@ -17,7 +17,7 @@ from .core import EpConfig, ep_equal, random_ep_config
 from .ca import LocalRule, apply_ep, shift_compose, shift_rule
 from .blockrule import BlockRule, identity_block
 from .closing import ClosingVerdict, right_closing_decide
-from .stairs import NotLeftClosingError, slider_exists
+from .stairs import slider_exists
 from .synthesis import synthesize
 from .mealy import sweeper_eval
 
@@ -53,9 +53,6 @@ class DirectedSlider:
             raise ValueError("sweeps diverge on this input")
         return out.limit.reversed() if flipped else out.limit
 
-    def to_json(self) -> dict:
-        return {"direction": self.direction.value, "rule": self.rule.to_json()}
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -71,18 +68,6 @@ class Decomposition:
         for a, b in zip(self.stages, self.stages[1:]):
             if a.direction is b.direction:
                 raise ValueError("stage directions must alternate")
-
-    def to_json(self) -> dict:
-        return {"claimed_ca": self.claimed_ca.to_json(),
-                "stages": [s.to_json() for s in self.stages]}
-
-
-def shift_offset(f: LocalRule) -> int:
-    """Smallest k >= 0 making sigma^k o f realizable left to right."""
-    verdict = slider_exists(f)
-    if verdict.shift_offset is None:
-        raise NotLeftClosingError(verdict.left_closing)
-    return verdict.shift_offset
 
 
 def decompose_biclosing(f: LocalRule) -> Decomposition:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import graph
 from .core import (MAX_AUTOMATON_STATES, EpConfig, all_words, check_cap,
-                   ep_equal, ep_to_json, word_index, word_of_index)
+                   ep_equal, ep_to_json, word_index)
 from .blockrule import BlockRule, _sweep_cells, sweep_right_limit_from
 
 
@@ -26,8 +26,7 @@ from .blockrule import BlockRule, _sweep_cells, sweep_right_limit_from
 class MealyAutomaton:
     """Transducer with states and letters both S^n, tables word-indexed.
 
-    Entry s * q^n + a of each table holds delta(s, a) and the output block;
-    mu(s, a) = (output, delta(s, a)).
+    Entry s * q^n + a of each table holds delta(s, a) and the output block.
     """
 
     q: int
@@ -46,16 +45,6 @@ class MealyAutomaton:
 
     def delta(self, s: int, a: int) -> int:
         return self.next_table[s * self.size + a]
-
-    def mu(self, s: int, a: int) -> tuple[int, int]:
-        k = s * self.size + a
-        return self.out_table[k], self.next_table[k]
-
-    def mu_words(self, state: tuple[int, ...],
-                 letter: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        out, nxt = self.mu(word_index(state, self.q),
-                           word_index(letter, self.q))
-        return word_of_index(out, self.n, self.q), word_of_index(nxt, self.n, self.q)
 
     def is_bijective(self) -> bool:
         return len(set(zip(self.out_table, self.next_table))) == len(self.out_table)

@@ -4,10 +4,10 @@ An automaton here accepts the label sequences of bi-infinite edge paths that
 visit an initial-recurrence state infinitely often to the left and a
 final-recurrence state infinitely often to the right.  Eventually periodic
 words have decidable membership, emptiness reduces to cycle reachability,
-and the class is closed under products and coordinate projections, which is
-enough to decide exactly whether a block rule's sweeps realize a given
-cellular automaton: no complementation is ever needed because the "differs
-somewhere from the image" relation is itself directly recognizable.
+and the class is closed under products, which is enough to decide exactly
+whether a block rule's sweeps realize a given cellular automaton: no
+complementation is ever needed because the "differs somewhere from the
+image" relation is itself directly recognizable.
 
 States are the numbers 0..n-1, each a mixed-radix code computed by its
 builder (the state's kind, then the `word_index` of its parts; `trim` keeps
@@ -23,9 +23,9 @@ joining them, each layer capped by a running total of states before it is
 allocated; a synthesized q=3 rule of length 7 keeps 8,505 of 3,720,087.
 
 One lockstep product, `_product`, pairs the runs of two automata over equal
-labels for `member`, `intersect` and `is_slider_rule_for`; `_fiber_square`
-(for `is_function`) is the only other product.  Witness paths and cycles
-come from the shared labeled path search in `casweep.graph`.
+labels for `member`, `intersect` and `is_slider_rule_for`; it is the only
+product.  Witness paths and cycles come from the shared labeled path search
+in `casweep.graph`.
 
 Labels are plain integers; a k-track label packs k symbols below q in one
 integer, big-endian, so a pair (y, z) reads as y * q + z.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import graph
-from .core import EpConfig, check_cap, word_of_index
+from .core import EpConfig, check_cap
 from .ca import LocalRule, minimize_neighborhood
 from .blockrule import BlockRule
 
@@ -172,7 +172,7 @@ def trim(A: ZAutomaton) -> ZAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Products and projections
+# Products
 
 def _product(A: ZAutomaton, B: ZAutomaton):
     """Edge graph of pairs of runs of A and B over the same labels.
@@ -264,19 +264,6 @@ def intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
               and ia[k // 4 // nb]),
         tuple(n for n, k in enumerate(keys) if k % 2 == 0
               and fa[k // 4 // nb]))
-
-
-def project(A: ZAutomaton, coordinate: int) -> ZAutomaton:
-    """Keep one track of a product-alphabet automaton."""
-    if A.arity < 2:
-        raise ValueError("projection needs a product alphabet")
-    if not 0 <= coordinate < A.arity:
-        raise ValueError("coordinate out of range")
-    succ = tuple(
-        tuple(sorted({(word_of_index(label, A.arity, A.q)[coordinate], t)
-                      for label, t in out}))
-        for out in A.succ)
-    return ZAutomaton(A.q, 1, A.states, succ, A.initial, A.final)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +358,8 @@ def live_slider_automaton(chi: BlockRule,
     equal to ``trim(slider_relation_automaton(chi))`` field by field.
 
     Three passes list the candidate states, numbered as in the whole
-    automaton; their edges come from `_slider_edges`, and `trim` drops any
-    edge or candidate off the accepting paths.
+    automaton; their edges come from `_slider_edges`, less those leading
+    to a state that is not a candidate.
 
     - *L core.*  All Q = q^(m-1) windows with an empty buffer, extended
       m-1 times by a guessed cell e: (v, r) -> (table[v q + e] mod Q,
@@ -393,15 +380,17 @@ def live_slider_automaton(chi: BlockRule,
 
     Every window carries buffers in both cores, so every candidate lies on
     a path from the L core over the bridge into the R core, and none is
-    dead.  Before each layer is allocated, the running total of states
-    plus the layer's size (bounded by q times the current layer in the
-    cores, counted for the bridge) is checked against max_states; the
-    m q^(2m-2) states of the whole automaton are never counted.
+    dead, so no `trim` pass follows.  Before each layer is allocated, the
+    running total of states plus the layer's size (bounded by q times the
+    current layer in the cores, counted for the bridge) is checked against
+    max_states; the m q^(2m-2) states of the whole automaton are never
+    counted.
     """
     if not chi.is_bijective():
         raise ValueError("slider relations need a bijective block rule")
     q, m, table = chi.q, chi.block_length, chi.table
     if m == 1:
+        # two live states; trim turns the builder's range into a tuple
         return trim(slider_relation_automaton(chi, max_states))
     Q = q ** (m - 1)
     L, R = (m - 2) * Q * Q, (m - 1) * Q * Q
@@ -443,13 +432,13 @@ def live_slider_automaton(chi: BlockRule,
     codes.sort()
     number = {s: k for k, s in enumerate(codes)}
     edges = _slider_edges(chi)
-    return trim(ZAutomaton(
+    return ZAutomaton(
         q, 2, tuple(codes),
         tuple(tuple((label, number[dst]) for label, dst in edges(s)
                     if dst in number)
               for s in codes),
         tuple(k for k, s in enumerate(codes) if L <= s < R),
-        tuple(k for k, s in enumerate(codes) if s >= R)))
+        tuple(k for k, s in enumerate(codes) if s >= R))
 
 
 def sweeper_relation_automaton(chi: BlockRule,
@@ -556,51 +545,6 @@ def graph_mismatch_automaton(f: LocalRule,
     return ZAutomaton(q, 2, range(n), tuple(succ), tuple(range(pre, n)), (0,))
 
 
-def _fiber_square(A: ZAutomaton):
-    """Edge graph of pairs of runs of A sharing the first track.
-
-    Node 2 (a * n + b) + d pairs states a and b of A, with d = 1 once their
-    second tracks have differed.  Returns the graph with the recurrence
-    sets of both run copies and of the difference (before it to the left,
-    after it to the right).
-    """
-    if A.arity != 2:
-        raise ValueError("fiber product needs a two-track automaton")
-    n = len(A.states)
-    by_y: dict = {}
-    for s, out in enumerate(A.succ):
-        for label, t in out:
-            y, z = divmod(label, A.q)
-            by_y.setdefault(y, []).append((s, z, t))
-    succ: list[list[int]] = [[] for _ in range(2 * n * n)]
-    for group in by_y.values():
-        for (s1, z1, t1) in group:
-            for (s2, z2, t2) in group:
-                src, dst = 2 * (s1 * n + s2), 2 * (t1 * n + t2)
-                succ[src].append(dst)
-                succ[src + 1].append(dst + 1)
-                if z1 != z2:
-                    succ[src].append(dst + 1)
-
-    def on(states, copy: int):
-        marked = _marks(n, states)
-        return [v for v in range(len(succ))
-                if marked[v // 2 // n if copy == 0 else v // 2 % n]]
-
-    return (succ, [on(A.initial, 0), on(A.initial, 1), range(0, len(succ), 2)],
-            [on(A.final, 0), on(A.final, 1), range(1, len(succ), 2)])
-
-
-def is_function(A: ZAutomaton) -> bool:
-    """Does every accepted first track carry exactly one second track?
-
-    Two runs over a shared first track whose second tracks differ somewhere
-    witness non-functionality; the check is emptiness of that three-track
-    product, built directly instead of via complementation.
-    """
-    return graph.lasso_free(*_fiber_square(A))
-
-
 def is_slider_rule_for(chi: BlockRule, f: LocalRule,
                        max_states: int | None = None) -> bool:
     """Is the relation represented by the block rule exactly the graph of f?
@@ -622,7 +566,3 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
               "slider-mismatch product nodes")
     return _disjoint(slider, mismatch)
 
-
-def sweeper_defines_function(chi: BlockRule) -> bool:
-    """Do the leftward-anchored sweeps converge on every input?"""
-    return is_function(trim(sweeper_relation_automaton(chi)))

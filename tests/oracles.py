@@ -15,20 +15,73 @@ from importlib import resources
 from casweep import graph
 from casweep.blockrule import BlockRule, representation_eval, reverse_block
 from casweep.ca import (BUILTIN_RULES, LocalRule, apply_ep,
-                        minimize_neighborhood, to_radius_form)
+                        minimize_neighborhood, refine, to_radius_form)
 from casweep.closing import _radius_form
 from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
-                          all_words, check_cap, ep_equal, ep_splice,
-                          random_ep_config, word_index)
+                          all_words, check_cap, ep_equal, random_ep_config,
+                          word_index, word_of_index)
 from casweep.mealy import MealyAutomaton, SweepOutcome, sweeper_eval
 from casweep.stairs import SliderVerdict, slider_exists
 from casweep.synthesis import NotSliderError, VerifyResult
 from casweep.zautomata import ZAutomaton
 
 
+def ep_splice(left_src: EpConfig, at: int, w: tuple[int, ...],
+              right_src: EpConfig) -> EpConfig:
+    """Configuration equal to left_src below `at`, to `w` on
+    [at, at+len(w)), and to right_src from at+len(w) on."""
+    if left_src.q != right_src.q:
+        raise ValueError("alphabet mismatch in splice")
+    cut = at + len(w)
+    cs = min(left_src.center_start, at)
+    ce = max(right_src.center_end, cut)
+    lper = left_src.left_period
+    rper = right_src.right_period
+    center = (left_src.window(cs, at) + tuple(w) + right_src.window(cut, ce))
+    return EpConfig(
+        left_src.q,
+        left_src.window(cs - len(lper), cs),
+        center,
+        cs,
+        right_src.window(ce, ce + len(rper)),
+    )
+
+
 def ep_replace(x: EpConfig, at: int, w: tuple[int, ...]) -> EpConfig:
     """Copy of x with cells [at, at+len(w)) replaced by w."""
     return ep_splice(x, at, w, x)
+
+
+def apply_word(f: LocalRule, u: tuple[int, ...]) -> tuple[int, ...]:
+    """Image of a finite word; the result is width-1 symbols shorter.
+
+    Position k of the result is f applied to ``u[k : k+width]``; the anchor
+    plays no role for plain words, only for configurations.
+    """
+    if len(u) < f.width:
+        raise ValueError("word shorter than the rule window")
+    return tuple(f.table[word_index(u[k:k + f.width], f.q)]
+                 for k in range(len(u) - f.width + 1))
+
+
+def compose(f: LocalRule, g: LocalRule) -> LocalRule:
+    """Rule computing f after g: apply_ep(compose(f, g), x) == f(g(x))."""
+    if f.q != g.q:
+        raise ValueError("alphabet mismatch")
+    w = f.width + g.width - 1
+    table = tuple(f.table[word_index(apply_word(g, u), f.q)]
+                  for u in all_words(w, f.q))
+    return LocalRule(f.q, f.anchor + g.anchor, w, table)
+
+
+def equal(f: LocalRule, g: LocalRule) -> bool:
+    """Do two rules define the same map on configurations?"""
+    if f.q != g.q:
+        return False
+    anchor = min(f.anchor, g.anchor)
+    top = max(f.anchor + f.width, g.anchor + g.width)
+    width = top - anchor
+    return refine(f, anchor, width).table == refine(g, anchor, width).table
 
 
 def builtin_rule_metadata(name: str) -> dict:
@@ -274,6 +327,19 @@ def period_member(A: ZAutomaton, x: EpConfig) -> bool:
     good_right = graph.reachable(graph.reverse(right), sinks)
     R = len(x.right_period)
     return any(good_right[k * R] for k in states)
+
+
+def project(A: ZAutomaton, coordinate: int) -> ZAutomaton:
+    """Keep one track of a product-alphabet automaton."""
+    if A.arity < 2:
+        raise ValueError("projection needs a product alphabet")
+    if not 0 <= coordinate < A.arity:
+        raise ValueError("coordinate out of range")
+    succ = tuple(
+        tuple(sorted({(word_of_index(label, A.arity, A.q)[coordinate], t)
+                      for label, t in out}))
+        for out in A.succ)
+    return ZAutomaton(A.q, 1, A.states, succ, A.initial, A.final)
 
 
 def flag_intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:

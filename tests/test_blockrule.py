@@ -11,10 +11,9 @@ from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule,
                                sweep_range, sweep_left_limit,
                                sweep_right_limit)
 from casweep.ca import apply_ep, builtin_rule
-from casweep.core import EpConfig, ResourceCapError, ep_equal, ep_splice, \
-    random_ep_config
+from casweep.core import EpConfig, ResourceCapError, ep_equal, random_ep_config
 
-from oracles import count_representations
+from oracles import count_representations, ep_splice
 
 
 def random_permutation_rule(rng, q, m):

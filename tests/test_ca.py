@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from casweep.ca import (BUILTIN_RULES, LocalRule, apply_ep, apply_word,
-                        builtin_rule, compose, equal, minimize_neighborhood,
-                        mirror, refine, shift_compose, shift_rule,
-                        to_radius_form)
+from casweep.ca import (BUILTIN_RULES, LocalRule, apply_ep, builtin_rule,
+                        minimize_neighborhood, mirror, refine, shift_compose,
+                        shift_rule, to_radius_form)
 from casweep.core import EpConfig, all_words, ep_equal, random_ep_config
-from oracles import builtin_rule_metadata
+from oracles import apply_word, builtin_rule_metadata, compose, equal
 
 
 def random_rule(rng, q, anchor, width):

@@ -398,11 +398,13 @@ def test_decompose_rejects_non_biclosing(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["closing", "analyze"])
 def test_closing_enumerations_are_capped(capsys, tmp_path, command):
     # radius 2 over 6 symbols: 6^10 pair-graph edge tests; radius 6 over 2
-    # symbols: 2^26
+    # symbols: 2^26; the shift x_{i-30}, one cell wide at radius 30: 2^122
     rng = random.Random(17)
-    for q, width in ((6, 5), (2, 13)):
-        rule = LocalRule(q, -(width // 2), width,
-                         tuple(rng.randrange(q) for _ in range(q ** width)))
+    rules = [LocalRule(q, -(width // 2), width,
+                       tuple(rng.randrange(q) for _ in range(q ** width)))
+             for q, width in ((6, 5), (2, 13))]
+    rules.append(LocalRule(2, -30, 1, (0, 1)))
+    for rule in rules:
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(rule.to_json()))
         start = time.perf_counter()

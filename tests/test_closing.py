@@ -10,9 +10,9 @@ from casweep.ca import (BUILTIN_RULES, LocalRule, apply_ep, builtin_rule,
                         mirror)
 from casweep.closing import (is_strong_left_closing_radius,
                              left_closing_decide, right_closing_decide)
-from casweep.core import EpConfig, ResourceCapError, ep_equal, ep_splice
+from casweep.core import EpConfig, ResourceCapError, ep_equal
 
-from oracles import scan_strong_radius
+from oracles import ep_splice, scan_strong_radius
 
 CLOSING_BOTH_SIDES = tuple(n for n in BUILTIN_RULES if n != "and_rule")
 

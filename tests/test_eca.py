@@ -12,8 +12,8 @@ import pytest
 from casweep.ca import LocalRule, apply_ep, mirror, shift_compose
 from casweep.closing import left_closing_decide, right_closing_decide
 from casweep.core import ep_equal
-from casweep.hierarchy import decompose_biclosing, shift_offset, verify_decomposition
-from casweep.stairs import NotLeftClosingError, lambda_value, slider_exists
+from casweep.hierarchy import decompose_biclosing, verify_decomposition
+from casweep.stairs import lambda_value, slider_exists
 from casweep.synthesis import NotSliderError, synthesize
 from casweep.zautomata import is_slider_rule_for
 
@@ -65,11 +65,9 @@ def test_eca_verdicts(n):
         assert slider_exists(shift_compose(f, k))
         if k > 0:
             assert not slider_exists(shift_compose(f, k - 1))
-        assert shift_offset(f) == k
+        assert slider_exists(f).shift_offset == k
     else:
         assert verdict.shift_offset is None and verdict.stairs is None
-        with pytest.raises(NotLeftClosingError):
-            shift_offset(f)
 
     if n in SLIDERS:
         assert is_slider_rule_for(synthesize(f), f)
@@ -82,5 +80,5 @@ def test_eca_verdicts(n):
 def test_eca_decomposition(n):
     f = eca(n)
     d = decompose_biclosing(f)
-    assert d.shift_offset == shift_offset(f)
+    assert d.shift_offset == slider_exists(f).shift_offset
     assert verify_decomposition(d, samples=20, seed=n)

@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from casweep.core import ep_equal, random_ep_config
-from casweep.ca import (LocalRule, apply_ep, builtin_rule, compose, mirror,
+from casweep.ca import (LocalRule, apply_ep, builtin_rule, mirror,
                         shift_compose, shift_rule)
 from casweep.blockrule import identity_block
 from casweep.closing import left_closing_decide, right_closing_decide
-from casweep.stairs import NotLeftClosingError, lambda_value, slider_exists
+from casweep.stairs import lambda_value, slider_exists
 from casweep.synthesis import synthesize
 from casweep.hierarchy import (Decomposition, DirectedSlider, Direction,
                                NotBiClosingError, decompose_biclosing,
-                               shift_offset, verify_decomposition)
+                               verify_decomposition)
+from oracles import compose
 
 NONLINEAR = LocalRule(2, 0, 3, tuple(((w >> 2) & 1) ^ (((w >> 1) & 1) & (w & 1))
                                      for w in range(8)))
@@ -25,18 +26,13 @@ NONLINEAR = LocalRule(2, 0, 3, tuple(((w >> 2) & 1) ^ (((w >> 1) & 1) & (w & 1))
     ("shift_inv", 1), ("sigma2_x_sigma3inv", 1),
 ])
 def test_shift_offset_values(name, k):
-    assert shift_offset(builtin_rule(name)) == k
-
-
-def test_shift_offset_needs_left_closing():
-    with pytest.raises(NotLeftClosingError):
-        shift_offset(builtin_rule("and_rule"))
+    assert slider_exists(builtin_rule(name)).shift_offset == k
 
 
 @pytest.mark.parametrize("name", ["xor_left", "shift_inv"])
 def test_offset_is_the_realizability_threshold(name):
     f = builtin_rule(name)
-    k = shift_offset(f)
+    k = slider_exists(f).shift_offset
     assert k > 0
     assert not slider_exists(shift_compose(f, k - 1))
     assert slider_exists(shift_compose(f, k))
@@ -119,7 +115,7 @@ def test_right_to_left_is_the_mirror_sweep():
                                   "shift_inv"])
 def test_lambda_splits_multiplicatively_across_stages(name):
     f = builtin_rule(name)
-    k = shift_offset(f)
+    k = slider_exists(f).shift_offset
     assert Fraction(f.q) ** k * lambda_value(shift_compose(f, k)) == \
         lambda_value(f)
 
@@ -127,14 +123,6 @@ def test_lambda_splits_multiplicatively_across_stages(name):
 @pytest.mark.parametrize("name", ["xor_left", "shift_inv"])
 def test_stage_inputs_close_on_their_sweep_side(name):
     f = builtin_rule(name)
-    k = shift_offset(f)
+    k = slider_exists(f).shift_offset
     assert left_closing_decide(shift_compose(f, k))
     assert right_closing_decide(shift_rule(f.q, -k))
-
-
-def test_decomposition_json_shape():
-    d = decompose_biclosing(builtin_rule("xor_left"))
-    obj = d.to_json()
-    assert obj["claimed_ca"]["anchor"] == builtin_rule("xor_left").anchor
-    assert [s["direction"] for s in obj["stages"]] == ["RL", "LR"]
-    assert all("table" in s["rule"] for s in obj["stages"])

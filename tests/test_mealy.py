@@ -7,7 +7,7 @@ import pytest
 from casweep.blockrule import BlockRule, builtin_block_rule
 from casweep.ca import apply_ep, builtin_rule
 from casweep.core import (EpConfig, ResourceCapError, all_words, ep_equal,
-                          random_ep_config)
+                          random_ep_config, word_index)
 from casweep.mealy import (MealyAutomaton, good_states, mealy_from_block,
                            sweeper_eval)
 from casweep.synthesis import synthesize, verify_slider
@@ -19,7 +19,9 @@ SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 def test_swap_mealy_formula():
     mm = mealy_from_block(builtin_block_rule("swap"))
     for s0, s1, a0, a1 in all_words(4, 2):
-        assert mm.mu_words((s0, s1), (a0, a1)) == ((s1, a0), (s0, a1))
+        k = word_index((s0, s1, a0, a1), 2)
+        assert (mm.out_table[k], mm.next_table[k]) == \
+            (word_index((s1, a0), 2), word_index((s0, a1), 2))
     assert mm.is_bijective()
 
 
@@ -27,15 +29,16 @@ def test_identity_mealy_echoes():
     mm = mealy_from_block(builtin_block_rule("identity_block"))
     for s in range(2):
         for a in range(2):
-            assert mm.mu(s, a) == (s, a)
+            k = s * mm.size + a
+            assert (mm.out_table[k], mm.next_table[k]) == (s, a)
 
 
 def test_xor_mealy_matches_hand_sweep():
     mm = mealy_from_block(builtin_block_rule("xor_block"))
     for s0, s1, a0, a1 in all_words(4, 2):
-        out, nxt = mm.mu_words((s0, s1), (a0, a1))
-        assert out == (s0 ^ s1, s1 ^ a0)
-        assert nxt == (a0, a1)
+        k = word_index((s0, s1, a0, a1), 2)
+        assert mm.out_table[k] == word_index((s0 ^ s1, s1 ^ a0), 2)
+        assert mm.next_table[k] == word_index((a0, a1), 2)
     assert mm.is_bijective()
 
 

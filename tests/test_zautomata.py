@@ -13,8 +13,7 @@ from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule, identity_block,
 from casweep.mealy import sweeper_eval
 from casweep.synthesis import synthesize
 from casweep.zautomata import (member, is_empty, nonempty_witness,
-                               trim, intersect, project, is_function,
-                               is_slider_rule_for, sweeper_defines_function,
+                               trim, intersect, is_slider_rule_for,
                                live_slider_automaton, slider_relation_automaton,
                                sweeper_relation_automaton,
                                graph_mismatch_automaton)
@@ -23,8 +22,8 @@ from oracles import (NamedAutomaton, ep_replace, flag_intersect, from_named,
                      named_is_empty, named_nonempty_witness,
                      named_slider_relation_automaton,
                      named_sweeper_relation_automaton, named_trim,
-                     period_member, renumbered, slider_state_number,
-                     sweeper_state_number)
+                     period_member, project, renumbered,
+                     slider_state_number, sweeper_state_number)
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 
@@ -221,21 +220,6 @@ def test_exact_check_of_a_q3_block7_rule():
     assert len(live_slider_automaton(chi).states) == 8505
     assert is_slider_rule_for(chi, f) is True
     assert time.monotonic() - start < 10
-
-
-def test_is_function_examples():
-    assert is_function(slider_relation_automaton(builtin_block_rule("swap")))
-    assert is_function(slider_relation_automaton(identity_block(2, 1)))
-    full = from_named(2, 2, frozenset([0]),
-                      frozenset((0, l, 0) for l in range(4)),
-                      frozenset([0]), frozenset([0]))
-    assert not is_function(full)
-
-
-def test_sweeper_function_decision():
-    assert sweeper_defines_function(builtin_block_rule("swap"))
-    assert sweeper_defines_function(builtin_block_rule("not_closed"))
-    assert not sweeper_defines_function(SQUASH)
 
 
 # ---------------------------------------------------------------------------

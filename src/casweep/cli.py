@@ -156,7 +156,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report, verdict = _analysis_report(f, args.max_psi)
     report["command"] = "analyze"
     if verdict:
-        _emit(report, f"slider exists at block length {3 * verdict.m}")
+        _emit(report, f"slider exists at block length {3 * verdict.m + 1}")
         return 0
     if not verdict.left_closing:
         _emit(report, "no slider: rule is not left-closing")

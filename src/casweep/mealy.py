@@ -71,7 +71,7 @@ def mealy_from_block(chi: BlockRule) -> MealyAutomaton:
 
 def check_good_states_cap(size: int, cap: int | None) -> None:
     """Refuse good_states on |Q| = size before any table or graph is built:
-    its product has |Q| (|Q| + 1) nodes of |Q| edges each."""
+    its search may visit all |Q| (|Q| + 1) product nodes, |Q| edges each."""
     check_cap(size * (size + 1) * size, cap, "good-state product edges")
 
 
@@ -83,45 +83,79 @@ def good_states(mealy: MealyAutomaton,
     nodes (c, u) where c is the main-run state and u an anchored run still
     distinct from it (or idle).  Reading letter e updates c to delta(c, e);
     a probe seeded at e follows delta until it equals the main run, which
-    flags the edge.  A state is good exactly when some node of c-component
-    equal to it is reachable from a cycle through a flagged edge: the cycle
+    flags the edge.  A state is good exactly when it is the main state of
+    a node reachable from a cycle through a flagged edge: the cycle
     supplies infinitely many merged anchors.  Polynomial in |Q|, unlike the
     direct search over state transformations.
 
-    Node (c, u) is numbered c * (|Q| + 1) + u, with u = |Q| for idle.
+    The product is searched one component K of the main-run graph
+    c -> delta(c, e) at a time, from the idle nodes of K and keeping only
+    nodes whose main state stays in K, until the first flagged edge.  This
+    is exact.  Every flagged edge ends at an idle node (c2, idle), and the
+    idle nodes follow every main edge, so from there the product reaches
+    exactly the main states reachable from c2.  A flagged edge v ->
+    (c2, idle) lies on a cycle iff (c2, idle) reaches v; every node of such
+    a cycle has its main state in c2's component K, where the idle nodes
+    all reach one another.  So the search of K finds a flagged edge exactly
+    when one into K lies on a cycle, and then every state reachable from K
+    is good.  Components are searched upstream first, and those already
+    good are skipped.
     """
     Q = mealy.size
     check_good_states_cap(Q, cap)
-    idle = Q
-    width = Q + 1
-    # shared int objects keep the ~|Q|^3 stored edges small
-    node = list(range(Q * width))
     rows = [mealy.next_table[c * Q:(c + 1) * Q] for c in range(Q)]
-    succ: list[list[int]] = []
-    merged: list[list[int]] = []    # targets of the flagged edges
-    for c in range(Q):
-        row = rows[c]
-        for u in range(width):
-            if u == idle:
-                # keep the main run alone, or seed a probe at this letter;
-                # a probe equal to the main run at once flags the edge
-                outs = [node[c2 * width + idle] for c2 in row]
-                flags = [outs[e] for e, c2 in enumerate(row) if e == c2]
-                outs += [node[c2 * width + e] for e, c2 in enumerate(row)
-                         if e != c2]
-            elif u == c:
-                outs, flags = [], []
-            else:
-                outs = [node[c2 * width + (idle if u2 == c2 else u2)]
-                        for c2, u2 in zip(row, rows[u])]
-                # the probe merges exactly on the edges back to idle
-                flags = [d for d in outs if d % width == idle]
-            succ.append(outs)
-            merged.append(flags)
-    comp = graph.strong_components(succ)
-    reached = graph.reachable(succ, (d for v, flags in enumerate(merged)
-                                     for d in flags if comp[d] == comp[v]))
-    return {v // width for v, hit in enumerate(reached) if hit}
+    comp = graph.strong_components(rows)
+    members: dict[int, list[int]] = {}
+    for c in graph.recurrent(rows, comp, []):
+        members.setdefault(comp[c], []).append(c)
+    seen = bytearray(Q * (Q + 1))
+    good = bytearray(Q)
+    # edges run from higher component numbers to lower ones
+    for k in sorted(members, reverse=True):
+        K = members[k]
+        if not good[K[0]] and _merges_on_cycle(rows, comp, K, seen):
+            for c, hit in enumerate(graph.reachable(rows, K)):
+                good[c] |= hit
+    return {c for c, hit in enumerate(good) if hit}
+
+
+def _merges_on_cycle(rows, comp: list[int], K: list[int],
+                     seen: bytearray) -> bool:
+    """Does the product search from the idle nodes of the main-run
+    component K, kept inside K, meet a flagged edge?
+
+    Node (c, u) is c * (|Q| + 1) + u, with u = |Q| for idle; `seen` flags
+    the nodes already visited.
+    """
+    idle = len(rows)
+    width = idle + 1
+    k = comp[K[0]]
+    stack = [c * width + idle for c in K]
+    for v in stack:
+        seen[v] = 1
+    while stack:
+        c, u = divmod(stack.pop(), width)
+        outs = []
+        if u == idle:
+            # keep the main run alone, or seed a probe at this letter; a
+            # probe equal to the main run at once flags the edge
+            for e, c2 in enumerate(rows[c]):
+                if comp[c2] == k:
+                    if e == c2:
+                        return True
+                    outs += (c2 * width + idle, c2 * width + e)
+        else:
+            for c2, u2 in zip(rows[c], rows[u]):
+                if comp[c2] == k:
+                    # the probe merges exactly on the flagged edges
+                    if u2 == c2:
+                        return True
+                    outs.append(c2 * width + u2)
+        for w in outs:
+            if not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+    return False
 
 
 # ---------------------------------------------------------------------------

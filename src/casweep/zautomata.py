@@ -23,9 +23,12 @@ joining them, each layer capped by a running total of states before it is
 allocated; a synthesized q=3 rule of length 7 keeps 8,505 of 3,720,087.
 
 One lockstep product, `_product`, pairs the runs of two automata over equal
-labels for `member`, `intersect` and `is_slider_rule_for`; it is the only
-product.  Witness paths and cycles come from the shared labeled path search
-in `casweep.graph`.
+labels; it is the only product, and it builds only the pairs its seeds
+reach.  `intersect` seeds every pair.  The emptiness test behind `member`
+and `is_slider_rule_for` seeds the pairs from which every pair with an
+infinite past is reachable (`_left_seeds`): the q=2 block-13 exact check
+of x0 + x2 builds 86,016 of the 1,183,744 pairs.  Witness paths and cycles
+come from the shared labeled path search in `casweep.graph`.
 
 Labels are plain integers; a k-track label packs k symbols below q in one
 integer, big-endian, so a pair (y, z) reads as y * q + z.
@@ -174,43 +177,132 @@ def trim(A: ZAutomaton) -> ZAutomaton:
 # ---------------------------------------------------------------------------
 # Products
 
-def _product(A: ZAutomaton, B: ZAutomaton):
-    """Edge graph of pairs of runs of A and B over the same labels.
+def _product(A: ZAutomaton, B: ZAutomaton, seeds):
+    """Edge graph of the pairs of runs of A and B over the same labels,
+    built only from the pairs the seeds reach.
 
-    Node a * |B| + b pairs state a of A with state b of B, and succ[v]
-    lists the (label, node) edges leaving node v, sorted.  Returns succ,
-    the initial sets of both sides and their final sets.
+    Pair (a, b) has the code a * |B| + b, and seeds lists codes.  Nodes are
+    numbered in the order they are found, the seeds first, so seeding every
+    code in ascending order numbers each pair by its code.  Returns the
+    code of each node and succ, where succ[v] lists the (label, node) edges
+    leaving node v in (label, a, b) order of their targets.
     """
     if A.q != B.q or A.arity != B.arity:
         raise ValueError("alphabet mismatch")
-    na, nb = len(A.states), len(B.states)
-    by_label: dict = {}
+    nb = len(B.states)
+    by_label: list[dict] = [{} for _ in range(nb)]
     for sb, out in enumerate(B.succ):
         for label, tb in out:
-            by_label.setdefault(label, []).append((sb, tb))
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(na * nb)]
-    for sa, out in enumerate(A.succ):
-        src = sa * nb
-        for label, ta in out:
-            dst = ta * nb
-            for sb, tb in by_label.get(label, ()):
-                succ[src + sb].append((label, dst + tb))
+            by_label[sb].setdefault(label, []).append(tb)
+    codes = list(dict.fromkeys(seeds))
+    number = {code: v for v, code in enumerate(codes)}
+    succ: list[list[tuple[int, int]]] = []
+    for code in codes:  # the loop also visits what it appends
+        sa, sb = divmod(code, nb)
+        moves = by_label[sb]
+        out = []
+        for label, ta in A.succ[sa]:
+            for tb in moves.get(label, ()):
+                dst = ta * nb + tb
+                w = number.get(dst)
+                if w is None:
+                    w = number[dst] = len(codes)
+                    codes.append(dst)
+                out.append((label, w))
+        succ.append(out)
+    return codes, succ
 
-    def on_a(states):
-        return [a * nb + b for a in states for b in range(nb)]
 
-    def on_b(states):
-        return [a * nb + b for b in states for a in range(na)]
+def _left_recurrent(A: ZAutomaton) -> list[int]:
+    """States with an infinite past through initial states: those of the
+    components that hold a cycle and meet `initial`."""
+    succ = _targets(A)
+    return graph.recurrent(succ, graph.strong_components(succ), [A.initial])
 
-    return (succ, [on_a(A.initial), on_b(B.initial)],
-            [on_a(A.final), on_b(B.final)])
+
+def _left_seeds(A: ZAutomaton, B: ZAutomaton) -> list[int]:
+    """Codes of product pairs from which every left-recurrent pair is
+    reachable; B should be the small side.
+
+    Each left-recurrent state a of A starts a run with the set of all
+    left-recurrent states of B.  Along an edge (label, a2) of A inside its
+    left-recurrent states, the set becomes the label-successors of its
+    states inside B's.  A run whose set shrinks to one state b yields the
+    seed (a2, b) and stops; after |B| steps each remaining run (a, S)
+    yields (a, b) for every b in S.  Runs are kept as (a, bit mask of S).
+
+    A left-recurrent product pair has an infinite past of pairs that are
+    left-recurrent on both sides, and the set of a run along the last
+    labels of that past always holds the past's state of B, so some seed
+    lies on the past and reaches the pair.
+    """
+    nb = len(B.states)
+    left_a, left_b = _left_recurrent(A), _left_recurrent(B)
+    in_a, in_b = _marks(len(A.states), left_a), _marks(nb, left_b)
+    after: list[dict[int, int]] = [{} for _ in range(nb)]
+    for sb in left_b:
+        for label, tb in B.succ[sb]:
+            if in_b[tb]:
+                after[sb][label] = after[sb].get(label, 0) | 1 << tb
+    steps: dict[tuple[int, int], int] = {}
+
+    def step(S: int, label: int) -> int:
+        key = (S, label)
+        if key not in steps:
+            T = 0
+            for sb in _bits(S):
+                T |= after[sb].get(label, 0)
+            steps[key] = T
+        return steps[key]
+
+    seeds = []
+    runs = dict.fromkeys((sa, sum(1 << sb for sb in left_b)) for sa in left_a)
+    for _ in range(nb):
+        ahead: dict[tuple[int, int], None] = {}
+        for sa, S in runs:
+            for label, ta in A.succ[sa]:
+                if in_a[ta]:
+                    T = step(S, label)
+                    if T & (T - 1):
+                        ahead[ta, T] = None
+                    elif T:
+                        seeds.append(ta * nb + T.bit_length() - 1)
+        runs = ahead
+    seeds += [sa * nb + sb for sa, S in runs for sb in _bits(S)]
+    return seeds
+
+
+def _bits(S: int):
+    """The positions of the set bits of S, ascending."""
+    while S:
+        low = S & -S
+        yield low.bit_length() - 1
+        S ^= low
 
 
 def _disjoint(A: ZAutomaton, B: ZAutomaton) -> bool:
-    """Do L(A) and L(B) share no word?  Emptiness of their product."""
-    succ, lefts, rights = _product(A, B)
-    return graph.lasso_free([[w for _, w in out] for out in succ],
-                            lefts, rights)
+    """Do L(A) and L(B) share no word?  Emptiness of their product, built
+    only from `_left_seeds`; B should be the small side.
+
+    Every left-recurrent pair is reachable from a seed, and the part built
+    is closed under successors, so its strong components are the whole
+    product's and the emptiness test on it is exact.
+    """
+    na, nb = len(A.states), len(B.states)
+    codes, succ = _product(A, B, _left_seeds(A, B))
+    for v, out in enumerate(succ):
+        succ[v] = [w for _, w in out]
+
+    def on_a(states) -> list[int]:
+        marked = _marks(na, states)
+        return [v for v, code in enumerate(codes) if marked[code // nb]]
+
+    def on_b(states) -> list[int]:
+        marked = _marks(nb, states)
+        return [v for v, code in enumerate(codes) if marked[code % nb]]
+
+    return graph.lasso_free(succ, [on_a(A.initial), on_b(B.initial)],
+                            [on_a(A.final), on_b(B.final)])
 
 
 def _marks(n: int, states) -> bytearray:
@@ -228,8 +320,9 @@ def intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
     component recurs, and the product recurrence set is "flag at rest and
     the first component recurring".  Only states on some edge are kept.
     """
-    succ, _, _ = _product(A, B)
     nb = len(B.states)
+    # every pair, so node v is the pair with code v
+    _, succ = _product(A, B, range(len(A.states) * nb))
     ia, fa = _marks(len(A.states), A.initial), _marks(len(A.states), A.final)
     ib, fb = _marks(nb, B.initial), _marks(nb, B.final)
 
@@ -556,7 +649,7 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     can take part in such a pair, and `live_slider_automaton` builds it
     without the rest.  max_states bounds its running total of states (each
     layer checked before it is built), the mismatch automaton and their
-    product.
+    whole product, which bounds the part `_disjoint` builds.
     """
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")

@@ -23,7 +23,7 @@ from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
 from casweep.mealy import MealyAutomaton, SweepOutcome, sweeper_eval
 from casweep.stairs import SliderVerdict, slider_exists
 from casweep.synthesis import NotSliderError, VerifyResult
-from casweep.zautomata import ZAutomaton
+from casweep.zautomata import ZAutomaton, _product
 
 
 def ep_splice(left_src: EpConfig, at: int, w: tuple[int, ...],
@@ -288,6 +288,46 @@ def good_states_by_transformations(mealy: MealyAutomaton,
     return good
 
 
+def good_states_by_probe_product(mealy: MealyAutomaton) -> set[int]:
+    """Reference good states: the whole main-run x probe product at once.
+
+    Nodes (c, u) pair the main-run state c with a probe u still distinct
+    from it, or idle; reading letter e moves c to delta(c, e), and a probe
+    seeded at e follows delta until it equals the main run, which flags
+    the edge.  Good states are the main states of the nodes reachable from
+    a flagged edge inside one strong component.  All |Q| (|Q| + 1) nodes
+    and |Q|^3 edges are built before the search.
+
+    Node (c, u) is numbered c * (|Q| + 1) + u, with u = |Q| for idle.
+    """
+    Q = mealy.size
+    idle = Q
+    width = Q + 1
+    rows = [mealy.next_table[c * Q:(c + 1) * Q] for c in range(Q)]
+    succ: list[list[int]] = []
+    merged: list[list[int]] = []    # targets of the flagged edges
+    for c in range(Q):
+        row = rows[c]
+        for u in range(width):
+            if u == idle:
+                outs = [c2 * width + idle for c2 in row]
+                flags = [outs[e] for e, c2 in enumerate(row) if e == c2]
+                outs += [c2 * width + e for e, c2 in enumerate(row)
+                         if e != c2]
+            elif u == c:
+                outs, flags = [], []
+            else:
+                outs = [c2 * width + (idle if u2 == c2 else u2)
+                        for c2, u2 in zip(row, rows[u])]
+                flags = [d for d in outs if d % width == idle]
+            succ.append(outs)
+            merged.append(flags)
+    comp = graph.strong_components(succ)
+    reached = graph.reachable(succ, (d for v, flags in enumerate(merged)
+                                     for d in flags if comp[d] == comp[v]))
+    return {v // width for v, hit in enumerate(reached) if hit}
+
+
 def period_member(A: ZAutomaton, x: EpConfig) -> bool:
     """Reference membership test: is the eventually periodic word x accepted?
 
@@ -340,6 +380,22 @@ def project(A: ZAutomaton, coordinate: int) -> ZAutomaton:
                       for label, t in out}))
         for out in A.succ)
     return ZAutomaton(A.q, 1, A.states, succ, A.initial, A.final)
+
+
+def disjoint_by_full_product(A: ZAutomaton, B: ZAutomaton) -> bool:
+    """Reference emptiness of the product of A and B, built on every pair:
+    node v is the pair (v // |B|, v % |B|)."""
+    nb = len(B.states)
+    _, succ = _product(A, B, range(len(A.states) * nb))
+    nodes = range(len(succ))
+
+    def on(states, side):
+        marked = set(states)
+        return [v for v in nodes if divmod(v, nb)[side] in marked]
+
+    return graph.lasso_free([[w for _, w in out] for out in succ],
+                            [on(A.initial, 0), on(B.initial, 1)],
+                            [on(A.final, 0), on(B.final, 1)])
 
 
 def flag_intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:

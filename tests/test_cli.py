@@ -64,7 +64,8 @@ def test_analyze_ca102_affirmative(capsys):
     assert report["left_closing"] == {"side": "left", "closed": True,
                                       "strong_radius": 2}
     assert report["right_closing"]["closed"] is True
-    assert "slider exists" in err
+    # synthesize builds the block rule of length 3m + 1 = 7
+    assert "slider exists at block length 7" in err
 
 
 def test_analyze_xor_left_negative(capsys):

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from casweep.blockrule import BlockRule, builtin_block_rule
+from casweep import graph
 from casweep.ca import apply_ep, builtin_rule
 from casweep.core import (EpConfig, ResourceCapError, all_words, ep_equal,
                           random_ep_config, word_index)
 from casweep.mealy import (MealyAutomaton, good_states, mealy_from_block,
                            sweeper_eval)
 from casweep.synthesis import synthesize, verify_slider
-from oracles import good_states_by_transformations
+from oracles import good_states_by_probe_product, good_states_by_transformations
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 
@@ -65,6 +66,44 @@ def test_good_states_matches_transformation_reference():
     for name in ("swap", "xor_block", "identity_block", "not_closed"):
         mm = mealy_from_block(builtin_block_rule(name))
         assert good_states(mm) == good_states_by_transformations(mm)
+
+
+def test_good_states_matches_probe_product():
+    """The search by main-run component against the whole product, on
+    random block rules, on next tables of several main-run components and
+    on a synthesized block-7 rule."""
+    rng = random.Random(16)
+    machines = []
+    for _ in range(150):
+        q = rng.choice((2, 3))
+        m = rng.randint(1, 3)
+        size = q ** m
+        if rng.random() < 0.5:
+            table = tuple(rng.sample(range(size), size))
+        else:
+            table = tuple(rng.randrange(size) for _ in range(size))
+        machines.append(mealy_from_block(BlockRule(q, m, table)))
+    for _ in range(150):
+        q, n = rng.choice(((2, 1), (2, 2), (3, 1), (2, 3)))
+        size = q ** n
+        # a row whose letters all lead above some state cuts the main-run
+        # graph into several components
+        nxt = []
+        for _ in range(size):
+            low = rng.randrange(size) if rng.random() < 0.5 else 0
+            nxt += [rng.randrange(low, size) for _ in range(size)]
+        machines.append(MealyAutomaton(q, n, (0,) * size * size, tuple(nxt)))
+    machines.append(mealy_from_block(synthesize(builtin_rule("ca102"))))
+    assert machines[-1].size == 128
+    partial = split = 0
+    for mm in machines:
+        good = good_states(mm)
+        assert good == good_states_by_probe_product(mm)
+        partial += 0 < len(good) < mm.size
+        rows = [mm.next_table[c * mm.size:(c + 1) * mm.size]
+                for c in range(mm.size)]
+        split += len(set(graph.strong_components(rows))) > 1
+    assert partial >= 20 and split >= 50
 
 
 def test_good_states_constant_delta():

@@ -11,13 +11,15 @@ from casweep.ca import (BUILTIN_RULES, LocalRule, builtin_rule, apply_ep,
 from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule, identity_block,
                                builtin_block_rule, representation_eval)
 from casweep.mealy import sweeper_eval
+from casweep import zautomata
 from casweep.synthesis import synthesize
 from casweep.zautomata import (member, is_empty, nonempty_witness,
                                trim, intersect, is_slider_rule_for,
                                live_slider_automaton, slider_relation_automaton,
                                sweeper_relation_automaton,
                                graph_mismatch_automaton)
-from oracles import (NamedAutomaton, ep_replace, flag_intersect, from_named,
+from oracles import (NamedAutomaton, disjoint_by_full_product, ep_replace,
+                     flag_intersect, from_named,
                      mismatch_state_number, named_graph_mismatch_automaton,
                      named_is_empty, named_nonempty_witness,
                      named_slider_relation_automaton,
@@ -406,6 +408,47 @@ def seeded_local_rules():
             for anchor in range(-3 - width + 1, 4 - width + 1):
                 yield LocalRule(q, anchor, width, tuple(
                     rng.randrange(q) for _ in range(q ** width)))
+
+
+def test_seeded_product_decides_as_the_full_product(monkeypatch):
+    """`_disjoint` builds the product only from its left-recurrent seeds;
+    the product of every pair gives the same verdict, on the pairs the
+    exact slider check forms, inside `member` and on arbitrary automata.
+    Pairs whose full product has more than 50,000 nodes are skipped."""
+    seeded = zautomata._disjoint
+    verdicts = set()
+
+    def checked(A, B):
+        verdict = seeded(A, B)
+        assert verdict is disjoint_by_full_product(A, B)
+        verdicts.add(verdict)
+        return verdict
+
+    rng = random.Random(97)
+    rules = list(seeded_local_rules())
+    for chi in live_gate_rules():
+        live = live_slider_automaton(chi)
+        for f in rng.sample([f for f in rules if f.q == chi.q], 3):
+            mismatch = graph_mismatch_automaton(f)
+            if len(live.states) * len(mismatch.states) <= 50_000:
+                checked(live, mismatch)
+    for name in ("identity", "shift", "ca102"):
+        f = builtin_rule(name)
+        live = live_slider_automaton(synthesize(f))
+        assert checked(live, graph_mismatch_automaton(f))
+    monkeypatch.setattr(zautomata, "_disjoint", checked)
+    for chi in seeded_block_rules():
+        A = sweeper_relation_automaton(chi)
+        if len(A.states) < 10_000:
+            w = nonempty_witness(A)
+            assert member(A, w)
+            for _ in range(3):
+                member(A, mutate(w, rng.randrange(-3, 4), A.label_count))
+    for _ in range(60):
+        q = rng.randint(2, 4)
+        checked(random_named(rng, q).numbered(),
+                random_named(rng, q).numbered())
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("chi", seeded_block_rules(),

@@ -25,10 +25,10 @@ allocated; a synthesized q=3 rule of length 7 keeps 8,505 of 3,720,087.
 One lockstep product, `_product`, pairs the runs of two automata over equal
 labels; it is the only product, and it builds only the pairs its seeds
 reach.  `intersect` seeds every pair.  The emptiness test behind `member`
-and `is_slider_rule_for` seeds the pairs from which every pair with an
-infinite past is reachable (`_left_seeds`): the q=2 block-13 exact check
-of x0 + x2 builds 86,016 of the 1,183,744 pairs.  Witness paths and cycles
-come from the shared labeled path search in `casweep.graph`.
+and `is_slider_rule_for` seeds the pairs that reach every left-recurrent
+pair (`_left_seeds`): the q=2 block-13 exact check of x0 xor x2 builds
+86,016 of the 1,183,744 pairs.  Witness paths and cycles come from the
+shared labeled path search in `casweep.graph`.
 
 Labels are plain integers; a k-track label packs k symbols below q in one
 integer, big-endian, so a pair (y, z) reads as y * q + z.
@@ -290,6 +290,7 @@ def _disjoint(A: ZAutomaton, B: ZAutomaton) -> bool:
     """
     na, nb = len(A.states), len(B.states)
     codes, succ = _product(A, B, _left_seeds(A, B))
+    # drop the labels list by list, so the two forms are never held whole
     for v, out in enumerate(succ):
         succ[v] = [w for _, w in out]
 

@@ -12,7 +12,8 @@ from casweep.core import (EpConfig, ResourceCapError, all_words, ep_equal,
 from casweep.mealy import (MealyAutomaton, good_states, mealy_from_block,
                            sweeper_eval)
 from casweep.synthesis import synthesize, verify_slider
-from oracles import good_states_by_probe_product, good_states_by_transformations
+from oracles import (good_states_by_probe_product,
+                     good_states_by_transformations)
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 

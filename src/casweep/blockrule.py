@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
-from .core import (EpConfig, all_words, check_alphabet, json_int, word_index,
-                   word_of_index)
+from .core import (EpConfig, all_words, check_alphabet, check_range, json_int,
+                   word_index, word_of_index)
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,8 @@ class BlockRule:
         size = self.q**self.block_length
         if len(self.table) != size:
             raise ValueError(f"table has {len(self.table)} entries, expected {size}")
-        for v in self.table:
-            if not 0 <= v < size:
-                raise ValueError(f"table value {v} is not a block index")
         object.__setattr__(self, "table", tuple(self.table))
+        check_range(self.table, size, "table value {} is not a block index")
 
     def __call__(self, w: tuple[int, ...]) -> tuple[int, ...]:
         if len(w) != self.block_length:
@@ -163,26 +161,30 @@ def sweep_right_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:
     if x.q != rule.q:
         raise ValueError("alphabet mismatch")
     window = word_index(x.window(i, i + rule.block_length), rule.q)
-    return sweep_right_limit_from(rule, x, i, window)
+    cells, period = _sweep_right(rule, x, i, window)
+    cs = min(i, x.center_start)
+    lper = len(x.left_period)
+    return EpConfig(x.q, x.window(cs - lper, cs), x.window(cs, i) + cells, cs,
+                    period).normalize()
 
 
-def sweep_right_limit_from(rule: BlockRule, x: EpConfig, i: int,
-                           window: int) -> EpConfig:
-    """Rightward limit sweep continued from a mid-sweep window.
-
-    Like sweep_right_limit but the m cells at [i, i+m) are the block whose
-    `word_index` is `window` instead of the tape's cells; cells below i are
-    returned as in x.  The (window, phase) pairs of the periodic tail are
-    keyed as the integer window * period + phase.
+def _sweep_right(rule: BlockRule, x: EpConfig, i: int,
+                 window: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rightward limit sweep from the block `window` at [i, i+m), in
+    place of the tape's cells there: the cells it finalizes from i on until
+    its output turns periodic, and the period that repeats from there.  The
+    (window, phase) pairs of the periodic tail are keyed as the integer
+    window * period + phase.
     """
     m, q, table = rule.block_length, rule.q, rule.table
     high = q ** (m - 1)
     period = x.right_period
     rper = len(period)
-    outs, window = _sweep_cells(rule, window, x.window(i + m, x.center_end))
+    ce = x.center_end
+    outs, window = _sweep_cells(rule, window, x.window(i + m, ce))
     seen: dict[int, int] = {}
     tail: list[int] = []
-    phase = (max(i + m, x.center_end) - x.center_end) % rper
+    phase = (max(i + m, ce) - ce) % rper
     key = window * rper + phase
     while key not in seen:
         seen[key] = len(tail)
@@ -192,11 +194,7 @@ def sweep_right_limit_from(rule: BlockRule, x: EpConfig, i: int,
         phase = (phase + 1) % rper
         key = window * rper + phase
     start = seen[key]
-    cs = min(i, x.center_start)
-    lper = len(x.left_period)
-    center = x.window(cs, i) + tuple(outs) + tuple(tail[:start])
-    return EpConfig(x.q, x.window(cs - lper, cs), center, cs,
-                    tuple(tail[start:])).normalize()
+    return tuple(outs + tail[:start]), tuple(tail[start:])
 
 
 def sweep_left_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:

@@ -15,7 +15,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import EpConfig, all_words, check_alphabet, json_int, word_index
+from .core import (EpConfig, all_words, check_alphabet, check_range, json_int,
+                   word_index)
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,8 @@ class LocalRule:
         if len(self.table) != self.q**self.width:
             raise ValueError(
                 f"table has {len(self.table)} entries, expected {self.q**self.width}")
-        for s in self.table:
-            if not 0 <= s < self.q:
-                raise ValueError(f"table value {s} outside alphabet")
         object.__setattr__(self, "table", tuple(self.table))
+        check_range(self.table, self.q, "table value {} outside alphabet")
 
     def __call__(self, window: tuple[int, ...]) -> int:
         if len(window) != self.width:
@@ -72,19 +71,21 @@ def apply_ep(f: LocalRule, x: EpConfig) -> EpConfig:
     """
     if f.q != x.q:
         raise ValueError("alphabet mismatch")
-    lo = x.center_start - f.anchor - f.width + 1
-    hi = max(lo, x.center_end - f.anchor)
-    out_cell = lambda i: f.table[word_index(
-        x.window(i + f.anchor, i + f.anchor + f.width), f.q)]
+    q, anchor, width, table = f.q, f.anchor, f.width, f.table
+    lo = x.center_start - anchor - width + 1
+    hi = max(lo, x.center_end - anchor)
     lper = len(x.left_period)
     rper = len(x.right_period)
-    return EpConfig(
-        f.q,
-        tuple(out_cell(i) for i in range(lo - lper, lo)),
-        tuple(out_cell(i) for i in range(lo, hi)),
-        lo,
-        tuple(out_cell(i) for i in range(hi, hi + rper)),
-    )
+    # output cell i reads x[i + anchor, i + anchor + width): read the cells
+    # of every output window at once and slide one word index across them
+    cells = x.window(lo - lper + anchor, hi + rper + anchor + width - 1)
+    size = q ** width
+    idx = 0
+    for c in cells[:width - 1]:
+        idx = idx * q + c
+    out = tuple([table[idx := (idx * q + c) % size] for c in cells[width - 1:]])
+    return EpConfig(q, out[:lper], out[lper:lper + hi - lo], lo,
+                    out[lper + hi - lo:])
 
 
 def shift_rule(q: int, k: int = 1) -> LocalRule:

@@ -48,11 +48,13 @@ def check_alphabet(q: int) -> int:
     return q
 
 
-def check_word(w: tuple[int, ...], q: int) -> tuple[int, ...]:
-    for s in w:
-        if not 0 <= s < q:
-            raise ValueError(f"symbol {s} out of range for alphabet of size {q}")
-    return tuple(w)
+def check_range(values: tuple[int, ...], n: int, message: str) -> None:
+    """Raise ValueError(message.format(v, n)) for the first value v outside
+    0..n-1.  min and max screen all values at C speed; only values that
+    fail the screen are walked to find the first bad one."""
+    if values and (min(values) < 0 or max(values) >= n):
+        bad = next(v for v in values if not 0 <= v < n)
+        raise ValueError(message.format(bad, n))
 
 
 def word_index(w: tuple[int, ...], q: int) -> int:
@@ -112,9 +114,16 @@ class EpConfig:
         check_alphabet(self.q)
         if not self.left_period or not self.right_period:
             raise ValueError("periodic tails must be nonempty words")
-        object.__setattr__(self, "left_period", check_word(self.left_period, self.q))
-        object.__setattr__(self, "center", check_word(self.center, self.q))
-        object.__setattr__(self, "right_period", check_word(self.right_period, self.q))
+        left = tuple(self.left_period)
+        center = tuple(self.center)
+        right = tuple(self.right_period)
+        object.__setattr__(self, "left_period", left)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "right_period", right)
+        # one check of the joined words names the first bad symbol of the
+        # left period, then the center, then the right period
+        check_range(left + center + right, self.q,
+                    "symbol {} out of range for alphabet of size {}")
 
     @property
     def center_end(self) -> int:
@@ -128,8 +137,22 @@ class EpConfig:
         return self.right_period[(i - self.center_end) % len(self.right_period)]
 
     def window(self, lo: int, hi: int) -> tuple[int, ...]:
-        """Cells at positions lo <= i < hi."""
-        return tuple(self.cell(i) for i in range(lo, hi))
+        """Cells at positions lo <= i < hi, as slices of the tiled tails and
+        the center."""
+        cs = self.center_start
+        ce = cs + len(self.center)
+        if hi <= lo:
+            return ()
+        if lo >= ce:
+            return _tiled(self.right_period, lo - ce, hi - ce)
+        if hi <= cs:
+            return _tiled(self.left_period, lo - cs, hi - cs)
+        cells = self.center[max(lo, cs) - cs:min(hi, ce) - cs]
+        if lo < cs:
+            cells = _tiled(self.left_period, lo - cs, 0) + cells
+        if hi > ce:
+            cells += _tiled(self.right_period, 0, hi - ce)
+        return cells
 
     def reversed(self) -> "EpConfig":
         """Configuration y with y[i] = self[-i]."""
@@ -151,25 +174,41 @@ class EpConfig:
         """
         left = _minimal_period(self.left_period)
         right = _minimal_period(self.right_period)
-        center = list(self.center)
-        cs = self.center_start
-        # absorb center symbols that already match the adjacent tail tiling
-        while center and center[-1] == right[-1]:
-            center.pop()
-            right = right[-1:] + right[:-1]
-        while center and center[0] == left[0]:
-            center.pop(0)
-            cs += 1
-            left = left[1:] + left[:1]
-        if not center:
+        center = self.center
+        n = len(center)
+        # absorb center symbols that already match the adjacent tail tiling:
+        # center cell k continues the right tiling iff it equals
+        # right[(k - n) % len(right)], the left one iff it equals
+        # left[k % len(left)]; the center keeps cells lo <= k < hi
+        hi = n
+        while hi and center[hi - 1] == right[(hi - 1 - n) % len(right)]:
+            hi -= 1
+        lo = 0
+        while lo < hi and center[lo] == left[lo % len(left)]:
+            lo += 1
+        cs = self.center_start + lo
+        # rotate each tail to start its tiling at the new center boundary
+        left = _tiled(left, lo, lo + len(left))
+        right = _tiled(right, hi - n, hi - n + len(right))
+        if lo == hi:
             # fully periodic iff both tilings agree on every cell
             period = math.lcm(len(left), len(right))
-            lt = [left[(i - cs) % len(left)] for i in range(period)]
-            rt = [right[(i - cs) % len(right)] for i in range(period)]
-            if lt == rt:
-                p = _minimal_period(tuple(lt))
+            lt = _tiled(left, -cs, period - cs)
+            if lt == _tiled(right, -cs, period - cs):
+                p = _minimal_period(lt)
                 return EpConfig(self.q, p, (), 0, p)
-        return EpConfig(self.q, tuple(left), tuple(center), cs, tuple(right))
+        return EpConfig(self.q, left, center[lo:hi], cs, right)
+
+
+def _tiled(period: tuple[int, ...], lo: int, hi: int) -> tuple[int, ...]:
+    """period[i % len(period)] for lo <= i < hi (hi >= lo), sliced from
+    enough repeated copies."""
+    n = len(period)
+    start = lo % n
+    end = start + hi - lo
+    if end <= n:
+        return period[start:end]
+    return (period * ((end - 1) // n + 1))[start:end]
 
 
 def _minimal_period(p: tuple[int, ...]) -> tuple[int, ...]:

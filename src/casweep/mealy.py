@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import graph
 from .core import (MAX_AUTOMATON_STATES, EpConfig, all_words, check_cap,
                    ep_equal, ep_to_json, word_index)
-from .blockrule import BlockRule, _sweep_cells, sweep_right_limit_from
+from .blockrule import BlockRule, _sweep_cells, _sweep_right
 
 
 @dataclass(frozen=True)
@@ -219,12 +219,9 @@ def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
             for _ in cycle:
                 seg, w = crossing[w]
                 left.extend(seg)
-            piece = sweep_right_limit_from(chi, y, sp, e)
-            hi = max(piece.center_end, sp)
-            rper = len(piece.right_period)
-            z = EpConfig(y.q, tuple(left), piece.window(sp, hi), sp,
-                         tuple(piece.cell(hi + t) for t in range(rper)))
-            limits.append(z.normalize())
+            cells, period = _sweep_right(chi, y, sp, e)
+            limits.append(EpConfig(y.q, tuple(left), cells, sp,
+                                   period).normalize())
     first = limits[0]
     for z in limits[1:]:
         if not ep_equal(first, z):

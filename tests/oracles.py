@@ -8,14 +8,15 @@ so that no production path depends on it.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from importlib import resources
 
 from casweep import graph
 from casweep.blockrule import BlockRule, representation_eval, reverse_block
-from casweep.ca import (BUILTIN_RULES, LocalRule, apply_ep,
-                        minimize_neighborhood, refine, to_radius_form)
+from casweep.ca import (BUILTIN_RULES, LocalRule, minimize_neighborhood,
+                        refine, to_radius_form)
 from casweep.closing import _radius_form
 from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
                           all_words, check_cap, ep_equal, random_ep_config,
@@ -24,6 +25,73 @@ from casweep.mealy import MealyAutomaton, SweepOutcome, sweeper_eval
 from casweep.stairs import SliderVerdict, slider_exists
 from casweep.synthesis import NotSliderError, VerifyResult
 from casweep.zautomata import ZAutomaton, _product
+
+
+def cell_window(x: EpConfig, lo: int, hi: int) -> tuple[int, ...]:
+    """Cells of x at positions lo <= i < hi, one at a time from the
+    definition of the tiling: the left period ends at center_start, the
+    right period starts at center_end."""
+    def cell(i: int) -> int:
+        if i < x.center_start:
+            return x.left_period[(i - x.center_start) % len(x.left_period)]
+        if i < x.center_end:
+            return x.center[i - x.center_start]
+        return x.right_period[(i - x.center_end) % len(x.right_period)]
+    return tuple(cell(i) for i in range(lo, hi))
+
+
+def cellwise_apply_ep(f: LocalRule, x: EpConfig) -> EpConfig:
+    """Image of x with one window and one `word_index` per output cell:
+    the center spans the cells whose window meets the center of x, each
+    tail one period of the input tail."""
+    if f.q != x.q:
+        raise ValueError("alphabet mismatch")
+    lo = x.center_start - f.anchor - f.width + 1
+    hi = max(lo, x.center_end - f.anchor)
+    out_cell = lambda i: f.table[word_index(
+        cell_window(x, i + f.anchor, i + f.anchor + f.width), f.q)]
+    lper = len(x.left_period)
+    rper = len(x.right_period)
+    return EpConfig(
+        f.q,
+        tuple(out_cell(i) for i in range(lo - lper, lo)),
+        tuple(out_cell(i) for i in range(lo, hi)),
+        lo,
+        tuple(out_cell(i) for i in range(hi, hi + rper)),
+    )
+
+
+def popping_normalize(x: EpConfig) -> EpConfig:
+    """`EpConfig.normalize` one cell at a time: pop each center cell that
+    continues the adjacent tail and rotate that tail by one."""
+    left = x.left_period
+    right = x.right_period
+    for d in range(1, len(left) + 1):
+        if len(left) % d == 0 and left == left[:d] * (len(left) // d):
+            left = left[:d]
+            break
+    for d in range(1, len(right) + 1):
+        if len(right) % d == 0 and right == right[:d] * (len(right) // d):
+            right = right[:d]
+            break
+    center = list(x.center)
+    cs = x.center_start
+    while center and center[-1] == right[-1]:
+        center.pop()
+        right = right[-1:] + right[:-1]
+    while center and center[0] == left[0]:
+        center.pop(0)
+        cs += 1
+        left = left[1:] + left[:1]
+    if not center:
+        period = math.lcm(len(left), len(right))
+        lt = tuple(left[(i - cs) % len(left)] for i in range(period))
+        rt = tuple(right[(i - cs) % len(right)] for i in range(period))
+        if lt == rt:
+            p = next(lt[:d] for d in range(1, period + 1)
+                     if period % d == 0 and lt == lt[:d] * (period // d))
+            return EpConfig(x.q, p, (), 0, p)
+    return EpConfig(x.q, left, tuple(center), cs, right)
 
 
 def ep_splice(left_src: EpConfig, at: int, w: tuple[int, ...],
@@ -37,13 +105,14 @@ def ep_splice(left_src: EpConfig, at: int, w: tuple[int, ...],
     ce = max(right_src.center_end, cut)
     lper = left_src.left_period
     rper = right_src.right_period
-    center = (left_src.window(cs, at) + tuple(w) + right_src.window(cut, ce))
+    center = (cell_window(left_src, cs, at) + tuple(w)
+              + cell_window(right_src, cut, ce))
     return EpConfig(
         left_src.q,
-        left_src.window(cs - len(lper), cs),
+        cell_window(left_src, cs - len(lper), cs),
         center,
         cs,
-        right_src.window(ce, ce + len(rper)),
+        cell_window(right_src, ce, ce + len(rper)),
     )
 
 
@@ -200,7 +269,7 @@ def count_representations(rule: BlockRule, f: LocalRule, y: EpConfig, i: int,
         raise ValueError("alphabet mismatch")
     m = rule.block_length
     check_cap(rule.q ** m, cap, "candidate middle words")
-    z = apply_ep(f, y)
+    z = cellwise_apply_ep(f, y)
     count = 0
     for w in all_words(m, rule.q):
         x = ep_splice(z, i, w, y)
@@ -890,16 +959,16 @@ def tuple_sweep_right_limit_from(rule: BlockRule, x: EpConfig, i: int,
     start = seen[(window, phase)]
     cs = min(i, x.center_start)
     lper = len(x.left_period)
-    center = x.window(cs, i) + tuple(outs) + tuple(tail[:start])
-    return EpConfig(x.q, x.window(cs - lper, cs), center, cs,
+    center = cell_window(x, cs, i) + tuple(outs) + tuple(tail[:start])
+    return EpConfig(x.q, cell_window(x, cs - lper, cs), center, cs,
                     tuple(tail[start:])).normalize()
 
 
 def tuple_sweep_right_limit(rule: BlockRule, x: EpConfig,
                             i: int) -> EpConfig:
     """Limit of applying the rule at i, i+1, i+2, ... forever."""
-    return tuple_sweep_right_limit_from(rule, x, i,
-                                        x.window(i, i + rule.block_length))
+    return tuple_sweep_right_limit_from(
+        rule, x, i, cell_window(x, i, i + rule.block_length))
 
 
 def tuple_sweep_left_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:
@@ -931,7 +1000,7 @@ def tuple_sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
     limits: list[EpConfig] = []
     for d in range(P):
         sp = base - d
-        start = y.window(sp, sp + m)
+        start = cell_window(y, sp, sp + m)
         # windows at sp reachable from anchors sp - k*P, k large
         orbit = {start: 0}
         trail = [start]
@@ -964,7 +1033,7 @@ def tuple_sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
             piece = tuple_sweep_right_limit_from(chi, y, sp, e)
             hi = max(piece.center_end, sp)
             rper = len(piece.right_period)
-            z = EpConfig(y.q, tuple(left), piece.window(sp, hi), sp,
+            z = EpConfig(y.q, tuple(left), cell_window(piece, sp, hi), sp,
                          tuple(piece.cell(hi + t) for t in range(rper)))
             limits.append(z.normalize())
     first = limits[0]
@@ -1045,7 +1114,7 @@ def two_pass_verify(chi: BlockRule, f: LocalRule, samples: int = 100,
         x = random_ep_config(rng, chi.q)
         i = rng.randrange(-3, 4)
         y, z = representation_eval(chi, x, i)
-        if not ep_equal(z, apply_ep(f, y)):
+        if not ep_equal(z, cellwise_apply_ep(f, y)):
             found = VerifyResult(False, trial + 1, (x, i, y, z))
             break
     agree = True
@@ -1054,10 +1123,10 @@ def two_pass_verify(chi: BlockRule, f: LocalRule, samples: int = 100,
         x = random_ep_config(rng, chi.q)
         i = rng.randrange(-3, 4)
         y, z = representation_eval(chi, x, i)
-        slider_ok = ep_equal(z, apply_ep(f, y))
+        slider_ok = ep_equal(z, cellwise_apply_ep(f, y))
         outcome = sweeper_eval(chi, x)
         sweeper_ok = outcome.converges and ep_equal(outcome.limit,
-                                                    apply_ep(f, x))
+                                                    cellwise_apply_ep(f, x))
         if slider_ok != sweeper_ok:
             agree = False
             break

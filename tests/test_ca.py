@@ -8,7 +8,8 @@ from casweep.ca import (BUILTIN_RULES, LocalRule, apply_ep, builtin_rule,
                         minimize_neighborhood, mirror, refine, shift_compose,
                         shift_rule, to_radius_form)
 from casweep.core import EpConfig, all_words, ep_equal, random_ep_config
-from oracles import apply_word, builtin_rule_metadata, compose, equal
+from oracles import (apply_word, builtin_rule_metadata, cellwise_apply_ep,
+                     compose, equal)
 
 
 def random_rule(rng, q, anchor, width):
@@ -62,6 +63,19 @@ def test_apply_ep_matches_pointwise(seed):
     z = apply_ep(f, x)
     for p in range(-12, 12):
         assert z.cell(p) == f(x.window(p + f.anchor, p + f.anchor + f.width))
+
+
+@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("width", (1, 2, 3, 4))
+def test_apply_ep_matches_cellwise(q, width):
+    """The same representation as one window and one word index per
+    output cell, for anchors -3..2."""
+    rng = random.Random(f"apply-ep-{q}-{width}")
+    for anchor in range(-3, 3):
+        f = random_rule(rng, q, anchor, width)
+        for _ in range(8):
+            x = random_ep_config(rng, q, max_period=4, max_center=5, span=4)
+            assert apply_ep(f, x) == cellwise_apply_ep(f, x)
 
 
 @pytest.mark.parametrize("seed", range(4))

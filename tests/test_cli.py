@@ -697,6 +697,36 @@ def test_loaders_refuse_non_integers(capsys, tmp_path, kind, key, bad):
     assert err.startswith("error:") and repr(key) in err
 
 
+# every symbol field of each input kind, with the size of its range:
+# configuration cells and local rule outputs lie below q, block rule
+# outputs below q^block_length
+RANGE_FIELDS = {
+    "local-rule": (("table",), lambda obj: obj["alphabet"]),
+    "block-rule": (("table",), lambda obj: obj["alphabet"] ** obj["block_length"]),
+    "configuration": (("left_period", "center", "right_period"),
+                      lambda obj: obj["alphabet"]),
+}
+RANGE_CASES = [(kind, key, side) for kind, (keys, _) in RANGE_FIELDS.items()
+               for key in keys for side in ("below", "above")]
+
+
+@pytest.mark.parametrize("kind,key,side", RANGE_CASES,
+                         ids=[f"{kind}-{key}-{side}"
+                              for kind, key, side in RANGE_CASES])
+def test_loaders_refuse_out_of_range_symbols(capsys, tmp_path, kind, key,
+                                             side):
+    argv, name = LOADERS[kind]
+    obj = (json.loads(Path(data_file(name)).read_text()) if name
+           else ep_to_json(IMPULSE))
+    bad = -1 if side == "below" else RANGE_FIELDS[kind][1](obj)
+    obj[key][-1] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, report, err = run(capsys, *argv, str(path))
+    assert code == 2 and report is None
+    assert err.startswith("error:") and f" {bad} " in err
+
+
 def test_fractional_alphabet_is_not_truncated(capsys, tmp_path):
     obj = json.loads(Path(data_file("ca102")).read_text())
     obj["alphabet"] = 2.7

@@ -8,7 +8,7 @@ import pytest
 from casweep.core import (EpConfig, all_words, ep_equal, ep_unzip, ep_zip,
                           is_prime, prime_factors, random_ep_config, vp,
                           word_index, word_of_index)
-from oracles import ep_replace, ep_splice
+from oracles import cell_window, ep_replace, ep_splice, popping_normalize
 
 
 def test_word_index_roundtrip():
@@ -53,6 +53,39 @@ def test_epconfig_cells():
     assert [x.cell(i) for i in range(1, 5)] == [0, 1, 0, 1]
     assert [x.cell(i) for i in range(8, 14)] == [0, 0, 1, 0, 0, 1]
     assert x.window(3, 10) == (0, 1, 1, 1, 0, 0, 0)
+
+
+def seeded_configs(seed: int, count: int) -> list[EpConfig]:
+    """Configurations with periods of 1-4 cells and centers of 0-5, every
+    fourth one with an empty center."""
+    rng = random.Random(seed)
+    configs = []
+    for k in range(count):
+        q = rng.choice((2, 3))
+        x = random_ep_config(rng, q, max_period=4, max_center=5, span=4)
+        if k % 4 == 0:
+            x = EpConfig(q, x.left_period, (), x.center_start, x.right_period)
+        configs.append(x)
+    return configs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_matches_cell_window(seed):
+    """Inside each tail, across both center boundaries, over the whole
+    center, and empty or inverted ranges (which read no cells)."""
+    for x in seeded_configs(seed, 12):
+        for lo in range(x.center_start - 9, x.center_end + 9):
+            for hi in range(lo - 2, lo + 15):
+                assert x.window(lo, hi) == cell_window(x, lo, hi)
+        assert x.window(x.center_end + 3, x.center_end + 1) == ()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normalize_matches_popping_normalize(seed):
+    for x in seeded_configs(100 + seed, 60):
+        n = x.normalize()
+        assert n == popping_normalize(x)
+        assert n.normalize() == n
 
 
 def test_epconfig_reversed():

@@ -64,16 +64,10 @@ def cellwise_apply_ep(f: LocalRule, x: EpConfig) -> EpConfig:
 def popping_normalize(x: EpConfig) -> EpConfig:
     """`EpConfig.normalize` one cell at a time: pop each center cell that
     continues the adjacent tail and rotate that tail by one."""
-    left = x.left_period
-    right = x.right_period
-    for d in range(1, len(left) + 1):
-        if len(left) % d == 0 and left == left[:d] * (len(left) // d):
-            left = left[:d]
-            break
-    for d in range(1, len(right) + 1):
-        if len(right) % d == 0 and right == right[:d] * (len(right) // d):
-            right = right[:d]
-            break
+    minimal = lambda p: next(p[:d] for d in range(1, len(p) + 1)
+                             if p == p[:d] * (len(p) // d))
+    left = minimal(x.left_period)
+    right = minimal(x.right_period)
     center = list(x.center)
     cs = x.center_start
     while center and center[-1] == right[-1]:
@@ -88,9 +82,7 @@ def popping_normalize(x: EpConfig) -> EpConfig:
         lt = tuple(left[(i - cs) % len(left)] for i in range(period))
         rt = tuple(right[(i - cs) % len(right)] for i in range(period))
         if lt == rt:
-            p = next(lt[:d] for d in range(1, period + 1)
-                     if period % d == 0 and lt == lt[:d] * (period // d))
-            return EpConfig(x.q, p, (), 0, p)
+            return EpConfig(x.q, minimal(lt), (), 0, minimal(lt))
     return EpConfig(x.q, left, tuple(center), cs, right)
 
 

@@ -11,10 +11,17 @@ the CLI over 200 seeded configurations (`random_ep_config` with periods of
   block-3 permutation, at seeded anchors in -3..3.
 
 `NEGATIVE_VERIFY` pins the counterexample reports of ``verify <rule
-synthesized from shift> ca102.json --samples 100`` for seeds 0-3.
+synthesized from shift> ca102.json --samples 100`` for seeds 0-3, and
+`POSITIVE_VERIFY` the reports of ``verify <rule synthesized from ca102>
+ca102.json --samples 300`` for seeds 0-3.  `DECOMPOSE` pins, for seeds 0-3,
+the report of ``decompose xor_left.json --samples 300`` (its output
+directory written as ``{OUT}``) and both stage files it writes; its first
+stage sweeps right to left, so it checks the reversed sweeper path.
 
-The digests were taken from the cell-by-cell sweep engine, before windows
-were read as slices and each sweeper limit was built once.
+The `SWEEPS` and `NEGATIVE_VERIFY` digests were taken from the
+cell-by-cell sweep engine, before windows were read as slices and each
+sweeper limit was built once; `POSITIVE_VERIFY` and `DECOMPOSE` were taken
+before `sweeper_eval` built only one limit per arrival window.
 """
 
 import hashlib
@@ -45,6 +52,12 @@ SWEEPS = {
 
 NEGATIVE_VERIFY = \
     "6b4236c5966c0bab908475eeff5b5b759ac07b7f4be37ee280a2cdb43ad33df4"
+
+POSITIVE_VERIFY = \
+    "219791f0e1405acc7be3538a3fafe969b6056badae01646aa8584255c6604062"
+
+DECOMPOSE = \
+    "5e833a8e014d0576ce8d267badca351510d2b9fccdd4fa00dac1323313715698"
 
 
 def digest(obj) -> str:
@@ -113,3 +126,25 @@ def test_negative_verify_reports_are_pinned(capsys, rule_files):
     assert all(code == 1 for code, _ in outputs)
     assert all('"counterexample"' in out for _, out in outputs)
     assert digest(outputs) == NEGATIVE_VERIFY
+
+
+def test_positive_verify_reports_are_pinned(capsys, rule_files):
+    ca102 = resources.files("casweep.data").joinpath("ca102.json")
+    outputs = cli_outputs(capsys, [
+        ["verify", rule_files["ca102"], ca102,
+         "--samples", 300, "--seed", seed] for seed in range(4)])
+    assert all(code == 0 for code, _ in outputs)
+    assert digest(outputs) == POSITIVE_VERIFY
+
+
+def test_decompose_reports_and_stages_are_pinned(capsys, tmp_path):
+    xor_left = resources.files("casweep.data").joinpath("xor_left.json")
+    outputs = []
+    for seed in range(4):
+        out = tmp_path / f"seed{seed}"
+        [[code, report]] = cli_outputs(capsys, [
+            ["decompose", xor_left, out, "--samples", 300, "--seed", seed]])
+        stages = [(out / f"stage{k}.json").read_text() for k in (1, 2)]
+        outputs.append([code, report.replace(str(out), "{OUT}"), *stages])
+    assert all(code == 0 for code, *_ in outputs)
+    assert digest(outputs) == DECOMPOSE

@@ -27,7 +27,7 @@ from functools import cached_property
 from importlib import resources
 
 from .core import (EpConfig, all_words, check_alphabet, check_range, json_int,
-                   word_index, word_of_index)
+                   normal_form, word_index, word_of_index)
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,8 @@ def sweep_right_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:
     cells, period = _sweep_right(rule, x, i, window)
     cs = min(i, x.center_start)
     lper = len(x.left_period)
-    return EpConfig(x.q, x.window(cs - lper, cs), x.window(cs, i) + cells, cs,
-                    period).normalize()
+    return normal_form(x.q, x.window(cs - lper, cs), x.window(cs, i) + cells,
+                       cs, period)
 
 
 def _sweep_right(rule: BlockRule, x: EpConfig, i: int,

@@ -90,6 +90,8 @@ def all_words(length: int, q: int):
 # ---------------------------------------------------------------------------
 # Eventually periodic configurations
 
+EMPTY_TAIL = "periodic tails must be nonempty words"
+
 
 @dataclass(frozen=True)
 class EpConfig:
@@ -100,8 +102,8 @@ class EpConfig:
     len(center))`` come from `center`.  Cells from `center_end` on repeat
     `right_period`, with the first copy starting at `center_end`.
 
-    Instances are not normalized on construction; `normalize` produces the
-    canonical representative and `ep_equal` compares semantically.
+    Instances are not normalized on construction; `normalize` produces a
+    normal form and `ep_equal` compares semantically.
     """
 
     q: int
@@ -113,7 +115,7 @@ class EpConfig:
     def __post_init__(self):
         check_alphabet(self.q)
         if not self.left_period or not self.right_period:
-            raise ValueError("periodic tails must be nonempty words")
+            raise ValueError(EMPTY_TAIL)
         left = tuple(self.left_period)
         center = tuple(self.center)
         right = tuple(self.right_period)
@@ -166,38 +168,57 @@ class EpConfig:
         )
 
     def normalize(self) -> "EpConfig":
-        """Canonical representative: minimal periods, maximally absorbed center.
+        """The normal form of this configuration; see `normal_form`."""
+        return normal_form(self.q, self.left_period, self.center,
+                           self.center_start, self.right_period)
 
-        Idempotent.  Two configurations with the same cells normalize to the
-        same dataclass value, except that a fully periodic configuration is
-        additionally rotated so that its phase is anchored at coordinate 0.
-        """
-        left = _minimal_period(self.left_period)
-        right = _minimal_period(self.right_period)
-        center = self.center
-        n = len(center)
-        # absorb center symbols that already match the adjacent tail tiling:
-        # center cell k continues the right tiling iff it equals
-        # right[(k - n) % len(right)], the left one iff it equals
-        # left[k % len(left)]; the center keeps cells lo <= k < hi
-        hi = n
-        while hi and center[hi - 1] == right[(hi - 1 - n) % len(right)]:
-            hi -= 1
-        lo = 0
-        while lo < hi and center[lo] == left[lo % len(left)]:
-            lo += 1
-        cs = self.center_start + lo
-        # rotate each tail to start its tiling at the new center boundary
-        left = _tiled(left, lo, lo + len(left))
-        right = _tiled(right, hi - n, hi - n + len(right))
-        if lo == hi:
-            # fully periodic iff both tilings agree on every cell
-            period = math.lcm(len(left), len(right))
-            lt = _tiled(left, -cs, period - cs)
-            if lt == _tiled(right, -cs, period - cs):
-                p = _minimal_period(lt)
-                return EpConfig(self.q, p, (), 0, p)
-        return EpConfig(self.q, left, center[lo:hi], cs, right)
+
+def normal_form(q: int, left: tuple[int, ...], center: tuple[int, ...],
+                start: int, right: tuple[int, ...]) -> EpConfig:
+    """Normal form of ``EpConfig(q, left, center, start, right)``, built
+    with one checked construction.
+
+    The normal form has the same cells, minimal tail periods and no center
+    cell that the adjacent tail tiling would absorb; a fully periodic
+    configuration is additionally rotated so that its phase is anchored at
+    coordinate 0.  It is idempotent and keeps `ep_equal`.  It is not
+    canonical: the center only shrinks inward from where it is given, so
+    configurations with the same cells can normalize to different values
+    (``EpConfig(2, (0,), (0, 0), -2, (1, 0))`` gives center start -1 and
+    right period (0, 1), ``EpConfig(2, (0,), (), 0, (1, 0))`` center start
+    0 and right period (1, 0)).  Compare configurations with `ep_equal`.
+
+    Normalizing only slices, rotates and absorbs, so the result holds the
+    same set of symbols as the words given, and its construction checks q
+    and every symbol.  Empty tails are refused first.
+    """
+    if not left or not right:
+        raise ValueError(EMPTY_TAIL)
+    left = _minimal_period(left)
+    right = _minimal_period(right)
+    n = len(center)
+    # absorb center symbols that already match the adjacent tail tiling:
+    # center cell k continues the right tiling iff it equals
+    # right[(k - n) % len(right)], the left one iff it equals
+    # left[k % len(left)]; the center keeps cells lo <= k < hi
+    hi = n
+    while hi and center[hi - 1] == right[(hi - 1 - n) % len(right)]:
+        hi -= 1
+    lo = 0
+    while lo < hi and center[lo] == left[lo % len(left)]:
+        lo += 1
+    cs = start + lo
+    # rotate each tail to start its tiling at the new center boundary
+    left = _tiled(left, lo, lo + len(left))
+    right = _tiled(right, hi - n, hi - n + len(right))
+    if lo == hi:
+        # fully periodic iff both tilings agree on every cell
+        period = math.lcm(len(left), len(right))
+        lt = _tiled(left, -cs, period - cs)
+        if lt == _tiled(right, -cs, period - cs):
+            p = _minimal_period(lt)
+            return EpConfig(q, p, (), 0, p)
+    return EpConfig(q, left, center[lo:hi], cs, right)
 
 
 def _tiled(period: tuple[int, ...], lo: int, hi: int) -> tuple[int, ...]:

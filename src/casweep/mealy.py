@@ -5,7 +5,8 @@ produces a sequence of configurations.  Its accumulation points are computed
 exactly for eventually periodic inputs: crossing one copy of the left period
 acts on the m-cell sweep window as a fixed map, so the windows arriving at
 any reference position from far-away anchors are the eventual cycle of that
-map, and each cycle element extends to one accumulation configuration.
+map, and each cycle element extends to one accumulation configuration,
+decided by the window it carries to the m cells just left of the center.
 
 The block-level view of the same sweep is a Mealy automaton on Q = A = S^n;
 its good states are the ones arising at a fixed block boundary for
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from . import graph
 from .core import (MAX_AUTOMATON_STATES, EpConfig, all_words, check_cap,
-                   ep_equal, ep_to_json, word_index)
+                   ep_equal, ep_to_json, normal_form, word_index)
 from .blockrule import BlockRule, _sweep_cells, _sweep_right
 
 
@@ -192,17 +193,36 @@ def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
     element yields one accumulation configuration: cycling backward writes
     a periodic left tail, sweeping forward across the center settles into
     the right tail.
+
+    Only the limits that can differ are built.  Let base = center_start -
+    m and sp = base - d for a residue d.  The cells y[sp+m, base+m) lie in
+    the left tail, so the sweep T_d from sp to base, which shifts them in,
+    satisfies T_d F_sp = F_base T_d for the period-crossing maps at sp and
+    at base (both sides sweep one period copy and d cells through the same
+    periodic cells).  A cycle element e at sp therefore arrives at base as
+    the window W = T_d(e) on a cycle of F_base, and the limit from e has the
+    cells of the limit from W at base: from base on the sweep out of W,
+    left of base the outputs of W's predecessors on its cycle.  So limits
+    with the same arrival window W are `ep_equal`, bijective rule or not,
+    and one limit is built per W.  The loop keeps the order of building
+    every limit (residues ascending, cycle order at sp) and returns at the
+    first limit not `ep_equal` to the first.  Every skipped limit equals
+    one built before it, and so the first, so this is the limit that
+    building all of them and comparing would report.
     """
     if chi.q != y.q:
         raise ValueError("alphabet mismatch")
     m = chi.block_length
     P = len(y.left_period)
     base = y.center_start - m
-    limits: list[EpConfig] = []
+    first = None
+    arrived: set[int] = set()
     for d in range(P):
         sp = base - d
         # the cells shifted in while the window crosses one period copy
         incoming = y.window(sp - P + m, sp + m)
+        # the cells shifted in while the window moves from sp to base
+        to_base = y.window(sp + m, base + m)
         # windows arriving at sp from anchors sp - k*P, k = 0, 1, ..., each
         # with the cells it emits crossing one copy and the window after;
         # the eventual cycle is what arbitrarily far anchors leave at sp
@@ -214,17 +234,19 @@ def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
         trail = list(crossing)
         cycle = trail[trail.index(window):]
         for e in cycle:
+            arrival = _sweep_cells(chi, e, to_base)[1]
+            if arrival in arrived:
+                continue
+            arrived.add(arrival)
             left = []
             w = e
             for _ in cycle:
                 seg, w = crossing[w]
                 left.extend(seg)
             cells, period = _sweep_right(chi, y, sp, e)
-            limits.append(EpConfig(y.q, tuple(left), cells, sp,
-                                   period).normalize())
-    first = limits[0]
-    for z in limits[1:]:
-        if not ep_equal(first, z):
-            return SweepOutcome(first, z)
+            z = normal_form(y.q, tuple(left), cells, sp, period)
+            if first is None:
+                first = z
+            elif not ep_equal(first, z):
+                return SweepOutcome(first, z)
     return SweepOutcome(first)
-

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from casweep import graph
-from casweep.blockrule import BlockRule, representation_eval, reverse_block
+from casweep.blockrule import (BlockRule, _sweep_cells, _sweep_right,
+                               representation_eval, reverse_block)
 from casweep.ca import (BUILTIN_RULES, LocalRule, minimize_neighborhood,
                         refine, to_radius_form)
 from casweep.closing import _radius_form
@@ -1028,6 +1029,49 @@ def tuple_sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
             z = EpConfig(y.q, tuple(left), cell_window(piece, sp, hi), sp,
                          tuple(piece.cell(hi + t) for t in range(rper)))
             limits.append(z.normalize())
+    first = limits[0]
+    for z in limits[1:]:
+        if not ep_equal(first, z):
+            return SweepOutcome(first, z)
+    return SweepOutcome(first)
+
+
+def anchored_limits(chi: BlockRule, y: EpConfig):
+    """(sp, e, limit) for every anchor residue and cycle window: sp =
+    center_start - m - d for d = 0, 1, ... below the left period, and each
+    window e of the eventual cycle at sp in cycle order, with the limit
+    configuration it extends to, normalized from anchor sp as
+    `sweeper_eval` normalizes it."""
+    m = chi.block_length
+    P = len(y.left_period)
+    base = y.center_start - m
+    for d in range(P):
+        sp = base - d
+        incoming = y.window(sp - P + m, sp + m)
+        crossing: dict[int, tuple[list[int], int]] = {}
+        window = word_index(y.window(sp, sp + m), chi.q)
+        while window not in crossing:
+            crossing[window] = _sweep_cells(chi, window, incoming)
+            window = crossing[window][1]
+        trail = list(crossing)
+        cycle = trail[trail.index(window):]
+        for e in cycle:
+            left = []
+            w = e
+            for _ in cycle:
+                seg, w = crossing[w]
+                left.extend(seg)
+            cells, period = _sweep_right(chi, y, sp, e)
+            yield sp, e, EpConfig(y.q, tuple(left), cells, sp,
+                                  period).normalize()
+
+
+def every_limit_sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
+    """`sweeper_eval` building every limit of `anchored_limits`, not one
+    per arrival window, and comparing each with the first."""
+    if chi.q != y.q:
+        raise ValueError("alphabet mismatch")
+    limits = [z for _, _, z in anchored_limits(chi, y)]
     first = limits[0]
     for z in limits[1:]:
         if not ep_equal(first, z):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from casweep.core import (EpConfig, all_words, ep_equal, ep_unzip, ep_zip,
-                          is_prime, prime_factors, random_ep_config, vp,
-                          word_index, word_of_index)
+                          is_prime, normal_form, prime_factors,
+                          random_ep_config, vp, word_index, word_of_index)
 from oracles import cell_window, ep_replace, ep_splice, popping_normalize
 
 
@@ -86,6 +86,66 @@ def test_normalize_matches_popping_normalize(seed):
         n = x.normalize()
         assert n == popping_normalize(x)
         assert n.normalize() == n
+
+
+def parts(x: EpConfig) -> tuple:
+    return x.q, x.left_period, x.center, x.center_start, x.right_period
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normal_form_matches_normalize(seed):
+    """Seeded configurations, every fourth with an empty center, and fully
+    periodic ones given with and without a center that continues both
+    tails."""
+    rng = random.Random(200 + seed)
+    configs = seeded_configs(200 + seed, 40)
+    for _ in range(20):
+        q = rng.choice((2, 3))
+        p = tuple(rng.randrange(q) for _ in range(rng.randint(1, 4)))
+        start = rng.randint(-4, 4)
+        tiled = EpConfig(q, p, (), start, p)
+        configs += [tiled, EpConfig(q, p * 2, tiled.window(start, start + 5),
+                                    start, tiled.window(start + 5,
+                                                        start + 5 + len(p)))]
+    for x in configs:
+        n = normal_form(*parts(x))
+        assert n == x.normalize() == popping_normalize(x)
+        assert ep_equal(n, x)
+        assert normal_form(*parts(n)) == n
+    assert sum(not x.center for x in configs) >= 20
+
+
+@pytest.mark.parametrize("left,center,right", [
+    ((), (), (0,)), ((0,), (), ()), ((), (), ()),
+    ((), (1, 0), (0,)), ((0,), (1, 0), ()), ((), (1,), ())])
+def test_normal_form_refuses_empty_tails(left, center, right):
+    """Before any period or tiling is computed: a center with an empty
+    tail would otherwise divide by the zero period length."""
+    with pytest.raises(ValueError) as given:
+        EpConfig(2, left, center, 0, right)
+    with pytest.raises(ValueError) as normal:
+        normal_form(2, left, center, 0, right)
+    assert str(normal.value) == str(given.value) == \
+        "periodic tails must be nonempty words"
+
+
+def test_normal_form_refuses_what_epconfig_refuses():
+    """One bad symbol in each word, at each place, and bad alphabets:
+    normal_form raises the message EpConfig raises."""
+    words = ((0, 1), (1, 0, 1), (1, 1))
+    cases = [(q, *words) for q in (1, 0, -2, 2.0, "2")]
+    for k, word in enumerate(words):
+        for place in range(len(word)):
+            for bad in (-1, 2, 7):
+                bent = list(words)
+                bent[k] = word[:place] + (bad,) + word[place + 1:]
+                cases.append((2, *bent))
+    for q, left, center, right in cases:
+        with pytest.raises(ValueError) as given:
+            EpConfig(q, left, center, -1, right)
+        with pytest.raises(ValueError) as normal:
+            normal_form(q, left, center, -1, right)
+        assert str(normal.value) == str(given.value)
 
 
 def test_epconfig_reversed():

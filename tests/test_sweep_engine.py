@@ -4,6 +4,10 @@ The oracles step the m-cell window as a tuple and rebuild the inverse and
 the mirror image on every call; the package steps the window as one block
 index and derives both once per rule.  Every limit and every Mealy table
 must come out the same.
+
+`sweeper_eval` builds one limit per window arriving at base = center_start
+- m; `every_limit_sweeper_eval` builds the limit of every anchor residue
+and cycle window.  Their reports must agree byte for byte.
 """
 
 import random
@@ -13,12 +17,14 @@ import pytest
 from casweep.blockrule import (BlockRule, representation_eval,
                                sweep_left_limit, sweep_right_limit)
 from casweep.ca import builtin_rule
-from casweep.core import ep_equal, random_ep_config
+from casweep.core import (EpConfig, ep_equal, random_ep_config, word_index,
+                          word_of_index)
 from casweep.mealy import mealy_from_block, sweeper_eval
 from casweep.synthesis import synthesize
-from oracles import (tuple_mealy_from_block, tuple_representation_eval,
+from oracles import (anchored_limits, every_limit_sweeper_eval,
+                     tuple_mealy_from_block, tuple_representation_eval,
                      tuple_sweep_left_limit, tuple_sweep_right_limit,
-                     tuple_sweeper_eval)
+                     tuple_sweep_step, tuple_sweeper_eval)
 
 SHAPES = [(q, m) for q in (2, 3) for m in (1, 2, 3, 4)]
 
@@ -98,3 +104,61 @@ def test_synthesized_ca102_rule_matches_tuple_engine(ca102_block):
         check_forward(ca102_block, x, i)
         check_backward(ca102_block, x, i)
     assert mealy_from_block(ca102_block) == tuple_mealy_from_block(ca102_block)
+
+
+def left_period_draws(seed: int, q: int, m: int, per_period: int):
+    """(rule, config) draws: three permutations and three non-bijective
+    rules, each swept over `per_period` configurations of every left
+    period 1-4."""
+    rng = random.Random(seed)
+    for make in (permutation_rule, non_bijective_rule):
+        for _ in range(3):
+            rule = make(rng, q, m)
+            for P in (1, 2, 3, 4):
+                for _ in range(per_period):
+                    x = random_ep_config(rng, q, max_period=4, max_center=5,
+                                         span=4)
+                    left = tuple(rng.randrange(q) for _ in range(P))
+                    yield rule, EpConfig(q, left, x.center, x.center_start,
+                                         x.right_period)
+
+
+def test_sweeper_reports_match_every_limit_oracle():
+    """4,608 draws: enough that keying the arrival windows by the cells
+    at the wrong offset (y[sp, base) for y[sp+m, base+m)) changes a
+    report."""
+    diverging = 0
+    for q, m in SHAPES:
+        for rule, x in left_period_draws(500 * q + m, q, m, 24):
+            got = sweeper_eval(rule, x)
+            assert got.to_json() == every_limit_sweeper_eval(rule, x).to_json()
+            diverging += not got.converges
+    assert diverging >= 1200
+
+
+def arrival_window(rule, x, sp: int, e: int) -> int:
+    """The window that cycle window e at sp carries to base = center_start
+    - m, swept cell by cell."""
+    m = rule.block_length
+    window = word_of_index(e, m, rule.q)
+    for p in range(sp + m, x.center_start):
+        _, window = tuple_sweep_step(rule, window, x.cell(p))
+    return word_index(window, rule.q)
+
+
+def test_limits_with_one_arrival_window_are_equal():
+    """The arrival window at base decides the limit.  The window at the
+    anchor residue does not: many draws hold equal windows at two residues
+    whose limits differ."""
+    shared = residue_keyed_differ = 0
+    for q, m in SHAPES:
+        for rule, x in left_period_draws(600 * q + m, q, m, 6):
+            by_arrival, by_window = {}, {}
+            for sp, e, z in anchored_limits(rule, x):
+                w = arrival_window(rule, x, sp, e)
+                shared += w in by_arrival
+                assert ep_equal(by_arrival.setdefault(w, z), z)
+                residue_keyed_differ += not ep_equal(
+                    by_window.setdefault(e, z), z)
+    assert shared >= 1000
+    assert residue_keyed_differ >= 200

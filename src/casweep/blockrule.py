@@ -109,9 +109,8 @@ def identity_block(q: int, m: int = 1) -> BlockRule:
 # ---------------------------------------------------------------------------
 # Finite sweeps
 
-def sweep_range(rule: BlockRule, x: EpConfig, i: int, j: int,
-                reverse: bool = False) -> EpConfig:
-    """Apply at every position of [i, j), ascending, or descending if reverse.
+def sweep_range(rule: BlockRule, x: EpConfig, i: int, j: int) -> EpConfig:
+    """Apply at every position of [i, j), ascending.
 
     Cells outside [min(i, ...), j + m) keep their values, so the periodic
     tails survive unchanged.
@@ -124,8 +123,7 @@ def sweep_range(rule: BlockRule, x: EpConfig, i: int, j: int,
     lo = min(i, x.center_start)
     hi = max(j + m - 1, x.center_end)
     cells = list(x.window(lo, hi))
-    order = range(i, j) if not reverse else range(j - 1, i - 1, -1)
-    for p in order:
+    for p in range(i, j):
         k = p - lo
         cells[k:k + m] = rule(tuple(cells[k:k + m]))
     lper = len(x.left_period)

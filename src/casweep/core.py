@@ -26,8 +26,8 @@ class ResourceCapError(RuntimeError):
 
 
 # Default cap on the predicted states of an automaton or product: far above
-# the 28,672 slider states of a synthesized q=2 rule and the 3,720,087 of a
-# block-7 q=3 rule.
+# the 10,240 states of the `automata --vs` intersection of a synthesized q=2
+# rule and the 8,505 live slider states of a block-7 q=3 rule.
 MAX_AUTOMATON_STATES = 1 << 22
 
 

@@ -10,17 +10,18 @@ complementation is ever needed because the "differs somewhere from the
 image" relation is itself directly recognizable.
 
 States are the numbers 0..n-1, each a mixed-radix code computed by its
-builder (the state's kind, then the `word_index` of its parts; `trim` keeps
-a subset in order, `intersect` orders (a, b, lflag, rflag)
-lexicographically), with successors sorted by (label, target), so dumps,
-`==` and witnesses are reproducible.
+builder (the state's kind, then the `word_index` of its parts; the slider
+builder and `trim` keep a subset of the codes in order, `intersect` orders
+(a, b, lflag, rflag) lexicographically), with successors sorted by (label,
+target), so dumps, `==` and witnesses are reproducible.
 
-The slider automaton of a block rule of length m has m q^(2m-2) states,
-and `automata` reports all of them.  The exact check builds only its live
-part (`live_slider_automaton`): three passes list the L states with an
-infinite past, the R states with an infinite future and the bridge states
-joining them, each layer capped by a running total of states before it is
-allocated; a synthesized q=3 rule of length 7 keeps 8,505 of 3,720,087.
+The slider automaton of a block rule of length m numbers m q^(2m-2)
+states, but `slider_relation_automaton` builds only the live ones, for the
+exact check and for `automata` alike: three passes list the L states with
+an infinite past, the R states with an infinite future and the bridge
+states joining them, each layer capped by a running total of states before
+it is allocated; a synthesized q=3 rule of length 7 keeps 8,505 of
+3,720,087.
 
 One lockstep product, `_product`, pairs the runs of two automata over equal
 labels; it is the only product, and it builds only the pairs its seeds
@@ -50,7 +51,8 @@ from .blockrule import BlockRule
 class ZAutomaton:
     """Numbered states, labeled successor lists, and the recurrence sets.
 
-    `states` has one entry per state: the builders use range(n), `trim` and
+    `states` has one entry per state: the sweeper and mismatch builders use
+    range(n), the slider builder the codes of its live states; `trim` and
     `intersect` carry over the entries of the states they keep; `succ[k]`
     lists the (label, target) edges leaving state k, sorted; `initial` and
     `final` are ascending state numbers.
@@ -363,47 +365,10 @@ def intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
 # ---------------------------------------------------------------------------
 # Relation automata
 
-def slider_relation_automaton(chi: BlockRule,
-                              max_states: int | None = None) -> ZAutomaton:
-    """Automaton for the pairs (y, z) the block rule's two sweeps represent.
-
-    Reading left to right, the run simulates the backward inverse sweep with
-    inverted edges while buffering its cell emissions, crosses a bridge of
-    m-1 positions where the guessed free cells are handed over, then
-    simulates the forward sweep with the output buffer delaying the
-    comparison by m-1 cells.  The left states and right states carry the
-    recurrence obligations, so accepted paths cross the bridge exactly once;
-    shift invariance of the relation makes the crossing position immaterial.
-
-    Every state pairs a window v with a buffer r, both words of length m-1:
-    L(v, r) holds the inverse sweep's window and the pending inputs, B(t, v,
-    r) the handed-over window with m-1-t pending inputs then t guessed
-    outputs, R(v, r) the forward sweep's window and the pending outputs.
-    With Q = q^(m-1), state B(t, v, r) is (t-1) Q^2 + v Q + r, L(v, r) is
-    (m-2) Q^2 + v Q + r and R(v, r) is (m-1) Q^2 + v Q + r.  Each bridge
-    step, L to B(1) to ... to B(m-2) to R, shifts the buffer's first input
-    out and a guessed output in.  This is the whole automaton, the one
-    `automata` reports; `live_slider_automaton` builds its live part alone.
-    """
-    if not chi.is_bijective():
-        raise ValueError("slider relations need a bijective block rule")
-    q, m, table = chi.q, chi.block_length, chi.table
-    check_cap(2 if m == 1 else m * q ** (2 * m - 2), max_states,
-              "slider automaton states")
-    if m == 1:
-        labels = [y * q + table[y] for y in range(q)]
-        return ZAutomaton(q, 2, range(2),
-                          (tuple((a, t) for a in labels for t in (0, 1)),
-                           tuple((a, 1) for a in labels)), (0,), (1,))
-    layer = q ** (2 * m - 2)
-    L, R, n = (m - 2) * layer, (m - 1) * layer, m * layer
-    return ZAutomaton(q, 2, range(n), tuple(map(_slider_edges(chi), range(n))),
-                      tuple(range(L, R)), tuple(range(R, n)))
-
-
 def _slider_edges(chi: BlockRule):
     """edges(s): the sorted (label, target) pairs leaving state s of the
-    slider automaton of block length m >= 2, numbered as there.
+    slider automaton of block length m >= 2, numbered as in
+    `slider_relation_automaton`.
 
     With s = (layer Q + v) Q + c q^(m-2) + rest, the targets are the
     layer's and window's base targets plus rest q: the buffer's first cell c
@@ -446,22 +411,38 @@ def _slider_edges(chi: BlockRule):
     return edges
 
 
-def live_slider_automaton(chi: BlockRule,
-                          max_states: int | None = None) -> ZAutomaton:
-    """The live part of the slider automaton, built without the rest:
-    equal to ``trim(slider_relation_automaton(chi))`` field by field.
+def slider_relation_automaton(chi: BlockRule,
+                              max_states: int | None = None) -> ZAutomaton:
+    """Automaton for the pairs (y, z) the block rule's two sweeps represent,
+    built on its live states alone.
 
-    Three passes list the candidate states, numbered as in the whole
-    automaton; their edges come from `_slider_edges`, less those leading
-    to a state that is not a candidate.
+    Reading left to right, the run simulates the backward inverse sweep with
+    inverted edges while buffering its cell emissions, crosses a bridge of
+    m-1 positions where the guessed free cells are handed over, then
+    simulates the forward sweep with the output buffer delaying the
+    comparison by m-1 cells.  The left states and right states carry the
+    recurrence obligations, so accepted paths cross the bridge exactly once;
+    shift invariance of the relation makes the crossing position immaterial.
 
-    - *L core.*  All Q = q^(m-1) windows with an empty buffer, extended
-      m-1 times by a guessed cell e: (v, r) -> (table[v q + e] mod Q,
-      r q + e).  These are the L states reached by m-1 L steps, since a
-      step appends its cell to the buffer.  They are already the L states
-      with an infinite past, so no fixed point is iterated: chi is
-      bijective, so every window is the table[v q + e] mod Q of some
-      (v, e), hence ends backward chains of any length.
+    Every state pairs a window v with a buffer r, both words of length m-1:
+    L(v, r) holds the inverse sweep's window and the pending inputs, B(t, v,
+    r) the handed-over window with m-1-t pending inputs then t guessed
+    outputs, R(v, r) the forward sweep's window and the pending outputs.
+    With Q = q^(m-1), state B(t, v, r) is (t-1) Q^2 + v Q + r, L(v, r) is
+    (m-2) Q^2 + v Q + r and R(v, r) is (m-1) Q^2 + v Q + r (for m = 1, L is
+    0 and R is 1).  Each bridge step, L to B(1) to ... to B(m-2) to R,
+    shifts the buffer's first input out and a guessed output in.  Of these
+    m q^(2m-2) codes only the live ones are kept, in order, as `states`;
+    their edges come from `_slider_edges`, less those leading to a state
+    that is not kept.  Three passes list them:
+
+    - *L core.*  All Q windows with an empty buffer, extended m-1 times by
+      a guessed cell e: (v, r) -> (table[v q + e] mod Q, r q + e).  These
+      are the L states reached by m-1 L steps, since a step appends its
+      cell to the buffer.  They are already the L states with an infinite
+      past, so no fixed point is iterated: chi is bijective, so every
+      window is the table[v q + e] mod Q of some (v, e), hence ends
+      backward chains of any length.
     - *R core.*  The mirror pass: all windows with an empty buffer, owed
       outputs h prepended m-1 times through the inverse, (v2, r) ->
       (chi^-1(h v2) div q, h q^k + r) for a buffer of k cells.  These are
@@ -472,20 +453,22 @@ def live_slider_automaton(chi: BlockRule,
       outputs of an R-core buffer of v: the bridge keeps the window and
       hands the buffer over one cell at a time.
 
-    Every window carries buffers in both cores, so every candidate lies on
+    Every window carries buffers in both cores, so every state kept lies on
     a path from the L core over the bridge into the R core, and none is
-    dead, so no `trim` pass follows.  Before each layer is allocated, the
-    running total of states plus the layer's size (bounded by q times the
-    current layer in the cores, counted for the bridge) is checked against
-    max_states; the m q^(2m-2) states of the whole automaton are never
-    counted.
+    dead.  Before each layer is allocated, the running total of states plus
+    the layer's size (bounded by q times the current layer in the cores,
+    counted for the bridge) is checked against max_states; the m q^(2m-2)
+    codes are never counted.
     """
     if not chi.is_bijective():
         raise ValueError("slider relations need a bijective block rule")
     q, m, table = chi.q, chi.block_length, chi.table
     if m == 1:
-        # two live states; trim turns the builder's range into a tuple
-        return trim(slider_relation_automaton(chi, max_states))
+        check_cap(2, max_states, "slider live states")
+        labels = [y * q + table[y] for y in range(q)]
+        return ZAutomaton(q, 2, (0, 1),
+                          (tuple((a, t) for a in labels for t in (0, 1)),
+                           tuple((a, 1) for a in labels)), (0,), (1,))
     Q = q ** (m - 1)
     L, R = (m - 2) * Q * Q, (m - 1) * Q * Q
     cells, total = range(q), 0
@@ -646,15 +629,14 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     For bijective rules the relation is total on inputs and maps each input
     to the inputs' full configuration space image, so containment in the
     graph of f already forces equality: it suffices that no represented
-    pair disagrees with f anywhere.  Only the slider automaton's live part
-    can take part in such a pair, and `live_slider_automaton` builds it
-    without the rest.  max_states bounds its running total of states (each
-    layer checked before it is built), the mismatch automaton and their
-    whole product, which bounds the part `_disjoint` builds.
+    pair disagrees with f anywhere.  max_states bounds the slider
+    automaton's running total of states (each layer checked before it is
+    built), the mismatch automaton and their whole product, which bounds
+    the part `_disjoint` builds.
     """
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")
-    slider = live_slider_automaton(chi, max_states)
+    slider = slider_relation_automaton(chi, max_states)
     mismatch = graph_mismatch_automaton(f, max_states)
     check_cap(len(slider.states) * len(mismatch.states), max_states,
               "slider-mismatch product nodes")

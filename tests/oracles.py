@@ -588,8 +588,9 @@ def mismatch_state_number(f: LocalRule, name) -> int:
 
 
 def named_slider_relation_automaton(chi: BlockRule) -> ZAutomaton:
-    """The slider relation automaton built on named states (see
-    `zautomata.slider_relation_automaton`) and numbered by `from_named`."""
+    """The whole slider relation automaton, all m q^(2m-2) states, built
+    on named states (see `zautomata.slider_relation_automaton`, which builds
+    the live ones) and numbered by `from_named`."""
     if not chi.is_bijective():
         raise ValueError("slider relations need a bijective block rule")
     q, m = chi.q, chi.block_length
@@ -658,6 +659,13 @@ def named_slider_relation_automaton(chi: BlockRule) -> ZAutomaton:
     return from_named(q, 2, states, edges,
                       [s for s in states if s[0] == "L"],
                       [s for s in states if s[0] == "R"])
+
+
+def whole_slider_automaton(chi: BlockRule) -> ZAutomaton:
+    """The whole slider automaton with the package's state numbers: its
+    `trim` is what `zautomata.slider_relation_automaton` builds."""
+    return renumbered(named_slider_relation_automaton(chi),
+                      lambda s: slider_state_number(chi, s))
 
 
 def named_sweeper_relation_automaton(chi: BlockRule) -> ZAutomaton:

@@ -7,6 +7,13 @@ sorted-key JSON dump and the JSON of `nonempty_witness`.  The table was
 generated once from the named-state implementation; any change to state
 numbering, edge order or witness search that shows up in a report fails
 here.
+
+The slider digests in the table are those of the whole automaton, all
+m q^(2m-2) states, which the named-state builder still gives
+(`oracles.whole_slider_automaton`).  `automata` builds the live states
+alone; for block length 1 (`swap`) every state is live, and for the other
+rules `LIVE` pins the dumps it reports, computed from `trim` of the whole
+automaton.  The witnesses are the same for both.
 """
 
 import hashlib
@@ -20,6 +27,7 @@ from casweep.core import ep_to_json
 from casweep.zautomata import (graph_mismatch_automaton, intersect,
                                nonempty_witness, slider_relation_automaton,
                                sweeper_relation_automaton)
+from oracles import whole_slider_automaton
 
 KINDS = {"slider": slider_relation_automaton,
          "sweeper": sweeper_relation_automaton}
@@ -198,16 +206,66 @@ PINS = [
       "right_period": [0]}),
 ]
 
+# (block rule, --vs rule or None) -> dump sha256 of the live slider
+# automaton, where it differs from the whole one
+LIVE = {
+    ("xor_block", None):
+        "673c4fd97044c298398336ab5338cb4f6383d20581ace10c2e6ee5a64f8da8b4",
+    ("xor_block", "identity"):
+        "81149803226e4e242f408aad97f899312204f6aa5233a90b18c2aa9a3108f171",
+    ("xor_block", "shift"):
+        "29f7281f68cf85aff6984eb6b195b67856391312fb776bef520dcc95f5724e66",
+    ("xor_block", "shift_inv"):
+        "1bd04dac82a4646d24a81200c7c8b067ff21373165ead840e51c93187205b02c",
+    ("xor_block", "ca102"):
+        "8b82097fd6fd84c14694bdfb10a3bce1398f8e997b102126c2b1e92eb63b8aaa",
+    ("xor_block", "xor_left"):
+        "dbb109ef284d531a7e564911a88c6148c4ea6468de8957c8d87647e758944f0f",
+    ("xor_block", "and_rule"):
+        "0629ceffe0cee1791db1fec4a36843c7d7d0ef47703ed3b48f643ddc0f7fae2f",
+    ("identity_block", None):
+        "0ea1f7d3479e8ce8fa2525730af4f72647df6e53d37eaf64e7d5b5b9b2ae381f",
+    ("identity_block", "identity"):
+        "599d5798f03f28fcfa97c8d933b3204ab53b1af461e1c1375fdb1a0d0b5cdcbc",
+    ("identity_block", "shift"):
+        "96b46301aadd65c01f96d33484431ca7eba482b16f2149d6451f117b658bac08",
+    ("identity_block", "shift_inv"):
+        "36b427aba1edea96e3a7e0d1e87be094884670811cd0805bf453da048770376c",
+    ("identity_block", "ca102"):
+        "2d565eccba4f7b086c6776ef552fcfde3db0c8f458b29fd51b509f56cc6ccb51",
+    ("identity_block", "xor_left"):
+        "5f85128a3dfefe5f125ead003f96687ab9e33c3d281e44bc33675eb490c464b6",
+    ("identity_block", "and_rule"):
+        "cb7227dc95b6edb57cd29c902e4be683f812eb226110e2708d46b9fc78c6dee8",
+    ("not_closed", None):
+        "8421a4da4e1f8fab835058de5d75636b236683fef2b2a335b8c53721117d1f6f",
+}
+
 
 def test_table_covers_every_case():
     assert len(PINS) == 44
     assert len({row[:3] for row in PINS}) == 44
+    assert {("slider",) + key for key in LIVE} <= {row[:3] for row in PINS}
 
 
 @pytest.mark.parametrize("kind,block,vs,digest,witness", PINS,
                          ids=lambda v: str(v)[:12])
 def test_dump_and_witness_are_pinned(kind, block, vs, digest, witness):
     A = KINDS[kind](builtin_block_rule(block))
+    if kind == "slider":
+        digest = LIVE.get((block, vs), digest)
+    assert_pinned(A, vs, digest, witness)
+
+
+@pytest.mark.parametrize("kind,block,vs,digest,witness",
+                         [row for row in PINS if row[0] == "slider"],
+                         ids=lambda v: str(v)[:12])
+def test_whole_slider_automaton_is_pinned(kind, block, vs, digest, witness):
+    assert_pinned(whole_slider_automaton(builtin_block_rule(block)), vs,
+                  digest, witness)
+
+
+def assert_pinned(A, vs, digest, witness):
     if vs is not None:
         A = intersect(A, graph_mismatch_automaton(builtin_rule(vs)))
     blob = json.dumps(A.to_json(), sort_keys=True).encode()

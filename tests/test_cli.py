@@ -17,11 +17,15 @@ from pathlib import Path
 import pytest
 
 import casweep
-from casweep.blockrule import BlockRule
-from casweep.ca import LocalRule, apply_ep, builtin_rule
+from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule,
+                               builtin_block_rule)
+from casweep.ca import BUILTIN_RULES, LocalRule, apply_ep, builtin_rule
 from casweep.cli import build_parser, main
 from casweep.core import (EpConfig, ep_equal, ep_from_json, ep_to_json,
-                          word_of_index)
+                          ep_unzip, word_of_index)
+from casweep.zautomata import (graph_mismatch_automaton, intersect, is_empty,
+                               nonempty_witness)
+from oracles import whole_slider_automaton
 
 
 def data_file(name: str) -> str:
@@ -543,18 +547,65 @@ def test_automata_resource_cap(capsys, tmp_path):
 
 
 def test_automata_vs_product_capped_before_it_is_built(capsys, tmp_path):
-    """The slider automaton (28,672 states) fits the cap, the product with
-    the mismatch automaton does not: refused before it is allocated."""
+    """The slider automaton (512 live states) and the mismatch automaton
+    (5 states) fit the cap, their 2,560 product nodes do not: refused
+    before the product is allocated."""
     out = str(tmp_path / "block.json")
     assert main(["synthesize", data_file("ca102"), out]) == 0
     capsys.readouterr()
     start = time.monotonic()
     code, report, err = run(capsys, "automata", "inspect", out,
                             "--kind", "slider", "--vs", data_file("ca102"),
-                            "--max-automaton-states", "30000")
+                            "--max-automaton-states", "1000")
     assert time.monotonic() - start < 2
     assert code == 3 and report is None
     assert "intersection product nodes" in err
+
+
+AUTOMATA_CASES = [(block, None) for block in BUILTIN_BLOCK_RULES] + [
+    (block, f) for block in BUILTIN_BLOCK_RULES for f in BUILTIN_RULES
+    if builtin_block_rule(block).q == builtin_rule(f).q]
+
+
+@pytest.mark.parametrize("block,vs", AUTOMATA_CASES)
+def test_automata_empty_agrees_with_the_whole_slider_automaton(capsys, block,
+                                                               vs):
+    """`automata` builds the live slider states alone; its verdict, witness
+    and exit code are those of the whole automaton."""
+    argv = ["automata", "empty", data_file(block), "--kind", "slider"]
+    whole = whole_slider_automaton(builtin_block_rule(block))
+    if vs is not None:
+        argv += ["--vs", data_file(vs)]
+        whole = intersect(whole, graph_mismatch_automaton(builtin_rule(vs)))
+    code, report, _ = run(capsys, *argv)
+    assert report["empty"] is is_empty(whole)
+    witness = nonempty_witness(whole)
+    assert code == (0 if witness is None else 1)
+    if witness is not None:
+        wy, wz = ep_unzip(witness)
+        assert report["witness"] == {"input": ep_to_json(wy),
+                                     "output": ep_to_json(wz)}
+
+
+def test_automata_of_a_synthesized_rule_builds_its_live_part(capsys,
+                                                             tmp_path):
+    """The synthesized shift rule against ca102: the intersection with the
+    live slider states has 10,240 states (516,096 with all of them), and
+    the witness is the one the whole automaton gave."""
+    out = str(tmp_path / "block.json")
+    assert main(["synthesize", data_file("shift"), out]) == 0
+    capsys.readouterr()
+    argv = [out, "--kind", "slider", "--vs", data_file("ca102")]
+    code, report, _ = run(capsys, "automata", "inspect", *argv)
+    assert code == 0
+    assert report["states"] == 10240 and report["edges"] == 28672
+    code, report, _ = run(capsys, "automata", "empty", *argv)
+    assert code == 1 and report["empty"] is False
+    assert report["witness"] == {
+        "input": {"alphabet": 2, "left_period": [0, 0, 0, 0, 0, 0, 0, 1],
+                  "center": [], "center_start": 0, "right_period": [0]},
+        "output": {"alphabet": 2, "left_period": [0, 0, 0, 0, 0, 0, 1, 0],
+                   "center": [], "center_start": 0, "right_period": [0]}}
 
 
 # ---------------------------------------------------------------------------

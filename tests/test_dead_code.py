@@ -22,6 +22,8 @@ ALLOWED = {
     "lambda_value",
     # BENCHMARK.json traces it as a per-layer metric
     "is_strong_left_closing_radius",
+    # BENCHMARK.json traces it
+    "trim",
     # the documented decode of the stair codes into (v, w) word pairs
     "StairSet.pairs",
     # the reference good_states_by_transformations in oracles.py reads it

@@ -15,17 +15,16 @@ from casweep import zautomata
 from casweep.synthesis import synthesize
 from casweep.zautomata import (member, is_empty, nonempty_witness,
                                trim, intersect, is_slider_rule_for,
-                               live_slider_automaton, slider_relation_automaton,
+                               slider_relation_automaton,
                                sweeper_relation_automaton,
                                graph_mismatch_automaton)
 from oracles import (NamedAutomaton, disjoint_by_full_product, ep_replace,
                      flag_intersect, from_named,
                      mismatch_state_number, named_graph_mismatch_automaton,
                      named_is_empty, named_nonempty_witness,
-                     named_slider_relation_automaton,
                      named_sweeper_relation_automaton, named_trim,
                      period_member, project, renumbered,
-                     slider_state_number, sweeper_state_number)
+                     sweeper_state_number, whole_slider_automaton)
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 
@@ -154,7 +153,7 @@ def test_exact_slider_check_caps_its_product():
     slider = slider_relation_automaton(chi)
     mismatch = graph_mismatch_automaton(f)
     cap = max(len(slider.states), len(mismatch.states))
-    assert len(trim(slider).states) * len(mismatch.states) > cap
+    assert len(slider.states) * len(mismatch.states) > cap
     with pytest.raises(ResourceCapError,
                        match="slider-mismatch product nodes"):
         is_slider_rule_for(chi, f, max_states=cap)
@@ -163,8 +162,6 @@ def test_exact_slider_check_caps_its_product():
 def test_exact_slider_check_needs_bijective_rule():
     with pytest.raises(ValueError):
         is_slider_rule_for(SQUASH, builtin_rule("identity"))
-    with pytest.raises(ValueError):
-        live_slider_automaton(SQUASH)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +182,8 @@ def live_gate_rules():
 @pytest.mark.parametrize("chi", live_gate_rules(),
                          ids=lambda chi: f"q{chi.q}m{chi.block_length}")
 def test_live_slider_automaton_is_the_trimmed_one(chi):
-    live = live_slider_automaton(chi)
-    full = trim(slider_relation_automaton(chi))
+    live = slider_relation_automaton(chi)
+    full = trim(whole_slider_automaton(chi))
     assert live.q == full.q and live.arity == full.arity
     assert live.states == full.states
     assert live.succ == full.succ
@@ -199,8 +196,9 @@ def test_live_slider_automaton_counts_before_it_builds(name, monkeypatch):
     """One state below the candidate total is refused by the running
     count, before the last layer or the candidates' edges are built."""
     chi = synthesize(builtin_rule(name))
-    total = len(live_slider_automaton(chi).states)
-    assert len(live_slider_automaton(chi, max_states=total).states) == total
+    total = len(slider_relation_automaton(chi).states)
+    assert len(slider_relation_automaton(chi, max_states=total).states) \
+        == total
 
     def unexpected(_):
         raise AssertionError("edges built over the cap")
@@ -219,7 +217,7 @@ def test_exact_check_of_a_q3_block7_rule():
     chi = synthesize(f)
     assert chi.block_length == 7
     start = time.monotonic()
-    assert len(live_slider_automaton(chi).states) == 8505
+    assert len(slider_relation_automaton(chi).states) == 8505
     assert is_slider_rule_for(chi, f) is True
     assert time.monotonic() - start < 10
 
@@ -427,14 +425,14 @@ def test_seeded_product_decides_as_the_full_product(monkeypatch):
     rng = random.Random(97)
     rules = list(seeded_local_rules())
     for chi in live_gate_rules():
-        live = live_slider_automaton(chi)
+        live = slider_relation_automaton(chi)
         for f in rng.sample([f for f in rules if f.q == chi.q], 3):
             mismatch = graph_mismatch_automaton(f)
             if len(live.states) * len(mismatch.states) <= 50_000:
                 checked(live, mismatch)
     for name in ("identity", "shift", "ca102"):
         f = builtin_rule(name)
-        live = live_slider_automaton(synthesize(f))
+        live = slider_relation_automaton(synthesize(f))
         assert checked(live, graph_mismatch_automaton(f))
     monkeypatch.setattr(zautomata, "_disjoint", checked)
     for chi in seeded_block_rules():
@@ -474,9 +472,7 @@ def test_block_rule_builders_number_the_named_states(chi):
         with pytest.raises(ValueError):
             slider_relation_automaton(chi)
         return
-    assert slider_relation_automaton(chi) == renumbered(
-        named_slider_relation_automaton(chi),
-        lambda s: slider_state_number(chi, s))
+    assert slider_relation_automaton(chi) == trim(whole_slider_automaton(chi))
 
 
 def test_local_rules_cover_every_lag():

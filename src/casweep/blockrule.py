@@ -17,6 +17,18 @@ the next tape cell, ``out, rest = divmod(table[w], q**(m-1))`` and
 Right-to-left sweeps are reduced to left-to-right ones by reversing both the
 tape and the rule, so there is exactly one sweep engine.  A rule derives its
 inverse and its mirror image once, on first use, and keeps them.
+
+A rule also keeps two memos of the sweeps it has run, since what a sweep
+does inside a periodic tail depends only on the rule, the period word and
+where the sweep enters it:
+
+- the tail memo (`_sweep_right`): keyed by (right period p, window, phase)
+  at the entry into the tail, the cells finalized there until the output
+  turns periodic, and that period; at most q^m * |p| entries per period
+  word p seen;
+- the left memo (`mealy.sweeper_eval`): keyed by the left-period word, the
+  cycle windows and left segments every anchor residue contributes; one
+  entry per left-period word seen.
 """
 
 from __future__ import annotations
@@ -39,6 +51,9 @@ class BlockRule:
     `is_bijective` checks and `inverse` inverts.  The inverse and the mirror
     image are derived once per rule and cached on the instance, outside the
     dataclass fields, so equality, hashing and the JSON form ignore them.
+    So are the two sweep memos (module docstring): `_left_sweeps`, one entry
+    per left-period word seen, and `_tail_sweeps`, at most q^m * |p| entries
+    per right-period word p seen.
     """
 
     q: int
@@ -79,6 +94,14 @@ class BlockRule:
     @cached_property
     def _mirror(self) -> "BlockRule":
         return reverse_block(self)
+
+    @cached_property
+    def _left_sweeps(self) -> dict:
+        return {}
+
+    @cached_property
+    def _tail_sweeps(self) -> dict:
+        return {}
 
     def to_json(self) -> dict:
         return {"alphabet": self.q, "block_length": self.block_length,
@@ -170,19 +193,33 @@ def _sweep_right(rule: BlockRule, x: EpConfig, i: int,
                  window: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Rightward limit sweep from the block `window` at [i, i+m), in
     place of the tape's cells there: the cells it finalizes from i on until
-    its output turns periodic, and the period that repeats from there.  The
-    (window, phase) pairs of the periodic tail are keyed as the integer
-    window * period + phase.
+    its output turns periodic, and the period that repeats from there.
+
+    The part inside the right tail depends only on the period word and the
+    (window, phase) pair in which the sweep enters it, so it is memoized on
+    the rule under that key (`BlockRule._tail_sweeps`).
     """
-    m, q, table = rule.block_length, rule.q, rule.table
-    high = q ** (m - 1)
-    period = x.right_period
-    rper = len(period)
-    ce = x.center_end
+    m, period, ce = rule.block_length, x.right_period, x.center_end
     outs, window = _sweep_cells(rule, window, x.window(i + m, ce))
+    key = (period, window, (max(i + m, ce) - ce) % len(period))
+    tail = rule._tail_sweeps.get(key)
+    if tail is None:
+        tail = rule._tail_sweeps[key] = _sweep_tail(rule, *key)
+    return tuple(outs) + tail[0], tail[1]
+
+
+def _sweep_tail(rule: BlockRule, period: tuple[int, ...], window: int,
+                phase: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sweep entering the periodic tail `period` with `window` at
+    `phase`: the cells it finalizes until its output turns periodic, and
+    that period.  The (window, phase) pairs are keyed as the integer
+    window * |period| + phase.
+    """
+    q, table = rule.q, rule.table
+    high = q ** (rule.block_length - 1)
+    rper = len(period)
     seen: dict[int, int] = {}
     tail: list[int] = []
-    phase = (max(i + m, ce) - ce) % rper
     key = window * rper + phase
     while key not in seen:
         seen[key] = len(tail)
@@ -192,7 +229,7 @@ def _sweep_right(rule: BlockRule, x: EpConfig, i: int,
         phase = (phase + 1) % rper
         key = window * rper + phase
     start = seen[key]
-    return tuple(outs + tail[:start]), tuple(tail[start:])
+    return tuple(tail[:start]), tuple(tail[start:])
 
 
 def sweep_left_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:

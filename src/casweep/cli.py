@@ -38,7 +38,7 @@ from .core import (
 from .hierarchy import NotBiClosingError, decompose_biclosing, verify_decomposition
 from .mealy import (check_good_states_cap, good_states, mealy_from_block,
                     sweeper_eval)
-from .stairs import MAX_STAIR_BOUND, slider_exists
+from .stairs import MAX_STAIR_BOUND, check_stair_cap, slider_exists
 from .synthesis import synthesis_manifest, synthesize, verify_slider
 from .zautomata import (
     ZAutomaton,
@@ -134,9 +134,14 @@ def _emit(report: dict, summary: str) -> None:
 # Subcommands
 
 def _analysis_report(f, max_psi: int):
-    # the right side first, so its scan never runs while the stairs are held
+    left = left_closing_decide(f)
+    if left:
+        # stairs over the cap are refused before the right pair graph is built
+        check_stair_cap(f.q, left.strong_radius, max_psi)
+    # the right side before the stairs, so its scan never runs while they
+    # are held
     right = right_closing_decide(f)
-    verdict = slider_exists(f, cap=max_psi)
+    verdict = slider_exists(f, cap=max_psi, left=left)
     report = {
         "rule": f.to_json(),
         "left_closing": verdict.left_closing.to_json(),
@@ -190,14 +195,13 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     chi = load_block_rule(args.block)
     f = load_local_rule(args.rule)
-    try:
-        if args.exact:
-            ok = is_slider_rule_for(chi, f, max_states=args.max_automaton_states)
-        else:
-            result = verify_slider(chi, f, samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    # the input faults; a ValueError from the checks below is a bug
+    if chi.q != f.q:
+        raise InputError("alphabet mismatch")
+    if not chi.is_bijective():
+        raise InputError("candidate block rule is not bijective")
     if args.exact:
+        ok = is_slider_rule_for(chi, f, max_states=args.max_automaton_states)
         report = {
             "command": "verify",
             "mode": "exact",
@@ -206,6 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
         _emit(report, "exact check passed" if ok else "exact check failed")
         return 0 if ok else 1
+    result = verify_slider(chi, f, samples=args.samples, seed=args.seed)
     verified = result.ok and result.sweeper_agreement
     report = {
         "command": "verify",

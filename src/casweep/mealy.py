@@ -209,13 +209,42 @@ def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
     first limit not `ep_equal` to the first.  Every skipped limit equals
     one built before it, and so the first, so this is the limit that
     building all of them and comparing would report.
+
+    Everything before the sweep from base reads cells at fixed offsets
+    below center_start, which all lie in the left tail: the window at sp,
+    the period copy each crossing shifts in and the cells from sp to base.
+    So the cycles, the left segments, the cells finalized from sp to base
+    and the arrival windows depend on the left-period word alone, and
+    `_left_parts` computes them once per word and rule
+    (`BlockRule._left_sweeps`).  The proof and the loop order are those
+    above; each limit is the sweep from base out of W, after the cells
+    finalized from sp to base, which are the cells of the sweep from sp.
     """
     if chi.q != y.q:
         raise ValueError("alphabet mismatch")
+    base = y.center_start - chi.block_length
+    parts = chi._left_sweeps.get(y.left_period)
+    if parts is None:
+        parts = chi._left_sweeps[y.left_period] = _left_parts(chi, y)
+    first = None
+    for d, left, to_base, arrival in parts:
+        cells, period = _sweep_right(chi, y, base, arrival)
+        z = normal_form(y.q, left, to_base + cells, base - d, period)
+        if first is None:
+            first = z
+        elif not ep_equal(first, z):
+            return SweepOutcome(first, z)
+    return SweepOutcome(first)
+
+
+def _left_parts(chi: BlockRule, y: EpConfig) -> list[tuple]:
+    """The limits `sweeper_eval` builds, up to the sweep from base: one
+    (d, left tail, cells finalized from sp to base, arrival window at base)
+    per distinct arrival window, residues d ascending, cycle order at sp."""
     m = chi.block_length
     P = len(y.left_period)
     base = y.center_start - m
-    first = None
+    parts = []
     arrived: set[int] = set()
     for d in range(P):
         sp = base - d
@@ -234,7 +263,7 @@ def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
         trail = list(crossing)
         cycle = trail[trail.index(window):]
         for e in cycle:
-            arrival = _sweep_cells(chi, e, to_base)[1]
+            outs, arrival = _sweep_cells(chi, e, to_base)
             if arrival in arrived:
                 continue
             arrived.add(arrival)
@@ -243,10 +272,5 @@ def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
             for _ in cycle:
                 seg, w = crossing[w]
                 left.extend(seg)
-            cells, period = _sweep_right(chi, y, sp, e)
-            z = normal_form(y.q, tuple(left), cells, sp, period)
-            if first is None:
-                first = z
-            elif not ep_equal(first, z):
-                return SweepOutcome(first, z)
-    return SweepOutcome(first)
+            parts.append((d, tuple(left), tuple(outs), arrival))
+    return parts

@@ -58,6 +58,12 @@ class StairSet:
         return frozenset((w[:two_m], w[two_m:]) for w in words)
 
 
+def check_stair_cap(q: int, m: int, cap: int | None) -> None:
+    """Refuse the stair enumeration of length 3m over the cap before any
+    work: it may produce q^(4m) codes."""
+    check_cap(q ** (4 * m), cap, f"stair bound {q}^{4 * m}")
+
+
 def enumerate_stairs(f: LocalRule, m: int,
                      cap: int = MAX_STAIR_BOUND) -> StairSet:
     """Exact stair set of length 3m.
@@ -69,7 +75,7 @@ def enumerate_stairs(f: LocalRule, m: int,
     if m < r:
         raise ValueError(f"stair parameter m={m} below rule radius {r}")
     q, table = g.q, g.table
-    check_cap(q ** (4 * m), cap, f"stair bound {q}^{4 * m}")
+    check_stair_cap(q, m, cap)
     width = 2 * r + 1
     mod = q ** (width - 1)
     two_m = 2 * m
@@ -145,8 +151,10 @@ class SliderVerdict:
                 "slider_exists": self.exists}
 
 
-def slider_exists(f: LocalRule, cap: int = MAX_STAIR_BOUND) -> SliderVerdict:
-    """Decide whether f is realizable as a left-to-right slider.
+def slider_exists(f: LocalRule, cap: int = MAX_STAIR_BOUND,
+                  left: ClosingVerdict | None = None) -> SliderVerdict:
+    """Decide whether f is realizable as a left-to-right slider; `left` is
+    `left_closing_decide(f)` when the caller holds it.
 
     True iff f is left-closing and |Psi_{3m}| divides q^{3m} at the smallest
     strong left-closing radius m.  The violating primes are exactly the
@@ -155,7 +163,7 @@ def slider_exists(f: LocalRule, cap: int = MAX_STAIR_BOUND) -> SliderVerdict:
     divides lambda by q, so each violating prime p needs
     v_p(lambda) - k v_p(q) to reach zero.
     """
-    verdict = left_closing_decide(f)
+    verdict = left_closing_decide(f) if left is None else left
     if not verdict:
         return SliderVerdict(False, verdict, None, None, None, (), None, None)
     stairs = enumerate_stairs(f, verdict.strong_radius, cap=cap)

@@ -21,6 +21,7 @@ from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule,
                                builtin_block_rule)
 from casweep.ca import BUILTIN_RULES, LocalRule, apply_ep, builtin_rule
 from casweep.cli import build_parser, main
+from casweep.closing import left_closing_decide
 from casweep.core import (EpConfig, ep_equal, ep_from_json, ep_to_json,
                           ep_unzip, word_of_index)
 from casweep.zautomata import (graph_mismatch_automaton, intersect, is_empty,
@@ -210,6 +211,36 @@ def test_verify_exact_needs_bijective_block(capsys, tmp_path):
     assert code == 2
     assert report is None
     assert "bijective" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["sample", "exact"])
+def test_verify_refuses_input_faults_before_any_check(capsys, monkeypatch,
+                                                      tmp_path, mode):
+    monkeypatch.setattr("casweep.cli.verify_slider", _raise_unexpected)
+    monkeypatch.setattr("casweep.cli.is_slider_rule_for", _raise_unexpected)
+    squash = tmp_path / "squash.json"
+    squash.write_text(json.dumps(BlockRule(2, 2, (0, 0, 3, 3)).to_json()))
+    ternary = tmp_path / "ternary.json"
+    ternary.write_text(json.dumps(BlockRule(3, 1, (0, 1, 2)).to_json()))
+    for block, message in ((squash, "bijective"), (ternary, "alphabet")):
+        code, report, err = run(capsys, "verify", str(block),
+                                data_file("identity"), *mode)
+        assert code == 2 and report is None
+        assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("name,mode", [("verify_slider", []),
+                                       ("is_slider_rule_for", ["--exact"])],
+                         ids=["sample", "exact"])
+def test_verify_engine_fault_exits_4(capsys, monkeypatch, name, mode):
+    def fault(*args, **kwargs):
+        raise ValueError("symbol 5 out of range for alphabet of size 2")
+
+    monkeypatch.setattr(f"casweep.cli.{name}", fault)
+    code, report, err = run(capsys, "verify", data_file("swap"),
+                            data_file("shift"), *mode)
+    assert code == 4 and report is None
+    assert err.splitlines()[-1].startswith("internal error: ValueError")
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +450,18 @@ def test_closing_enumerations_are_capped(capsys, tmp_path, command):
         assert err.startswith("resource cap exceeded: pair graph edge tests")
 
 
-def test_closing_decides_a_q4_radius_two_rule(capsys, tmp_path):
-    # x_0 + x_1 x_2 mod 4: left-closing at strong radius 4 = 2r, not
-    # right-closing; its stairs at m = 4 are over the default cap
+def write_q4_radius_two_rule(tmp_path: Path) -> str:
+    """x_0 + x_1 x_2 mod 4: left-closing at strong radius 4 = 2r, not
+    right-closing; its stairs at m = 4 are over the default cap."""
     table = tuple((a + b * c) % 4
                   for a in range(4) for b in range(4) for c in range(4))
     path = tmp_path / "q4.json"
     path.write_text(json.dumps(LocalRule(4, 0, 3, table).to_json()))
+    return str(path)
+
+
+def test_closing_decides_a_q4_radius_two_rule(capsys, tmp_path):
+    path = write_q4_radius_two_rule(tmp_path)
     code, report, _ = run(capsys, "closing", str(path))
     assert code == 1
     assert report["left"] == {"side": "left", "closed": True,
@@ -435,6 +471,33 @@ def test_closing_decides_a_q4_radius_two_rule(capsys, tmp_path):
     code, report, err = run(capsys, "analyze", str(path))
     assert code == 3 and report is None
     assert err.startswith("resource cap exceeded: stair bound 4^16")
+
+
+def test_analyze_refuses_stairs_over_the_cap_before_the_right_side(
+        capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("casweep.cli.right_closing_decide", _raise_unexpected)
+    code, report, err = run(capsys, "analyze",
+                            write_q4_radius_two_rule(tmp_path))
+    assert code == 3 and report is None
+    assert err.startswith("resource cap exceeded: stair bound 4^16")
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize"])
+def test_analysis_decides_the_left_side_once(capsys, monkeypatch, tmp_path,
+                                             command):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return left_closing_decide(f)
+
+    monkeypatch.setattr("casweep.cli.left_closing_decide", counting)
+    monkeypatch.setattr("casweep.stairs.left_closing_decide", counting)
+    argv = [command, data_file("ca102")]
+    if command == "synthesize":
+        argv.append(str(tmp_path / "chi.json"))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == 1
 
 
 def test_closing_verdicts(capsys):

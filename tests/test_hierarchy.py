@@ -5,16 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from casweep.core import ep_equal, random_ep_config
+from casweep.core import EpConfig, ep_equal, random_ep_config
 from casweep.ca import (LocalRule, apply_ep, builtin_rule, mirror,
                         shift_compose, shift_rule)
-from casweep.blockrule import identity_block
+from casweep.blockrule import BlockRule, identity_block
 from casweep.closing import left_closing_decide, right_closing_decide
 from casweep.stairs import lambda_value, slider_exists
 from casweep.synthesis import synthesize
 from casweep.hierarchy import (Decomposition, DirectedSlider, Direction,
-                               NotBiClosingError, decompose_biclosing,
-                               verify_decomposition)
+                               DivergentSweepError, NotBiClosingError,
+                               decompose_biclosing, verify_decomposition)
 from oracles import compose
 
 NONLINEAR = LocalRule(2, 0, 3, tuple(((w >> 2) & 1) ^ (((w >> 1) & 1) & (w & 1))
@@ -91,6 +91,32 @@ def test_wrong_claim_fails_verification():
     d = decompose_biclosing(builtin_rule("shift"))
     wrong = Decomposition(d.stages, builtin_rule("identity"))
     assert not verify_decomposition(wrong, 20, 5)
+
+
+def test_a_diverging_stage_fails_verification():
+    # (a, b) -> (a, a) copies the far-left cell onward: the sweeps diverge
+    # on every left period that is not constant, as on seed 0's first draw
+    squash = DirectedSlider(BlockRule(2, 2, (0, 0, 3, 3)),
+                            Direction.LEFT_TO_RIGHT)
+    with pytest.raises(DivergentSweepError):
+        squash(EpConfig(2, (1, 0), (1, 1), 3, (1, 1)))
+    d = Decomposition((squash,), builtin_rule("identity"))
+    assert verify_decomposition(d, 1, 0) is False
+
+
+def test_other_stage_errors_are_not_a_verdict(monkeypatch):
+    ternary = DirectedSlider(identity_block(3, 1), Direction.LEFT_TO_RIGHT)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        verify_decomposition(Decomposition((ternary,),
+                                           builtin_rule("identity")), 5, 0)
+
+    def fault(chi, y):
+        raise ValueError("symbol 5 out of range for alphabet of size 2")
+
+    monkeypatch.setattr("casweep.hierarchy.sweeper_eval", fault)
+    d = decompose_biclosing(builtin_rule("ca102"))
+    with pytest.raises(ValueError, match="symbol 5"):
+        verify_decomposition(d, 5, 0)
 
 
 def test_stage_directions_must_alternate():

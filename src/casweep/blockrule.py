@@ -3,32 +3,39 @@
 A `BlockRule` of length m rewrites the window ``x[i .. i+m)`` in place when
 applied at position i.  Sweeping left to right from an anchor i applies the
 rule at i, i+1, i+2, ...; each cell is rewritten at most m times and then
-never again, so the sweep has a well defined limit configuration.  On an
-eventually periodic configuration the whole limit is computed exactly by
-running the sweep as a finite-state transducer and detecting the cycle its
-window state enters inside the periodic tail.
+never again, so the sweep has a well defined limit configuration.
 
-The transducer's state is the m-cell window as one block index below q^m,
-so the rule's table is its transition table: one step rewrites the window
-with the table, emits the leftmost cell (final from then on) and shifts in
-the next tape cell, ``out, rest = divmod(table[w], q**(m-1))`` and
-``w = rest * q + incoming``.
+The sweep is a finite-state transducer whose state is the m-cell window as
+one block index below q^m, so the rule's table is its transition table: one
+step rewrites the window with the table, emits the leftmost cell (final
+from then on) and shifts in the next tape cell, ``out, rest =
+divmod(table[w], q**(m-1))`` and ``w = rest * q + incoming``.
+`_sweep_cells` is the one loop that runs these steps over concrete cells;
+finite sweeps, limit sweeps and the Mealy tables all use it.
+
+On an eventually periodic tape, crossing one copy of a period word acts on
+the window as a fixed map, the crossing map w -> `_sweep_cells`(rule, w,
+word)[1].  `_crossings` iterates it until a window repeats, which is the
+one cycle search of the package: the right limit sweep runs it on the
+right period rotated to the phase at which the sweep enters the tail, and
+`mealy.sweeper_eval`'s anchors going left run it on rotations of the left
+period.
 
 Right-to-left sweeps are reduced to left-to-right ones by reversing both the
 tape and the rule, so there is exactly one sweep engine.  A rule derives its
 inverse and its mirror image once, on first use, and keeps them.
 
-A rule also keeps two memos of the sweeps it has run, since what a sweep
-does inside a periodic tail depends only on the rule, the period word and
-where the sweep enters it:
+A rule also keeps two memos of the sweeps it has run, both filled and read
+here only, since what a sweep does inside a periodic tail depends only on
+the rule, the period word and where the sweep enters it:
 
-- the tail memo (`_sweep_right`): keyed by (right period p, window, phase)
-  at the entry into the tail, the cells finalized there until the output
-  turns periodic, and that period; at most q^m * |p| entries per period
-  word p seen;
-- the left memo (`mealy.sweeper_eval`): keyed by the left-period word, the
-  cycle windows and left segments every anchor residue contributes; one
-  entry per left-period word seen.
+- the tail memo (`_sweep_right`): keyed by (right period rotated to the
+  entry phase, entering window), the cells finalized before the crossing
+  map's cycle and on it; at most q^m entries per rotation of each
+  right-period word seen;
+- the left memo (`_left_parts`): keyed by the left-period word, the cycle
+  windows, left segments and arrival windows every anchor residue
+  contributes; one entry per left-period word seen.
 """
 
 from __future__ import annotations
@@ -38,8 +45,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
-from .core import (EpConfig, all_words, check_alphabet, check_range, json_int,
-                   normal_form, word_index, word_of_index)
+from .core import (EpConfig, all_words, check_alphabet, check_range,
+                   check_table_size, json_int, normal_form, word_index,
+                   word_of_index)
 
 
 @dataclass(frozen=True)
@@ -52,8 +60,8 @@ class BlockRule:
     image are derived once per rule and cached on the instance, outside the
     dataclass fields, so equality, hashing and the JSON form ignore them.
     So are the two sweep memos (module docstring): `_left_sweeps`, one entry
-    per left-period word seen, and `_tail_sweeps`, at most q^m * |p| entries
-    per right-period word p seen.
+    per left-period word seen, and `_tail_sweeps`, at most q^m entries per
+    rotation of each right-period word seen.
     """
 
     q: int
@@ -64,11 +72,10 @@ class BlockRule:
         check_alphabet(self.q)
         if self.block_length < 1:
             raise ValueError("block length must be at least 1")
-        size = self.q**self.block_length
-        if len(self.table) != size:
-            raise ValueError(f"table has {len(self.table)} entries, expected {size}")
+        check_table_size(len(self.table), self.q, self.block_length)
         object.__setattr__(self, "table", tuple(self.table))
-        check_range(self.table, size, "table value {} is not a block index")
+        check_range(self.table, len(self.table),
+                    "table value {} is not a block index")
 
     def __call__(self, w: tuple[int, ...]) -> tuple[int, ...]:
         if len(w) != self.block_length:
@@ -142,16 +149,18 @@ def sweep_range(rule: BlockRule, x: EpConfig, i: int, j: int) -> EpConfig:
         raise ValueError("alphabet mismatch")
     if j < i:
         raise ValueError("empty or inverted sweep range")
-    m = rule.block_length
+    m, q = rule.block_length, rule.q
     lo = min(i, x.center_start)
     hi = max(j + m - 1, x.center_end)
-    cells = list(x.window(lo, hi))
-    for p in range(i, j):
-        k = p - lo
-        cells[k:k + m] = rule(tuple(cells[k:k + m]))
+    # the sweep finalizes [i, j); its window then holds [j, j + m), all but
+    # the last cell rewritten
+    outs, window = _sweep_cells(rule, word_index(x.window(i, i + m), q),
+                                x.window(i + m, j + m))
+    cells = (x.window(lo, i) + tuple(outs) + word_of_index(window, m, q)[:-1]
+             + x.window(j + m - 1, hi))
     lper = len(x.left_period)
     rper = len(x.right_period)
-    return EpConfig(x.q, x.window(lo - lper, lo), tuple(cells), lo,
+    return EpConfig(x.q, x.window(lo - lper, lo), cells, lo,
                     x.window(hi, hi + rper))
 
 
@@ -172,12 +181,30 @@ def _sweep_cells(rule: BlockRule, window: int,
     return outs, window
 
 
+def _crossings(rule: BlockRule, window: int,
+               word: tuple[int, ...]) -> tuple[dict[int, list[int]], int]:
+    """Iterate the crossing map w -> `_sweep_cells`(rule, w, word)[1] from
+    `window` until a window repeats.
+
+    Returns the windows in visit order, each mapped to the cells it
+    finalizes crossing one copy of the word, and the first window on the
+    cycle: each window crosses into the next in order, the last one into
+    that first cycle window.
+    """
+    emitted: dict[int, list[int]] = {}
+    while window not in emitted:
+        outs, after = _sweep_cells(rule, window, word)
+        emitted[window] = outs
+        window = after
+    return emitted, window
+
+
 def sweep_right_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:
     """Limit of applying the rule at i, i+1, i+2, ... forever.
 
-    Exact: once the consumed inputs come from the right periodic tail the
-    pair (window, input phase) lives in a finite state space, so the output
-    becomes periodic when that pair first repeats.
+    Exact: past the center the sweep crosses whole copies of the right
+    period, and the crossing map on the finitely many windows enters a
+    cycle, from where the output is periodic.
     """
     if x.q != rule.q:
         raise ValueError("alphabet mismatch")
@@ -195,41 +222,61 @@ def _sweep_right(rule: BlockRule, x: EpConfig, i: int,
     place of the tape's cells there: the cells it finalizes from i on until
     its output turns periodic, and the period that repeats from there.
 
-    The part inside the right tail depends only on the period word and the
-    (window, phase) pair in which the sweep enters it, so it is memoized on
-    the rule under that key (`BlockRule._tail_sweeps`).
+    Past the center the sweep crosses copies of the right period rotated to
+    the phase at which it enters the tail; the cells finalized before and
+    on the cycle of `_crossings` depend only on that rotated word and the
+    entering window, so they are memoized on the rule under that key
+    (`BlockRule._tail_sweeps`).
     """
     m, period, ce = rule.block_length, x.right_period, x.center_end
     outs, window = _sweep_cells(rule, window, x.window(i + m, ce))
-    key = (period, window, (max(i + m, ce) - ce) % len(period))
+    phase = (max(i + m, ce) - ce) % len(period)
+    key = (period[phase:] + period[:phase], window)
     tail = rule._tail_sweeps.get(key)
     if tail is None:
-        tail = rule._tail_sweeps[key] = _sweep_tail(rule, *key)
+        emitted, start = _crossings(rule, window, key[0])
+        cells = [c for seg in emitted.values() for c in seg]
+        cut = list(emitted).index(start) * len(period)
+        tail = rule._tail_sweeps[key] = (tuple(cells[:cut]),
+                                         tuple(cells[cut:]))
     return tuple(outs) + tail[0], tail[1]
 
 
-def _sweep_tail(rule: BlockRule, period: tuple[int, ...], window: int,
-                phase: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The sweep entering the periodic tail `period` with `window` at
-    `phase`: the cells it finalizes until its output turns periodic, and
-    that period.  The (window, phase) pairs are keyed as the integer
-    window * |period| + phase.
+def _left_parts(rule: BlockRule, x: EpConfig) -> list[tuple]:
+    """The limits `mealy.sweeper_eval` builds, up to the sweep from base =
+    center_start - m: one (d, left tail, cells finalized from sp = base - d
+    to base, arrival window at base) per distinct arrival window, residues
+    d ascending, cycle order at sp.
+
+    All of it reads cells of the left tail alone, so it is memoized on the
+    rule per left-period word (`BlockRule._left_sweeps`).
     """
-    q, table = rule.q, rule.table
-    high = q ** (rule.block_length - 1)
-    rper = len(period)
-    seen: dict[int, int] = {}
-    tail: list[int] = []
-    key = window * rper + phase
-    while key not in seen:
-        seen[key] = len(tail)
-        out, rest = divmod(table[window], high)
-        tail.append(out)
-        window = rest * q + period[phase]
-        phase = (phase + 1) % rper
-        key = window * rper + phase
-    start = seen[key]
-    return tuple(tail[:start]), tuple(tail[start:])
+    parts = rule._left_sweeps.get(x.left_period)
+    if parts is not None:
+        return parts
+    m, q = rule.block_length, rule.q
+    P = len(x.left_period)
+    base = x.center_start - m
+    parts = []
+    arrived: set[int] = set()
+    for d in range(P):
+        sp = base - d
+        # windows arriving at sp from anchors sp - k*P, k = 0, 1, ...; the
+        # cycle is what arbitrarily far anchors leave at sp
+        emitted, start = _crossings(rule, word_index(x.window(sp, sp + m), q),
+                                    x.window(sp - P + m, sp + m))
+        trail = list(emitted)
+        cycle = trail[trail.index(start):]
+        to_base = x.window(sp + m, base + m)
+        for k, e in enumerate(cycle):
+            outs, arrival = _sweep_cells(rule, e, to_base)
+            if arrival in arrived:
+                continue
+            arrived.add(arrival)
+            left = [c for w in cycle[k:] + cycle[:k] for c in emitted[w]]
+            parts.append((d, tuple(left), tuple(outs), arrival))
+    rule._left_sweeps[x.left_period] = parts
+    return parts
 
 
 def sweep_left_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:

@@ -15,8 +15,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import (EpConfig, all_words, check_alphabet, check_range, json_int,
-                   word_index)
+from .core import (EpConfig, all_words, check_alphabet, check_range,
+                   check_table_size, json_int, word_index)
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,7 @@ class LocalRule:
         check_alphabet(self.q)
         if self.width < 1:
             raise ValueError("width must be at least 1")
-        if len(self.table) != self.q**self.width:
-            raise ValueError(
-                f"table has {len(self.table)} entries, expected {self.q**self.width}")
+        check_table_size(len(self.table), self.q, self.width)
         object.__setattr__(self, "table", tuple(self.table))
         check_range(self.table, self.q, "table value {} outside alphabet")
 

@@ -55,7 +55,8 @@ from .zautomata import (
 SCHEMA = "casweep-report-v1"
 
 # cells `sweep` may build: each slider limit spans the anchor and the
-# configuration's center, and each trace row rebuilds that span
+# configuration's center, and each trace row moves the sweep on by one
+# position and prints that span
 SWEEP_CELLS_CAP = 1 << 18
 
 
@@ -234,12 +235,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _trace_rows(chi: BlockRule, x: EpConfig, anchor: int, steps: int) -> list[str]:
-    lo = anchor - 2
-    hi = anchor + steps + chi.block_length + 2
-    rows = []
-    for t in range(steps + 1):
-        stage = sweep_range(chi, x, anchor, anchor + t)
-        rows.append("".join(str(stage.cell(c)) for c in range(lo, hi)))
+    """The cells [anchor - 2, anchor + steps + m + 2) before each of the
+    first `steps` positions of one sweep from the anchor, and after them."""
+    lo, hi = anchor - 2, anchor + steps + chi.block_length + 2
+    rows = ["".join(map(str, x.window(lo, hi)))]
+    for p in range(anchor, anchor + steps):
+        x = sweep_range(chi, x, p, p + 1)
+        rows.append("".join(map(str, x.window(lo, hi))))
     return rows
 
 

@@ -42,7 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graph
-from .core import EpConfig, IntegrityError, check_cap, ep_equal, ep_to_json
+from .core import (EpConfig, IntegrityError, check_power_cap, ep_equal,
+                   ep_to_json)
 from .ca import (LocalRule, apply_ep, minimize_neighborhood, mirror,
                  to_radius_form)
 
@@ -76,7 +77,7 @@ def _radius_form(f: LocalRule) -> tuple[LocalRule, int]:
     the pair graph's cap is checked before that q^(2r+1)-entry table is built."""
     g = minimize_neighborhood(f)
     r = max(g.radius, 1)
-    check_cap(g.q ** (4 * r + 2), MAX_WINDOWS, "pair graph edge tests")
+    check_power_cap(g.q, 4 * r + 2, MAX_WINDOWS, "pair graph edge tests")
     return to_radius_form(g, r), r
 
 

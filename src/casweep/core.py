@@ -38,6 +38,18 @@ def check_cap(size: int, cap: int | None, what: str) -> None:
         raise ResourceCapError(f"{what}: {size} is over the cap {cap}")
 
 
+def check_power_cap(q: int, k: int, cap: int | None, what: str,
+                    plus: int = 0) -> None:
+    """`check_cap` on the size plus + q^k.  As q >= 2, q^k is over the cap
+    whenever k > cap.bit_length(), so then the exponent alone decides and
+    the message names the power: a size set by a far anchor is never built
+    or printed in full."""
+    if cap is not None and k > cap.bit_length():
+        size = f"{plus} + {q}^{k}" if plus else f"{q}^{k}"
+        raise ResourceCapError(f"{what}: {size} is over the cap {cap}")
+    check_cap(plus + q**k, cap, what)
+
+
 class IntegrityError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
@@ -46,6 +58,16 @@ def check_alphabet(q: int) -> int:
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"alphabet size must be an integer >= 2, got {q!r}")
     return q
+
+
+def check_table_size(n: int, q: int, k: int) -> None:
+    """Raise ValueError unless a table of n entries has q^k of them.  As
+    q >= 2, q^k > n whenever k > n.bit_length(), so then q^k is never
+    built and the message names the power."""
+    if k > n.bit_length():
+        raise ValueError(f"table has {n} entries, expected {q}^{k}")
+    if n != q**k:
+        raise ValueError(f"table has {n} entries, expected {q**k}")
 
 
 def check_range(values: tuple[int, ...], n: int, message: str) -> None:

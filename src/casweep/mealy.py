@@ -3,10 +3,13 @@
 Sweeping a block rule rightward from anchors pushed further and further left
 produces a sequence of configurations.  Its accumulation points are computed
 exactly for eventually periodic inputs: crossing one copy of the left period
-acts on the m-cell sweep window as a fixed map, so the windows arriving at
-any reference position from far-away anchors are the eventual cycle of that
-map, and each cycle element extends to one accumulation configuration,
-decided by the window it carries to the m cells just left of the center.
+acts on the m-cell sweep window as a fixed map, the crossing map of
+`blockrule`, so the windows arriving at any reference position from
+far-away anchors are the eventual cycle of that map, and each cycle element
+extends to one accumulation configuration, decided by the window it carries
+to the m cells just left of the center.  `blockrule` runs the cycle
+searches on both tails and keeps their memos; `sweeper_eval` only
+assembles the limits.
 
 The block-level view of the same sweep is a Mealy automaton on Q = A = S^n;
 its good states are the ones arising at a fixed block boundary for
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from . import graph
 from .core import (MAX_AUTOMATON_STATES, EpConfig, all_words, check_cap,
                    ep_equal, ep_to_json, normal_form, word_index)
-from .blockrule import BlockRule, _sweep_cells, _sweep_right
+from .blockrule import BlockRule, _left_parts, _sweep_cells, _sweep_right
 
 
 @dataclass(frozen=True)
@@ -43,12 +46,6 @@ class MealyAutomaton:
     @property
     def size(self) -> int:
         return self.q ** self.n
-
-    def delta(self, s: int, a: int) -> int:
-        return self.next_table[s * self.size + a]
-
-    def is_bijective(self) -> bool:
-        return len(set(zip(self.out_table, self.next_table))) == len(self.out_table)
 
 
 def mealy_from_block(chi: BlockRule) -> MealyAutomaton:
@@ -215,19 +212,16 @@ def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
     the period copy each crossing shifts in and the cells from sp to base.
     So the cycles, the left segments, the cells finalized from sp to base
     and the arrival windows depend on the left-period word alone, and
-    `_left_parts` computes them once per word and rule
-    (`BlockRule._left_sweeps`).  The proof and the loop order are those
-    above; each limit is the sweep from base out of W, after the cells
-    finalized from sp to base, which are the cells of the sweep from sp.
+    `blockrule._left_parts` computes them once per word and rule.  The
+    proof and the loop order are those above; each limit is the sweep from
+    base out of W, after the cells finalized from sp to base, which are the
+    cells of the sweep from sp.
     """
     if chi.q != y.q:
         raise ValueError("alphabet mismatch")
     base = y.center_start - chi.block_length
-    parts = chi._left_sweeps.get(y.left_period)
-    if parts is None:
-        parts = chi._left_sweeps[y.left_period] = _left_parts(chi, y)
     first = None
-    for d, left, to_base, arrival in parts:
+    for d, left, to_base, arrival in _left_parts(chi, y):
         cells, period = _sweep_right(chi, y, base, arrival)
         z = normal_form(y.q, left, to_base + cells, base - d, period)
         if first is None:
@@ -235,42 +229,3 @@ def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
         elif not ep_equal(first, z):
             return SweepOutcome(first, z)
     return SweepOutcome(first)
-
-
-def _left_parts(chi: BlockRule, y: EpConfig) -> list[tuple]:
-    """The limits `sweeper_eval` builds, up to the sweep from base: one
-    (d, left tail, cells finalized from sp to base, arrival window at base)
-    per distinct arrival window, residues d ascending, cycle order at sp."""
-    m = chi.block_length
-    P = len(y.left_period)
-    base = y.center_start - m
-    parts = []
-    arrived: set[int] = set()
-    for d in range(P):
-        sp = base - d
-        # the cells shifted in while the window crosses one period copy
-        incoming = y.window(sp - P + m, sp + m)
-        # the cells shifted in while the window moves from sp to base
-        to_base = y.window(sp + m, base + m)
-        # windows arriving at sp from anchors sp - k*P, k = 0, 1, ..., each
-        # with the cells it emits crossing one copy and the window after;
-        # the eventual cycle is what arbitrarily far anchors leave at sp
-        crossing: dict[int, tuple[list[int], int]] = {}
-        window = word_index(y.window(sp, sp + m), chi.q)
-        while window not in crossing:
-            crossing[window] = _sweep_cells(chi, window, incoming)
-            window = crossing[window][1]
-        trail = list(crossing)
-        cycle = trail[trail.index(window):]
-        for e in cycle:
-            outs, arrival = _sweep_cells(chi, e, to_base)
-            if arrival in arrived:
-                continue
-            arrived.add(arrival)
-            left = []
-            w = e
-            for _ in cycle:
-                seg, w = crossing[w]
-                left.extend(seg)
-            parts.append((d, tuple(left), tuple(outs), arrival))
-    return parts

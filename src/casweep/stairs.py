@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (IntegrityError, all_words, check_cap, ep_to_json,
+from .core import (IntegrityError, all_words, check_power_cap, ep_to_json,
                    prime_factors, vp, word_of_index)
 from .ca import LocalRule
 from .closing import ClosingVerdict, _radius_form, left_closing_decide
@@ -61,7 +61,7 @@ class StairSet:
 def check_stair_cap(q: int, m: int, cap: int | None) -> None:
     """Refuse the stair enumeration of length 3m over the cap before any
     work: it may produce q^(4m) codes."""
-    check_cap(q ** (4 * m), cap, f"stair bound {q}^{4 * m}")
+    check_power_cap(q, 4 * m, cap, f"stair bound {q}^{4 * m}")
 
 
 def enumerate_stairs(f: LocalRule, m: int,

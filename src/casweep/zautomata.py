@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import graph
-from .core import EpConfig, check_cap
+from .core import EpConfig, check_cap, check_power_cap
 from .ca import LocalRule, minimize_neighborhood
 from .blockrule import BlockRule
 
@@ -591,9 +591,10 @@ def graph_mismatch_automaton(f: LocalRule,
     q, w, table = g.q, g.width, g.table
     lag = g.anchor + g.width - 1
     wait = max(-lag, 0)
-    Y, Z = q ** (w - 1), q ** max(lag, 0)
     pre = 1 + q * wait
-    check_cap(pre + Y * Z, max_states, "mismatch automaton states")
+    check_power_cap(q, w - 1 + max(lag, 0), max_states,
+                    "mismatch automaton states", plus=pre)
+    Y, Z = q ** (w - 1), q ** max(lag, 0)
     every = range(q * q)
 
     def countdown(value, steps):

@@ -312,6 +312,17 @@ def scan_strong_radius(f: LocalRule, m: int) -> set[str]:
     return reasons or {"ok"}
 
 
+def mealy_delta(mealy: MealyAutomaton, s: int, a: int) -> int:
+    """The state after reading letter a in state s."""
+    return mealy.next_table[s * mealy.size + a]
+
+
+def mealy_is_bijective(mealy: MealyAutomaton) -> bool:
+    """Is (state, letter) -> (output, next state) one to one?"""
+    pairs = set(zip(mealy.out_table, mealy.next_table))
+    return len(pairs) == len(mealy.out_table)
+
+
 def good_states_by_transformations(mealy: MealyAutomaton,
                                    cap: int = 1 << 16) -> set[int]:
     """Reference algorithm: explore state transformations directly.
@@ -331,7 +342,7 @@ def good_states_by_transformations(mealy: MealyAutomaton,
         T = frontier.pop()
         k = ids[T]
         for e in range(Q):
-            T2 = tuple(T[mealy.delta(s, e)] for s in range(Q))
+            T2 = tuple(T[mealy_delta(mealy, s, e)] for s in range(Q))
             k2 = ids.get(T2)
             if k2 is None:
                 if len(ids) >= cap:
@@ -920,6 +931,23 @@ def named_trim(A: NamedAutomaton) -> NamedAutomaton:
 
 # ---------------------------------------------------------------------------
 # The sweep engine on window tuples
+
+def tuple_sweep_range(rule: BlockRule, x: EpConfig, i: int,
+                      j: int) -> EpConfig:
+    """`sweep_range` as one rule application per position, each rewriting
+    a window tuple of the cells in place."""
+    m = rule.block_length
+    lo = min(i, x.center_start)
+    hi = max(j + m - 1, x.center_end)
+    cells = list(x.window(lo, hi))
+    for p in range(i, j):
+        k = p - lo
+        cells[k:k + m] = rule(tuple(cells[k:k + m]))
+    lper = len(x.left_period)
+    rper = len(x.right_period)
+    return EpConfig(x.q, x.window(lo - lper, lo), tuple(cells), lo,
+                    x.window(hi, hi + rper))
+
 
 def tuple_sweep_step(rule: BlockRule, window: tuple[int, ...],
                      incoming: int) -> tuple[int, tuple[int, ...]]:

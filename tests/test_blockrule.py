@@ -13,7 +13,7 @@ from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule,
 from casweep.ca import apply_ep, builtin_rule
 from casweep.core import EpConfig, ResourceCapError, ep_equal, random_ep_config
 
-from oracles import count_representations, ep_splice
+from oracles import count_representations, ep_splice, tuple_sweep_range
 
 
 def random_permutation_rule(rng, q, m):
@@ -122,6 +122,17 @@ def test_sweep_range_matches_sequential(seed):
     for p in range(i, j):
         y = sweep_range(rule, y, p, p + 1)
     assert ep_equal(sweep_range(rule, x, i, j), y)
+
+
+def test_sweep_range_matches_the_tuple_oracle():
+    rng = random.Random(15)
+    for _ in range(400):
+        q = rng.choice((2, 3))
+        rule = random_block_rule(rng, q, rng.randrange(1, 5))
+        x = random_ep_config(rng, q, max_period=4, max_center=5, span=4)
+        i = rng.randrange(-8, 9)
+        j = i + rng.randrange(0, 12)
+        assert sweep_range(rule, x, i, j) == tuple_sweep_range(rule, x, i, j)
 
 
 @pytest.mark.parametrize("seed", range(8))

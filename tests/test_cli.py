@@ -450,6 +450,70 @@ def test_closing_enumerations_are_capped(capsys, tmp_path, command):
         assert err.startswith("resource cap exceeded: pair graph edge tests")
 
 
+# Rule files of under 80 bytes that name sizes of q^(10^8) or 2^20000:
+# an impossible width or block length exits 2 and a far anchor exits 3,
+# each before any power of that size is built or printed.
+TINY_RULES = {
+    "width": {"alphabet": 3, "anchor": 0, "width": 10**8,
+              "table": [0, 1, 2]},
+    "shift3": {"alphabet": 3, "anchor": 10**8, "width": 1,
+               "table": [0, 1, 2]},
+    "shift3-left": {"alphabet": 3, "anchor": -10**8, "width": 1,
+                    "table": [0, 1, 2]},
+    "shift2": {"alphabet": 2, "anchor": 5000, "width": 1, "table": [0, 1]},
+    "shift2-far": {"alphabet": 2, "anchor": 20000, "width": 1,
+                   "table": [0, 1]},
+    "block": {"alphabet": 3, "block_length": 10**8, "table": [0, 1, 2]},
+}
+
+TINY_COMMANDS = {
+    "closing": ["closing", "{rule}"],
+    "analyze": ["analyze", "{rule}"],
+    "decompose": ["decompose", "{rule}", "{out}"],
+    "synthesize": ["synthesize", "{rule}", "{out}.json"],
+    "mismatch": ["automata", "inspect", "--kind", "mismatch", "{rule}"],
+    "verify-exact": ["verify", "--exact", data_file("xor_block"), "{rule}"],
+    "mealy": ["mealy", "{rule}"],
+    "sweep": ["sweep", "{rule}", "{config}"],
+    "verify-block": ["verify", "{rule}", "{shift3}"],
+    "slider": ["automata", "inspect", "{rule}"],
+    "sweeper": ["automata", "inspect", "--kind", "sweeper", "{rule}"],
+}
+
+BLOCK_COMMANDS = ("mealy", "sweep", "verify-block", "slider", "sweeper")
+
+TINY_CASES = [
+    (name, command) for name in TINY_RULES for command in TINY_COMMANDS
+    if (command in BLOCK_COMMANDS) == (name == "block")
+    and (command != "verify-exact" or TINY_RULES[name]["alphabet"] == 2)]
+
+
+@pytest.mark.parametrize("name,command", TINY_CASES,
+                         ids=[f"{n}-{c}" for n, c in TINY_CASES])
+def test_tiny_rule_files_exit_on_a_cap_or_an_input_error(capsys, tmp_path,
+                                                         name, command):
+    paths = {}
+    for key in (name, "shift3"):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(TINY_RULES[key]))
+    config = write_config(tmp_path / "config.json",
+                          EpConfig(3, (0,), (1, 2), 0, (0,)))
+    argv = [arg.format(rule=paths[name], shift3=paths["shift3"],
+                       out=tmp_path / "out", config=config)
+            for arg in TINY_COMMANDS[command]]
+    start = time.perf_counter()
+    code, report, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert report is None
+    if name in ("width", "block"):
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.rstrip().endswith("entries, expected 3^100000000")
+    else:
+        assert code == 3
+        assert err.startswith("resource cap exceeded: ")
+
+
 def write_q4_radius_two_rule(tmp_path: Path) -> str:
     """x_0 + x_1 x_2 mod 4: left-closing at strong radius 4 = 2r, not
     right-closing; its stairs at m = 4 are over the default cap."""

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from casweep.core import (EpConfig, all_words, ep_equal, ep_unzip, ep_zip,
-                          is_prime, normal_form, prime_factors,
-                          random_ep_config, vp, word_index, word_of_index)
+from casweep.core import (EpConfig, ResourceCapError, all_words,
+                          check_power_cap, check_table_size, ep_equal,
+                          ep_unzip, ep_zip, is_prime, normal_form,
+                          prime_factors, random_ep_config, vp, word_index,
+                          word_of_index)
 from oracles import cell_window, ep_replace, ep_splice, popping_normalize
 
 
@@ -24,6 +26,34 @@ def test_word_index_big_endian():
     # leftmost cell is the most significant digit
     assert word_index((1, 0, 0), 2) == 4
     assert word_of_index(5, 3, 2) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("q,k,plus,message", [
+    (2, 10, 0, None),
+    (2, 11, 0, "states: 2048 is over the cap 1024"),
+    (2, 10, 1, "states: 1025 is over the cap 1024"),
+    (3, 7, 0, "states: 2187 is over the cap 1024"),
+    (2, 12, 0, r"states: 2\^12 is over the cap 1024"),
+    (3, 10**12, 5, r"states: 5 \+ 3\^1000000000000 is over the cap 1024"),
+])
+def test_power_caps_are_decided_from_the_exponent(q, k, plus, message):
+    if message is None:
+        check_power_cap(q, k, 1024, "states", plus)
+    else:
+        with pytest.raises(ResourceCapError, match=f"^{message}$"):
+            check_power_cap(q, k, 1024, "states", plus)
+    check_power_cap(q, 12, None, "states", plus)
+
+
+def test_table_sizes_are_checked_from_the_exponent():
+    check_table_size(8, 2, 3)
+    with pytest.raises(ValueError, match="^table has 8 entries, expected 9$"):
+        check_table_size(8, 3, 2)
+    with pytest.raises(ValueError,
+                       match=r"^table has 3 entries, expected 3\^3$"):
+        check_table_size(3, 3, 3)
+    with pytest.raises(ValueError, match=r"expected 3\^1000000000000$"):
+        check_table_size(3, 3, 10**12)
 
 
 def test_all_words_order():

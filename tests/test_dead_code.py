@@ -26,8 +26,6 @@ ALLOWED = {
     "trim",
     # the documented decode of the stair codes into (v, w) word pairs
     "StairSet.pairs",
-    # the reference good_states_by_transformations in oracles.py reads it
-    "MealyAutomaton.delta",
 }
 
 

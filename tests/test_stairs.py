@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from casweep.ca import builtin_rule, shift_compose
+from casweep.ca import LocalRule, builtin_rule, shift_compose
 from casweep.closing import left_closing_decide
 from casweep.core import (IntegrityError, ResourceCapError, all_words,
                           random_ep_config, word_index)
@@ -80,6 +80,14 @@ def test_is_stair_rejects_bad_lengths():
 def test_enumeration_resource_cap():
     with pytest.raises(ResourceCapError):
         enumerate_stairs(builtin_rule("ca102"), 2, cap=100)
+
+
+def test_enumeration_cap_of_a_huge_length_names_the_power():
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError,
+                       match=r"^stair bound 3\^400000000: 3\^400000000 is"):
+        enumerate_stairs(LocalRule(3, 0, 1, (0, 1, 2)), 10**8)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lambda_values():

@@ -1,11 +1,12 @@
 """The sweep memos a block rule keeps, against sweeps on a fresh rule.
 
 A rule keeps what `sweeper_eval` computes before its sweep from base per
-left-period word, and each sweep inside a right periodic tail per (period,
-window, phase) at the entry into the tail.  Here one rule instance sweeps
-many seeded configurations, so an entry keyed too coarsely would be read
-back for a configuration it does not fit: every result must equal the one
-a fresh copy of the rule gives, and the tuple and every-limit oracles'.
+left-period word, and each sweep inside a right periodic tail per (period
+word rotated to the phase at which the sweep enters the tail, window).
+Here one rule instance sweeps many seeded configurations, so an entry
+keyed too coarsely would be read back for a configuration it does not
+fit: every result must equal the one a fresh copy of the rule gives, and
+the tuple and every-limit oracles'.
 """
 
 import random
@@ -95,9 +96,10 @@ def test_memos_leave_the_value_alone_and_stay_in_their_bounds():
     assert rule == twin and twin == rule
     assert (hash(rule), repr(rule), rule.to_json()) == before
     assert BlockRule.from_json(rule.to_json()) == rule
-    # one left entry per left-period word, at most q^m |p| tail entries
-    # per right-period word p
+    # one left entry per left-period word; tail entries keyed by rotations
+    # of the right-period words, at most q^m per rotation
     assert set(rule._left_sweeps) == {x.left_period for x in configs}
-    periods = {key[0] for key in rule._tail_sweeps}
-    assert periods <= {x.right_period for x in configs}
-    assert len(rule._tail_sweeps) <= sum(8 * len(p) for p in periods)
+    words = {key[0] for key in rule._tail_sweeps}
+    assert words <= {p[k:] + p[:k] for p in {x.right_period for x in configs}
+                     for k in range(len(p))}
+    assert len(rule._tail_sweeps) <= 8 * len(words)

@@ -18,6 +18,12 @@ the report of ``decompose xor_left.json --samples 300`` (its output
 directory written as ``{OUT}``) and both stage files it writes; its first
 stage sweeps right to left, so it checks the reversed sweeper path.
 
+`TRACES` pins ``sweep --mode slider --anchor A --trace T`` for every
+bundled block rule and the block-7 rule synthesized from `ca102`, each on
+three seeded configurations (`random_ep_config` with periods of 1-4,
+centers of 0-5 cells and center starts in -4..4) at the (A, T) pairs of
+`TRACE_RUNS`, up to 300 rows.
+
 The `SWEEPS` and `NEGATIVE_VERIFY` digests were taken from the
 cell-by-cell sweep engine, before windows were read as slices and each
 sweeper limit was built once; `POSITIVE_VERIFY` and `DECOMPOSE` were taken
@@ -39,6 +45,10 @@ from casweep.synthesis import synthesize
 
 CONFIGS = 200
 
+TRACE_CONFIGS = 3
+
+TRACE_RUNS = ((-7, 1), (-2, 300), (0, 64), (5, 150))
+
 SWEEPS = {
     "sweeper-ca102":
         "88f14b927cc8418d338498f4492908ebc3deeb73c185bbb40044d1632045a6a8",
@@ -58,6 +68,20 @@ POSITIVE_VERIFY = \
 
 DECOMPOSE = \
     "5e833a8e014d0576ce8d267badca351510d2b9fccdd4fa00dac1323313715698"
+
+
+TRACES = {
+    "ca102":
+        "25800372edaa2ea0531d675a071bac724ced8010c86877244092cd4f9ddf2946",
+    "identity_block":
+        "0213ba1e7eb0c2ebd3236a9a5f196ce2afd73473151841a46d29a7e9ee705442",
+    "not_closed":
+        "b34137c83b6c40aba7615fa054eb13897ab36bd24f1ba63199a438aac64f6eef",
+    "swap":
+        "d39739fc2c230984e25388bb3bdd43e199e3415a9584fb54d86a2e1042041aca",
+    "xor_block":
+        "8a27f7fc9aefa7d78c7d20b0c1266e906ce7d81cafd662984acf733380d5a2bc",
+}
 
 
 def digest(obj) -> str:
@@ -148,3 +172,27 @@ def test_decompose_reports_and_stages_are_pinned(capsys, tmp_path):
         outputs.append([code, report.replace(str(out), "{OUT}"), *stages])
     assert all(code == 0 for code, *_ in outputs)
     assert digest(outputs) == DECOMPOSE
+
+
+@pytest.mark.parametrize("rule", sorted(TRACES))
+def test_sweep_traces_are_pinned(capsys, rule_files, tmp_path, rule):
+    if rule == "ca102":
+        path = rule_files["ca102"]
+    else:
+        path = resources.files("casweep.data").joinpath(f"{rule}.json")
+    q = json.loads(path.read_text())["alphabet"]
+    rng = random.Random(f"sweep-pins-traces-{rule}")
+    argvs = []
+    for k in range(TRACE_CONFIGS):
+        config = tmp_path / f"config{k}.json"
+        x = random_ep_config(rng, q, max_period=4, max_center=5, span=4)
+        config.write_text(json.dumps(ep_to_json(x)))
+        argvs += [["sweep", path, config, "--mode", "slider",
+                   "--anchor", anchor, "--trace", steps]
+                  for anchor, steps in TRACE_RUNS]
+    outputs = cli_outputs(capsys, argvs)
+    assert all(code == 0 for code, _ in outputs)
+    assert all(len(json.loads(out)["trace"]) == steps + 1
+               for (_, out), (_, steps) in
+               zip(outputs, TRACE_RUNS * TRACE_CONFIGS))
+    assert digest(outputs) == TRACES[rule]

@@ -11,7 +11,8 @@ step rewrites the window with the table, emits the leftmost cell (final
 from then on) and shifts in the next tape cell, ``out, rest =
 divmod(table[w], q**(m-1))`` and ``w = rest * q + incoming``.
 `_sweep_cells` is the one loop that runs these steps over concrete cells;
-finite sweeps, limit sweeps and the Mealy tables all use it.
+finite sweeps and limit sweeps both use it, and `mealy.mealy_from_block`
+applies the same step to every (state, letter prefix) at once.
 
 On an eventually periodic tape, crossing one copy of a period word acts on
 the window as a fixed map, the crossing map w -> `_sweep_cells`(rule, w,

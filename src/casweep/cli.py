@@ -285,7 +285,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_mealy(args: argparse.Namespace) -> int:
     chi = load_block_rule(args.block)
     check_good_states_cap(chi.q ** chi.block_length, args.max_automaton_states)
-    machine = mealy_from_block(chi)
+    machine = mealy_from_block(chi, cap=args.max_automaton_states)
     good = good_states(machine, cap=args.max_automaton_states)
     bad = sorted(set(range(machine.size)) - good)
     report = {

@@ -18,12 +18,13 @@ infinitely many anchors of some left-infinite input.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import graph
-from .core import (MAX_AUTOMATON_STATES, EpConfig, all_words, check_cap,
-                   ep_equal, ep_to_json, normal_form, word_index)
-from .blockrule import BlockRule, _left_parts, _sweep_cells, _sweep_right
+from .core import (MAX_AUTOMATON_STATES, EpConfig, check_cap,
+                   check_power_cap, ep_equal, ep_to_json, normal_form)
+from .blockrule import BlockRule, _left_parts, _sweep_right
 
 
 @dataclass(frozen=True)
@@ -48,23 +49,37 @@ class MealyAutomaton:
         return self.q ** self.n
 
 
-def mealy_from_block(chi: BlockRule) -> MealyAutomaton:
+def mealy_from_block(chi: BlockRule,
+                     cap: int | None = MAX_AUTOMATON_STATES) -> MealyAutomaton:
     """Block-level transducer: apply chi at positions 0..n-1 of state+letter.
 
     The sweep window starts as the state block and takes in the letter's
     cells one by one; the n finalized cells are the output block and the
-    last window is the next state.
+    last window is the next state.  One sweep step on window w emits
+    table[w] // q^(n-1) and keeps table[w] % q^(n-1) * q, to which the next
+    cell is added, so both tables are built one letter cell per layer for
+    every (state, letter prefix) at once: entry s q^k + a[:k] of layer k
+    holds the cells finalized so far and the window after a[:k], and
+    extends to entry s q^(k+1) + a[:k+1] of layer k+1, with the cell
+    a[k] ascending innermost.  Entries stay in row-major order, so layer n
+    is already indexed s q^n + a.  Layer k has q^(n+k) entries, in all
+    q^(n+1) (q^n - 1) / (q - 1), at most twice the q^(2n) of the tables.
+
+    The q^(2n) entries of each table are checked against cap before any
+    is built.
     """
     n, q = chi.block_length, chi.q
-    outs = []
-    nxts = []
-    letters = list(all_words(n, q))
-    for s in range(q ** n):
-        for a in letters:
-            cells, w = _sweep_cells(chi, s, a)
-            outs.append(word_index(cells, q))
-            nxts.append(w)
-    return MealyAutomaton(q, n, tuple(outs), tuple(nxts))
+    check_power_cap(q, 2 * n, cap, "Mealy table entries")
+    high = q ** (n - 1)
+    emit = [t // high for t in chi.table]
+    keep = [t % high * q for t in chi.table]
+    cells = range(q)
+    windows: Sequence[int] = range(q ** n)
+    outs = [0] * q ** n
+    for _ in range(n):
+        outs = [o * q + emit[w] for o, w in zip(outs, windows) for _ in cells]
+        windows = [keep[w] + c for w in windows for c in cells]
+    return MealyAutomaton(q, n, tuple(outs), tuple(windows))
 
 
 def check_good_states_cap(size: int, cap: int | None) -> None:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import graph
-from .core import EpConfig, check_cap, check_power_cap
+from .core import MAX_AUTOMATON_STATES, EpConfig, check_cap, check_power_cap
 from .ca import LocalRule, minimize_neighborhood
 from .blockrule import BlockRule
 
@@ -412,7 +412,8 @@ def _slider_edges(chi: BlockRule):
 
 
 def slider_relation_automaton(chi: BlockRule,
-                              max_states: int | None = None) -> ZAutomaton:
+                              max_states: int | None = MAX_AUTOMATON_STATES
+                              ) -> ZAutomaton:
     """Automaton for the pairs (y, z) the block rule's two sweeps represent,
     built on its live states alone.
 
@@ -519,7 +520,8 @@ def slider_relation_automaton(chi: BlockRule,
 
 
 def sweeper_relation_automaton(chi: BlockRule,
-                               max_states: int | None = None) -> ZAutomaton:
+                               max_states: int | None = MAX_AUTOMATON_STATES
+                               ) -> ZAutomaton:
     """Automaton for the pairs (y, z) with z an accumulation point of the
     sweeps of y anchored further and further left.
 
@@ -574,7 +576,8 @@ def sweeper_relation_automaton(chi: BlockRule,
 
 
 def graph_mismatch_automaton(f: LocalRule,
-                             max_states: int | None = None) -> ZAutomaton:
+                             max_states: int | None = MAX_AUTOMATON_STATES
+                             ) -> ZAutomaton:
     """Automaton for the pairs (y, z) with z differing from f(y) somewhere.
 
     The run tracks enough recent input to evaluate one local window, guesses
@@ -624,7 +627,8 @@ def graph_mismatch_automaton(f: LocalRule,
 
 
 def is_slider_rule_for(chi: BlockRule, f: LocalRule,
-                       max_states: int | None = None) -> bool:
+                       max_states: int | None = MAX_AUTOMATON_STATES
+                       ) -> bool:
     """Is the relation represented by the block rule exactly the graph of f?
 
     For bijective rules the relation is total on inputs and maps each input

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from casweep.blockrule import BlockRule, builtin_block_rule
+from casweep.blockrule import BlockRule, builtin_block_rule, identity_block
 from casweep import graph
 from casweep.ca import apply_ep, builtin_rule
 from casweep.core import (EpConfig, ResourceCapError, all_words, ep_equal,
@@ -132,6 +132,20 @@ def test_good_states_resource_caps():
         good_states(mm, cap=3)
     with pytest.raises(ResourceCapError):
         good_states_by_transformations(mm, cap=1)
+
+
+def test_mealy_tables_resource_cap():
+    """Each table has q^(2n) entries, checked against the cap before any
+    is built; the default cap refuses the 2^24 of a block-12 rule."""
+    swap = builtin_block_rule("swap")
+    assert len(mealy_from_block(swap, cap=16).out_table) == 16
+    with pytest.raises(ResourceCapError,
+                       match="Mealy table entries: 16 is over the cap 15$"):
+        mealy_from_block(swap, cap=15)
+    with pytest.raises(ResourceCapError,
+                       match=r"Mealy table entries: 2\^24 is over the cap "
+                             r"4194304$"):
+        mealy_from_block(identity_block(2, 12))
 
 
 def test_sweeper_xor_block_gives_ca102_image():

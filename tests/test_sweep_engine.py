@@ -84,7 +84,8 @@ def test_non_bijective_rules_match_tuple_engine(q, m):
             check_forward(rule, random_ep_config(rng, q), rng.randrange(-5, 6))
 
 
-@pytest.mark.parametrize("q,m", SHAPES)
+@pytest.mark.parametrize("q,m", SHAPES + [(4, 1), (4, 2), (4, 3), (2, 5),
+                                          (2, 6)])
 def test_mealy_tables_match_tuple_engine(q, m):
     rng = random.Random(300 * q + m)
     for rule in (permutation_rule(rng, q, m), non_bijective_rule(rng, q, m)):

@@ -159,6 +159,20 @@ def test_exact_slider_check_caps_its_product():
         is_slider_rule_for(chi, f, max_states=cap)
 
 
+def test_builders_are_capped_by_default():
+    """A far anchor asks the mismatch automaton for 1 + 3^(10^8) states and
+    a block-12 rule the sweeper automaton for about 2^35: the default cap
+    refuses them at once, the mismatch automaton also inside the exact
+    check."""
+    f = LocalRule(3, 10**8, 1, (0, 1, 2))
+    with pytest.raises(ResourceCapError, match="mismatch automaton states"):
+        graph_mismatch_automaton(f)
+    with pytest.raises(ResourceCapError, match="mismatch automaton states"):
+        is_slider_rule_for(identity_block(3, 1), f)
+    with pytest.raises(ResourceCapError, match="sweeper automaton states"):
+        sweeper_relation_automaton(identity_block(2, 12))
+
+
 def test_exact_slider_check_needs_bijective_rule():
     with pytest.raises(ValueError):
         is_slider_rule_for(SQUASH, builtin_rule("identity"))

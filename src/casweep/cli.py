@@ -44,7 +44,6 @@ from .zautomata import (
     ZAutomaton,
     graph_mismatch_automaton,
     intersect,
-    is_empty,
     is_slider_rule_for,
     member,
     nonempty_witness,
@@ -373,15 +372,14 @@ def _build_automaton(args: argparse.Namespace) -> ZAutomaton:
     f = None if args.vs is None else load_local_rule(args.vs)
     if f is not None and f.q != chi.q:
         raise InputError("block rule and --vs rule use different alphabets")
-    try:
-        if args.kind == "slider":
-            auto = slider_relation_automaton(
-                chi, max_states=args.max_automaton_states)
-        else:
-            auto = sweeper_relation_automaton(
-                chi, max_states=args.max_automaton_states)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if args.kind == "slider":
+        if not chi.is_bijective():
+            raise InputError("slider relations need a bijective block rule")
+        auto = slider_relation_automaton(
+            chi, max_states=args.max_automaton_states)
+    else:
+        auto = sweeper_relation_automaton(
+            chi, max_states=args.max_automaton_states)
     if f is not None:
         mismatch = graph_mismatch_automaton(f, args.max_automaton_states)
         check_cap(len(auto.states) * len(mismatch.states),
@@ -418,17 +416,19 @@ def cmd_automata(args: argparse.Namespace) -> int:
     if args.action == "member":
         y = load_config(args.input)
         z = load_config(args.output)
-        try:
-            accepted = member(auto, ep_zip(y, z))
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        if y.q != z.q:
+            raise InputError("alphabet mismatch in zip")
+        if y.q * z.q != auto.label_count:
+            raise InputError("word alphabet does not match the label space")
+        accepted = member(auto, ep_zip(y, z))
         base["member"] = accepted
         _emit(base, "pair accepted" if accepted else "pair rejected")
         return 0 if accepted else 1
-    empty = is_empty(auto)
+    witness = nonempty_witness(auto)
+    empty = witness is None
     base["empty"] = empty
     if not empty:
-        wy, wz = ep_unzip(nonempty_witness(auto))
+        wy, wz = ep_unzip(witness)
         base["witness"] = {"input": ep_to_json(wy), "output": ep_to_json(wz)}
     _emit(base, "language is empty" if empty else "language is nonempty")
     return 0 if empty else 1

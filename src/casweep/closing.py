@@ -9,7 +9,9 @@ incoming history (its source is reachable from a cycle) and an outgoing
 path into the diagonal.  Such a path skeleton converts directly into an
 eventually periodic witness pair.  A vertex is the number u*q^(2r) + v of
 its two windows' word indices, and the witness search runs on these
-numbers, from the cycle vertices in ascending order.
+numbers, from the cycle vertices in ascending order.  The graph is held
+once, as plain successor lists: an edge's label is read off the vertex it
+enters, and the backward searches run on `graph.reverse` of those lists.
 
 For a left-closing rule the module also finds the smallest strong closing
 radius: the least m >= 2r such that knowing m preimage cells to the right
@@ -84,31 +86,26 @@ def _radius_form(f: LocalRule) -> tuple[LocalRule, int]:
 # ---------------------------------------------------------------------------
 # Pair graph
 
-def _pair_graph(g: LocalRule, r: int):
-    """Labeled pair graph on numbered vertices, and its reversal.
+def _pair_graph(g: LocalRule, r: int) -> list[list[int]]:
+    """Successor lists of the pair graph on numbered vertices.
 
     With n = q^(2r), the pair (u, v) of 2r-windows, each numbered by word
     index, is vertex u*n + v.  An edge labeled (b, b') extends u by b and v
     by b', allowed only when the windows u*q + b and v*q + b' of the table
     have the same image, and leads to ((u*q + b) mod n, (v*q + b') mod n).
-    Edges run in (b, b') order.  The witness search scans vertices and
-    edges in this order and starts its history tree from the cycle
-    vertices in ascending number, so each witness is one fixed choice.
+    So the label is read off the target w as (w // n % q, w % q), and the
+    lists hold targets alone, in (b, b') order.  The witness search scans
+    vertices and edges in this order and starts its history tree from the
+    cycle vertices in ascending number, so each witness is one fixed choice.
     """
     q, table = g.q, g.table
     n = q ** (2 * r)
-    # (b, image, next window) of each window u*q + b, which loses its first
+    # (image, next window) of each window u*q + b, which loses its first
     # cell to become the next window
-    rows = [[(w % q, table[w], w % n) for w in range(u * q, u * q + q)]
+    rows = [[(table[w], w % n) for w in range(u * q, u * q + q)]
             for u in range(n)]
-    fwd = [[((b, b2), su * n + sv)
-            for b, fb, su in row_u for b2, fb2, sv in row_v if fb == fb2]
-           for row_u in rows for row_v in rows]
-    back: list[list] = [[] for _ in fwd]
-    for src, outs in enumerate(fwd):
-        for lab, tgt in outs:
-            back[tgt].append((lab, src))
-    return fwd, back
+    return [[su * n + sv for fb, su in row_u for fb2, sv in row_v if fb == fb2]
+            for row_u in rows for row_v in rows]
 
 
 def left_closing_decide(f: LocalRule) -> ClosingVerdict:
@@ -155,20 +152,20 @@ def left_closing_decide(f: LocalRule) -> ClosingVerdict:
       component number, and only when some source exists.
     """
     g, r = _radius_form(f)
-    fwd, back = _pair_graph(g, r)
-    succ = [[tgt for _, tgt in outs] for outs in fwd]
+    succ = _pair_graph(g, r)
+    back = graph.reverse(succ)
     comp = graph.strong_components(succ)
-    has_history = graph.bfs_tree(fwd, graph.recurrent(succ, comp, []))
-    n = g.q ** (2 * r)
+    has_history = graph.bfs_tree(succ, graph.recurrent(succ, comp, []))
+    q, n = g.q, g.q ** (2 * r)
     reaches_diagonal = graph.bfs_tree(back, range(0, n * n, n + 1))  # u*n + u
 
     sources = []
-    for src, outs in enumerate(fwd):
-        for lab, tgt in outs:
-            if lab[0] != lab[1] and tgt in reaches_diagonal:
+    for src, outs in enumerate(succ):
+        for tgt in outs:
+            if tgt // n % q != tgt % q and tgt in reaches_diagonal:
                 if src in has_history:
-                    witness = _build_witness(g, fwd, has_history,
-                                             reaches_diagonal, src, lab, tgt)
+                    witness = _build_witness(g, n, succ, has_history,
+                                             reaches_diagonal, src, tgt)
                     return ClosingVerdict("left", False, None, witness)
                 sources.append(src)
                 break
@@ -177,7 +174,7 @@ def left_closing_decide(f: LocalRule) -> ClosingVerdict:
     depth: dict[int, int] = {}  # longest path ending at a vertex
     for v in sorted((v for v in range(n * n) if v not in has_history),
                     key=comp.__getitem__, reverse=True):
-        depth[v] = max((depth[u] + 1 for _, u in back[v]), default=0)
+        depth[v] = max((depth[u] + 1 for u in back[v]), default=0)
     longest = max(depth[s] for s in sources)
     return ClosingVerdict("left", True, max(2 * r, longest + r + 1), None)
 
@@ -193,7 +190,7 @@ def is_strong_left_closing_radius(f: LocalRule, m: int) -> bool:
     return verdict.closed and m >= verdict.strong_radius
 
 
-def _build_witness(g, fwd, has_history, reaches_diagonal, src, lab, tgt):
+def _build_witness(g, n, succ, has_history, reaches_diagonal, src, tgt):
     """Two configurations tracing cycle -> src -> differing edge -> diagonal.
 
     The cycle labels become the shared-structure left periods, the finite
@@ -201,20 +198,17 @@ def _build_witness(g, fwd, has_history, reaches_diagonal, src, lab, tgt):
     them.  The differing edge guarantees distinctness; edge constraints
     guarantee equal images.
     """
-    labs_up, root = graph.walk_to_root(has_history, src)
-    approach = list(reversed(labs_up))  # labels along root -> src
-    cycle = graph.shortest_cycle(fwd, root)
+    up = graph.walk_to_root(has_history, src)  # src back to its cycle vertex
+    cycle = graph.shortest_cycle(succ, up[-1])
     if cycle is None:
         raise IntegrityError("recurrent vertex lies on no cycle")
-    # walking tgt towards the diagonal follows forward edges, so the labels
-    # come out already in tape order
-    into_diag, _ = graph.walk_to_root(reaches_diagonal, tgt)
-
-    seq = approach + [lab] + into_diag
-    x1 = EpConfig(g.q, tuple(a for a, _ in cycle), tuple(a for a, _ in seq),
-                  0, (0,))
-    x2 = EpConfig(g.q, tuple(b for _, b in cycle), tuple(b for _, b in seq),
-                  0, (0,))
+    # walking tgt towards the diagonal follows forward edges, so the
+    # vertices come out already in tape order
+    seq = up[:-1][::-1] + graph.walk_to_root(reaches_diagonal, tgt)
+    # the edge into w has label (b, b') = (w // n % q, w % q); x1 reads b
+    x1, x2 = (EpConfig(g.q, tuple(w // div % g.q for w in cycle[1:]),
+                       tuple(w // div % g.q for w in seq), 0, (0,))
+              for div in (n, 1))
     if ep_equal(x1, x2) or not ep_equal(apply_ep(g, x1), apply_ep(g, x2)):
         raise IntegrityError("constructed non-closing witness fails to validate")
     return x1, x2

@@ -6,11 +6,12 @@ path length is bounded by memory, not by the recursion limit.  This is the
 one place the package computes strongly connected components, cycles and
 reachability; callers map their own states to node numbers.
 
-It is also the one labeled path search, behind the witnesses of both the
+It is also the one path search, behind the witnesses of both the
 closing analysis and the automata: `bfs_tree`, `walk_to_root` and
-`shortest_cycle` take an ``adjacency`` that lists, for each node number,
-its (label, node) edges, and break ties by the order of the starts and of
-those edges.  The nodes on a cycle are `recurrent(succ,
+`shortest_cycle` take the same successor lists and return vertex paths,
+breaking ties by the order of the starts and of each successor list.
+Callers whose edges carry labels read each step's label back from the two
+vertices it joins.  The nodes on a cycle are `recurrent(succ,
 strong_components(succ), [])`.
 """
 
@@ -128,38 +129,37 @@ def lasso_free(succ, left_sets, right_sets) -> bool:
     return not any(reach[v] for v in targets)
 
 
-def bfs_tree(adjacency, starts) -> dict:
-    """Breadth-first tree: vertex -> (previous vertex, edge label).
+def bfs_tree(succ, starts) -> dict:
+    """Breadth-first tree: vertex -> previous vertex, None at the starts.
 
-    The starts map to None.  Keys are in discovery order, so the first key
-    that meets a condition is a nearest such vertex, and `walk_to_root`
-    reads off a shortest path to it.
+    Keys are in discovery order, so the first key that meets a condition
+    is a nearest such vertex, and `walk_to_root` reads off a shortest path
+    to it.
     """
-    parents = {s: None for s in starts}
+    parents = dict.fromkeys(starts)
     queue = list(parents)
     for v in queue:  # the loop also visits what it appends
-        for label, w in adjacency[v]:
+        for w in succ[v]:
             if w not in parents:
-                parents[w] = (v, label)
+                parents[w] = v
                 queue.append(w)
     return parents
 
 
-def walk_to_root(parents, v) -> tuple[list, object]:
-    """Labels met walking from v back to its tree root, and that root."""
-    labels = []
+def walk_to_root(parents, v) -> list:
+    """Vertices from v back to its tree root, both ends included."""
+    path = [v]
     while parents[v] is not None:
-        v, label = parents[v]
-        labels.append(label)
-    return labels, v
+        v = parents[v]
+        path.append(v)
+    return path
 
 
-def shortest_cycle(adjacency, v) -> list | None:
-    """Labels of a shortest cycle from v back to v, or None if v is on none."""
-    parents = bfs_tree(adjacency, [v])
+def shortest_cycle(succ, v) -> list | None:
+    """Vertices of a shortest cycle from v back to v, v at both ends, or
+    None if v is on none."""
+    parents = bfs_tree(succ, [v])
     for u in parents:
-        for label, w in adjacency[u]:
-            if w == v:
-                labels, _ = walk_to_root(parents, u)
-                return labels[::-1] + [label]
+        if v in succ[u]:
+            return walk_to_root(parents, u)[::-1] + [v]
     return None

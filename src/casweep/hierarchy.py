@@ -16,7 +16,8 @@ from enum import Enum
 from .core import EpConfig, ep_equal, random_ep_config
 from .ca import LocalRule, apply_ep, shift_compose, shift_rule
 from .blockrule import BlockRule, identity_block
-from .closing import ClosingVerdict, right_closing_decide
+from .closing import (ClosingVerdict, left_closing_decide,
+                      right_closing_decide)
 from .stairs import slider_exists
 from .synthesis import synthesize
 from .mealy import sweeper_eval
@@ -81,13 +82,15 @@ def decompose_biclosing(f: LocalRule) -> Decomposition:
     and sigma^k o f (left to right); shifts commute with every cellular
     automaton, so the composite is f itself.  The first stage's rule is
     synthesized from the mirror image sigma^k, whose lambda is 1/q^k.
+    Both closing sides are decided before the stairs are counted.
     """
-    verdict = slider_exists(f)
-    if not verdict.left_closing:
-        raise NotBiClosingError(verdict.left_closing)
+    left = left_closing_decide(f)
+    if not left:
+        raise NotBiClosingError(left)
     right = right_closing_decide(f)
     if not right:
         raise NotBiClosingError(right)
+    verdict = slider_exists(f, left=left)
     k = verdict.shift_offset
     if k == 0:
         first = identity_block(f.q, 1)

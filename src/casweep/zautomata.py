@@ -29,7 +29,8 @@ reach.  `intersect` seeds every pair.  The emptiness test behind `member`
 and `is_slider_rule_for` seeds the pairs that reach every left-recurrent
 pair (`_left_seeds`): the q=2 block-13 exact check of x0 xor x2 builds
 86,016 of the 1,183,744 pairs.  Witness paths and cycles come from the
-shared labeled path search in `casweep.graph`.
+shared path search in `casweep.graph`, which returns states; each step's
+label is read back as that of the first edge between its two states.
 
 Labels are plain integers; a k-track label packs k symbols below q in one
 integer, big-endian, so a pair (y, z) reads as y * q + z.
@@ -127,17 +128,16 @@ def member(A: ZAutomaton, x: EpConfig) -> bool:
     return not _disjoint(A, shifts)
 
 
-def is_empty(A: ZAutomaton) -> bool:
-    """No bi-infinite path satisfies both recurrence obligations."""
-    return graph.lasso_free(_targets(A), [A.initial], [A.final])
-
-
 def nonempty_witness(A: ZAutomaton) -> EpConfig | None:
-    """An accepted eventually periodic word, if any exists.
+    """An accepted eventually periodic word, or None when A is empty.
 
     A shortest path leads from the first recurrent initial state that can
     to the nearest recurrent final state; shortest cycles through its two
-    ends become the left and the right period, the path the center.
+    ends become the left and the right period, the path the center, each
+    step labeled by its first edge in (label, target) order.  This is also
+    the emptiness test: components are strongly connected, so when a
+    left-recurrent state reaches a right-recurrent one, an initial state of
+    the first's component reaches a final state of the second's.
     """
     succ = _targets(A)
     comp = graph.strong_components(succ)
@@ -145,15 +145,19 @@ def nonempty_witness(A: ZAutomaton) -> EpConfig | None:
     starts = [v for v in graph.recurrent(succ, comp, [A.initial])
               if v in initial]
     ends = set(graph.recurrent(succ, comp, [A.final])).intersection(A.final)
-    parents = graph.bfs_tree(A.succ, starts)
+    parents = graph.bfs_tree(succ, starts)
     f0 = next((v for v in parents if v in ends), None)
     if f0 is None:
         return None
-    labels, i0 = graph.walk_to_root(parents, f0)
-    lp = graph.shortest_cycle(A.succ, i0)
-    rp = graph.shortest_cycle(A.succ, f0)
-    return EpConfig(A.label_count, tuple(lp), tuple(reversed(labels)), 0,
-                    tuple(rp)).normalize()
+    path = graph.walk_to_root(parents, f0)[::-1]
+
+    def labels(states):
+        return tuple(next(label for label, t in A.succ[u] if t == w)
+                     for u, w in zip(states, states[1:]))
+
+    return EpConfig(A.label_count, labels(graph.shortest_cycle(succ, path[0])),
+                    labels(path), 0,
+                    labels(graph.shortest_cycle(succ, f0))).normalize()
 
 
 def trim(A: ZAutomaton) -> ZAutomaton:

@@ -838,6 +838,14 @@ def _recurrent_parts(A: NamedAutomaton):
     return order, succ, left, right
 
 
+def is_empty(A: ZAutomaton) -> bool:
+    """No bi-infinite path satisfies both recurrence obligations: the
+    emptiness test by lasso reachability, against which
+    `nonempty_witness(A) is None` is checked."""
+    succ = [[t for _, t in out] for out in A.succ]
+    return graph.lasso_free(succ, [A.initial], [A.final])
+
+
 def named_is_empty(A: NamedAutomaton) -> bool:
     """No bi-infinite path satisfies both recurrence obligations."""
     _, index, succ = _numbered(A)

@@ -24,9 +24,9 @@ from casweep.cli import build_parser, main
 from casweep.closing import left_closing_decide
 from casweep.core import (EpConfig, ep_equal, ep_from_json, ep_to_json,
                           ep_unzip, word_of_index)
-from casweep.zautomata import (graph_mismatch_automaton, intersect, is_empty,
+from casweep.zautomata import (graph_mismatch_automaton, intersect,
                                nonempty_witness)
-from oracles import whole_slider_automaton
+from oracles import is_empty, whole_slider_automaton
 
 
 def data_file(name: str) -> str:
@@ -546,6 +546,21 @@ def test_analyze_refuses_stairs_over_the_cap_before_the_right_side(
     assert err.startswith("resource cap exceeded: stair bound 4^16")
 
 
+def test_decompose_decides_both_sides_before_the_stairs(capsys, monkeypatch,
+                                                        tmp_path):
+    """The q=4 rule is left-closing but not right-closing, so `decompose`
+    refuses it without counting its stairs, which are over the cap."""
+    monkeypatch.setattr("casweep.stairs.enumerate_stairs", _raise_unexpected)
+    out_dir = tmp_path / "stages"
+    code, report, _ = run(capsys, "decompose",
+                          write_q4_radius_two_rule(tmp_path), str(out_dir))
+    assert code == 1
+    assert report["biclosing"] is False
+    assert report["failing_side"] == "right"
+    assert len(report["witness"]) == 2
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "synthesize"])
 def test_analysis_decides_the_left_side_once(capsys, monkeypatch, tmp_path,
                                              command):
@@ -635,6 +650,43 @@ def test_automata_vs_alphabet_mismatch(capsys):
                             "--vs", data_file("identity"))
     assert code == 2 and report is None
     assert err.splitlines()[-1].startswith("error:")
+
+
+def test_automata_input_faults_exit_2(capsys, tmp_path):
+    squash = tmp_path / "squash.json"
+    squash.write_text(json.dumps(BlockRule(2, 2, (0, 0, 3, 3)).to_json()))
+    y2 = write_config(tmp_path / "y2.json", IMPULSE)
+    y3 = write_config(tmp_path / "y3.json", EpConfig(3, (0,), (2,), 0, (0,)))
+    cases = [
+        (["empty", str(squash), "--kind", "slider"],
+         "slider relations need a bijective block rule"),
+        (["member", data_file("swap"), "--kind", "slider", "--input", y2,
+          "--output", y3], "alphabet mismatch in zip"),
+        (["member", data_file("swap"), "--kind", "sweeper", "--input", y3,
+          "--output", y3], "word alphabet does not match the label space"),
+    ]
+    for argv, message in cases:
+        code, report, err = run(capsys, "automata", *argv)
+        assert code == 2 and report is None
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind,name", [
+    ("slider", "slider_relation_automaton"),
+    ("sweeper", "sweeper_relation_automaton"),
+    ("slider", "member")])
+def test_automata_engine_faults_are_internal_errors(capsys, monkeypatch,
+                                                    tmp_path, kind, name):
+    """A ValueError from inside the engine is a bug, not bad input."""
+    def broken(*args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(f"casweep.cli.{name}", broken)
+    y = write_config(tmp_path / "y.json", IMPULSE)
+    code, report, err = run(capsys, "automata", "member", data_file("swap"),
+                            "--kind", kind, "--input", y, "--output", y)
+    assert code == 4 and report is None
+    assert err.splitlines()[-1] == "internal error: ValueError: engine fault"
 
 
 def test_automata_mismatch_kind(capsys, tmp_path):

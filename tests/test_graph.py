@@ -103,42 +103,42 @@ def test_lasso_emptiness_matches_brute_force(succ):
     assert lasso_free(succ, lefts, rights) == expected
 
 
-def follow(adjacency, v, labels):
-    """End of the path from v whose edges carry the given labels."""
-    for label in labels:
-        v = dict(adjacency[v])[label]
-    return v
+def is_path(succ, vertices):
+    """Does an edge lead from each vertex to the next?"""
+    return all(w in succ[v] for v, w in zip(vertices, vertices[1:]))
 
 
 @pytest.mark.parametrize("succ", GRAPHS)
 def test_path_search_matches_brute_force(succ):
     n = len(succ)
     reach = closure(succ)
-    # each edge is labeled by its position in the successor list
-    adjacency = [list(enumerate(out)) for out in succ]
     seeds = random.Random(3 * n).sample(range(n), min(n, 2))
     dist = {s: 0 for s in seeds}
     for _ in range(n):
         for v in list(dist):
             for w in succ[v]:
                 dist[w] = min(dist.get(w, n), dist[v] + 1)
-    parents = bfs_tree(adjacency, seeds)
+    parents = bfs_tree(succ, seeds)
     assert set(parents) == set(dist)
     assert [dist[v] for v in parents] == sorted(dist.values())
+    order = list(parents)
     for w in parents:
-        labels, root = walk_to_root(parents, w)
-        assert root in seeds and len(labels) == dist[w]
-        assert follow(adjacency, root, labels[::-1]) == w
+        path = walk_to_root(parents, w)
+        assert path[0] == w and path[-1] in seeds
+        assert len(path) == dist[w] + 1 and is_path(succ, path[::-1])
+        # ties go to the first vertex found with an edge into w
+        if parents[w] is not None:
+            assert parents[w] == next(v for v in order if w in succ[v])
     for v in range(n):
-        cycle = shortest_cycle(adjacency, v)
+        cycle = shortest_cycle(succ, v)
         if not reach[v][v]:
             assert cycle is None
             continue
-        assert follow(adjacency, v, cycle) == v
-        around = [len(walk_to_root(bfs_tree(adjacency, [v]), u)[0]) + 1
+        assert cycle[0] == cycle[-1] == v and is_path(succ, cycle)
+        around = [len(walk_to_root(bfs_tree(succ, [v]), u))
                   for u in range(n) if v in succ[u]
                   and (u == v or reach[v][u])]
-        assert len(cycle) == min(around)
+        assert len(cycle) - 1 == min(around)
 
 
 def test_long_chain_does_not_recurse():
@@ -147,8 +147,7 @@ def test_long_chain_does_not_recurse():
     comp = strong_components(succ)
     assert len(set(comp)) == 1
     assert recurrent(succ, comp, []) == list(range(n))
-    assert shortest_cycle([[(0, w) for w in out] for out in succ], 0) \
-        == [0] * n
+    assert shortest_cycle(succ, 0) == list(range(n)) + [0]
     succ[-1] = []
     comp = strong_components(succ)
     assert len(set(comp)) == n

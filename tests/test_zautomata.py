@@ -13,13 +13,13 @@ from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule, identity_block,
 from casweep.mealy import sweeper_eval
 from casweep import zautomata
 from casweep.synthesis import synthesize
-from casweep.zautomata import (member, is_empty, nonempty_witness,
+from casweep.zautomata import (member, nonempty_witness,
                                trim, intersect, is_slider_rule_for,
                                slider_relation_automaton,
                                sweeper_relation_automaton,
                                graph_mismatch_automaton)
 from oracles import (NamedAutomaton, disjoint_by_full_product, ep_replace,
-                     flag_intersect, from_named,
+                     flag_intersect, from_named, is_empty,
                      mismatch_state_number, named_graph_mismatch_automaton,
                      named_is_empty, named_nonempty_witness,
                      named_sweeper_relation_automaton, named_trim,
@@ -371,6 +371,7 @@ def random_named(rng, q):
 def test_numbered_automata_match_named_oracles():
     rng = random.Random(61)
     kinds = set()
+    parallel = 0  # witnesses of automata with one u -> w edge under two labels
     for _ in range(60):
         q = rng.randint(2, 4)
         N, M = random_named(rng, q), random_named(rng, q)
@@ -385,14 +386,18 @@ def test_numbered_automata_match_named_oracles():
         assert is_empty(A) == named_is_empty(N)
         w = nonempty_witness(A)
         assert w == named_nonempty_witness(N)
+        assert (w is None) == is_empty(A)
         kinds.add(w is None)
+        if w is not None and len({(s, t) for s, _, t in N.edges}) \
+                < len(N.edges):
+            parallel += 1
         words = [random_ep_config(rng, q) for _ in range(4)]
         for x in words + ([] if w is None else [w]):
             assert member(A, x) is period_member(A, x)
         if w is not None:
             assert member(A, w)
         assert intersect(A, B) == flag_intersect(A, B)
-    assert kinds == {True, False}
+    assert kinds == {True, False} and parallel >= 10
 
 
 # ---------------------------------------------------------------------------

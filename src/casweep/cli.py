@@ -420,7 +420,7 @@ def cmd_automata(args: argparse.Namespace) -> int:
             raise InputError("alphabet mismatch in zip")
         if y.q * z.q != auto.label_count:
             raise InputError("word alphabet does not match the label space")
-        accepted = member(auto, ep_zip(y, z))
+        accepted = member(auto, ep_zip(y, z), args.max_automaton_states)
         base["member"] = accepted
         _emit(base, "pair accepted" if accepted else "pair rejected")
         return 0 if accepted else 1

@@ -21,16 +21,22 @@ exact check and for `automata` alike: three passes list the L states with
 an infinite past, the R states with an infinite future and the bridge
 states joining them, each layer capped by a running total of states before
 it is allocated; a synthesized q=3 rule of length 7 keeps 8,505 of
-3,720,087.
+3,720,087.  Then each live state's edges are read off its window's row of
+the table: the L steps need no liveness test, since the L core is closed
+under them, and the bridge and R steps keep the live targets.
 
 One lockstep product, `_product`, pairs the runs of two automata over equal
 labels; it is the only product, and it builds only the pairs its seeds
-reach.  `intersect` seeds every pair.  The emptiness test behind `member`
-and `is_slider_rule_for` seeds the pairs that reach every left-recurrent
-pair (`_left_seeds`): the q=2 block-13 exact check of x0 xor x2 builds
-86,016 of the 1,183,744 pairs.  Witness paths and cycles come from the
-shared path search in `casweep.graph`, which returns states; each step's
-label is read back as that of the first edge between its two states.
+reach, counting them against a cap as it numbers them.  `intersect` seeds
+every pair.  The emptiness test behind `member` and `is_slider_rule_for`
+seeds the pairs that reach every left-recurrent pair (`_left_seeds`): the
+q=2 block-13 exact check of x0 xor x2 builds 86,016 of the 1,183,744
+pairs.  The slider automaton's left-recurrent states are its initial
+states, the L core, so the exact check takes them without a component
+search (the proof is in `is_slider_rule_for`).  Witness paths and cycles
+come from the shared path search in `casweep.graph`, which returns states;
+each step's label is read back as that of the first edge between its two
+states.
 
 Labels are plain integers; a k-track label packs k symbols below q in one
 integer, big-endian, so a pair (y, z) reads as y * q + z.
@@ -40,7 +46,6 @@ from __future__ import annotations
 
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 from . import graph
 from .core import MAX_AUTOMATON_STATES, EpConfig, check_cap, check_power_cap
@@ -104,14 +109,16 @@ def _targets(A: ZAutomaton) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # Membership, emptiness, trimming
 
-def member(A: ZAutomaton, x: EpConfig) -> bool:
+def member(A: ZAutomaton, x: EpConfig,
+           max_states: int | None = MAX_AUTOMATON_STATES) -> bool:
     """Is the eventually periodic word x accepted?
 
     The shifts of x form the language of a small automaton: a cycle over
     the left period (initial), the center as a chain, then a cycle over the
     right period (final).  Accepted languages are shift-invariant, because
     a shifted accepting path is still an accepting path, so A accepts x
-    exactly when its product with that automaton is not empty.
+    exactly when its product with that automaton is not empty.  max_states
+    caps the product pairs built, counted as they are found.
     """
     if x.q != A.label_count:
         raise ValueError("word alphabet does not match the label space")
@@ -125,7 +132,7 @@ def member(A: ZAutomaton, x: EpConfig) -> bool:
     shifts = ZAutomaton(A.q, A.arity, tuple(range(lo, hi)),
                         tuple(map(tuple, succ)), tuple(range(start - lo)),
                         tuple(range(end - lo, hi - lo)))
-    return not _disjoint(A, shifts)
+    return not _disjoint(A, shifts, max_states, "member product nodes")
 
 
 def nonempty_witness(A: ZAutomaton) -> EpConfig | None:
@@ -183,7 +190,8 @@ def trim(A: ZAutomaton) -> ZAutomaton:
 # ---------------------------------------------------------------------------
 # Products
 
-def _product(A: ZAutomaton, B: ZAutomaton, seeds):
+def _product(A: ZAutomaton, B: ZAutomaton, seeds,
+             max_states: int | None = None, what: str = "product nodes"):
     """Edge graph of the pairs of runs of A and B over the same labels,
     built only from the pairs the seeds reach.
 
@@ -191,7 +199,10 @@ def _product(A: ZAutomaton, B: ZAutomaton, seeds):
     numbered in the order they are found, the seeds first, so seeding every
     code in ascending order numbers each pair by its code.  Returns the
     code of each node and succ, where succ[v] lists the (label, node) edges
-    leaving node v in (label, a, b) order of their targets.
+    leaving node v in (label, a, b) order of their targets.  Nodes are
+    counted as they are numbered, and the first one over max_states raises
+    ResourceCapError naming `what`: the cap bounds the pairs built, not
+    |A| |B|.
     """
     if A.q != B.q or A.arity != B.arity:
         raise ValueError("alphabet mismatch")
@@ -201,6 +212,7 @@ def _product(A: ZAutomaton, B: ZAutomaton, seeds):
         for label, tb in out:
             by_label[sb].setdefault(label, []).append(tb)
     codes = list(dict.fromkeys(seeds))
+    check_cap(len(codes), max_states, what)
     number = {code: v for v, code in enumerate(codes)}
     succ: list[list[tuple[int, int]]] = []
     for code in codes:  # the loop also visits what it appends
@@ -213,6 +225,8 @@ def _product(A: ZAutomaton, B: ZAutomaton, seeds):
                 w = number.get(dst)
                 if w is None:
                     w = number[dst] = len(codes)
+                    if w == max_states:  # the pair w is one too many
+                        check_cap(w + 1, max_states, what)
                     codes.append(dst)
                 out.append((label, w))
         succ.append(out)
@@ -226,9 +240,11 @@ def _left_recurrent(A: ZAutomaton) -> list[int]:
     return graph.recurrent(succ, graph.strong_components(succ), [A.initial])
 
 
-def _left_seeds(A: ZAutomaton, B: ZAutomaton) -> list[int]:
+def _left_seeds(A: ZAutomaton, B: ZAutomaton,
+                left_a: Sequence[int]) -> list[int]:
     """Codes of product pairs from which every left-recurrent pair is
-    reachable; B should be the small side.
+    reachable, given left_a, the left-recurrent states of A; B should be
+    the small side.
 
     Each left-recurrent state a of A starts a run with the set of all
     left-recurrent states of B.  Along an edge (label, a2) of A inside its
@@ -243,7 +259,7 @@ def _left_seeds(A: ZAutomaton, B: ZAutomaton) -> list[int]:
     lies on the past and reaches the pair.
     """
     nb = len(B.states)
-    left_a, left_b = _left_recurrent(A), _left_recurrent(B)
+    left_b = _left_recurrent(B)
     in_a, in_b = _marks(len(A.states), left_a), _marks(nb, left_b)
     after: list[dict[int, int]] = [{} for _ in range(nb)]
     for sb in left_b:
@@ -286,16 +302,24 @@ def _bits(S: int):
         S ^= low
 
 
-def _disjoint(A: ZAutomaton, B: ZAutomaton) -> bool:
+def _disjoint(A: ZAutomaton, B: ZAutomaton, max_states: int | None = None,
+              what: str = "product nodes",
+              left_a: Sequence[int] | None = None) -> bool:
     """Do L(A) and L(B) share no word?  Emptiness of their product, built
     only from `_left_seeds`; B should be the small side.
 
     Every left-recurrent pair is reachable from a seed, and the part built
     is closed under successors, so its strong components are the whole
-    product's and the emptiness test on it is exact.
+    product's and the emptiness test on it is exact.  The pairs are counted
+    against max_states as they are built (`_product`).  A caller that knows
+    A's left-recurrent states passes them as left_a, as
+    `is_slider_rule_for` does with the slider automaton's L core; otherwise
+    a component search over A finds them.
     """
     na, nb = len(A.states), len(B.states)
-    codes, succ = _product(A, B, _left_seeds(A, B))
+    if left_a is None:
+        left_a = _left_recurrent(A)
+    codes, succ = _product(A, B, _left_seeds(A, B, left_a), max_states, what)
     # drop the labels list by list, so the two forms are never held whole
     for v, out in enumerate(succ):
         succ[v] = [w for _, w in out]
@@ -369,52 +393,6 @@ def intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
 # ---------------------------------------------------------------------------
 # Relation automata
 
-def _slider_edges(chi: BlockRule):
-    """edges(s): the sorted (label, target) pairs leaving state s of the
-    slider automaton of block length m >= 2, numbered as in
-    `slider_relation_automaton`.
-
-    With s = (layer Q + v) Q + c q^(m-2) + rest, the targets are the
-    layer's and window's base targets plus rest q: the buffer's first cell c
-    leaves it and a new cell enters at its end.  The L and R bases are
-    listed once per window and first cell; the bridge's are direct.
-    """
-    q, m, table = chi.q, chi.block_length, chi.table
-    Q, h = q ** (m - 1), q ** (m - 2)
-    bridge, L, R = (m - 2) * Q, (m - 2) * Q * Q, (m - 1) * Q * Q
-    first = 0 if m > 2 else R
-    moves = []
-    for v in range(Q):
-        # (z, base): the inverse steps chi(v em) = z vt, then the bridge's
-        # first step; the order holds for every buffer
-        steps = sorted([(z, L + vt * Q + em) for em in range(q)
-                        for z, vt in [divmod(table[v * q + em], Q)]]
-                       + [(z, first + v * Q + z) for z in range(q)])
-        moves.append([tuple((y * q + z, base) for z, base in steps)
-                      for y in range(q)])
-    for v in range(Q):
-        # forward steps chi(v y) = z0 v2, grouped by the output z0 they owe
-        owed: list[list[tuple[int, int]]] = [[] for _ in range(q)]
-        for y in range(q):
-            z0, v2 = divmod(table[v * q + y], Q)
-            owed[z0].append((y, R + v2 * Q))
-        moves.append([tuple((y * q + z, base + z) for y, base in owed[z0]
-                            for z in range(q)) for z0 in range(q)])
-
-    def edges(s: int) -> tuple[tuple[int, int], ...]:
-        hi, r = divmod(s, Q)
-        c, rest = divmod(r, h)
-        if hi < bridge:
-            # B(t) to B(t+1), or B(m-2) over the L layer to R
-            base = (hi + Q if hi + Q < bridge else hi + 2 * Q) * Q + rest * q
-            return tuple((c * q + z, base + z) for z in range(q))
-        shift = rest * q
-        return tuple((label, base + shift)
-                     for label, base in moves[hi - bridge][c])
-
-    return edges
-
-
 def slider_relation_automaton(chi: BlockRule,
                               max_states: int | None = MAX_AUTOMATON_STATES
                               ) -> ZAutomaton:
@@ -437,9 +415,8 @@ def slider_relation_automaton(chi: BlockRule,
     (m-2) Q^2 + v Q + r and R(v, r) is (m-1) Q^2 + v Q + r (for m = 1, L is
     0 and R is 1).  Each bridge step, L to B(1) to ... to B(m-2) to R,
     shifts the buffer's first input out and a guessed output in.  Of these
-    m q^(2m-2) codes only the live ones are kept, in order, as `states`;
-    their edges come from `_slider_edges`, less those leading to a state
-    that is not kept.  Three passes list them:
+    m q^(2m-2) codes only the live ones are kept, in order, as `states`.
+    Three passes list them:
 
     - *L core.*  All Q windows with an empty buffer, extended m-1 times by
       a guessed cell e: (v, r) -> (table[v q + e] mod Q, r q + e).  These
@@ -449,21 +426,36 @@ def slider_relation_automaton(chi: BlockRule,
       window is the table[v q + e] mod Q of some (v, e), hence ends
       backward chains of any length.
     - *R core.*  The mirror pass: all windows with an empty buffer, owed
-      outputs h prepended m-1 times through the inverse, (v2, r) ->
-      (chi^-1(h v2) div q, h q^k + r) for a buffer of k cells.  These are
+      outputs z prepended m-1 times through the inverse, (v2, r) ->
+      (chi^-1(z v2) div q, z q^k + r) for a buffer of k cells.  These are
       the R states with an infinite future: a window with the first m-1
       outputs of a forward sweep from it.
     - *Bridge.*  B(t, v, s p) for each window v, each suffix s of m-1-t
       pending inputs of an L-core buffer of v and each prefix p of t
       outputs of an R-core buffer of v: the bridge keeps the window and
-      hands the buffer over one cell at a time.
+      hands the buffer over one cell at a time.  Per window a layer is the
+      product of the two sets, so its size is known before it is listed.
 
     Every window carries buffers in both cores, so every state kept lies on
     a path from the L core over the bridge into the R core, and none is
     dead.  Before each layer is allocated, the running total of states plus
     the layer's size (bounded by q times the current layer in the cores,
     counted for the bridge) is checked against max_states; the m q^(2m-2)
-    codes are never counted.
+    codes are never counted, and no edge is built before the last layer is.
+
+    Each state's edges are then read off its window's row of the table,
+    chi(v e) = z0 w for the q cells e, as (label, target) pairs sorted by
+    label, then target, for a buffer r = c r':
+
+    - *L steps.*  L(v, r) reads (c, z0) into L(w, r' e).  No target needs a
+      test: with T_e(v) = table[v q + e] mod Q, the core state (T_r(u), r)
+      steps to (T_(r' e)(T_c(u)), r' e), which is in the core again.
+    - *Bridge steps.*  L(v, r) and B(t, v, r) read (c, z) into B(t+1, v,
+      r' z), where B(m-1) stands for R (and B(1) too when m = 2).  The
+      target is kept when it is live, that is, when the t+1 cells ending
+      r' z are a prefix of an R-core buffer of v.
+    - *R steps.*  R(v, r) reads (e, z) into R(w, r' z) for each e with
+      z0 = c, kept when the target is live.
     """
     if not chi.is_bijective():
         raise ValueError("slider relations need a bijective block rule")
@@ -474,9 +466,12 @@ def slider_relation_automaton(chi: BlockRule,
         return ZAutomaton(q, 2, (0, 1),
                           (tuple((a, t) for a in labels for t in (0, 1)),
                            tuple((a, 1) for a in labels)), (0,), (1,))
-    Q = q ** (m - 1)
+    Q, h = q ** (m - 1), q ** (m - 2)
     L, R = (m - 2) * Q * Q, (m - 1) * Q * Q
     cells, total = range(q), 0
+    # chi(v e) = z0 w: step[v q + e] is w Q and back[z0 Q + w] is v Q
+    step = [x % Q * Q for x in table]
+    back = [x // q * Q for x in chi.inverse().table]
 
     def check(size: int) -> None:
         check_cap(total + size, max_states, "slider live states")
@@ -485,42 +480,66 @@ def slider_relation_automaton(chi: BlockRule,
     left: Collection[int] = range(0, Q * Q, Q)
     for _ in range(m - 1):
         check(q * len(left))
-        left = {table[v * q + e] % Q * Q + r * q + e
-                for v, r in map(divmod, left, repeat(Q)) for e in cells}
+        left = {step[s // Q * q + e] + s % Q * q + e
+                for s in left for e in cells}
     total = len(left)
-    # the R core prepends the output h the window owes
-    inverse = chi.inverse().table
+    # the R core prepends the output z the window owes
     right: Collection[int] = range(0, Q * Q, Q)
     for k in range(m - 1):
         check(q * len(right))
-        right = {inverse[h * Q + v] // q * Q + h * q ** k + r
-                 for v, r in map(divmod, right, repeat(Q)) for h in cells}
+        lead = q ** k
+        right = {back[z * Q + s // Q] + z * lead + s % Q
+                 for s in right for z in cells}
     total += len(right)
-    buffers: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
-    for side, core in zip(buffers, (left, right)):
-        for s in core:
-            v, r = divmod(s, Q)
-            side.setdefault(v, []).append(r)
-    codes = [L + s for s in left] + [R + s for s in right]
+    # B(t, v, s p) for the suffixes s of m-1-t cells of the L-core buffers
+    # of v and the prefixes p of t cells of its R-core buffers, listed in
+    # code order as (v q^(m-1-t) + s) q^t + p = v Q + s q^t + p
+    layers = []
     for t in range(1, m - 1):
         low, high = q ** t, q ** (m - 1 - t)
-        joins = [(v, {r % high for r in rs}, {r // high for r in buffers[1][v]})
-                 for v, rs in buffers[0].items()]
-        size = sum(len(pending) * len(owed) for _, pending, owed in joins)
+        owed: dict[int, list[int]] = {}
+        for x in sorted({s // high for s in right}):
+            owed.setdefault(x // low, []).append(x % low)
+        pending = sorted({s // Q * high + s % high for s in left})
+        size = sum(len(owed[x // high]) for x in pending)
         check(size)
         total += size
-        codes += [(t - 1) * Q * Q + v * Q + s * low + p
-                  for v, pending, owed in joins for s in pending for p in owed]
-    codes.sort()
-    number = {s: k for k, s in enumerate(codes)}
-    edges = _slider_edges(chi)
-    return ZAutomaton(
-        q, 2, tuple(codes),
-        tuple(tuple((label, number[dst]) for label, dst in edges(s)
-                    if dst in number)
-              for s in codes),
-        tuple(k for k, s in enumerate(codes) if L <= s < R),
-        tuple(k for k, s in enumerate(codes) if s >= R))
+        layers.append([x * low + p for x in pending for p in owed[x // high]])
+    layers += [sorted(left), sorted(right)]
+    codes = [k * Q * Q + s for k, layer in enumerate(layers) for s in layer]
+    number = dict(zip(codes, range(len(codes))))
+    get, succ = number.get, []
+    for t, layer in [*enumerate(layers[:-2], 1), (0, layers[-2])]:
+        # the bridge step of B(t) to B(t+1), of B(m-2) to R and of L (t = 0)
+        # to B(1): the window stays, the first pending input c leaves the
+        # buffer and an output cell e enters it, if the target is live
+        ahead = (t if t < m - 2 else m - 1) * Q * Q
+        for s in layer:
+            i, c, shift = s // Q * q, s % Q // h * q, s % h * q
+            base, out = ahead + s - s % Q + shift, []
+            for e in cells:
+                if (w := get(base + e)) is not None:
+                    out.append((c + e, w))
+                if t == 0:
+                    # the L step chi(v e) = z0 w to L(w, r' e), always live
+                    out.append((c + table[i + e] // Q,
+                                number[L + step[i + e] + shift + e]))
+            if t == 0:
+                out.sort()
+            succ.append(tuple(out))
+    for s in layers[-1]:
+        i, c, shift = s // Q * q, s % Q // h, R + s % h * q
+        out = []
+        for y in cells:
+            if table[i + y] // Q == c:  # the forward step owes c
+                for z in cells:
+                    if (w := get(step[i + y] + shift + z)) is not None:
+                        out.append((y * q + z, w))
+        succ.append(tuple(out))
+    n_bridge = len(codes) - len(left) - len(right)
+    return ZAutomaton(q, 2, tuple(codes), tuple(succ),
+                      tuple(range(n_bridge, n_bridge + len(left))),
+                      tuple(range(n_bridge + len(left), len(codes))))
 
 
 def sweeper_relation_automaton(chi: BlockRule,
@@ -640,14 +659,33 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     graph of f already forces equality: it suffices that no represented
     pair disagrees with f anywhere.  max_states bounds the slider
     automaton's running total of states (each layer checked before it is
-    built), the mismatch automaton and their whole product, which bounds
-    the part `_disjoint` builds.
+    built), the mismatch automaton and the product pairs `_disjoint`
+    builds, counted as they are numbered.  The whole product |slider|
+    |mismatch| is not checked, as the seeds reach little of it: the block-5
+    rule (f(x), s, x[1:]) of q=4 x2 + x3 x4 makes 146,836,480 pairs, of
+    which 189,440 are built.
+
+    The product is seeded from the slider automaton's `initial` states,
+    the L core, without a component search: they are exactly its
+    left-recurrent states.
+
+    - The window graph v -> T_e(v) = table[v q + e] mod Q has out-degree
+      q, and in-degree q as well, since table is a bijection on [q Q] and
+      so takes each residue mod Q q times.  Hence each of its weakly
+      connected components is strongly connected.
+    - A core state X = (T_r(u), r) lies on a cycle of core states: walk in
+      the window graph from T_r(u) back to u, then read r.  The walk ends
+      at X, and after each cell its state is (T_s(u'), s) for its buffer s
+      and some window u', so it stays in the core.
+    - The core is closed under L steps, and no B or R state has an edge
+      back into L, so every state on a cycle through a core state is in
+      the core.  The cyclic components that meet `initial` are therefore
+      exactly the core.
     """
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")
     slider = slider_relation_automaton(chi, max_states)
     mismatch = graph_mismatch_automaton(f, max_states)
-    check_cap(len(slider.states) * len(mismatch.states), max_states,
-              "slider-mismatch product nodes")
-    return _disjoint(slider, mismatch)
+    return _disjoint(slider, mismatch, max_states,
+                     "slider-mismatch product nodes", slider.initial)
 

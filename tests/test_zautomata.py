@@ -146,17 +146,44 @@ def test_exact_check_of_synthesized_rules_against_every_ca():
                 (block_name, ca_name)
 
 
-def test_exact_slider_check_caps_its_product():
-    """The slider and the mismatch automaton each fit the cap while their
-    product does not: refused before the product is allocated."""
+def product_pairs(monkeypatch, chi, f) -> tuple[bool, int]:
+    """The exact check's verdict and the product pairs it built."""
+    built = []
+    product = zautomata._product
+
+    def counted(*args):
+        codes, succ = product(*args)
+        built.append(len(codes))
+        return codes, succ
+
+    monkeypatch.setattr(zautomata, "_product", counted)
+    verdict = is_slider_rule_for(chi, f)
+    return verdict, built[0]
+
+
+def test_exact_slider_check_caps_its_product(monkeypatch):
+    """The product is counted as it is built, not predicted as |slider|
+    |mismatch|: swap against shift builds 8 of the 24 pairs, so a cap of 8
+    lets it through.  At 7 the slider's own 8 states are refused first; the
+    synthesized ca102 rule's 512 slider states fit a cap of 575, while its
+    576th product pair does not."""
     chi, f = builtin_block_rule("swap"), builtin_rule("shift")
     slider = slider_relation_automaton(chi)
     mismatch = graph_mismatch_automaton(f)
-    cap = max(len(slider.states), len(mismatch.states))
-    assert len(slider.states) * len(mismatch.states) > cap
+    assert len(slider.states) * len(mismatch.states) == 24
+    assert product_pairs(monkeypatch, chi, f) == (True, 8)
+    assert is_slider_rule_for(chi, f, max_states=8) is True
     with pytest.raises(ResourceCapError,
-                       match="slider-mismatch product nodes"):
-        is_slider_rule_for(chi, f, max_states=cap)
+                       match="slider live states: 8 is over the cap 7$"):
+        is_slider_rule_for(chi, f, max_states=7)
+    ca102 = builtin_rule("ca102")
+    chi = synthesize(ca102)
+    assert len(slider_relation_automaton(chi).states) == 512
+    assert is_slider_rule_for(chi, ca102, max_states=576) is True
+    with pytest.raises(ResourceCapError,
+                       match="slider-mismatch product nodes: 576 is over "
+                             "the cap 575$"):
+        is_slider_rule_for(chi, ca102, max_states=575)
 
 
 def test_builders_are_capped_by_default():
@@ -206,33 +233,63 @@ def test_live_slider_automaton_is_the_trimmed_one(chi):
 
 
 @pytest.mark.parametrize("name", ["identity", "shift", "ca102"])
-def test_live_slider_automaton_counts_before_it_builds(name, monkeypatch):
+def test_live_slider_automaton_counts_before_it_builds(name):
     """One state below the candidate total is refused by the running
-    count, before the last layer or the candidates' edges are built."""
+    count before the last bridge layer is listed, so before any edge is
+    built: edges are numbered over every layer.  The builder's frame at the
+    raise holds B(1) .. B(m-3) alone."""
     chi = synthesize(builtin_rule(name))
     total = len(slider_relation_automaton(chi).states)
     assert len(slider_relation_automaton(chi, max_states=total).states) \
         == total
-
-    def unexpected(_):
-        raise AssertionError("edges built over the cap")
-
-    monkeypatch.setattr("casweep.zautomata._slider_edges", unexpected)
     with pytest.raises(ResourceCapError,
                        match=f"slider live states: {total} is over the cap "
-                             f"{total - 1}$"):
+                             f"{total - 1}$") as refused:
         is_slider_rule_for(chi, builtin_rule(name), max_states=total - 1)
+    layers = next(entry.locals["layers"] for entry in refused.traceback
+                  if entry.name == "slider_relation_automaton")
+    assert len(layers) == chi.block_length - 3
 
 
-def test_exact_check_of_a_q3_block7_rule():
+def l_core_rules():
+    """`live_gate_rules` plus seeded bijective q=4 rules of block 2-3."""
+    yield from live_gate_rules()
+    rng = random.Random(47)
+    for m in (2, 3):
+        for _ in range(3):
+            yield BlockRule(4, m, tuple(rng.sample(range(4 ** m), 4 ** m)))
+
+
+@pytest.mark.parametrize("chi", l_core_rules(),
+                         ids=lambda chi: f"q{chi.q}m{chi.block_length}")
+def test_left_recurrent_slider_states_are_the_l_core(chi):
+    """The exact check seeds its product from `initial` instead of
+    searching the slider automaton's components: they are the same."""
+    slider = slider_relation_automaton(chi)
+    assert zautomata._left_recurrent(slider) == list(slider.initial)
+
+
+@pytest.mark.parametrize("block_name,ca_name,verdict,pairs", [
+    ("identity", "identity", True, 448), ("shift", "shift", True, 576),
+    ("ca102", "ca102", True, 576), ("identity", "shift", False, 960)])
+def test_exact_check_builds_the_same_product(monkeypatch, block_name, ca_name,
+                                             verdict, pairs):
+    """The product pairs of the block-7 checks the benchmark runs."""
+    chi = synthesize(builtin_rule(block_name))
+    assert product_pairs(monkeypatch, chi, builtin_rule(ca_name)) \
+        == (verdict, pairs)
+
+
+def test_exact_check_of_a_q3_block7_rule(monkeypatch):
     """This q=3 width-2 rule is synthesized with block length 7: its slider
-    automaton has 3,720,087 states, of which 8,505 are live."""
+    automaton has 3,720,087 states, of which 8,505 are live, and its
+    product with the mismatch automaton is built on 14,337 pairs."""
     f = LocalRule(3, 0, 2, (0, 2, 1, 1, 2, 0, 0, 2, 1))
     chi = synthesize(f)
     assert chi.block_length == 7
     start = time.monotonic()
     assert len(slider_relation_automaton(chi).states) == 8505
-    assert is_slider_rule_for(chi, f) is True
+    assert product_pairs(monkeypatch, chi, f) == (True, 14337)
     assert time.monotonic() - start < 10
 
 
@@ -435,8 +492,8 @@ def test_seeded_product_decides_as_the_full_product(monkeypatch):
     seeded = zautomata._disjoint
     verdicts = set()
 
-    def checked(A, B):
-        verdict = seeded(A, B)
+    def checked(A, B, *cap):
+        verdict = seeded(A, B, *cap)
         assert verdict is disjoint_by_full_product(A, B)
         verdicts.add(verdict)
         return verdict

@@ -26,17 +26,19 @@ the table: the L steps need no liveness test, since the L core is closed
 under them, and the bridge and R steps keep the live targets.
 
 One lockstep product, `_product`, pairs the runs of two automata over equal
-labels; it is the only product, and it builds only the pairs its seeds
-reach, counting them against a cap as it numbers them.  `intersect` seeds
-every pair.  The emptiness test behind `member` and `is_slider_rule_for`
-seeds the pairs that reach every left-recurrent pair (`_left_seeds`): the
-q=2 block-13 exact check of x0 xor x2 builds 86,016 of the 1,183,744
-pairs.  The slider automaton's left-recurrent states are its initial
-states, the L core, so the exact check takes them without a component
-search (the proof is in `is_slider_rule_for`).  Witness paths and cycles
-come from the shared path search in `casweep.graph`, which returns states;
-each step's label is read back as that of the first edge between its two
-states.
+labels; it is the only product graph, and it builds only the pairs its
+seeds reach, counting them against a cap as it numbers them.  `intersect`
+seeds every pair.  The emptiness test behind `member` (`_disjoint`) seeds
+the pairs that reach every left-recurrent pair (`_left_seeds`).  The exact
+check `is_slider_rule_for` builds no product graph and runs no component
+search: the mismatch automaton's final state is absorbing and its
+pre-states are fixed by the last few labels, so one forward search, from
+the L core paired with the pre-states its last labels fix to the first
+pair whose mismatch state is final, decides it (the proof is in
+`is_slider_rule_for`); the q=2 block-13 check of x0 xor x2 visits 86,016
+of the 1,183,744 pairs.  Witness paths and cycles come from the shared
+path search in `casweep.graph`, which returns states; each step's label
+is read back as that of the first edge between its two states.
 
 Labels are plain integers; a k-track label packs k symbols below q in one
 integer, big-endian, so a pair (y, z) reads as y * q + z.
@@ -48,7 +50,8 @@ from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from . import graph
-from .core import MAX_AUTOMATON_STATES, EpConfig, check_cap, check_power_cap
+from .core import (MAX_AUTOMATON_STATES, EpConfig, IntegrityError, check_cap,
+                   check_power_cap)
 from .ca import LocalRule, minimize_neighborhood
 from .blockrule import BlockRule
 
@@ -240,11 +243,9 @@ def _left_recurrent(A: ZAutomaton) -> list[int]:
     return graph.recurrent(succ, graph.strong_components(succ), [A.initial])
 
 
-def _left_seeds(A: ZAutomaton, B: ZAutomaton,
-                left_a: Sequence[int]) -> list[int]:
+def _left_seeds(A: ZAutomaton, B: ZAutomaton) -> list[int]:
     """Codes of product pairs from which every left-recurrent pair is
-    reachable, given left_a, the left-recurrent states of A; B should be
-    the small side.
+    reachable; B should be the small side.
 
     Each left-recurrent state a of A starts a run with the set of all
     left-recurrent states of B.  Along an edge (label, a2) of A inside its
@@ -259,7 +260,7 @@ def _left_seeds(A: ZAutomaton, B: ZAutomaton,
     lies on the past and reaches the pair.
     """
     nb = len(B.states)
-    left_b = _left_recurrent(B)
+    left_a, left_b = _left_recurrent(A), _left_recurrent(B)
     in_a, in_b = _marks(len(A.states), left_a), _marks(nb, left_b)
     after: list[dict[int, int]] = [{} for _ in range(nb)]
     for sb in left_b:
@@ -303,23 +304,18 @@ def _bits(S: int):
 
 
 def _disjoint(A: ZAutomaton, B: ZAutomaton, max_states: int | None = None,
-              what: str = "product nodes",
-              left_a: Sequence[int] | None = None) -> bool:
+              what: str = "product nodes") -> bool:
     """Do L(A) and L(B) share no word?  Emptiness of their product, built
-    only from `_left_seeds`; B should be the small side.
+    only from `_left_seeds`; B should be the small side.  This is the
+    emptiness test behind `member`.
 
     Every left-recurrent pair is reachable from a seed, and the part built
     is closed under successors, so its strong components are the whole
     product's and the emptiness test on it is exact.  The pairs are counted
-    against max_states as they are built (`_product`).  A caller that knows
-    A's left-recurrent states passes them as left_a, as
-    `is_slider_rule_for` does with the slider automaton's L core; otherwise
-    a component search over A finds them.
+    against max_states as they are built (`_product`).
     """
     na, nb = len(A.states), len(B.states)
-    if left_a is None:
-        left_a = _left_recurrent(A)
-    codes, succ = _product(A, B, _left_seeds(A, B, left_a), max_states, what)
+    codes, succ = _product(A, B, _left_seeds(A, B), max_states, what)
     # drop the labels list by list, so the two forms are never held whole
     for v, out in enumerate(succ):
         succ[v] = [w for _, w in out]
@@ -657,17 +653,40 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     For bijective rules the relation is total on inputs and maps each input
     to the inputs' full configuration space image, so containment in the
     graph of f already forces equality: it suffices that no represented
-    pair disagrees with f anywhere.  max_states bounds the slider
-    automaton's running total of states (each layer checked before it is
-    built), the mismatch automaton and the product pairs `_disjoint`
-    builds, counted as they are numbered.  The whole product |slider|
-    |mismatch| is not checked, as the seeds reach little of it: the block-5
-    rule (f(x), s, x[1:]) of q=4 x2 + x3 x4 makes 146,836,480 pairs, of
-    which 189,440 are built.
+    pair disagrees with f anywhere, that is, that the slider automaton and
+    `graph_mismatch_automaton(f)` accept no common word.  One search over
+    (slider, mismatch) pairs decides that, with no component search:
 
-    The product is seeded from the slider automaton's `initial` states,
-    the L core, without a component search: they are exactly its
-    left-recurrent states.
+    - *Seeds.*  The L core (`initial`), each state paired with one
+      pre-state of the mismatch automaton, is stepped by each L-core edge
+      together with the one pre-state successor on the same label, layer
+      by layer, until the layer is stepped onto itself
+      (`_left_recurrent_pairs`).  A pre-state is fixed by the last k =
+      max(w-1, lag) labels read (w the width of f with its neighborhood
+      minimized, lag the end of its window), so this settles after k
+      rounds; a layer still moving one round later raises IntegrityError.
+    - *Walk.*  From the seeds, every lockstep edge is followed; the answer
+      is False at the first pair whose mismatch state is 0, the absorbing
+      final state, and True when the walk ends.
+
+    Why this is exact.  *Seeds:* the fixed point is exactly the set of
+    left-recurrent pairs, those with an infinite past of pairs in initial
+    x initial.  The far past of an accepted path lies in L core x
+    pre-states: the slider visits `initial` infinitely often to the left
+    and no B or R state steps back into L, and the mismatch automaton
+    visits its pre-states infinitely often to the left and neither state 0
+    nor the countdown steps back into them; each pre-state there is the
+    one read off the last k labels.  So the far past is in the layer after
+    k rounds, the fixed point.  Conversely every pair of the fixed point is
+    a step of another, so it has an infinite past inside it, on initial
+    states of both sides.  *Walk:* an accepted path is walked from its
+    seeded past to its first pair with mismatch state 0.  Conversely every
+    live slider state reaches the R core, so a reached (a, 0) has a future
+    through final slider states, and state 0 reads every label and is
+    final, so (a, 0) lies on an accepted pair.
+
+    The seeds start from the slider automaton's `initial` states, the L
+    core: they are exactly its left-recurrent states.
 
     - The window graph v -> T_e(v) = table[v q + e] mod Q has out-degree
       q, and in-degree q as well, since table is a bijection on [q Q] and
@@ -681,11 +700,71 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
       back into L, so every state on a cycle through a core state is in
       the core.  The cyclic components that meet `initial` are therefore
       exactly the core.
+
+    max_states bounds the slider automaton's running total of states (each
+    layer checked before it is built), the mismatch automaton, each seed
+    layer and the pairs the walk visits, seeds included, counted as they
+    are found.  The whole product |slider| |mismatch| is not checked: the
+    block-5 rule (f(x), s, x[1:]) of q=4 x2 + x3 x4 makes 146,836,480
+    pairs, of which the search visits 189,440 from 65,536 seeds.
     """
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")
     slider = slider_relation_automaton(chi, max_states)
     mismatch = graph_mismatch_automaton(f, max_states)
-    return _disjoint(slider, mismatch, max_states,
-                     "slider-mismatch product nodes", slider.initial)
+    g = minimize_neighborhood(f)
+    what = "slider-mismatch product nodes"
+    seen = _left_recurrent_pairs(slider, mismatch,
+                                 max(g.width - 1, g.anchor + g.width - 1),
+                                 max_states, what)
+    nb = len(mismatch.states)
+    # the targets of each mismatch state, listed per label
+    by_label = [[[] for _ in range(mismatch.label_count)] for _ in range(nb)]
+    for sb, out in enumerate(mismatch.succ):
+        for label, tb in out:
+            by_label[sb][label].append(tb)
+    cap = -1 if max_states is None else max_states
+    stack = list(seen)
+    while stack:
+        sa, sb = divmod(stack.pop(), nb)
+        moves = by_label[sb]
+        for label, ta in slider.succ[sa]:
+            for tb in moves[label]:
+                if not tb:
+                    return False
+                dst = ta * nb + tb
+                if dst not in seen:
+                    if len(seen) == cap:  # the pair dst is one too many
+                        check_cap(cap + 1, max_states, what)
+                    seen.add(dst)
+                    stack.append(dst)
+    return True
 
+
+def _left_recurrent_pairs(slider: ZAutomaton, mismatch: ZAutomaton,
+                          rounds: int, max_states: int | None,
+                          what: str) -> set[int]:
+    """Codes a |mismatch| + b of the (slider, mismatch) pairs with an
+    infinite past in initial x initial, given that the last `rounds`
+    labels fix a pre-state (`is_slider_rule_for` proves it).
+
+    Each layer is checked against max_states; IntegrityError if the layer
+    has not settled after rounds + 1 steps.
+    """
+    nb = len(mismatch.states)
+    in_core, in_pre = (_marks(len(slider.states), slider.initial),
+                       _marks(nb, mismatch.initial))
+    core = {a: [(label, t) for label, t in slider.succ[a] if in_core[t]]
+            for a in slider.initial}
+    pre = [{label: t for label, t in out if in_pre[t]}
+           for out in mismatch.succ]
+    layer = {a * nb + mismatch.initial[0] for a in slider.initial}
+    for _ in range(rounds + 1):
+        ahead = {t * nb + pre[code % nb][label]
+                 for code in layer for label, t in core[code // nb]}
+        check_cap(len(ahead), max_states, what)
+        if ahead == layer:
+            return layer
+        layer = ahead
+    raise IntegrityError(f"left-recurrent pairs still moving after "
+                         f"{rounds + 1} rounds")

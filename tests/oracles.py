@@ -25,7 +25,9 @@ from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
 from casweep.mealy import MealyAutomaton, SweepOutcome, sweeper_eval
 from casweep.stairs import SliderVerdict, slider_exists
 from casweep.synthesis import NotSliderError, VerifyResult
-from casweep.zautomata import ZAutomaton, _product
+from casweep.zautomata import (ZAutomaton, _disjoint, _product,
+                               graph_mismatch_automaton,
+                               slider_relation_automaton)
 
 
 def cell_window(x: EpConfig, lo: int, hi: int) -> tuple[int, ...]:
@@ -469,6 +471,29 @@ def disjoint_by_full_product(A: ZAutomaton, B: ZAutomaton) -> bool:
     return graph.lasso_free([[w for _, w in out] for out in succ],
                             [on(A.initial, 0), on(B.initial, 1)],
                             [on(A.final, 0), on(B.final, 1)])
+
+
+def slider_check_by_disjoint(chi: BlockRule, f: LocalRule) -> bool:
+    """The exact check composed as the generic emptiness test: the product
+    of the slider and the mismatch automaton built from `_left_seeds`,
+    then the component search of `graph.lasso_free` (`_disjoint`)."""
+    return _disjoint(slider_relation_automaton(chi, None),
+                     graph_mismatch_automaton(f, None))
+
+
+def pairs_with_initial_past(A: ZAutomaton, B: ZAutomaton) -> set[int]:
+    """Codes a |B| + b of the pairs of A and B with an infinite past of
+    pairs in A.initial x B.initial: on the full product cut down to those
+    pairs, the pairs a cycle reaches."""
+    nb = len(B.states)
+    initial_a, initial_b = set(A.initial), set(B.initial)
+    inside = {a * nb + b for a in initial_a for b in initial_b}
+    _, succ = _product(A, B, range(len(A.states) * nb))
+    cut = [[w for _, w in out if w in inside] if v in inside else []
+           for v, out in enumerate(succ)]
+    cyclic = graph.recurrent(cut, graph.strong_components(cut), [])
+    reached = graph.reachable(cut, cyclic)
+    return {v for v in inside if reached[v]}
 
 
 def flag_intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:

@@ -1,11 +1,13 @@
 """Bi-infinite-word automata: membership, emptiness, products, decisions."""
 
+import itertools
 import random
 import time
 
 import pytest
 
-from casweep.core import EpConfig, ResourceCapError, ep_zip, random_ep_config
+from casweep.core import (EpConfig, IntegrityError, ResourceCapError, ep_zip,
+                          random_ep_config, word_index, word_of_index)
 from casweep.ca import (BUILTIN_RULES, LocalRule, builtin_rule, apply_ep,
                         minimize_neighborhood)
 from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule, identity_block,
@@ -23,7 +25,8 @@ from oracles import (NamedAutomaton, disjoint_by_full_product, ep_replace,
                      mismatch_state_number, named_graph_mismatch_automaton,
                      named_is_empty, named_nonempty_witness,
                      named_sweeper_relation_automaton, named_trim,
-                     period_member, project, renumbered,
+                     pairs_with_initial_past, period_member, project,
+                     renumbered, slider_check_by_disjoint,
                      sweeper_state_number, whole_slider_automaton)
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
@@ -146,32 +149,35 @@ def test_exact_check_of_synthesized_rules_against_every_ca():
                 (block_name, ca_name)
 
 
-def product_pairs(monkeypatch, chi, f) -> tuple[bool, int]:
-    """The exact check's verdict and the product pairs it built."""
-    built = []
-    product = zautomata._product
+def search_pairs(monkeypatch, chi, f) -> tuple[bool, int, int]:
+    """The exact check's verdict, its seed count and the pairs its search
+    visited, seeds included: the walk adds the pairs it visits to the set
+    of seeds."""
+    found = []
+    seeds = zautomata._left_recurrent_pairs
 
     def counted(*args):
-        codes, succ = product(*args)
-        built.append(len(codes))
-        return codes, succ
+        pairs = seeds(*args)
+        found.append((len(pairs), pairs))
+        return pairs
 
-    monkeypatch.setattr(zautomata, "_product", counted)
+    monkeypatch.setattr(zautomata, "_left_recurrent_pairs", counted)
     verdict = is_slider_rule_for(chi, f)
-    return verdict, built[0]
+    (seed_count, visited), = found
+    return verdict, seed_count, len(visited)
 
 
 def test_exact_slider_check_caps_its_product(monkeypatch):
-    """The product is counted as it is built, not predicted as |slider|
-    |mismatch|: swap against shift builds 8 of the 24 pairs, so a cap of 8
-    lets it through.  At 7 the slider's own 8 states are refused first; the
-    synthesized ca102 rule's 512 slider states fit a cap of 575, while its
-    576th product pair does not."""
+    """The pairs are counted as the search visits them, not predicted as
+    |slider| |mismatch|: swap against shift visits 8 of the 24 pairs, 4 of
+    them seeds, so a cap of 8 lets it through.  At 7 the slider's own 8
+    states are refused first; the synthesized ca102 rule's 512 slider
+    states fit a cap of 575, while its 576th visited pair does not."""
     chi, f = builtin_block_rule("swap"), builtin_rule("shift")
     slider = slider_relation_automaton(chi)
     mismatch = graph_mismatch_automaton(f)
     assert len(slider.states) * len(mismatch.states) == 24
-    assert product_pairs(monkeypatch, chi, f) == (True, 8)
+    assert search_pairs(monkeypatch, chi, f) == (True, 4, 8)
     assert is_slider_rule_for(chi, f, max_states=8) is True
     with pytest.raises(ResourceCapError,
                        match="slider live states: 8 is over the cap 7$"):
@@ -179,6 +185,7 @@ def test_exact_slider_check_caps_its_product(monkeypatch):
     ca102 = builtin_rule("ca102")
     chi = synthesize(ca102)
     assert len(slider_relation_automaton(chi).states) == 512
+    assert search_pairs(monkeypatch, chi, ca102) == (True, 128, 576)
     assert is_slider_rule_for(chi, ca102, max_states=576) is True
     with pytest.raises(ResourceCapError,
                        match="slider-mismatch product nodes: 576 is over "
@@ -269,28 +276,140 @@ def test_left_recurrent_slider_states_are_the_l_core(chi):
     assert zautomata._left_recurrent(slider) == list(slider.initial)
 
 
-@pytest.mark.parametrize("block_name,ca_name,verdict,pairs", [
-    ("identity", "identity", True, 448), ("shift", "shift", True, 576),
-    ("ca102", "ca102", True, 576), ("identity", "shift", False, 960)])
+@pytest.mark.parametrize("block_name,ca_name,verdict,seeds,visited", [
+    ("identity", "identity", True, 64, 448),
+    ("shift", "shift", True, 128, 576), ("ca102", "ca102", True, 128, 576),
+    ("identity", "shift", False, 128, 128)],
+    ids=["identity-identity-True-448", "shift-shift-True-576",
+         "ca102-ca102-True-576", "identity-shift-False-128"])
 def test_exact_check_builds_the_same_product(monkeypatch, block_name, ca_name,
-                                             verdict, pairs):
-    """The product pairs of the block-7 checks the benchmark runs."""
+                                             verdict, seeds, visited):
+    """The seeds and the visited pairs of the block-7 checks the benchmark
+    runs.  A positive check visits every pair the seeds reach, the pairs
+    the product graph of `_disjoint` is built on; the negative one answers
+    before it visits a pair beyond its seeds."""
     chi = synthesize(builtin_rule(block_name))
-    assert product_pairs(monkeypatch, chi, builtin_rule(ca_name)) \
-        == (verdict, pairs)
+    assert search_pairs(monkeypatch, chi, builtin_rule(ca_name)) \
+        == (verdict, seeds, visited)
 
 
 def test_exact_check_of_a_q3_block7_rule(monkeypatch):
     """This q=3 width-2 rule is synthesized with block length 7: its slider
-    automaton has 3,720,087 states, of which 8,505 are live, and its
-    product with the mismatch automaton is built on 14,337 pairs."""
+    automaton has 3,720,087 states, of which 8,505 are live, and the
+    search over its pairs with the mismatch automaton visits 14,337 pairs
+    from 6,561 seeds."""
     f = LocalRule(3, 0, 2, (0, 2, 1, 1, 2, 0, 0, 2, 1))
     chi = synthesize(f)
     assert chi.block_length == 7
     start = time.monotonic()
     assert len(slider_relation_automaton(chi).states) == 8505
-    assert product_pairs(monkeypatch, chi, f) == (True, 14337)
+    assert search_pairs(monkeypatch, chi, f) == (True, 6561, 14337)
     assert time.monotonic() - start < 10
+
+
+def search_rounds(f: LocalRule) -> int:
+    """max(w-1, lag) of f with its neighborhood minimized: the labels that
+    fix a pre-state of its mismatch automaton."""
+    g = minimize_neighborhood(f)
+    return max(g.width - 1, g.anchor + g.width - 1)
+
+
+def cross_check_cases():
+    """(block rule, local rules, the local rules it realizes): each
+    `live_gate_rules` rule against one seeded local rule of its alphabet
+    per lag -3..3, the synthesized identity, shift and ca102 rules against
+    all three, and every block-1 rule over q = 2, 3 against every width-1
+    rule at anchors -1, 0, 1, of which it realizes the one at anchor 0
+    with its own table."""
+    rng = random.Random(251)
+    rules = list(seeded_local_rules())
+    for chi in live_gate_rules():
+        yield chi, [rng.choice([f for f in rules if f.q == chi.q
+                                and f.anchor + f.width - 1 == lag])
+                    for lag in range(-3, 4)], None
+    names = ("identity", "shift", "ca102")
+    for name in names:
+        yield (synthesize(builtin_rule(name)),
+               [builtin_rule(other) for other in names], [builtin_rule(name)])
+    for q in (2, 3):
+        for perm in itertools.permutations(range(q)):
+            yield (BlockRule(q, 1, perm),
+                   [LocalRule(q, anchor, 1, table) for anchor in (-1, 0, 1)
+                    for table in itertools.product(range(q), repeat=q)],
+                   [LocalRule(q, 0, 1, perm)])
+
+
+@pytest.mark.parametrize(
+    "case", cross_check_cases(),
+    ids=lambda case: f"q{case[0].q}m{case[0].block_length}")
+def test_exact_search_matches_the_product_emptiness_test(case):
+    """The search decides as the emptiness test of the full product and as
+    the `_disjoint` composition it replaces, and its seeds are exactly the
+    pairs with an infinite past in initial x initial, settled within
+    max(w-1, lag) + 1 rounds (`_left_recurrent_pairs` raises otherwise).
+    The full product and the seed oracle are built where they have at
+    most 50,000 pairs, which leaves out 14 of the 161 seeded pairs."""
+    chi, rules, realized = case
+    slider = slider_relation_automaton(chi)
+    for f in rules:
+        verdict = is_slider_rule_for(chi, f)
+        assert verdict is slider_check_by_disjoint(chi, f), f
+        if realized is not None:
+            assert verdict is (f in realized), f
+        mismatch = graph_mismatch_automaton(f)
+        if len(slider.states) * len(mismatch.states) > 50_000:
+            assert chi.q == 3 and chi.block_length >= 4
+            continue
+        assert verdict is disjoint_by_full_product(slider, mismatch), f
+        assert zautomata._left_recurrent_pairs(
+            slider, mismatch, search_rounds(f), None, "pairs") \
+            == pairs_with_initial_past(slider, mismatch), f
+
+
+def test_unsettled_seed_layer_is_an_integrity_error():
+    """x0 xor x2 needs max(w-1, lag) = 2 rounds to fix a pre-state:
+    allowed one round less, the layer is still moving after two, which the
+    search reports as a fault rather than a verdict."""
+    chi = synthesize(builtin_rule("identity"))
+    f = LocalRule(2, 0, 3, (0, 1, 0, 1, 1, 0, 1, 0))
+    assert search_rounds(f) == 2
+    slider = slider_relation_automaton(chi)
+    mismatch = graph_mismatch_automaton(f)
+    with pytest.raises(IntegrityError, match="still moving after 2 rounds"):
+        zautomata._left_recurrent_pairs(slider, mismatch, 1, None, "pairs")
+    assert len(zautomata._left_recurrent_pairs(slider, mismatch, 2, None,
+                                               "pairs")) == 256
+
+
+def route_one_block_rule(f: LocalRule) -> BlockRule:
+    """The block rule (f(x), s, x[1:]) of length anchor + width for a rule
+    that permutes its leftmost cell: s is the anchor cells it carries."""
+    q, a, w = f.q, f.anchor, f.width
+    m = a + w
+
+    def image(word):
+        s, x = word[:a], word[a:]
+        return (f.table[word_index(x, q)],) + s + x[1:]
+
+    return BlockRule(q, m, tuple(word_index(image(word_of_index(i, m, q)), q)
+                                 for i in range(q ** m)))
+
+
+def test_route_one_q4_block5_rule_verifies_under_the_default_cap(monkeypatch):
+    """The route-1 block rule of q=4 x2 + x3 x4 makes 35,840 x 4,097 =
+    146,836,480 (slider, mismatch) pairs; the search visits 189,440 of
+    them from 65,536 seeds.  The same table at anchor 1 is refused before
+    the search visits a pair beyond its seeds."""
+    table = tuple((x2 + x3 * x4) % 4 for x2 in range(4) for x3 in range(4)
+                  for x4 in range(4))
+    f = LocalRule(4, 2, 3, table)
+    chi = route_one_block_rule(f)
+    assert chi.block_length == 5
+    assert len(slider_relation_automaton(chi).states) == 35_840
+    assert len(graph_mismatch_automaton(f).states) == 4_097
+    assert search_pairs(monkeypatch, chi, f) == (True, 65_536, 189_440)
+    assert search_pairs(monkeypatch, chi, LocalRule(4, 1, 3, table)) \
+        == (False, 65_536, 65_536)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +605,8 @@ def seeded_local_rules():
 
 def test_seeded_product_decides_as_the_full_product(monkeypatch):
     """`_disjoint` builds the product only from its left-recurrent seeds;
-    the product of every pair gives the same verdict, on the pairs the
-    exact slider check forms, inside `member` and on arbitrary automata.
+    the product of every pair gives the same verdict, on slider and
+    mismatch automata, inside `member` and on arbitrary automata.
     Pairs whose full product has more than 50,000 nodes are skipped."""
     seeded = zautomata._disjoint
     verdicts = set()

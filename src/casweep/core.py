@@ -25,9 +25,11 @@ class ResourceCapError(RuntimeError):
     """An enumeration or construction would exceed its configured cap."""
 
 
-# Default cap on the predicted states of an automaton or product: far above
-# the 10,240 states of the `automata --vs` intersection of a synthesized q=2
-# rule and the 8,505 live slider states of a block-7 q=3 rule.
+# Default cap on the states of an automaton or product, far above the 10,240
+# states of the `automata --vs` intersection of a synthesized q=2 rule and
+# the 8,505 live slider states of a block-7 q=3 rule.  The sweeper and
+# mismatch builders and that intersection check their predicted size; the
+# live slider build and the seeded products count states as they build them.
 MAX_AUTOMATON_STATES = 1 << 22
 
 

@@ -113,22 +113,6 @@ def recurrent(succ, comp: list[int], marked_sets) -> list[int]:
     return [v for v in nodes if size[comp[v]] > 1 or v in succ[v]]
 
 
-def lasso_free(succ, left_sets, right_sets) -> bool:
-    """Is there no path from a left-recurrent to a right-recurrent node?
-
-    A path exists iff some bi-infinite path visits every left set
-    infinitely often to the left and every right set infinitely often to
-    the right (generalized Buchi acceptance on both sides), so this is the
-    emptiness test of automata on bi-infinite words.
-    """
-    comp = strong_components(succ)
-    targets = recurrent(succ, comp, right_sets)
-    if not targets:
-        return True
-    reach = reachable(succ, recurrent(succ, comp, left_sets))
-    return not any(reach[v] for v in targets)
-
-
 def bfs_tree(succ, starts) -> dict:
     """Breadth-first tree: vertex -> previous vertex, None at the starts.
 

@@ -28,9 +28,10 @@ under them, and the bridge and R steps keep the live targets.
 One lockstep product, `_product`, pairs the runs of two automata over equal
 labels; it is the only product graph, and it builds only the pairs its
 seeds reach, counting them against a cap as it numbers them.  `intersect`
-seeds every pair.  The emptiness test behind `member` (`_disjoint`) seeds
-the pairs that reach every left-recurrent pair (`_left_seeds`).  The exact
-check `is_slider_rule_for` builds no product graph and runs no component
+seeds every pair.  `member` pairs A's left-recurrent states with the first
+node of the left period of the word's shifts automaton, and decides the
+product's emptiness with `nonempty_witness`, the one emptiness test.  The
+exact check `is_slider_rule_for` builds no product graph and runs no component
 search: the mismatch automaton's final state is absorbing and its
 pre-states are fixed by the last few labels, so one forward search, from
 the L core paired with the pre-states its last labels fix to the first
@@ -120,8 +121,27 @@ def member(A: ZAutomaton, x: EpConfig,
     the left period (initial), the center as a chain, then a cycle over the
     right period (final).  Accepted languages are shift-invariant, because
     a shifted accepting path is still an accepting path, so A accepts x
-    exactly when its product with that automaton is not empty.  max_states
-    caps the product pairs built, counted as they are found.
+    exactly when its product with that automaton is not empty.  `_product`
+    builds the pairs reached from (a, first left-period node) for each
+    left-recurrent state a of A, counting them against max_states.  Given
+    the initial states A.initial x left cycle and the final states A.final
+    x right cycle, `nonempty_witness` tests the part built.  It is exact:
+
+    - *One set per side.*  No edge of the shifts automaton enters the left
+      cycle from outside, and none leaves the right cycle, so a product
+      component that meets A x left cycle (A x right cycle) lies inside
+      it.  A path on the left cycle infinitely often to the left stays on
+      it from some point leftwards, so there it visits A.initial and the
+      left cycle infinitely often exactly when it visits A.initial x left
+      cycle infinitely often; the right side is the mirror image.
+    - *Seeds.*  A cycle inside A x left cycle winds around the left cycle,
+      so it passes the first left-period node at some state a of A.  When
+      the cycle's component meets A.initial x left cycle, its states of A
+      lie in one component of A that holds a cycle and meets A.initial: a
+      is left-recurrent, and (a, first node) is a seed.  The part built is
+      closed under successors, so its strong components are the whole
+      product's, and each left-recurrent pair is built with all it
+      reaches: the test answers as on the whole product.
     """
     if x.q != A.label_count:
         raise ValueError("word alphabet does not match the label space")
@@ -135,7 +155,18 @@ def member(A: ZAutomaton, x: EpConfig,
     shifts = ZAutomaton(A.q, A.arity, tuple(range(lo, hi)),
                         tuple(map(tuple, succ)), tuple(range(start - lo)),
                         tuple(range(end - lo, hi - lo)))
-    return not _disjoint(A, shifts, max_states, "member product nodes")
+    nb = hi - lo
+    codes, steps = _product(A, shifts, [a * nb for a in _left_recurrent(A)],
+                            max_states, "member product nodes")
+    initial = _marks(len(A.states), A.initial)
+    final = _marks(len(A.states), A.final)
+    product = ZAutomaton(
+        A.q, A.arity, codes, tuple(map(tuple, steps)),
+        tuple(v for v, code in enumerate(codes)
+              if initial[code // nb] and code % nb < start - lo),
+        tuple(v for v, code in enumerate(codes)
+              if final[code // nb] and code % nb >= end - lo))
+    return nonempty_witness(product) is not None
 
 
 def nonempty_witness(A: ZAutomaton) -> EpConfig | None:
@@ -241,95 +272,6 @@ def _left_recurrent(A: ZAutomaton) -> list[int]:
     components that hold a cycle and meet `initial`."""
     succ = _targets(A)
     return graph.recurrent(succ, graph.strong_components(succ), [A.initial])
-
-
-def _left_seeds(A: ZAutomaton, B: ZAutomaton) -> list[int]:
-    """Codes of product pairs from which every left-recurrent pair is
-    reachable; B should be the small side.
-
-    Each left-recurrent state a of A starts a run with the set of all
-    left-recurrent states of B.  Along an edge (label, a2) of A inside its
-    left-recurrent states, the set becomes the label-successors of its
-    states inside B's.  A run whose set shrinks to one state b yields the
-    seed (a2, b) and stops; after |B| steps each remaining run (a, S)
-    yields (a, b) for every b in S.  Runs are kept as (a, bit mask of S).
-
-    A left-recurrent product pair has an infinite past of pairs that are
-    left-recurrent on both sides, and the set of a run along the last
-    labels of that past always holds the past's state of B, so some seed
-    lies on the past and reaches the pair.
-    """
-    nb = len(B.states)
-    left_a, left_b = _left_recurrent(A), _left_recurrent(B)
-    in_a, in_b = _marks(len(A.states), left_a), _marks(nb, left_b)
-    after: list[dict[int, int]] = [{} for _ in range(nb)]
-    for sb in left_b:
-        for label, tb in B.succ[sb]:
-            if in_b[tb]:
-                after[sb][label] = after[sb].get(label, 0) | 1 << tb
-    steps: dict[tuple[int, int], int] = {}
-
-    def step(S: int, label: int) -> int:
-        key = (S, label)
-        if key not in steps:
-            T = 0
-            for sb in _bits(S):
-                T |= after[sb].get(label, 0)
-            steps[key] = T
-        return steps[key]
-
-    seeds = []
-    runs = dict.fromkeys((sa, sum(1 << sb for sb in left_b)) for sa in left_a)
-    for _ in range(nb):
-        ahead: dict[tuple[int, int], None] = {}
-        for sa, S in runs:
-            for label, ta in A.succ[sa]:
-                if in_a[ta]:
-                    T = step(S, label)
-                    if T & (T - 1):
-                        ahead[ta, T] = None
-                    elif T:
-                        seeds.append(ta * nb + T.bit_length() - 1)
-        runs = ahead
-    seeds += [sa * nb + sb for sa, S in runs for sb in _bits(S)]
-    return seeds
-
-
-def _bits(S: int):
-    """The positions of the set bits of S, ascending."""
-    while S:
-        low = S & -S
-        yield low.bit_length() - 1
-        S ^= low
-
-
-def _disjoint(A: ZAutomaton, B: ZAutomaton, max_states: int | None = None,
-              what: str = "product nodes") -> bool:
-    """Do L(A) and L(B) share no word?  Emptiness of their product, built
-    only from `_left_seeds`; B should be the small side.  This is the
-    emptiness test behind `member`.
-
-    Every left-recurrent pair is reachable from a seed, and the part built
-    is closed under successors, so its strong components are the whole
-    product's and the emptiness test on it is exact.  The pairs are counted
-    against max_states as they are built (`_product`).
-    """
-    na, nb = len(A.states), len(B.states)
-    codes, succ = _product(A, B, _left_seeds(A, B), max_states, what)
-    # drop the labels list by list, so the two forms are never held whole
-    for v, out in enumerate(succ):
-        succ[v] = [w for _, w in out]
-
-    def on_a(states) -> list[int]:
-        marked = _marks(na, states)
-        return [v for v, code in enumerate(codes) if marked[code // nb]]
-
-    def on_b(states) -> list[int]:
-        marked = _marks(nb, states)
-        return [v for v, code in enumerate(codes) if marked[code % nb]]
-
-    return graph.lasso_free(succ, [on_a(A.initial), on_b(B.initial)],
-                            [on_a(A.final), on_b(B.final)])
 
 
 def _marks(n: int, states) -> bytearray:

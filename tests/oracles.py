@@ -25,8 +25,8 @@ from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
 from casweep.mealy import MealyAutomaton, SweepOutcome, sweeper_eval
 from casweep.stairs import SliderVerdict, slider_exists
 from casweep.synthesis import NotSliderError, VerifyResult
-from casweep.zautomata import (ZAutomaton, _disjoint, _product,
-                               graph_mismatch_automaton,
+from casweep.zautomata import (ZAutomaton, _left_recurrent, _marks,
+                               _product, graph_mismatch_automaton,
                                slider_relation_automaton)
 
 
@@ -457,6 +457,22 @@ def project(A: ZAutomaton, coordinate: int) -> ZAutomaton:
     return ZAutomaton(A.q, 1, A.states, succ, A.initial, A.final)
 
 
+def lasso_free(succ, left_sets, right_sets) -> bool:
+    """Is there no path from a left-recurrent to a right-recurrent node?
+
+    A path exists iff some bi-infinite path visits every left set
+    infinitely often to the left and every right set infinitely often to
+    the right (generalized Buchi acceptance on both sides), so this is the
+    emptiness test of automata on bi-infinite words.
+    """
+    comp = graph.strong_components(succ)
+    targets = graph.recurrent(succ, comp, right_sets)
+    if not targets:
+        return True
+    reach = graph.reachable(succ, graph.recurrent(succ, comp, left_sets))
+    return not any(reach[v] for v in targets)
+
+
 def disjoint_by_full_product(A: ZAutomaton, B: ZAutomaton) -> bool:
     """Reference emptiness of the product of A and B, built on every pair:
     node v is the pair (v // |B|, v % |B|)."""
@@ -468,15 +484,105 @@ def disjoint_by_full_product(A: ZAutomaton, B: ZAutomaton) -> bool:
         marked = set(states)
         return [v for v in nodes if divmod(v, nb)[side] in marked]
 
-    return graph.lasso_free([[w for _, w in out] for out in succ],
-                            [on(A.initial, 0), on(B.initial, 1)],
-                            [on(A.final, 0), on(B.final, 1)])
+    return lasso_free([[w for _, w in out] for out in succ],
+                      [on(A.initial, 0), on(B.initial, 1)],
+                      [on(A.final, 0), on(B.final, 1)])
+
+
+def _left_seeds(A: ZAutomaton, B: ZAutomaton) -> list[int]:
+    """Codes of product pairs from which every left-recurrent pair is
+    reachable; B should be the small side.
+
+    Each left-recurrent state a of A starts a run with the set of all
+    left-recurrent states of B.  Along an edge (label, a2) of A inside its
+    left-recurrent states, the set becomes the label-successors of its
+    states inside B's.  A run whose set shrinks to one state b yields the
+    seed (a2, b) and stops; after |B| steps each remaining run (a, S)
+    yields (a, b) for every b in S.  Runs are kept as (a, bit mask of S).
+
+    A left-recurrent product pair has an infinite past of pairs that are
+    left-recurrent on both sides, and the set of a run along the last
+    labels of that past always holds the past's state of B, so some seed
+    lies on the past and reaches the pair.
+    """
+    nb = len(B.states)
+    left_a, left_b = _left_recurrent(A), _left_recurrent(B)
+    in_a, in_b = _marks(len(A.states), left_a), _marks(nb, left_b)
+    after: list[dict[int, int]] = [{} for _ in range(nb)]
+    for sb in left_b:
+        for label, tb in B.succ[sb]:
+            if in_b[tb]:
+                after[sb][label] = after[sb].get(label, 0) | 1 << tb
+    steps: dict[tuple[int, int], int] = {}
+
+    def step(S: int, label: int) -> int:
+        key = (S, label)
+        if key not in steps:
+            T = 0
+            for sb in _bits(S):
+                T |= after[sb].get(label, 0)
+            steps[key] = T
+        return steps[key]
+
+    seeds = []
+    runs = dict.fromkeys((sa, sum(1 << sb for sb in left_b)) for sa in left_a)
+    for _ in range(nb):
+        ahead: dict[tuple[int, int], None] = {}
+        for sa, S in runs:
+            for label, ta in A.succ[sa]:
+                if in_a[ta]:
+                    T = step(S, label)
+                    if T & (T - 1):
+                        ahead[ta, T] = None
+                    elif T:
+                        seeds.append(ta * nb + T.bit_length() - 1)
+        runs = ahead
+    seeds += [sa * nb + sb for sa, S in runs for sb in _bits(S)]
+    return seeds
+
+
+def _bits(S: int):
+    """The positions of the set bits of S, ascending."""
+    while S:
+        low = S & -S
+        yield low.bit_length() - 1
+        S ^= low
+
+
+def _disjoint(A: ZAutomaton, B: ZAutomaton, max_states: int | None = None,
+              what: str = "product nodes") -> bool:
+    """Do L(A) and L(B) share no word?  Emptiness of their product, built
+    only from `_left_seeds`; B should be the small side.  The seeded
+    reference behind `slider_check_by_disjoint`, checked against
+    `disjoint_by_full_product`.
+
+    Every left-recurrent pair is reachable from a seed, and the part built
+    is closed under successors, so its strong components are the whole
+    product's and the emptiness test on it is exact.  The pairs are counted
+    against max_states as they are built (`_product`).
+    """
+    na, nb = len(A.states), len(B.states)
+    codes, succ = _product(A, B, _left_seeds(A, B), max_states, what)
+    # drop the labels list by list, so the two forms are never held whole
+    for v, out in enumerate(succ):
+        succ[v] = [w for _, w in out]
+
+    def on_a(states) -> list[int]:
+        marked = _marks(na, states)
+        return [v for v, code in enumerate(codes) if marked[code // nb]]
+
+    def on_b(states) -> list[int]:
+        marked = _marks(nb, states)
+        return [v for v, code in enumerate(codes) if marked[code % nb]]
+
+    return lasso_free(succ, [on_a(A.initial), on_b(B.initial)],
+                      [on_a(A.final), on_b(B.final)])
 
 
 def slider_check_by_disjoint(chi: BlockRule, f: LocalRule) -> bool:
     """The exact check composed as the generic emptiness test: the product
     of the slider and the mismatch automaton built from `_left_seeds`,
-    then the component search of `graph.lasso_free` (`_disjoint`)."""
+    then the component search of `lasso_free` (`_disjoint`)."""
     return _disjoint(slider_relation_automaton(chi, None),
                      graph_mismatch_automaton(f, None))
 
@@ -868,14 +974,14 @@ def is_empty(A: ZAutomaton) -> bool:
     emptiness test by lasso reachability, against which
     `nonempty_witness(A) is None` is checked."""
     succ = [[t for _, t in out] for out in A.succ]
-    return graph.lasso_free(succ, [A.initial], [A.final])
+    return lasso_free(succ, [A.initial], [A.final])
 
 
 def named_is_empty(A: NamedAutomaton) -> bool:
     """No bi-infinite path satisfies both recurrence obligations."""
     _, index, succ = _numbered(A)
-    return graph.lasso_free(succ, [[index[s] for s in A.initial]],
-                            [[index[s] for s in A.final]])
+    return lasso_free(succ, [[index[s] for s in A.initial]],
+                      [[index[s] for s in A.final]])
 
 
 def _labeled_path(A: NamedAutomaton, sources: set, targets: set):

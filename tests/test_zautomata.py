@@ -20,8 +20,8 @@ from casweep.zautomata import (member, nonempty_witness,
                                slider_relation_automaton,
                                sweeper_relation_automaton,
                                graph_mismatch_automaton)
-from oracles import (NamedAutomaton, disjoint_by_full_product, ep_replace,
-                     flag_intersect, from_named, is_empty,
+from oracles import (NamedAutomaton, _disjoint, disjoint_by_full_product,
+                     ep_replace, flag_intersect, from_named, is_empty,
                      mismatch_state_number, named_graph_mismatch_automaton,
                      named_is_empty, named_nonempty_witness,
                      named_sweeper_relation_automaton, named_trim,
@@ -494,10 +494,36 @@ def test_intersect_matches_flag_product(kind, block_name, ca_name):
     assert intersect(A, B) == flag_intersect(A, B)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("name", BUILTIN_BLOCK_RULES)
-def test_member_matches_period_oracle(kind, name):
-    chi = builtin_block_rule(name)
+def seeded_block_rules():
+    """A bijective and a non-bijective block rule for each q in {2, 3} and
+    block length 1-4."""
+    rng = random.Random(83)
+    for q in (2, 3):
+        for m in range(1, 5):
+            perm = list(range(q ** m))
+            rng.shuffle(perm)
+            yield BlockRule(q, m, tuple(perm))
+            yield BlockRule(q, m, (0, 0) + tuple(rng.randrange(q ** m)
+                                                 for _ in range(q ** m - 2)))
+
+
+def member_cases():
+    """(kind, block rule) with the id name-kind: both automata of each
+    bundled block rule, then those of the `seeded_block_rules`, the slider
+    automaton of the bijective ones and the sweeper automaton when it has
+    fewer than 20,000 states."""
+    named = [(name, builtin_block_rule(name)) for name in BUILTIN_BLOCK_RULES]
+    named += [(f"q{chi.q}m{chi.block_length}_{i % 2}", chi)
+              for i, chi in enumerate(seeded_block_rules())]
+    for name, chi in named:
+        if chi.is_bijective():
+            yield pytest.param("slider", chi, id=f"{name}-slider")
+        if len(sweeper_relation_automaton(chi).states) < 20_000:
+            yield pytest.param("sweeper", chi, id=f"{name}-sweeper")
+
+
+@pytest.mark.parametrize("kind,chi", member_cases())
+def test_member_matches_period_oracle(kind, chi):
     A = KINDS[kind](chi)
     rng = random.Random(43)
     seen = set()
@@ -579,19 +605,6 @@ def test_numbered_automata_match_named_oracles():
 # ---------------------------------------------------------------------------
 # numbered builders against the named-state builders
 
-def seeded_block_rules():
-    """A bijective and a non-bijective block rule for each q in {2, 3} and
-    block length 1-4."""
-    rng = random.Random(83)
-    for q in (2, 3):
-        for m in range(1, 5):
-            perm = list(range(q ** m))
-            rng.shuffle(perm)
-            yield BlockRule(q, m, tuple(perm))
-            yield BlockRule(q, m, (0, 0) + tuple(rng.randrange(q ** m)
-                                                 for _ in range(q ** m - 2)))
-
-
 def seeded_local_rules():
     """Rules over q in {2, 3} whose window ends 3 cells left to 3 cells
     right of the output cell, so every kind of mismatch state occurs."""
@@ -603,16 +616,17 @@ def seeded_local_rules():
                     rng.randrange(q) for _ in range(q ** width)))
 
 
-def test_seeded_product_decides_as_the_full_product(monkeypatch):
-    """`_disjoint` builds the product only from its left-recurrent seeds;
-    the product of every pair gives the same verdict, on slider and
-    mismatch automata, inside `member` and on arbitrary automata.
-    Pairs whose full product has more than 50,000 nodes are skipped."""
-    seeded = zautomata._disjoint
+def test_seeded_product_decides_as_the_full_product():
+    """The oracle `_disjoint` builds the product only from its
+    left-recurrent seeds; the product of every pair gives the same verdict,
+    on slider and mismatch automata and on arbitrary automata.  `member`,
+    which seeds its own product, answers as `period_member` on a witness of
+    each sweeper automaton and on mutations of it.  Pairs whose full
+    product has more than 50,000 nodes are skipped."""
     verdicts = set()
 
-    def checked(A, B, *cap):
-        verdict = seeded(A, B, *cap)
+    def checked(A, B):
+        verdict = _disjoint(A, B)
         assert verdict is disjoint_by_full_product(A, B)
         verdicts.add(verdict)
         return verdict
@@ -629,14 +643,14 @@ def test_seeded_product_decides_as_the_full_product(monkeypatch):
         f = builtin_rule(name)
         live = slider_relation_automaton(synthesize(f))
         assert checked(live, graph_mismatch_automaton(f))
-    monkeypatch.setattr(zautomata, "_disjoint", checked)
     for chi in seeded_block_rules():
         A = sweeper_relation_automaton(chi)
         if len(A.states) < 10_000:
             w = nonempty_witness(A)
-            assert member(A, w)
+            assert member(A, w) and period_member(A, w)
             for _ in range(3):
-                member(A, mutate(w, rng.randrange(-3, 4), A.label_count))
+                x = mutate(w, rng.randrange(-3, 4), A.label_count)
+                assert member(A, x) is period_member(A, x)
     for _ in range(60):
         q = rng.randint(2, 4)
         checked(random_named(rng, q).numbered(),

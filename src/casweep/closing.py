@@ -155,7 +155,7 @@ def left_closing_decide(f: LocalRule) -> ClosingVerdict:
     succ = _pair_graph(g, r)
     back = graph.reverse(succ)
     comp = graph.strong_components(succ)
-    has_history = graph.bfs_tree(succ, graph.recurrent(succ, comp, []))
+    has_history = graph.bfs_tree(succ, graph.recurrent(succ, comp))
     q, n = g.q, g.q ** (2 * r)
     reaches_diagonal = graph.bfs_tree(back, range(0, n * n, n + 1))  # u*n + u
 

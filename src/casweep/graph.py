@@ -12,7 +12,7 @@ closing analysis and the automata: `bfs_tree`, `walk_to_root` and
 breaking ties by the order of the starts and of each successor list.
 Callers whose edges carry labels read each step's label back from the two
 vertices it joins.  The nodes on a cycle are `recurrent(succ,
-strong_components(succ), [])`.
+strong_components(succ))`.
 """
 
 from __future__ import annotations
@@ -95,17 +95,14 @@ def reachable(succ, seeds) -> bytearray:
     return seen
 
 
-def recurrent(succ, comp: list[int], marked_sets) -> list[int]:
-    """Nodes of the components that hold a cycle and meet every marked set.
+def recurrent(succ, comp: list[int], marked=None) -> list[int]:
+    """Nodes of the components that hold a cycle and, when `marked` is
+    given, meet it.
 
-    These are the nodes a path can visit infinitely often while visiting
-    each marked set infinitely often.  With no marked sets, every component
-    holding a cycle qualifies.
+    These are the nodes a path can visit infinitely often, while visiting
+    `marked` infinitely often when it is given.
     """
-    hits = None
-    for marked in marked_sets:
-        met = {comp[v] for v in marked}
-        hits = met if hits is None else hits & met
+    hits = None if marked is None else {comp[v] for v in marked}
     nodes = [v for v, c in enumerate(comp) if hits is None or c in hits]
     size: dict[int, int] = {}
     for v in nodes:

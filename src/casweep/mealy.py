@@ -13,13 +13,15 @@ assembles the limits.
 
 The block-level view of the same sweep is a Mealy automaton on Q = A = S^n;
 its good states are the ones arising at a fixed block boundary for
-infinitely many anchors of some left-infinite input.
+infinitely many anchors of some left-infinite input.  They depend on the
+transitions alone, so the automaton keeps only its next-state table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from . import graph
 from .core import (MAX_AUTOMATON_STATES, EpConfig, check_cap,
@@ -29,20 +31,18 @@ from .blockrule import BlockRule, _left_parts, _sweep_right
 
 @dataclass(frozen=True)
 class MealyAutomaton:
-    """Transducer with states and letters both S^n, tables word-indexed.
-
-    Entry s * q^n + a of each table holds delta(s, a) and the output block.
+    """Transducer with states and letters both S^n, kept as its transitions:
+    entry s * q^n + a of next_table is delta(s, a), for the word indices s
+    and a.
     """
 
     q: int
     n: int
-    out_table: tuple[int, ...]
     next_table: tuple[int, ...]
 
     def __post_init__(self):
-        size = self.q ** (2 * self.n)
-        if len(self.out_table) != size or len(self.next_table) != size:
-            raise ValueError("tables must have q^(2n) entries")
+        if len(self.next_table) != self.q ** (2 * self.n):
+            raise ValueError("next_table must have q^(2n) entries")
 
     @property
     def size(self) -> int:
@@ -54,32 +54,27 @@ def mealy_from_block(chi: BlockRule,
     """Block-level transducer: apply chi at positions 0..n-1 of state+letter.
 
     The sweep window starts as the state block and takes in the letter's
-    cells one by one; the n finalized cells are the output block and the
-    last window is the next state.  One sweep step on window w emits
-    table[w] // q^(n-1) and keeps table[w] % q^(n-1) * q, to which the next
-    cell is added, so both tables are built one letter cell per layer for
-    every (state, letter prefix) at once: entry s q^k + a[:k] of layer k
-    holds the cells finalized so far and the window after a[:k], and
-    extends to entry s q^(k+1) + a[:k+1] of layer k+1, with the cell
-    a[k] ascending innermost.  Entries stay in row-major order, so layer n
-    is already indexed s q^n + a.  Layer k has q^(n+k) entries, in all
-    q^(n+1) (q^n - 1) / (q - 1), at most twice the q^(2n) of the tables.
+    cells one by one; the last window is the next state.  One sweep step
+    on window w keeps table[w] % q^(n-1) * q, to which the next cell c is
+    added, so window w has the q successors step[w], listed by ascending c.
+    The table is built one letter cell per layer for every (state, letter
+    prefix) at once: entry s q^k + a[:k] of layer k holds the window after
+    a[:k], and layer k+1 is the concatenation of the successors of layer
+    k's entries, in order, so layer n is already indexed s q^n + a.  Layer
+    k holds q^(n+k) entries, and at most two layers are alive at once.
 
-    The q^(2n) entries of each table are checked against cap before any
-    is built.
+    The cap bounds the q^(2n) entries of the last layer, and is checked
+    before anything is built.
     """
     n, q = chi.block_length, chi.q
     check_power_cap(q, 2 * n, cap, "Mealy table entries")
     high = q ** (n - 1)
-    emit = [t // high for t in chi.table]
-    keep = [t % high * q for t in chi.table]
     cells = range(q)
+    step = [tuple(t % high * q + c for c in cells) for t in chi.table]
     windows: Sequence[int] = range(q ** n)
-    outs = [0] * q ** n
     for _ in range(n):
-        outs = [o * q + emit[w] for o, w in zip(outs, windows) for _ in cells]
-        windows = [keep[w] + c for w in windows for c in cells]
-    return MealyAutomaton(q, n, tuple(outs), tuple(windows))
+        windows = tuple(chain.from_iterable(map(step.__getitem__, windows)))
+    return MealyAutomaton(q, n, windows)
 
 
 def check_good_states_cap(size: int, cap: int | None) -> None:
@@ -89,7 +84,7 @@ def check_good_states_cap(size: int, cap: int | None) -> None:
 
 
 def good_states(mealy: MealyAutomaton,
-                cap: int = MAX_AUTOMATON_STATES) -> set[int]:
+                cap: int | None = MAX_AUTOMATON_STATES) -> set[int]:
     """States reached at a boundary by infinitely many anchors of some tail.
 
     Tracked on the product of a main run with one merge probe at a time:
@@ -119,7 +114,7 @@ def good_states(mealy: MealyAutomaton,
     rows = [mealy.next_table[c * Q:(c + 1) * Q] for c in range(Q)]
     comp = graph.strong_components(rows)
     members: dict[int, list[int]] = {}
-    for c in graph.recurrent(rows, comp, []):
+    for c in graph.recurrent(rows, comp):
         members.setdefault(comp[c], []).append(c)
     seen = bytearray(Q * (Q + 1))
     good = bytearray(Q)

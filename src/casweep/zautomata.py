@@ -183,9 +183,9 @@ def nonempty_witness(A: ZAutomaton) -> EpConfig | None:
     succ = _targets(A)
     comp = graph.strong_components(succ)
     initial = set(A.initial)
-    starts = [v for v in graph.recurrent(succ, comp, [A.initial])
+    starts = [v for v in graph.recurrent(succ, comp, A.initial)
               if v in initial]
-    ends = set(graph.recurrent(succ, comp, [A.final])).intersection(A.final)
+    ends = set(graph.recurrent(succ, comp, A.final)).intersection(A.final)
     parents = graph.bfs_tree(succ, starts)
     f0 = next((v for v in parents if v in ends), None)
     if f0 is None:
@@ -205,10 +205,9 @@ def trim(A: ZAutomaton) -> ZAutomaton:
     """Drop states on no accepting bi-infinite path; language unchanged."""
     succ = _targets(A)
     comp = graph.strong_components(succ)
-    after_left = graph.reachable(succ, graph.recurrent(succ, comp,
-                                                       [A.initial]))
+    after_left = graph.reachable(succ, graph.recurrent(succ, comp, A.initial))
     before_right = graph.reachable(graph.reverse(succ), graph.recurrent(
-        succ, comp, [A.final]))
+        succ, comp, A.final))
     keep = [v for v in range(len(succ)) if after_left[v] and before_right[v]]
     number = [-1] * len(succ)
     for k, v in enumerate(keep):
@@ -271,7 +270,7 @@ def _left_recurrent(A: ZAutomaton) -> list[int]:
     """States with an infinite past through initial states: those of the
     components that hold a cycle and meet `initial`."""
     succ = _targets(A)
-    return graph.recurrent(succ, graph.strong_components(succ), [A.initial])
+    return graph.recurrent(succ, graph.strong_components(succ), A.initial)
 
 
 def _marks(n: int, states) -> bytearray:

@@ -212,7 +212,7 @@ def stairs_connecting(f: LocalRule, m: int, y: EpConfig,
                     succ[k * period + ph].append(
                         word_index((a,) + win[:-1], q) * period
                         + (ph - 1) % period)
-    cyclic = graph.recurrent(succ, graph.strong_components(succ), [])
+    cyclic = graph.recurrent(succ, graph.strong_components(succ))
     good = graph.reachable(graph.reverse(succ), cyclic)
 
     result = []
@@ -319,10 +319,13 @@ def mealy_delta(mealy: MealyAutomaton, s: int, a: int) -> int:
     return mealy.next_table[s * mealy.size + a]
 
 
-def mealy_is_bijective(mealy: MealyAutomaton) -> bool:
-    """Is (state, letter) -> (output, next state) one to one?"""
-    pairs = set(zip(mealy.out_table, mealy.next_table))
-    return len(pairs) == len(mealy.out_table)
+def mealy_is_bijective(mealy: MealyAutomaton,
+                       out_table: tuple[int, ...]) -> bool:
+    """Is (state, letter) -> (output, next state) one to one?  out_table
+    holds the output blocks, indexed like next_table, as
+    `tuple_mealy_from_block` builds them."""
+    pairs = set(zip(out_table, mealy.next_table))
+    return len(pairs) == len(out_table)
 
 
 def good_states_by_transformations(mealy: MealyAutomaton,
@@ -425,7 +428,7 @@ def period_member(A: ZAutomaton, x: EpConfig) -> bool:
                         g[k * P + t].append(d * P + (t + 1) % P)
         comp = graph.strong_components(g)
         return g, graph.recurrent(
-            g, comp, [[k * P + t for k in marked for t in range(P)]])
+            g, comp, [k * P + t for k in marked for t in range(P)])
 
     left, seeds = period_graph(x.left_period, A.initial)
     good_left = graph.reachable(left, seeds)
@@ -466,11 +469,21 @@ def lasso_free(succ, left_sets, right_sets) -> bool:
     emptiness test of automata on bi-infinite words.
     """
     comp = graph.strong_components(succ)
-    targets = graph.recurrent(succ, comp, right_sets)
+    targets = recurrent_meeting_all(succ, comp, right_sets)
     if not targets:
         return True
-    reach = graph.reachable(succ, graph.recurrent(succ, comp, left_sets))
+    reach = graph.reachable(succ, recurrent_meeting_all(succ, comp, left_sets))
     return not any(reach[v] for v in targets)
+
+
+def recurrent_meeting_all(succ, comp: list[int], marked_sets) -> set[int]:
+    """Nodes of the components that hold a cycle and meet every marked
+    set: the intersection of one `graph.recurrent` call per set, or every
+    node on a cycle when there is no set."""
+    nodes = set(graph.recurrent(succ, comp))
+    for marked in marked_sets:
+        nodes &= set(graph.recurrent(succ, comp, marked))
+    return nodes
 
 
 def disjoint_by_full_product(A: ZAutomaton, B: ZAutomaton) -> bool:
@@ -597,7 +610,7 @@ def pairs_with_initial_past(A: ZAutomaton, B: ZAutomaton) -> set[int]:
     _, succ = _product(A, B, range(len(A.states) * nb))
     cut = [[w for _, w in out if w in inside] if v in inside else []
            for v, out in enumerate(succ)]
-    cyclic = graph.recurrent(cut, graph.strong_components(cut), [])
+    cyclic = graph.recurrent(cut, graph.strong_components(cut))
     reached = graph.reachable(cut, cyclic)
     return {v for v in inside if reached[v]}
 
@@ -964,8 +977,8 @@ def _recurrent_parts(A: NamedAutomaton):
     the initial and the final recurrence."""
     order, index, succ = _numbered(A)
     comp = graph.strong_components(succ)
-    left = graph.recurrent(succ, comp, [[index[s] for s in A.initial]])
-    right = graph.recurrent(succ, comp, [[index[s] for s in A.final]])
+    left = graph.recurrent(succ, comp, [index[s] for s in A.initial])
+    right = graph.recurrent(succ, comp, [index[s] for s in A.final])
     return order, succ, left, right
 
 
@@ -1254,8 +1267,13 @@ def every_limit_sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
     return SweepOutcome(first)
 
 
-def tuple_mealy_from_block(chi: BlockRule) -> MealyAutomaton:
-    """Block-level transducer: apply chi at positions 0..n-1 of state+letter."""
+def tuple_mealy_from_block(
+        chi: BlockRule) -> tuple[MealyAutomaton, tuple[int, ...]]:
+    """Block-level transducer: apply chi at positions 0..n-1 of state+letter.
+
+    Returns the machine and its output table: entry s * q^n + a holds the
+    output block, the n cells finalized while reading letter a in state s.
+    """
     n = chi.block_length
     outs = []
     nxts = []
@@ -1265,7 +1283,7 @@ def tuple_mealy_from_block(chi: BlockRule) -> MealyAutomaton:
             cells[p:p + n] = chi(tuple(cells[p:p + n]))
         outs.append(word_index(tuple(cells[:n]), chi.q))
         nxts.append(word_index(tuple(cells[n:]), chi.q))
-    return MealyAutomaton(chi.q, n, tuple(outs), tuple(nxts))
+    return MealyAutomaton(chi.q, n, tuple(nxts)), tuple(outs)
 
 
 # ---------------------------------------------------------------------------

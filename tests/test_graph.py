@@ -6,7 +6,7 @@ import pytest
 
 from casweep.graph import (bfs_tree, reachable, recurrent, reverse,
                            shortest_cycle, strong_components, walk_to_root)
-from oracles import lasso_free
+from oracles import lasso_free, recurrent_meeting_all
 
 
 def random_graph(seed):
@@ -68,7 +68,7 @@ def test_components_match_mutual_reachability(succ):
 def test_cycle_nodes_and_reachability(succ):
     n = len(succ)
     reach = closure(succ)
-    assert recurrent(succ, strong_components(succ), []) \
+    assert recurrent(succ, strong_components(succ)) \
         == [v for v in range(n) if reach[v][v]]
     rng = random.Random(n)
     seeds = rng.sample(range(n), min(n, 3))
@@ -95,7 +95,10 @@ def test_lasso_emptiness_matches_brute_force(succ):
             for s in sets)
 
     comp = strong_components(succ)
-    assert set(recurrent(succ, comp, lefts)) == \
+    for s in lefts:
+        assert set(recurrent(succ, comp, s)) == \
+            {v for v in range(n) if carries(v, [s])}
+    assert recurrent_meeting_all(succ, comp, lefts) == \
         {v for v in range(n) if carries(v, lefts)}
     expected = not any(carries(a, lefts) and carries(b, rights)
                        and (a == b or reach[a][b])
@@ -146,21 +149,21 @@ def test_long_chain_does_not_recurse():
     succ = [[v + 1] for v in range(n - 1)] + [[0]]
     comp = strong_components(succ)
     assert len(set(comp)) == 1
-    assert recurrent(succ, comp, []) == list(range(n))
+    assert recurrent(succ, comp) == list(range(n))
     assert shortest_cycle(succ, 0) == list(range(n)) + [0]
     succ[-1] = []
     comp = strong_components(succ)
     assert len(set(comp)) == n
-    assert recurrent(succ, comp, []) == []
+    assert recurrent(succ, comp) == []
     assert all(reachable(succ, [0]))
     assert sum(reachable(reverse(succ), [n // 2])) == n // 2 + 1
 
 
 def test_empty_graph():
     assert strong_components([]) == []
-    assert recurrent([], strong_components([]), []) == []
+    assert recurrent([], strong_components([])) == []
     assert reverse([]) == []
     assert reachable([], []) == bytearray()
-    assert recurrent([], [], []) == []
+    assert recurrent([], []) == []
     assert lasso_free([], [], [])
     assert bfs_tree([], []) == {}

@@ -14,39 +14,65 @@ from casweep.mealy import (MealyAutomaton, good_states, mealy_from_block,
 from casweep.synthesis import synthesize, verify_slider
 from oracles import (good_states_by_probe_product,
                      good_states_by_transformations, mealy_delta,
-                     mealy_is_bijective)
+                     mealy_is_bijective, tuple_mealy_from_block)
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 
 
 def test_swap_mealy_formula():
-    mm = mealy_from_block(builtin_block_rule("swap"))
+    swap = builtin_block_rule("swap")
+    mm = mealy_from_block(swap)
+    _, outs = tuple_mealy_from_block(swap)
     for s0, s1, a0, a1 in all_words(4, 2):
         k = word_index((s0, s1, a0, a1), 2)
-        assert (mm.out_table[k], mm.next_table[k]) == \
+        assert (outs[k], mm.next_table[k]) == \
             (word_index((s1, a0), 2), word_index((s0, a1), 2))
-    assert mealy_is_bijective(mm)
+    assert mealy_is_bijective(mm, outs)
 
 
 def test_identity_mealy_echoes():
-    mm = mealy_from_block(builtin_block_rule("identity_block"))
+    identity = builtin_block_rule("identity_block")
+    mm = mealy_from_block(identity)
+    _, outs = tuple_mealy_from_block(identity)
     for s in range(2):
         for a in range(2):
             k = s * mm.size + a
-            assert (mm.out_table[k], mm.next_table[k]) == (s, a)
+            assert (outs[k], mm.next_table[k]) == (s, a)
 
 
 def test_xor_mealy_matches_hand_sweep():
-    mm = mealy_from_block(builtin_block_rule("xor_block"))
+    xor = builtin_block_rule("xor_block")
+    mm = mealy_from_block(xor)
+    _, outs = tuple_mealy_from_block(xor)
     for s0, s1, a0, a1 in all_words(4, 2):
         k = word_index((s0, s1, a0, a1), 2)
-        assert mm.out_table[k] == word_index((s0 ^ s1, s1 ^ a0), 2)
+        assert outs[k] == word_index((s0 ^ s1, s1 ^ a0), 2)
         assert mm.next_table[k] == word_index((a0, a1), 2)
-    assert mealy_is_bijective(mm)
+    assert mealy_is_bijective(mm, outs)
 
 
 def test_squash_mealy_not_bijective():
-    assert not mealy_is_bijective(mealy_from_block(SQUASH))
+    assert not mealy_is_bijective(*tuple_mealy_from_block(SQUASH))
+
+
+def test_next_table_is_the_window_step_iterated():
+    """Entry s q^n + a of the next table is the sweep window after the
+    cells of a, taken in one by one from the window s by the step
+    w -> table[w] % q^(n-1) * q + c, on permutations and on tables that
+    are not."""
+    rng = random.Random(27)
+    for q in (2, 3, 4):
+        for n in (1, 2, 3, 4):
+            size, high = q ** n, q ** (n - 1)
+            for table in (tuple(rng.sample(range(size), size)),
+                          tuple(rng.randrange(size) for _ in range(size))):
+                mm = mealy_from_block(BlockRule(q, n, table))
+                for a, word in enumerate(all_words(n, q)):
+                    for s in range(size):
+                        w = s
+                        for c in word:
+                            w = table[w] % high * q + c
+                        assert mm.next_table[s * size + a] == w
 
 
 def test_good_states_all_for_random_bijective_rules():
@@ -94,7 +120,7 @@ def test_good_states_matches_probe_product():
         for _ in range(size):
             low = rng.randrange(size) if rng.random() < 0.5 else 0
             nxt += [rng.randrange(low, size) for _ in range(size)]
-        machines.append(MealyAutomaton(q, n, (0,) * size * size, tuple(nxt)))
+        machines.append(MealyAutomaton(q, n, tuple(nxt)))
     machines.append(mealy_from_block(synthesize(builtin_rule("ca102"))))
     assert machines[-1].size == 128
     partial = split = 0
@@ -109,9 +135,8 @@ def test_good_states_matches_probe_product():
 
 
 def test_good_states_constant_delta():
-    out_t = tuple(0 for _ in range(16))
     nxt_t = tuple(2 for _ in range(16))
-    mm = MealyAutomaton(2, 2, out_t, nxt_t)
+    mm = MealyAutomaton(2, 2, nxt_t)
     assert good_states(mm) == {2}
     assert good_states_by_transformations(mm) == {2}
 
@@ -119,7 +144,7 @@ def test_good_states_constant_delta():
 def test_goodness_is_forward_closed():
     for mm in (mealy_from_block(builtin_block_rule("swap")),
                mealy_from_block(SQUASH),
-               MealyAutomaton(2, 2, tuple([0] * 16), tuple([2] * 16))):
+               MealyAutomaton(2, 2, tuple([2] * 16))):
         good = good_states(mm)
         for g in good:
             for e in range(mm.size):
@@ -135,10 +160,10 @@ def test_good_states_resource_caps():
 
 
 def test_mealy_tables_resource_cap():
-    """Each table has q^(2n) entries, checked against the cap before any
-    is built; the default cap refuses the 2^24 of a block-12 rule."""
+    """The next table has q^(2n) entries, checked against the cap before
+    any is built; the default cap refuses the 2^24 of a block-12 rule."""
     swap = builtin_block_rule("swap")
-    assert len(mealy_from_block(swap, cap=16).out_table) == 16
+    assert len(mealy_from_block(swap, cap=16).next_table) == 16
     with pytest.raises(ResourceCapError,
                        match="Mealy table entries: 16 is over the cap 15$"):
         mealy_from_block(swap, cap=15)

@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import traceback
 
 from .blockrule import BlockRule, representation_eval, sweep_range
-from .ca import LocalRule
+from .ca import LocalRule, apply_ep
 from .closing import left_closing_decide, right_closing_decide
 from .core import (
     MAX_AUTOMATON_STATES,
@@ -28,6 +29,7 @@ from .core import (
     IntegrityError,
     ResourceCapError,
     check_cap,
+    ep_equal,
     ep_from_json,
     ep_to_json,
     ep_unzip,
@@ -362,12 +364,14 @@ def cmd_closing(args: argparse.Namespace) -> int:
     return 0 if left and right else 1
 
 
-def _build_automaton(args: argparse.Namespace) -> ZAutomaton:
+def _build_automaton(args: argparse.Namespace
+                     ) -> tuple[ZAutomaton, LocalRule | None]:
+    """The automaton the arguments name, and the --vs rule or None."""
     if args.kind == "mismatch":
         if args.vs is not None:
             raise InputError("--vs only applies to slider and sweeper automata")
         return graph_mismatch_automaton(load_local_rule(args.source),
-                                        args.max_automaton_states)
+                                        args.max_automaton_states), None
     chi = load_block_rule(args.source)
     f = None if args.vs is None else load_local_rule(args.vs)
     if f is not None and f.q != chi.q:
@@ -382,18 +386,14 @@ def _build_automaton(args: argparse.Namespace) -> ZAutomaton:
             chi, max_states=args.max_automaton_states)
     if f is not None:
         mismatch = graph_mismatch_automaton(f, args.max_automaton_states)
-        check_cap(len(auto.states) * len(mismatch.states),
-                  args.max_automaton_states, "intersection product nodes")
-        auto = intersect(auto, mismatch)
-        check_cap(len(auto.states), args.max_automaton_states,
-                  "intersection states")
-    return auto
+        auto = intersect(auto, mismatch, args.max_automaton_states)
+    return auto, f
 
 
 def cmd_automata(args: argparse.Namespace) -> int:
     if args.action == "dump":
         _check_out_dir(args.out)
-    auto = _build_automaton(args)
+    auto, f = _build_automaton(args)
     base = {
         "command": "automata",
         "action": args.action,
@@ -420,6 +420,12 @@ def cmd_automata(args: argparse.Namespace) -> int:
             raise InputError("alphabet mismatch in zip")
         if y.q * z.q != auto.label_count:
             raise InputError("word alphabet does not match the label space")
+        # the cells of the zipped word, as `ep_zip` lays them out
+        check_cap(max(y.center_end, z.center_end)
+                  - min(y.center_start, z.center_start)
+                  + math.lcm(len(y.left_period), len(z.left_period))
+                  + math.lcm(len(y.right_period), len(z.right_period)),
+                  args.max_automaton_states, "member word cells")
         accepted = member(auto, ep_zip(y, z), args.max_automaton_states)
         base["member"] = accepted
         _emit(base, "pair accepted" if accepted else "pair rejected")
@@ -429,6 +435,8 @@ def cmd_automata(args: argparse.Namespace) -> int:
     base["empty"] = empty
     if not empty:
         wy, wz = ep_unzip(witness)
+        if f is not None and ep_equal(apply_ep(f, wy), wz):
+            raise IntegrityError("witness pair agrees with the --vs rule")
         base["witness"] = {"input": ep_to_json(wy), "output": ep_to_json(wz)}
     _emit(base, "language is empty" if empty else "language is nonempty")
     return 0 if empty else 1

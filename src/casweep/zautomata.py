@@ -11,9 +11,9 @@ image" relation is itself directly recognizable.
 
 States are the numbers 0..n-1, each a mixed-radix code computed by its
 builder (the state's kind, then the `word_index` of its parts; the slider
-builder and `trim` keep a subset of the codes in order, `intersect` orders
-(a, b, lflag, rflag) lexicographically), with successors sorted by (label,
-target), so dumps, `==` and witnesses are reproducible.
+builder and `trim` keep a subset of the codes in order, `intersect` numbers
+its pairs in the order its search finds them), with successors sorted by
+(label, target), so dumps, `==` and witnesses are reproducible.
 
 The slider automaton of a block rule of length m numbers m q^(2m-2)
 states, but `slider_relation_automaton` builds only the live ones, for the
@@ -28,18 +28,21 @@ under them, and the bridge and R steps keep the live targets.
 One lockstep product, `_product`, pairs the runs of two automata over equal
 labels; it is the only product graph, and it builds only the pairs its
 seeds reach, counting them against a cap as it numbers them.  `intersect`
-seeds every pair.  `member` pairs A's left-recurrent states with the first
-node of the left period of the word's shifts automaton, and decides the
-product's emptiness with `nonempty_witness`, the one emptiness test.  The
-exact check `is_slider_rule_for` builds no product graph and runs no component
-search: the mismatch automaton's final state is absorbing and its
-pre-states are fixed by the last few labels, so one forward search, from
-the L core paired with the pre-states its last labels fix to the first
-pair whose mismatch state is final, decides it (the proof is in
-`is_slider_rule_for`); the q=2 block-13 check of x0 xor x2 visits 86,016
-of the 1,183,744 pairs.  Witness paths and cycles come from the shared
-path search in `casweep.graph`, which returns states; each step's label
-is read back as that of the first edge between its two states.
+seeds it with A's left-recurrent states paired with B's initial states, for
+a B whose initial states are entered only from initial states and whose
+final states lead only to final states, as the mismatch automaton's and a
+word's shifts automaton's do; no flag is needed.  `member` is the emptiness
+of the intersection with the word's shifts automaton, decided by
+`nonempty_witness`, the one emptiness test.  The exact check
+`is_slider_rule_for` builds no product graph and runs no component search:
+the mismatch automaton's final state is absorbing and its pre-states are
+fixed by the last few labels, so one forward search, from the L core
+paired with the pre-states its last labels fix to the first pair whose
+mismatch state is final, decides it (the proof is in `is_slider_rule_for`);
+the q=2 block-13 check of x0 xor x2 visits 86,016 of the 1,183,744 pairs.
+Witness paths and cycles come from the shared path search in
+`casweep.graph`, which returns states; each step's label is read back as
+that of the first edge between its two states.
 
 Labels are plain integers; a k-track label packs k symbols below q in one
 integer, big-endian, so a pair (y, z) reads as y * q + z.
@@ -62,10 +65,11 @@ class ZAutomaton:
     """Numbered states, labeled successor lists, and the recurrence sets.
 
     `states` has one entry per state: the sweeper and mismatch builders use
-    range(n), the slider builder the codes of its live states; `trim` and
-    `intersect` carry over the entries of the states they keep; `succ[k]`
-    lists the (label, target) edges leaving state k, sorted; `initial` and
-    `final` are ascending state numbers.
+    range(n), the slider builder the codes of its live states; `trim`
+    carries over the entries of the states it keeps, and `intersect` pairs
+    those of its two sides; `succ[k]` lists the (label, target) edges
+    leaving state k, sorted; `initial` and `final` are ascending state
+    numbers.
     """
 
     q: int
@@ -121,27 +125,9 @@ def member(A: ZAutomaton, x: EpConfig,
     the left period (initial), the center as a chain, then a cycle over the
     right period (final).  Accepted languages are shift-invariant, because
     a shifted accepting path is still an accepting path, so A accepts x
-    exactly when its product with that automaton is not empty.  `_product`
-    builds the pairs reached from (a, first left-period node) for each
-    left-recurrent state a of A, counting them against max_states.  Given
-    the initial states A.initial x left cycle and the final states A.final
-    x right cycle, `nonempty_witness` tests the part built.  It is exact:
-
-    - *One set per side.*  No edge of the shifts automaton enters the left
-      cycle from outside, and none leaves the right cycle, so a product
-      component that meets A x left cycle (A x right cycle) lies inside
-      it.  A path on the left cycle infinitely often to the left stays on
-      it from some point leftwards, so there it visits A.initial and the
-      left cycle infinitely often exactly when it visits A.initial x left
-      cycle infinitely often; the right side is the mirror image.
-    - *Seeds.*  A cycle inside A x left cycle winds around the left cycle,
-      so it passes the first left-period node at some state a of A.  When
-      the cycle's component meets A.initial x left cycle, its states of A
-      lie in one component of A that holds a cycle and meets A.initial: a
-      is left-recurrent, and (a, first node) is a seed.  The part built is
-      closed under successors, so its strong components are the whole
-      product's, and each left-recurrent pair is built with all it
-      reaches: the test answers as on the whole product.
+    exactly when its `intersect` with that automaton is not empty.  No edge
+    enters the left cycle from outside and none leaves the right cycle, as
+    `intersect` requires; its pairs are counted against max_states.
     """
     if x.q != A.label_count:
         raise ValueError("word alphabet does not match the label space")
@@ -155,17 +141,7 @@ def member(A: ZAutomaton, x: EpConfig,
     shifts = ZAutomaton(A.q, A.arity, tuple(range(lo, hi)),
                         tuple(map(tuple, succ)), tuple(range(start - lo)),
                         tuple(range(end - lo, hi - lo)))
-    nb = hi - lo
-    codes, steps = _product(A, shifts, [a * nb for a in _left_recurrent(A)],
-                            max_states, "member product nodes")
-    initial = _marks(len(A.states), A.initial)
-    final = _marks(len(A.states), A.final)
-    product = ZAutomaton(
-        A.q, A.arity, codes, tuple(map(tuple, steps)),
-        tuple(v for v, code in enumerate(codes)
-              if initial[code // nb] and code % nb < start - lo),
-        tuple(v for v, code in enumerate(codes)
-              if final[code // nb] and code % nb >= end - lo))
+    product = intersect(A, shifts, max_states, "member product nodes")
     return nonempty_witness(product) is not None
 
 
@@ -280,51 +256,58 @@ def _marks(n: int, states) -> bytearray:
     return flags
 
 
-def intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
-    """Automaton for L(A) & L(B) on the states (sa, sb, lflag, rflag).
+def intersect(A: ZAutomaton, B: ZAutomaton,
+              max_states: int | None = MAX_AUTOMATON_STATES,
+              what: str = "intersection product nodes") -> ZAutomaton:
+    """Automaton for L(A) & L(B): the lockstep product of the runs of A and
+    B over equal labels, for a B whose initial states are entered only from
+    initial states and whose final states lead only to final states
+    (ValueError for any other B).
 
-    Each side owes two recurrence visits; one alternation flag per side
-    reduces them to one: the flag advances when the currently watched
-    component recurs, and the product recurrence set is "flag at rest and
-    the first component recurring".  Only states on some edge are kept.
+    `_product` builds the pairs reached from the seeds (a, b), a a
+    left-recurrent state of A and b an initial state of B; their number is
+    checked against max_states before they are listed, and every pair after
+    them as it is built.  States are the pairs (A's entry, B's entry),
+    numbered in the order they are found, seeds first; the initial states
+    are A.initial x B.initial and the final states A.final x B.final.  The
+    language is exactly L(A) & L(B):
+
+    - *One set per side.*  Left of any visit to B.initial a path stays in
+      B.initial, since only initial states enter initial states.  So a path
+      visiting B.initial infinitely often to the left visits A.initial
+      infinitely often there exactly when it visits A.initial x B.initial
+      infinitely often.  The right side is the mirror image: right of any
+      visit to B.final the path stays in B.final.
+    - *Seeds.*  The far past of an accepted pair path lies in one strong
+      component of the product that holds a cycle and meets A.initial x
+      B.initial.  Its states of A lie in one component of A that holds a
+      cycle and meets A.initial, so they are left-recurrent.  Its states of
+      B lie in one strong component of B that meets B.initial; each of them
+      reaches an initial state, so it is initial itself by the same rule.
+      The component is therefore made of seeds, and the part built, closed
+      under successors, holds the whole path.  So emptiness, witnesses and
+      membership answer on it as on the whole product.
     """
     nb = len(B.states)
-    # every pair, so node v is the pair with code v
-    _, succ = _product(A, B, range(len(A.states) * nb))
-    ia, fa = _marks(len(A.states), A.initial), _marks(len(A.states), A.final)
     ib, fb = _marks(nb, B.initial), _marks(nb, B.final)
-
-    def flag_edges():
-        # state (v, lflag, rflag) is key 4v + 2 lflag + rflag, so keys
-        # ascend with (sa, sb, lflag, rflag)
-        for v, out in enumerate(succ):
-            # (source flag, target flag) pairs each side's flag can take
-            rflags = ((0, fa[v // nb]), (1, 1 - fb[v % nb]))
-            for label, w in out:
-                lflags = ((ia[w // nb], 0), (1 - ib[w % nb], 1))
-                for lflag_s, lflag_t in lflags:
-                    for rflag_s, rflag_t in rflags:
-                        yield (4 * v + 2 * lflag_s + rflag_s, label,
-                               4 * w + 2 * lflag_t + rflag_t)
-
-    used = bytearray(4 * len(succ))
-    for src, _, dst in flag_edges():
-        used[src] = used[dst] = 1
-    keys = [k for k, hit in enumerate(used) if hit]
-    number = [-1] * len(used)
-    for n, k in enumerate(keys):
-        number[k] = n
-    out_lists: list[list[tuple[int, int]]] = [[] for _ in keys]
-    for src, label, dst in flag_edges():
-        out_lists[number[src]].append((label, number[dst]))
-    names = tuple((A.states[k // 4 // nb], B.states[k // 4 % nb],
-                   k // 2 % 2, k % 2) for k in keys)
+    if any(ib[t] > ib[s] or fb[s] > fb[t]
+           for s, out in enumerate(B.succ) for _, t in out):
+        raise ValueError("intersect needs B's initial states entered only "
+                         "from initial states and its final states leading "
+                         "only to final states")
+    lefts = _left_recurrent(A)
+    check_cap(len(lefts) * len(B.initial), max_states, what)
+    seeds = [a * nb + b for a in lefts for b in B.initial]
+    codes, succ = _product(A, B, seeds, max_states, what)
+    ia, fa = _marks(len(A.states), A.initial), _marks(len(A.states), A.final)
     return ZAutomaton(
-        A.q, A.arity, names, tuple(map(tuple, out_lists)),
-        tuple(n for n, k in enumerate(keys) if k // 2 % 2 == 0
-              and ia[k // 4 // nb]),
-        tuple(n for n, k in enumerate(keys) if k % 2 == 0
-              and fa[k // 4 // nb]))
+        A.q, A.arity,
+        tuple((A.states[code // nb], B.states[code % nb]) for code in codes),
+        tuple(map(tuple, succ)),
+        tuple(v for v, code in enumerate(codes)
+              if ia[code // nb] and ib[code % nb]),
+        tuple(v for v, code in enumerate(codes)
+              if fa[code // nb] and fb[code % nb]))
 
 
 # ---------------------------------------------------------------------------

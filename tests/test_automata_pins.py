@@ -1,19 +1,23 @@
 """Pinned dumps and witnesses of the bundled relation automata.
 
-For each bundled block rule, each automaton kind, alone and intersected
-with the mismatch automaton of every same-alphabet CA (as `automata dump`
-and `automata empty --vs` build them), the table holds the sha256 of the
-sorted-key JSON dump and the JSON of `nonempty_witness`.  The table was
-generated once from the named-state implementation; any change to state
-numbering, edge order or witness search that shows up in a report fails
-here.
+For each bundled block rule, each automaton kind, alone and as the flag
+product `oracles.flag_intersect` with the mismatch automaton of every
+same-alphabet CA, `PINS` holds the sha256 of the sorted-key JSON dump and
+the JSON of `nonempty_witness`.  The table was generated once from the
+named-state implementation; any change to state numbering, edge order or
+witness search fails here.
 
-The slider digests in the table are those of the whole automaton, all
+The slider digests in `PINS` are those of the whole automaton, all
 m q^(2m-2) states, which the named-state builder still gives
 (`oracles.whole_slider_automaton`).  `automata` builds the live states
 alone; for block length 1 (`swap`) every state is live, and for the other
-rules `LIVE` pins the dumps it reports, computed from `trim` of the whole
-automaton.  The witnesses are the same for both.
+rules `LIVE` pins the dumps of the live automaton, computed from `trim` of
+the whole automaton.  The witnesses are the same for both.
+
+`automata dump` and `automata empty --vs` build the plain product
+`intersect` on the live automaton; `PLAIN` pins its dump and witness for
+every `--vs` row, and the whole slider automaton gives the same verdict
+and witness.
 """
 
 import hashlib
@@ -27,7 +31,7 @@ from casweep.core import ep_to_json
 from casweep.zautomata import (graph_mismatch_automaton, intersect,
                                nonempty_witness, slider_relation_automaton,
                                sweeper_relation_automaton)
-from oracles import whole_slider_automaton
+from oracles import flag_intersect, whole_slider_automaton
 
 KINDS = {"slider": slider_relation_automaton,
          "sweeper": sweeper_relation_automaton}
@@ -241,11 +245,156 @@ LIVE = {
         "8421a4da4e1f8fab835058de5d75636b236683fef2b2a335b8c53721117d1f6f",
 }
 
+# (kind, block rule, --vs rule, dump sha256, witness JSON or None) of
+# `intersect` on the automaton `automata` builds
+PLAIN = [
+    ("slider", "swap", "identity",
+     "8eda747b0ad06473f145451d7694e227234ae4b65e47d6f1eaffd08ff923a49e",
+     {"alphabet": 4, "left_period": [0], "center": [1], "center_start": 0,
+      "right_period": [3]}),
+    ("slider", "swap", "shift",
+     "997e8c2a3d1865d2de4fff51447fab2a9cece94455ec6a8223350b4121ed9224",
+     None),
+    ("slider", "swap", "shift_inv",
+     "22591388640569348693966271aed7dd0e064eaffc2b2b51d0320ebfec5c350c",
+     {"alphabet": 4, "left_period": [0], "center": [1], "center_start": 1,
+      "right_period": [3]}),
+    ("slider", "swap", "ca102",
+     "313b798980b19bc2cabedd8930abd1b677ff716f8681c6d423cf886c299bf1ed",
+     {"alphabet": 4, "left_period": [1, 2], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "swap", "xor_left",
+     "b9ce90220d631775113b68eea89920fc4966fef1d10ff851f284321d483a83c1",
+     {"alphabet": 4, "left_period": [0], "center": [1], "center_start": 0,
+      "right_period": [3]}),
+    ("slider", "swap", "and_rule",
+     "2e4ab33f5d2514f9f2575494fcf701d02031b49873970f7f06ca742c998dfe3b",
+     {"alphabet": 4, "left_period": [1, 2], "center": [], "center_start": 1,
+      "right_period": [0]}),
+    ("sweeper", "swap", "identity",
+     "8955a3e1a36f6a7bd459f8cf9b9b0692490cce191390f3b4f06dab3e49609800",
+     {"alphabet": 4, "left_period": [0], "center": [1], "center_start": 0,
+      "right_period": [3]}),
+    ("sweeper", "swap", "shift",
+     "29412cff943bb383ff4d9581ae4a1c5615abbbf0f17ff26e0bb16ccbc36336b6",
+     None),
+    ("sweeper", "swap", "shift_inv",
+     "7ff71796f9542bf3637730f148483d56f712eb8cad02bdca3cac9fad8dc386bc",
+     {"alphabet": 4, "left_period": [0], "center": [1], "center_start": 1,
+      "right_period": [3]}),
+    ("sweeper", "swap", "ca102",
+     "3d69cf9aedb9aee4c427652dbd485f280bf4b5b8cc490c7112876682081a2ba1",
+     {"alphabet": 4, "left_period": [1, 2], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "swap", "xor_left",
+     "84af03ab22a9e028448455440926444ae0adbc018be407fa99b76220dd0f4487",
+     {"alphabet": 4, "left_period": [0], "center": [1], "center_start": 0,
+      "right_period": [3]}),
+    ("sweeper", "swap", "and_rule",
+     "173802d54baf054b7b5fb69099840b181b34b6dba431df041c343bf175a14fac",
+     {"alphabet": 4, "left_period": [0, 1, 2], "center": [], "center_start": 1,
+      "right_period": [0]}),
+    ("slider", "xor_block", "identity",
+     "6dd18957567f5917752a6236f305d1bbf274d8ec08da685ec97b2186544a5844",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [1, 3]}),
+    ("slider", "xor_block", "shift",
+     "25a3c1baf0607144de8156f4b1d4511f2ab2eb8865c917151a4c7d4e5771bfbc",
+     {"alphabet": 4, "left_period": [1, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "xor_block", "shift_inv",
+     "c08dd6b1c40b1d1a68722fb54ae050411fe4ecf63d9149386ee6453b9a3d7344",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 1,
+      "right_period": [1, 3]}),
+    ("slider", "xor_block", "ca102",
+     "3a17298c358e662bb8f425d2e60a445a7c080dab9e9ada83e78645d4e0ab02c2",
+     None),
+    ("slider", "xor_block", "xor_left",
+     "5da5e06c1f3a56abcbc370e759966818cdadfbfa632a0b42555bc310939b5acb",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [1, 3]}),
+    ("slider", "xor_block", "and_rule",
+     "6153ebba11146dccebd4f215653bebfdc778c54fab2e51bf476f72c477d25c31",
+     {"alphabet": 4, "left_period": [1, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "xor_block", "identity",
+     "d5aaeaadd66f2ec2026308b0cd66b7b37bcb09723f492282e8e0a982111a27ba",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [1, 3]}),
+    ("sweeper", "xor_block", "shift",
+     "66ddba92d3a899216b876a26dcd2dd32e588771521736390d1a60a7d667d5ec9",
+     {"alphabet": 4, "left_period": [2], "center": [], "center_start": 0,
+      "right_period": [2]}),
+    ("sweeper", "xor_block", "shift_inv",
+     "062d5096473be9ae84dfd7197d691a85e8bd1a002051f99b4800ce83b43b6325",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 1,
+      "right_period": [1, 3]}),
+    ("sweeper", "xor_block", "ca102",
+     "550b4130b69b7941854f45d513691c7bbbb927106d5209a35553627a7c727f5f",
+     None),
+    ("sweeper", "xor_block", "xor_left",
+     "7c37eb8bc10b697a370ccb9acc4e2560c4ac4737ed32a313a9583fc8f2f89b84",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [1, 3]}),
+    ("sweeper", "xor_block", "and_rule",
+     "e079461dc1bdd95f64be86c15c8f473097fbbe93bf909f9ffdcf56b189d51d57",
+     {"alphabet": 4, "left_period": [3, 1], "center": [], "center_start": 0,
+      "right_period": [2]}),
+    ("slider", "identity_block", "identity",
+     "9cb65c27517fc927095e969ad589a532ed62522f3fb27f5fdf599fabec11faf0",
+     None),
+    ("slider", "identity_block", "shift",
+     "32614021b68fe649b10c0d2bd05479487e46e239114f5cf9387065e8191d4838",
+     {"alphabet": 4, "left_period": [0, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "identity_block", "shift_inv",
+     "4c3fc729479d92ec9d2b8b1dd1f145eb9b3e97df75f727a7a3ef767d78282f22",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 1,
+      "right_period": [3]}),
+    ("slider", "identity_block", "ca102",
+     "909e9de18d24fdb3f5a05d1d713bf3c8818092dab77d8016316399caddd25d23",
+     {"alphabet": 4, "left_period": [3, 0], "center": [], "center_start": 0,
+      "right_period": [3]}),
+    ("slider", "identity_block", "xor_left",
+     "00d60ab62d09b80b879af18b300a3416e948810694900957d061db0593be2bdf",
+     {"alphabet": 4, "left_period": [0, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("slider", "identity_block", "and_rule",
+     "e4be8577908ddb98c6b896c00fc6051ecb17b3b6226a6142f39c09752eb1c650",
+     {"alphabet": 4, "left_period": [0, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "identity_block", "identity",
+     "98250b52f3e5510a5b7e0841fea45b2dd12537e9d5f86401e04823eb589665cc",
+     None),
+    ("sweeper", "identity_block", "shift",
+     "72164503cdc8414e96d4227acb2edef46f3016704b7c9d9c3b3bef8fa6ecaa6c",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [3]}),
+    ("sweeper", "identity_block", "shift_inv",
+     "d0f6bd64a4a6aebc8b2556df5f5a1af7dabc070cbf9fcf624eac06854e657796",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 1,
+      "right_period": [3]}),
+    ("sweeper", "identity_block", "ca102",
+     "fb394fe4f5af40d8da7e56176d9c4c73ec9a38254e8184ddcc8932fef49605ba",
+     {"alphabet": 4, "left_period": [0], "center": [], "center_start": 0,
+      "right_period": [3]}),
+    ("sweeper", "identity_block", "xor_left",
+     "df8cea6a3bf15582ff94319710267d50fe8dfba89682d30343cfc39abe3e8574",
+     {"alphabet": 4, "left_period": [0, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+    ("sweeper", "identity_block", "and_rule",
+     "3b02de23e134c58c7750d85bdedb7ff3945a5fbaa1875f502cddb9b5af263cd9",
+     {"alphabet": 4, "left_period": [0, 3], "center": [], "center_start": 0,
+      "right_period": [0]}),
+]
+
 
 def test_table_covers_every_case():
     assert len(PINS) == 44
     assert len({row[:3] for row in PINS}) == 44
     assert {("slider",) + key for key in LIVE} <= {row[:3] for row in PINS}
+    assert [row[:3] for row in PLAIN] == [row[:3] for row in PINS
+                                          if row[2] is not None]
 
 
 @pytest.mark.parametrize("kind,block,vs,digest,witness", PINS,
@@ -265,9 +414,21 @@ def test_whole_slider_automaton_is_pinned(kind, block, vs, digest, witness):
                   digest, witness)
 
 
+@pytest.mark.parametrize("kind,block,vs,digest,witness", PLAIN,
+                         ids=lambda v: str(v)[:12])
+def test_intersection_is_pinned(kind, block, vs, digest, witness):
+    mismatch = graph_mismatch_automaton(builtin_rule(vs))
+    A = intersect(KINDS[kind](builtin_block_rule(block)), mismatch)
+    assert_pinned(A, None, digest, witness)
+    if kind == "slider":
+        whole = whole_slider_automaton(builtin_block_rule(block))
+        found = nonempty_witness(intersect(whole, mismatch))
+        assert (None if found is None else ep_to_json(found)) == witness
+
+
 def assert_pinned(A, vs, digest, witness):
     if vs is not None:
-        A = intersect(A, graph_mismatch_automaton(builtin_rule(vs)))
+        A = flag_intersect(A, graph_mismatch_automaton(builtin_rule(vs)))
     blob = json.dumps(A.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
     found = nonempty_witness(A)

@@ -23,7 +23,7 @@ from casweep.ca import BUILTIN_RULES, LocalRule, apply_ep, builtin_rule
 from casweep.cli import build_parser, main
 from casweep.closing import left_closing_decide
 from casweep.core import (EpConfig, ep_equal, ep_from_json, ep_to_json,
-                          ep_unzip, word_of_index)
+                          ep_unzip, ep_zip, word_of_index)
 from casweep.zautomata import (graph_mismatch_automaton, intersect,
                                nonempty_witness)
 from oracles import is_empty, whole_slider_automaton
@@ -643,6 +643,26 @@ def test_automata_member_caps_its_product(capsys, tmp_path):
     assert "member product nodes: 30 is over the cap 29" in err
 
 
+@pytest.mark.parametrize("y,z,cells", [
+    # centers 10^9 cells apart
+    (EpConfig(2, (0,), (1,), 0, (0,)), EpConfig(2, (0,), (1,), 10**9, (0,)),
+     10**9 + 3),
+    # left periods of the coprime lengths 9,973 and 9,967
+    (EpConfig(2, (1,) + (0,) * 9972, (), 0, (0,)),
+     EpConfig(2, (1,) + (0,) * 9966, (), 0, (0,)), 9973 * 9967 + 1)])
+def test_automata_member_caps_the_zipped_word(capsys, tmp_path, y, z, cells):
+    """The zipped word spans both centers and the lcm of each side's
+    periods; it is refused before it is built."""
+    start = time.monotonic()
+    code, report, err = run(capsys, "automata", "member", data_file("swap"),
+                            "--input", write_config(tmp_path / "y.json", y),
+                            "--output", write_config(tmp_path / "z.json", z))
+    assert time.monotonic() - start < 1
+    assert code == 3 and report is None
+    assert err == (f"resource cap exceeded: member word cells: {cells} is "
+                   f"over the cap 4194304\n")
+
+
 def test_automata_empty_with_mismatch(capsys):
     code, report, _ = run(capsys, "automata", "empty", data_file("swap"),
                           "--kind", "slider", "--vs", data_file("shift"))
@@ -742,8 +762,9 @@ def test_automata_resource_cap(capsys, tmp_path):
 
 def test_automata_vs_product_capped_before_it_is_built(capsys, tmp_path):
     """The slider automaton (512 live states) and the mismatch automaton
-    (5 states) fit the cap, their 2,560 product nodes do not: refused
-    before the product is allocated."""
+    (5 states) fit the cap, but the 1,216 pairs their product reaches do
+    not: it counts the pairs as it builds them and stops at the 1,001st,
+    before any edge of the intersection automaton is listed."""
     out = str(tmp_path / "block.json")
     assert main(["synthesize", data_file("ca102"), out]) == 0
     capsys.readouterr()
@@ -784,22 +805,54 @@ def test_automata_empty_agrees_with_the_whole_slider_automaton(capsys, block,
 def test_automata_of_a_synthesized_rule_builds_its_live_part(capsys,
                                                              tmp_path):
     """The synthesized shift rule against ca102: the intersection with the
-    live slider states has 10,240 states (516,096 with all of them), and
-    the witness is the one the whole automaton gave."""
+    live slider states reaches 1,600 pairs (the flag product had 10,240
+    states, and 516,096 on all slider states), and the witness is the one
+    the whole automaton gives."""
     out = str(tmp_path / "block.json")
     assert main(["synthesize", data_file("shift"), out]) == 0
     capsys.readouterr()
     argv = [out, "--kind", "slider", "--vs", data_file("ca102")]
     code, report, _ = run(capsys, "automata", "inspect", *argv)
     assert code == 0
-    assert report["states"] == 10240 and report["edges"] == 28672
+    assert report["states"] == 1600 and report["edges"] == 4384
     code, report, _ = run(capsys, "automata", "empty", *argv)
     assert code == 1 and report["empty"] is False
     assert report["witness"] == {
-        "input": {"alphabet": 2, "left_period": [0, 0, 0, 0, 0, 0, 0, 1],
+        "input": {"alphabet": 2, "left_period": [0, 0, 0, 0, 0, 0, 1],
                   "center": [], "center_start": 0, "right_period": [0]},
-        "output": {"alphabet": 2, "left_period": [0, 0, 0, 0, 0, 0, 1, 0],
+        "output": {"alphabet": 2, "left_period": [0, 0, 0, 0, 0, 1, 0],
                    "center": [], "center_start": 0, "right_period": [0]}}
+
+
+def test_automata_vs_of_a_synthesized_rule_fits_a_small_cap(capsys,
+                                                            tmp_path):
+    """The flag product of the synthesized shift rule and ca102 had 10,240
+    states; the plain product answers under a cap of 3,000, with a
+    witness the rule maps by the shift and ca102 does not."""
+    out = str(tmp_path / "block.json")
+    assert main(["synthesize", data_file("shift"), out]) == 0
+    capsys.readouterr()
+    code, report, _ = run(capsys, "automata", "empty", out, "--kind",
+                          "slider", "--vs", data_file("ca102"),
+                          "--max-automaton-states", "3000")
+    assert code == 1 and report["empty"] is False
+    wy = ep_from_json(report["witness"]["input"])
+    wz = ep_from_json(report["witness"]["output"])
+    assert ep_equal(apply_ep(builtin_rule("shift"), wy), wz)
+    assert not ep_equal(apply_ep(builtin_rule("ca102"), wy), wz)
+
+
+def test_automata_empty_revalidates_its_witness(capsys, monkeypatch):
+    """A witness that the --vs rule maps correctly is no counterexample:
+    it is an internal error, not a verdict."""
+    y = EpConfig(2, (0,), (1, 1, 0, 1), 0, (0,))
+    monkeypatch.setattr("casweep.cli.nonempty_witness", lambda auto: ep_zip(
+        y, apply_ep(builtin_rule("identity"), y)))
+    code, report, err = run(capsys, "automata", "empty", data_file("swap"),
+                            "--kind", "slider", "--vs", data_file("identity"))
+    assert code == 4 and report is None
+    assert err.splitlines()[-1] == ("internal error: IntegrityError: witness "
+                                    "pair agrees with the --vs rule")
 
 
 # ---------------------------------------------------------------------------

@@ -464,14 +464,15 @@ def test_intersection_with_confirming_mismatch_is_empty():
 
 
 def test_intersection_membership_is_conjunction():
-    # i.o. many 0s and i.o. many 1s to the right, built as an intersection
+    # i.o. many 0s and i.o. many 1s to the right, built as the flag product
+    # (t1's final state steps out of its final set, so `intersect` refuses it)
     edges = frozenset([(s, 0, "a") for s in "ab"] +
                       [(s, 1, "b") for s in "ab"])
     t0 = from_named(2, 1, frozenset("ab"), edges,
                     frozenset("ab"), frozenset("a"))
     t1 = from_named(2, 1, frozenset("ab"), edges,
                     frozenset("ab"), frozenset("b"))
-    both = intersect(t0, t1)
+    both = flag_intersect(t0, t1)
     cases = [((0, 1), True), ((0,), False), ((1,), False), ((0, 1, 1), True)]
     for rp, expect in cases:
         x = EpConfig(2, (0, 1), (), 0, rp)
@@ -486,12 +487,91 @@ SAME_ALPHABET = [(b, f) for b in BUILTIN_BLOCK_RULES for f in BUILTIN_RULES
                  if builtin_block_rule(b).q == builtin_rule(f).q]
 
 
+def relation_words(kind, chi, rng, count):
+    """`count` pairs (y, z) the automaton of this kind accepts, each
+    followed by a one-cell mutation of z, zipped."""
+    words = []
+    for _ in range(count):
+        x = random_ep_config(rng, chi.q)
+        if kind == "slider":
+            y, z = representation_eval(chi, x, rng.randrange(-3, 4))
+        else:
+            y, z = x, sweeper_eval(chi, x).limit
+        words += [ep_zip(y, z),
+                  ep_zip(y, mutate(z, rng.randrange(-3, 4), chi.q))]
+    return words
+
+
+def assert_same_language(A, B, words) -> tuple[bool, set[bool]]:
+    """`intersect` and the flag product agree on emptiness, and `member`
+    answers alike on both for the words and for each other's witnesses.
+    Returns the emptiness and the set of `member` answers."""
+    plain, flags = intersect(A, B), flag_intersect(A, B)
+    w, v = nonempty_witness(plain), nonempty_witness(flags)
+    assert (w is None) is (v is None)
+    answers = set()
+    for x in words:
+        answer = member(plain, x)
+        assert member(flags, x) is answer
+        answers.add(answer)
+    for x in (w, v):
+        if x is not None:
+            assert member(plain, x) and member(flags, x)
+    return w is None, answers
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("block_name,ca_name", SAME_ALPHABET)
 def test_intersect_matches_flag_product(kind, block_name, ca_name):
-    A = KINDS[kind](builtin_block_rule(block_name))
+    """`intersect` accepts the flag product's language, which is the
+    conjunction of the two automata's."""
+    chi = builtin_block_rule(block_name)
+    A = KINDS[kind](chi)
     B = graph_mismatch_automaton(builtin_rule(ca_name))
-    assert intersect(A, B) == flag_intersect(A, B)
+    words = relation_words(kind, chi, random.Random(29), 3)
+    for x in words:
+        assert member(intersect(A, B), x) is (member(A, x) and member(B, x))
+    assert_same_language(A, B, words)
+
+
+def test_intersect_matches_the_flag_product_on_seeded_rules():
+    """Each relation automaton of the `seeded_block_rules` against the
+    mismatch automaton of each same-alphabet `seeded_local_rules` rule.
+    The flag product is built on every pair, so pairs whose full product
+    has more than 1,000 pairs are skipped."""
+    rng = random.Random(31)
+    verdicts, answers, cases = set(), set(), 0
+    for chi in seeded_block_rules():
+        for kind in KINDS:
+            if kind == "slider" and not chi.is_bijective():
+                continue
+            A = KINDS[kind](chi)
+            for f in seeded_local_rules():
+                B = graph_mismatch_automaton(f)
+                if f.q != chi.q or len(A.states) * len(B.states) > 1000:
+                    continue
+                empty, seen = assert_same_language(
+                    A, B, relation_words(kind, chi, rng, 1))
+                verdicts.add(empty)
+                answers |= seen
+                cases += 1
+    assert cases >= 250 and verdicts == answers == {True, False}
+
+
+def test_intersect_refuses_an_open_second_automaton():
+    """B must enter its initial states only from initial states and leave
+    its final states only into final states."""
+    edges = frozenset([("a", 0, "a"), ("a", 0, "b"), ("b", 0, "b"),
+                       ("b", 0, "a")])
+    A = from_named(2, 1, frozenset("ab"), edges, frozenset("a"),
+                   frozenset("b"))
+    for initial, final in (("a", "ab"), ("ab", "b")):
+        B = from_named(2, 1, frozenset("ab"), edges, frozenset(initial),
+                       frozenset(final))
+        with pytest.raises(ValueError):
+            intersect(A, B)
+    assert not is_empty(intersect(A, from_named(
+        2, 1, frozenset("ab"), edges, frozenset("ab"), frozenset("ab"))))
 
 
 def seeded_block_rules():
@@ -598,7 +678,10 @@ def test_numbered_automata_match_named_oracles():
             assert member(A, x) is period_member(A, x)
         if w is not None:
             assert member(A, w)
-        assert intersect(A, B) == flag_intersect(A, B)
+        both = flag_intersect(A, B)
+        v = nonempty_witness(both)
+        for x in words + ([] if v is None else [v]):
+            assert member(both, x) is (member(A, x) and member(B, x))
     assert kinds == {True, False} and parallel >= 10
 
 

@@ -1,8 +1,10 @@
 """Command line front end.
 
-Every subcommand prints a JSON report to stdout and a one line summary to
-stderr.  Reports carry a fixed schema tag and are serialized with sorted
-keys so they are stable under golden-file comparison.
+Every subcommand returns its exit code, its JSON report and its summary;
+`main` alone prints them, the report to stdout and the summary to stderr.
+Reports carry a fixed schema tag and the command's name, and are
+serialized with sorted keys so they are stable under golden-file
+comparison.
 
 Exit codes: 0 for an affirmative verdict, 1 for a negative one, 2 for
 usage or input errors, 3 when a resource cap was hit, 4 for an internal
@@ -22,7 +24,7 @@ import traceback
 
 from .blockrule import BlockRule, representation_eval, sweep_range
 from .ca import LocalRule, apply_ep
-from .closing import left_closing_decide, right_closing_decide
+from .closing import NotClosingError, left_closing_decide, right_closing_decide
 from .core import (
     MAX_AUTOMATON_STATES,
     EpConfig,
@@ -37,7 +39,7 @@ from .core import (
     prime_factors,
     vp,
 )
-from .hierarchy import NotBiClosingError, decompose_biclosing, verify_decomposition
+from .hierarchy import decompose_biclosing, verify_decomposition
 from .mealy import (check_good_states_cap, good_states, mealy_from_block,
                     sweeper_eval)
 from .stairs import MAX_STAIR_BOUND, check_stair_cap, slider_exists
@@ -125,15 +127,8 @@ def _check_dir_path(path: str) -> None:
         raise InputError(f"cannot write {path}: {head} is not a directory")
 
 
-def _emit(report: dict, summary: str) -> None:
-    full = {"schema": SCHEMA}
-    full.update(report)
-    print(json.dumps(full, indent=2, sort_keys=True))
-    print(summary, file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (exit code, report, summary)
 
 def _analysis_report(f, max_psi: int):
     left = left_closing_decide(f)
@@ -158,29 +153,23 @@ def _analysis_report(f, max_psi: int):
     return report, verdict
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict, str]:
     f = load_local_rule(args.rule)
     report, verdict = _analysis_report(f, args.max_psi)
-    report["command"] = "analyze"
     if verdict:
-        _emit(report, f"slider exists at block length {3 * verdict.m + 1}")
-        return 0
+        return 0, report, f"slider exists at block length {3 * verdict.m + 1}"
     if not verdict.left_closing:
-        _emit(report, "no slider: rule is not left-closing")
-    else:
-        primes = ", ".join(map(str, verdict.violating_primes))
-        _emit(report, f"no slider: lambda has positive valuation at {primes}")
-    return 1
+        return 1, report, "no slider: rule is not left-closing"
+    primes = ", ".join(map(str, verdict.violating_primes))
+    return 1, report, f"no slider: lambda has positive valuation at {primes}"
 
 
-def cmd_synthesize(args: argparse.Namespace) -> int:
+def cmd_synthesize(args: argparse.Namespace) -> tuple[int, dict, str]:
     f = load_local_rule(args.rule)
     _check_out_dir(args.out)
     report, verdict = _analysis_report(f, args.max_psi)
-    report["command"] = "synthesize"
     if not verdict:
-        _emit(report, "no slider exists for this rule")
-        return 1
+        return 1, report, "no slider exists for this rule"
     chi = synthesize(f, verdict)
     if not is_slider_rule_for(chi, f, max_states=args.max_automaton_states):
         raise IntegrityError("synthesized rule failed its own exact check")
@@ -190,11 +179,10 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     report["block_length"] = chi.block_length
     report["self_check"] = "exact"
     report["out"] = args.out
-    _emit(report, f"wrote block rule of length {chi.block_length} to {args.out}")
-    return 0
+    return 0, report, f"wrote block rule of length {chi.block_length} to {args.out}"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
     chi = load_block_rule(args.block)
     f = load_local_rule(args.rule)
     # the input faults; a ValueError from the checks below is a bug
@@ -205,17 +193,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.exact:
         ok = is_slider_rule_for(chi, f, max_states=args.max_automaton_states)
         report = {
-            "command": "verify",
             "mode": "exact",
             "block_length": chi.block_length,
             "verified": ok,
         }
-        _emit(report, "exact check passed" if ok else "exact check failed")
-        return 0 if ok else 1
+        if ok:
+            return 0, report, "exact check passed"
+        return 1, report, "exact check failed"
     result = verify_slider(chi, f, samples=args.samples, seed=args.seed)
     verified = result.ok and result.sweeper_agreement
     report = {
-        "command": "verify",
         "mode": "sample",
         "samples": args.samples,
         "seed": args.seed,
@@ -231,8 +218,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "backward_limit": ep_to_json(y),
             "forward_limit": ep_to_json(z),
         }
-    _emit(report, "sampling check passed" if verified else "sampling check failed")
-    return 0 if verified else 1
+    if verified:
+        return 0, report, "sampling check passed"
+    return 1, report, "sampling check failed"
 
 
 def _trace_rows(chi: BlockRule, x: EpConfig, anchor: int, steps: int) -> list[str]:
@@ -246,7 +234,7 @@ def _trace_rows(chi: BlockRule, x: EpConfig, anchor: int, steps: int) -> list[st
     return rows
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[int, dict, str]:
     chi = load_block_rule(args.block)
     x = load_config(args.config)
     if chi.q != x.q:
@@ -258,65 +246,58 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = (args.trace + 1 if args.trace else 0) + (args.mode == "slider")
     check_cap((hi - lo) * rows, SWEEP_CELLS_CAP, "sweep cells")
     report: dict = {
-        "command": "sweep",
         "mode": args.mode,
         "anchor": args.anchor,
         "input": ep_to_json(x),
     }
     if args.trace:
-        rows = _trace_rows(chi, x, args.anchor, args.trace)
-        report["trace"] = rows
-        for row in rows:
-            print(row, file=sys.stderr)
+        report["trace"] = _trace_rows(chi, x, args.anchor, args.trace)
     if args.mode == "slider":
         y, z = representation_eval(chi, x, args.anchor)
         report["backward_limit"] = ep_to_json(y)
         report["forward_limit"] = ep_to_json(z)
-        _emit(report, "both limit sweeps converge")
-        return 0
-    outcome = sweeper_eval(chi, x)
-    report["outcome"] = outcome.to_json()
-    if outcome.converges:
-        _emit(report, "forward sweeps converge")
-        return 0
-    _emit(report, "forward sweeps oscillate between two limits")
-    return 1
+        code, summary = 0, "both limit sweeps converge"
+    else:
+        outcome = sweeper_eval(chi, x)
+        report["outcome"] = outcome.to_json()
+        code, summary = (0, "forward sweeps converge") if outcome.converges \
+            else (1, "forward sweeps oscillate between two limits")
+    # the trace grid goes to stderr above the summary
+    return code, report, "\n".join([*report.get("trace", ()), summary])
 
 
-def cmd_mealy(args: argparse.Namespace) -> int:
+def cmd_mealy(args: argparse.Namespace) -> tuple[int, dict, str]:
     chi = load_block_rule(args.block)
     check_good_states_cap(chi.q ** chi.block_length, args.max_automaton_states)
     machine = mealy_from_block(chi, cap=args.max_automaton_states)
     good = good_states(machine, cap=args.max_automaton_states)
     bad = sorted(set(range(machine.size)) - good)
     report = {
-        "command": "mealy",
         "states": machine.size,
         "good": sorted(good),
         "bad": bad,
         "all_good": not bad,
     }
-    _emit(report, f"{len(good)} of {machine.size} states are good")
-    return 0 if not bad else 1
+    return (1 if bad else 0), report, \
+        f"{len(good)} of {machine.size} states are good"
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace) -> tuple[int, dict, str]:
     f = load_local_rule(args.rule)
     _check_dir_path(args.out_dir)
     try:
         decomposition = decompose_biclosing(f)
-    except NotBiClosingError as exc:
+    except NotClosingError as exc:
         report = {
-            "command": "decompose",
             "rule": f.to_json(),
             "biclosing": False,
             "failing_side": exc.verdict.side,
             "witness": [ep_to_json(c) for c in exc.verdict.witness],
         }
-        _emit(report, f"rule is not {exc.verdict.side}-closing")
-        return 1
-    verified = verify_decomposition(decomposition, samples=args.samples,
-                                    seed=args.seed)
+        return 1, report, str(exc)
+    if not verify_decomposition(decomposition, samples=args.samples,
+                                seed=args.seed):
+        raise IntegrityError("decomposition failed its own sampled check")
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
@@ -330,7 +311,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 {"claimed_ca_file": os.path.relpath(args.rule, args.out_dir),
                  "stages": stage_files})
     report = {
-        "command": "decompose",
         "rule": f.to_json(),
         "biclosing": True,
         "shift_offset": decomposition.shift_offset,
@@ -340,28 +320,25 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         ],
         "samples": args.samples,
         "seed": args.seed,
-        "verified": verified,
+        "verified": True,
         "out_dir": args.out_dir,
     }
-    _emit(report, "decomposition verified" if verified
-          else "decomposition failed verification")
-    return 0 if verified else 1
+    return 0, report, "decomposition verified"
 
 
-def cmd_closing(args: argparse.Namespace) -> int:
+def cmd_closing(args: argparse.Namespace) -> tuple[int, dict, str]:
     f = load_local_rule(args.rule)
     left = left_closing_decide(f)
     right = right_closing_decide(f)
     report = {
-        "command": "closing",
         "rule": f.to_json(),
         "left": left.to_json(),
         "right": right.to_json(),
         "biclosing": bool(left) and bool(right),
     }
     sides = [side for side, v in (("left", left), ("right", right)) if v]
-    _emit(report, f"closing sides: {', '.join(sides) if sides else 'none'}")
-    return 0 if left and right else 1
+    return (0 if left and right else 1), report, \
+        f"closing sides: {', '.join(sides) if sides else 'none'}"
 
 
 def _build_automaton(args: argparse.Namespace
@@ -390,12 +367,11 @@ def _build_automaton(args: argparse.Namespace
     return auto, f
 
 
-def cmd_automata(args: argparse.Namespace) -> int:
+def cmd_automata(args: argparse.Namespace) -> tuple[int, dict, str]:
     if args.action == "dump":
         _check_out_dir(args.out)
     auto, f = _build_automaton(args)
     base = {
-        "command": "automata",
         "action": args.action,
         "kind": args.kind,
         "states": len(auto.states),
@@ -404,15 +380,14 @@ def cmd_automata(args: argparse.Namespace) -> int:
     if args.action == "dump":
         _write_json(args.out, auto.to_json())
         base["out"] = args.out
-        _emit(base, f"wrote automaton with {len(auto.states)} states to {args.out}")
-        return 0
+        return 0, base, \
+            f"wrote automaton with {len(auto.states)} states to {args.out}"
     if args.action == "inspect":
         base["initial"] = len(auto.initial)
         base["final"] = len(auto.final)
         base["alphabet"] = auto.q
         base["arity"] = auto.arity
-        _emit(base, f"{len(auto.states)} states, {len(auto.edges)} edges")
-        return 0
+        return 0, base, f"{len(auto.states)} states, {len(auto.edges)} edges"
     if args.action == "member":
         y = load_config(args.input)
         z = load_config(args.output)
@@ -428,8 +403,9 @@ def cmd_automata(args: argparse.Namespace) -> int:
                   args.max_automaton_states, "member word cells")
         accepted = member(auto, ep_zip(y, z), args.max_automaton_states)
         base["member"] = accepted
-        _emit(base, "pair accepted" if accepted else "pair rejected")
-        return 0 if accepted else 1
+        if accepted:
+            return 0, base, "pair accepted"
+        return 1, base, "pair rejected"
     witness = nonempty_witness(auto)
     empty = witness is None
     base["empty"] = empty
@@ -438,8 +414,9 @@ def cmd_automata(args: argparse.Namespace) -> int:
         if f is not None and ep_equal(apply_ep(f, wy), wz):
             raise IntegrityError("witness pair agrees with the --vs rule")
         base["witness"] = {"input": ep_to_json(wy), "output": ep_to_json(wz)}
-    _emit(base, "language is empty" if empty else "language is nonempty")
-    return 0 if empty else 1
+    if empty:
+        return 0, base, "language is empty"
+    return 1, base, "language is nonempty"
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +523,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.action == "member" and not (args.input and args.output):
             parser.error("member requires --input and --output")
     try:
-        return args.func(args)
+        code, report, summary = args.func(args)
+        print(json.dumps({"schema": SCHEMA, "command": args.command, **report},
+                         indent=2, sort_keys=True))
+        print(summary, file=sys.stderr)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

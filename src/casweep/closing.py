@@ -74,6 +74,15 @@ class ClosingVerdict:
         return out
 
 
+class NotClosingError(ValueError):
+    """Raised with the failing side's verdict, whose witness pair shows
+    the failure, by an operation that needs a closing rule."""
+
+    def __init__(self, verdict: ClosingVerdict):
+        super().__init__(f"rule is not {verdict.side}-closing")
+        self.verdict = verdict
+
+
 def _radius_form(f: LocalRule) -> tuple[LocalRule, int]:
     """f refined to [-r, r], r = max(radius, 1) of its minimized form, and r;
     the pair graph's cap is checked before that q^(2r+1)-entry table is built."""

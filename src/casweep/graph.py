@@ -6,7 +6,9 @@ path length is bounded by memory, not by the recursion limit.  This is the
 one place the package computes strongly connected components, cycles and
 reachability; callers map their own states to node numbers.
 
-It is also the one path search, behind the witnesses of both the
+`bfs_tree` is the one reachability search: its keys are the nodes
+reachable from the starts, and on `reverse(succ)` the nodes that reach
+them.  It is also the one path search, behind the witnesses of both the
 closing analysis and the automata: `bfs_tree`, `walk_to_root` and
 `shortest_cycle` take the same successor lists and return vertex paths,
 breaking ties by the order of the starts and of each successor list.
@@ -74,25 +76,6 @@ def reverse(succ) -> list[list[int]]:
         for w in outs:
             pred[w].append(v)
     return pred
-
-
-def reachable(succ, seeds) -> bytearray:
-    """Flag per node: is it reachable from a seed by zero or more edges?
-
-    Pass `reverse(succ)` to get the nodes that reach a seed instead.
-    """
-    seen = bytearray(len(succ))
-    frontier = []
-    for v in seeds:
-        if not seen[v]:
-            seen[v] = 1
-            frontier.append(v)
-    while frontier:
-        for w in succ[frontier.pop()]:
-            if not seen[w]:
-                seen[w] = 1
-                frontier.append(w)
-    return seen
 
 
 def recurrent(succ, comp: list[int], marked=None) -> list[int]:

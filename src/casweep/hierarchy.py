@@ -16,19 +16,11 @@ from enum import Enum
 from .core import EpConfig, ep_equal, random_ep_config
 from .ca import LocalRule, apply_ep, shift_compose, shift_rule
 from .blockrule import BlockRule, identity_block
-from .closing import (ClosingVerdict, left_closing_decide,
+from .closing import (NotClosingError, left_closing_decide,
                       right_closing_decide)
 from .stairs import slider_exists
 from .synthesis import synthesize
 from .mealy import sweeper_eval
-
-
-class NotBiClosingError(ValueError):
-    """Raised with the failing side's verdict when a closing check fails."""
-
-    def __init__(self, verdict: ClosingVerdict):
-        self.verdict = verdict
-        super().__init__(f"rule is not {verdict.side}-closing")
 
 
 class DivergentSweepError(ValueError):
@@ -86,10 +78,10 @@ def decompose_biclosing(f: LocalRule) -> Decomposition:
     """
     left = left_closing_decide(f)
     if not left:
-        raise NotBiClosingError(left)
+        raise NotClosingError(left)
     right = right_closing_decide(f)
     if not right:
-        raise NotBiClosingError(right)
+        raise NotClosingError(right)
     verdict = slider_exists(f, left=left)
     k = verdict.shift_offset
     if k == 0:

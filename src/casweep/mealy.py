@@ -122,8 +122,8 @@ def good_states(mealy: MealyAutomaton,
     for k in sorted(members, reverse=True):
         K = members[k]
         if not good[K[0]] and _merges_on_cycle(rows, comp, K, seen):
-            for c, hit in enumerate(graph.reachable(rows, K)):
-                good[c] |= hit
+            for c in graph.bfs_tree(rows, K):
+                good[c] = 1
     return {c for c, hit in enumerate(good) if hit}
 
 

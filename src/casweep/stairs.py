@@ -21,23 +21,12 @@ from fractions import Fraction
 from .core import (IntegrityError, all_words, check_power_cap, ep_to_json,
                    prime_factors, vp, word_of_index)
 from .ca import LocalRule
-from .closing import ClosingVerdict, _radius_form, left_closing_decide
+from .closing import (ClosingVerdict, NotClosingError, _radius_form,
+                      left_closing_decide)
 
 # Default cap on the q^(4m) stair codes one enumeration may produce: the
 # bundled base-six rule needs 6^8 at m = 2.
 MAX_STAIR_BOUND = 1 << 24
-
-
-class NotLeftClosingError(ValueError):
-    """Raised when an operation requires a left-closing rule.
-
-    Carries the closing verdict, whose witness pair demonstrates the
-    failure.
-    """
-
-    def __init__(self, verdict: ClosingVerdict):
-        super().__init__("rule is not left-closing")
-        self.verdict = verdict
 
 
 @dataclass(frozen=True)
@@ -113,7 +102,7 @@ def lambda_value(f: LocalRule) -> Fraction:
     """
     verdict = slider_exists(f)
     if not verdict.left_closing:
-        raise NotLeftClosingError(verdict.left_closing)
+        raise NotClosingError(verdict.left_closing)
     second = enumerate_stairs(f, verdict.m + 1)
     if verdict.lam != second.lam:
         raise IntegrityError(f"lambda not stable across radii: {verdict.lam} "

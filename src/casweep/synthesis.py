@@ -25,9 +25,8 @@ import random
 from dataclasses import dataclass
 
 from .core import IntegrityError, ep_equal, random_ep_config
-from .ca import LocalRule, apply_ep, to_radius_form
+from .ca import LocalRule, apply_ep, minimize_neighborhood, to_radius_form
 from .blockrule import BlockRule, representation_eval
-from .closing import _radius_form
 from .mealy import sweeper_eval
 from .stairs import SliderVerdict, StairSet, slider_exists
 
@@ -72,7 +71,7 @@ def synthesize(f: LocalRule,
     N = q ** n // len(listing)
     pack, half = q ** (2 * m), q ** (2 * m - 1)
     position = {code: k for k, code in enumerate(listing)}
-    g = to_radius_form(_radius_form(f)[0], m)
+    g = to_radius_form(minimize_neighborhood(f), m)
     table: list[int | None] = [None] * q ** (n + 1)
     for k_in, code in enumerate(listing):
         av, bw = divmod(code, pack)

@@ -181,10 +181,10 @@ def trim(A: ZAutomaton) -> ZAutomaton:
     """Drop states on no accepting bi-infinite path; language unchanged."""
     succ = _targets(A)
     comp = graph.strong_components(succ)
-    after_left = graph.reachable(succ, graph.recurrent(succ, comp, A.initial))
-    before_right = graph.reachable(graph.reverse(succ), graph.recurrent(
+    after_left = graph.bfs_tree(succ, graph.recurrent(succ, comp, A.initial))
+    before_right = graph.bfs_tree(graph.reverse(succ), graph.recurrent(
         succ, comp, A.final))
-    keep = [v for v in range(len(succ)) if after_left[v] and before_right[v]]
+    keep = sorted(after_left.keys() & before_right.keys())
     number = [-1] * len(succ)
     for k, v in enumerate(keep):
         number[v] = k

@@ -213,7 +213,7 @@ def stairs_connecting(f: LocalRule, m: int, y: EpConfig,
                         word_index((a,) + win[:-1], q) * period
                         + (ph - 1) % period)
     cyclic = graph.recurrent(succ, graph.strong_components(succ))
-    good = graph.reachable(graph.reverse(succ), cyclic)
+    good = graph.bfs_tree(graph.reverse(succ), cyclic)
 
     result = []
     for v in all_words(2 * m, q):
@@ -230,8 +230,8 @@ def stairs_connecting(f: LocalRule, m: int, y: EpConfig,
                 states = {(a,) + win[:-1] for win in states
                           for a in range(q) if g((a,) + win) == target}
                 c -= 1
-            if states and any(good[word_index(win, q) * period
-                                   + (c - cs) % period] for win in states):
+            if states and any(word_index(win, q) * period + (c - cs) % period
+                              in good for win in states):
                 result.append((v, w))
     return frozenset(result)
 
@@ -401,9 +401,9 @@ def good_states_by_probe_product(mealy: MealyAutomaton) -> set[int]:
             succ.append(outs)
             merged.append(flags)
     comp = graph.strong_components(succ)
-    reached = graph.reachable(succ, (d for v, flags in enumerate(merged)
-                                     for d in flags if comp[d] == comp[v]))
-    return {v // width for v, hit in enumerate(reached) if hit}
+    reached = graph.bfs_tree(succ, (d for v, flags in enumerate(merged)
+                                    for d in flags if comp[d] == comp[v]))
+    return {v // width for v in reached}
 
 
 def period_member(A: ZAutomaton, x: EpConfig) -> bool:
@@ -431,10 +431,10 @@ def period_member(A: ZAutomaton, x: EpConfig) -> bool:
             g, comp, [k * P + t for k in marked for t in range(P)])
 
     left, seeds = period_graph(x.left_period, A.initial)
-    good_left = graph.reachable(left, seeds)
+    good_left = graph.bfs_tree(left, seeds)
     # phase t at boundary p means (p - boundary anchor) = t mod period
     P = len(x.left_period)
-    states = {k for k in range(n) if good_left[k * P]}
+    states = {k for k in range(n) if k * P in good_left}
     for p in range(x.center_start, x.center_end):
         symbol = x.cell(p)
         states = {d for s in states for label, d in A.succ[s]
@@ -442,9 +442,9 @@ def period_member(A: ZAutomaton, x: EpConfig) -> bool:
         if not states:
             return False
     right, sinks = period_graph(x.right_period, A.final)
-    good_right = graph.reachable(graph.reverse(right), sinks)
+    good_right = graph.bfs_tree(graph.reverse(right), sinks)
     R = len(x.right_period)
-    return any(good_right[k * R] for k in states)
+    return any(k * R in good_right for k in states)
 
 
 def project(A: ZAutomaton, coordinate: int) -> ZAutomaton:
@@ -472,8 +472,8 @@ def lasso_free(succ, left_sets, right_sets) -> bool:
     targets = recurrent_meeting_all(succ, comp, right_sets)
     if not targets:
         return True
-    reach = graph.reachable(succ, recurrent_meeting_all(succ, comp, left_sets))
-    return not any(reach[v] for v in targets)
+    reach = graph.bfs_tree(succ, recurrent_meeting_all(succ, comp, left_sets))
+    return not any(v in reach for v in targets)
 
 
 def recurrent_meeting_all(succ, comp: list[int], marked_sets) -> set[int]:
@@ -611,8 +611,7 @@ def pairs_with_initial_past(A: ZAutomaton, B: ZAutomaton) -> set[int]:
     cut = [[w for _, w in out if w in inside] if v in inside else []
            for v, out in enumerate(succ)]
     cyclic = graph.recurrent(cut, graph.strong_components(cut))
-    reached = graph.reachable(cut, cyclic)
-    return {v for v in inside if reached[v]}
+    return inside & graph.bfs_tree(cut, cyclic).keys()
 
 
 def flag_intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
@@ -1053,8 +1052,8 @@ def named_nonempty_witness(A: NamedAutomaton) -> EpConfig | None:
     center, the right lasso the right period.
     """
     order, succ, left, right = _recurrent_parts(A)
-    reach = graph.reachable(succ, left)
-    if not any(reach[v] for v in right):
+    reach = graph.bfs_tree(succ, left)
+    if not any(v in reach for v in right):
         return None
     # aim for final states so the right lasso is guaranteed to carry one
     targets = {order[v] for v in right} & A.final
@@ -1072,9 +1071,9 @@ def named_nonempty_witness(A: NamedAutomaton) -> EpConfig | None:
 def named_trim(A: NamedAutomaton) -> NamedAutomaton:
     """Drop states on no accepting bi-infinite path; language unchanged."""
     order, succ, left, right = _recurrent_parts(A)
-    after_left = graph.reachable(succ, left)
-    before_right = graph.reachable(graph.reverse(succ), right)
-    keep = {s for s, a, b in zip(order, after_left, before_right) if a and b}
+    after_left = graph.bfs_tree(succ, left)
+    before_right = graph.bfs_tree(graph.reverse(succ), right)
+    keep = {order[v] for v in after_left if v in before_right}
     return NamedAutomaton(A.q, A.arity, frozenset(keep),
                           frozenset((s, l, t) for s, l, t in A.edges
                                     if s in keep and t in keep),
@@ -1306,7 +1305,7 @@ def pair_synthesize(f: LocalRule,
     q, m = f.q, verdict.m
     n = 3 * m
     N = q ** n // len(listing)
-    g = to_radius_form(_radius_form(f)[0], m)
+    g = to_radius_form(minimize_neighborhood(f), m)
     table: list[int | None] = [None] * q ** (n + 1)
     for av, bw in listing:
         v, b, w = av[1:], bw[0], bw[1:]

@@ -418,6 +418,18 @@ def test_decompose_positive_offset(capsys, tmp_path):
     assert report["shift_offset"] == 1
 
 
+def test_decompose_failed_self_check_is_internal(capsys, monkeypatch,
+                                                 tmp_path):
+    monkeypatch.setattr("casweep.cli.verify_decomposition",
+                        lambda *args, **kwargs: False)
+    out_dir = tmp_path / "stages"
+    code, report, err = run(capsys, "decompose", data_file("xor_left"),
+                            str(out_dir))
+    assert code == 4 and report is None
+    assert err.splitlines()[-1].startswith("internal error: IntegrityError")
+    assert not out_dir.exists()
+
+
 def test_decompose_rejects_non_biclosing(capsys, tmp_path):
     out_dir = tmp_path / "stages"
     code, report, _ = run(capsys, "decompose", data_file("and_rule"),
@@ -896,6 +908,42 @@ def test_wrong_rule_kind(capsys):
     assert "not a block rule" in err
 
 
+# (command, input file, field, bad value, message): each field the
+# loaders check by value rather than by type
+BAD_VALUES = [
+    ("analyze", "ca102", "width", 0, "width must be at least 1"),
+    ("mealy", "swap", "block_length", 0, "block length must be at least 1"),
+    ("analyze", "ca102", None, [1, 2], "expected a JSON object"),
+]
+
+
+@pytest.mark.parametrize("command,name,key,bad,message", BAD_VALUES,
+                         ids=[f"{c}-{k}" for c, _, k, _, _ in BAD_VALUES])
+def test_loaders_refuse_bad_values(capsys, tmp_path, command, name, key, bad,
+                                   message):
+    obj = json.loads(Path(data_file(name)).read_text())
+    if key is None:
+        obj = bad
+    else:
+        obj[key] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, report, err = run(capsys, command, str(path))
+    assert code == 2 and report is None
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["dump"], "dump requires --out"),
+    (["member", "--input", "y.json"], "member requires --input and --output"),
+], ids=["dump", "member"])
+def test_automata_actions_need_their_files(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["automata", argv[0], data_file("swap"), *argv[1:]])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def _raise_unexpected(*args, **kwargs):
     raise ZeroDivisionError("unexpected")
 
@@ -1048,13 +1096,16 @@ def test_internal_errors_exit_4(capsys, monkeypatch, tmp_path, name,
     assert not out.exists()
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "casweep", "analyze", data_file("ca102")],
-        capture_output=True, text=True, env=package_env())
-    assert proc.returncode == 0
-    report = json.loads(proc.stdout)
-    assert report["schema"] == "casweep-report-v1"
+def test_module_entry_point(capsys):
+    # `python -m casweep` prints exactly what main prints
+    argv = ["closing", data_file("ca102")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "casweep", *argv],
+                          capture_output=True, text=True, env=package_env())
+    assert code == proc.returncode == 0
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    assert json.loads(proc.stdout)["schema"] == "casweep-report-v1"
 
 
 BAD_COUNTS = [

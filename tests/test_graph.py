@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from casweep.graph import (bfs_tree, reachable, recurrent, reverse,
-                           shortest_cycle, strong_components, walk_to_root)
+from casweep.graph import (bfs_tree, recurrent, reverse, shortest_cycle,
+                           strong_components, walk_to_root)
 from oracles import lasso_free, recurrent_meeting_all
 
 
@@ -72,11 +72,11 @@ def test_cycle_nodes_and_reachability(succ):
         == [v for v in range(n) if reach[v][v]]
     rng = random.Random(n)
     seeds = rng.sample(range(n), min(n, 3))
-    forward = reachable(succ, seeds)
-    backward = reachable(reverse(succ), seeds)
+    forward = bfs_tree(succ, seeds)
+    backward = bfs_tree(reverse(succ), seeds)
     for w in range(n):
-        assert forward[w] == any(s == w or reach[s][w] for s in seeds)
-        assert backward[w] == any(s == w or reach[w][s] for s in seeds)
+        assert (w in forward) == any(s == w or reach[s][w] for s in seeds)
+        assert (w in backward) == any(s == w or reach[w][s] for s in seeds)
 
 
 @pytest.mark.parametrize("succ", GRAPHS)
@@ -155,15 +155,14 @@ def test_long_chain_does_not_recurse():
     comp = strong_components(succ)
     assert len(set(comp)) == n
     assert recurrent(succ, comp) == []
-    assert all(reachable(succ, [0]))
-    assert sum(reachable(reverse(succ), [n // 2])) == n // 2 + 1
+    assert len(bfs_tree(succ, [0])) == n
+    assert len(bfs_tree(reverse(succ), [n // 2])) == n // 2 + 1
 
 
 def test_empty_graph():
     assert strong_components([]) == []
     assert recurrent([], strong_components([])) == []
     assert reverse([]) == []
-    assert reachable([], []) == bytearray()
     assert recurrent([], []) == []
     assert lasso_free([], [], [])
     assert bfs_tree([], []) == {}

@@ -9,11 +9,12 @@ from casweep.core import EpConfig, ep_equal, random_ep_config
 from casweep.ca import (LocalRule, apply_ep, builtin_rule, mirror,
                         shift_compose, shift_rule)
 from casweep.blockrule import BlockRule, identity_block
-from casweep.closing import left_closing_decide, right_closing_decide
+from casweep.closing import (NotClosingError, left_closing_decide,
+                             right_closing_decide)
 from casweep.stairs import lambda_value, slider_exists
 from casweep.synthesis import synthesize
 from casweep.hierarchy import (Decomposition, DirectedSlider, Direction,
-                               DivergentSweepError, NotBiClosingError,
+                               DivergentSweepError,
                                decompose_biclosing, verify_decomposition)
 from oracles import compose
 
@@ -66,7 +67,7 @@ def test_positive_offset_stages_realize_the_shift_split():
 
 
 def test_not_biclosing_is_rejected_with_witness():
-    with pytest.raises(NotBiClosingError) as info:
+    with pytest.raises(NotClosingError) as info:
         decompose_biclosing(builtin_rule("and_rule"))
     v = info.value.verdict
     assert not v.closed and v.witness is not None

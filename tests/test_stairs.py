@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 from casweep.ca import LocalRule, builtin_rule, shift_compose
-from casweep.closing import left_closing_decide
+from casweep.closing import NotClosingError, left_closing_decide
 from casweep.core import (IntegrityError, ResourceCapError, all_words,
                           random_ep_config, word_index)
-from casweep.stairs import (NotLeftClosingError, enumerate_stairs,
-                            lambda_value, slider_exists)
+from casweep.stairs import enumerate_stairs, lambda_value, slider_exists
 from oracles import is_stair, stairs_connecting
 
 # hand-counted at m=2: free cells times forced cells, see each rule's window
@@ -109,7 +108,7 @@ def test_lambda_self_check_is_capped_before_it_scans():
 
 
 def test_lambda_requires_left_closing():
-    with pytest.raises(NotLeftClosingError) as info:
+    with pytest.raises(NotClosingError) as info:
         lambda_value(builtin_rule("and_rule"))
     assert info.value.verdict.witness is not None
 

@@ -19,8 +19,15 @@ the window as a fixed map, the crossing map w -> `_sweep_cells`(rule, w,
 word)[1].  `_crossings` iterates it until a window repeats, which is the
 one cycle search of the package: the right limit sweep runs it on the
 right period rotated to the phase at which the sweep enters the tail, and
-`mealy.sweeper_eval`'s anchors going left run it on rotations of the left
-period.
+the sweeper limits run it on rotations of the left period.
+
+Sweeper limits are the accumulation points of sweeps from anchors pushed
+further and further left.  The windows arriving at any reference position
+from far-away anchors are the eventual cycle of the crossing map, and each
+cycle element extends to one accumulation configuration, decided by the
+window it carries to the m cells just left of the center: `_left_parts`
+runs the cycle searches on the left tail, `_sweep_right` on the right one,
+and `sweeper_eval` assembles the limits.
 
 Right-to-left sweeps are reduced to left-to-right ones by reversing both the
 tape and the rule, so there is exactly one sweep engine.  A rule derives its
@@ -41,14 +48,12 @@ the rule, the period word and where the sweep enters it:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 
-from .core import (EpConfig, all_words, check_alphabet, check_range,
-                   check_table_size, json_int, normal_form, word_index,
-                   word_of_index)
+from .core import (EpConfig, all_words, bundled_json, check_alphabet,
+                   check_range, check_table_size, ep_equal, ep_to_json,
+                   json_int, normal_form, word_index, word_of_index)
 
 
 @dataclass(frozen=True)
@@ -244,7 +249,7 @@ def _sweep_right(rule: BlockRule, x: EpConfig, i: int,
 
 
 def _left_parts(rule: BlockRule, x: EpConfig) -> list[tuple]:
-    """The limits `mealy.sweeper_eval` builds, up to the sweep from base =
+    """The limits `sweeper_eval` builds, up to the sweep from base =
     center_start - m: one (d, left tail, cells finalized from sp = base - d
     to base, arrival window at base) per distinct arrival window, residues
     d ascending, cycle order at sp.
@@ -278,6 +283,78 @@ def _left_parts(rule: BlockRule, x: EpConfig) -> list[tuple]:
             parts.append((d, tuple(left), tuple(outs), arrival))
     rule._left_sweeps[x.left_period] = parts
     return parts
+
+
+@dataclass(frozen=True)
+class SweepOutcome:
+    """Limit of anchored sweeps: one configuration, or two accumulation
+    points when the anchors do not settle."""
+
+    limit: EpConfig
+    second: EpConfig | None = None
+
+    @property
+    def converges(self) -> bool:
+        return self.second is None
+
+    def __bool__(self) -> bool:
+        return self.converges
+
+    def to_json(self) -> dict:
+        if self.converges:
+            return {"converges": True, "limit": ep_to_json(self.limit)}
+        return {"converges": False,
+                "limits": [ep_to_json(self.limit), ep_to_json(self.second)]}
+
+
+def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
+    """All accumulation points of chi swept from anchors going left.
+
+    For each anchor residue modulo the left period, the sweep window
+    crossing one period copy follows a fixed self-map; its eventual cycle
+    lists the windows seen from arbitrarily far anchors.  Every cycle
+    element yields one accumulation configuration: cycling backward writes
+    a periodic left tail, sweeping forward across the center settles into
+    the right tail.
+
+    Only the limits that can differ are built.  Let base = center_start -
+    m and sp = base - d for a residue d.  The cells y[sp+m, base+m) lie in
+    the left tail, so the sweep T_d from sp to base, which shifts them in,
+    satisfies T_d F_sp = F_base T_d for the period-crossing maps at sp and
+    at base (both sides sweep one period copy and d cells through the same
+    periodic cells).  A cycle element e at sp therefore arrives at base as
+    the window W = T_d(e) on a cycle of F_base, and the limit from e has the
+    cells of the limit from W at base: from base on the sweep out of W,
+    left of base the outputs of W's predecessors on its cycle.  So limits
+    with the same arrival window W are `ep_equal`, bijective rule or not,
+    and one limit is built per W.  The loop keeps the order of building
+    every limit (residues ascending, cycle order at sp) and returns at the
+    first limit not `ep_equal` to the first.  Every skipped limit equals
+    one built before it, and so the first, so this is the limit that
+    building all of them and comparing would report.
+
+    Everything before the sweep from base reads cells at fixed offsets
+    below center_start, which all lie in the left tail: the window at sp,
+    the period copy each crossing shifts in and the cells from sp to base.
+    So the cycles, the left segments, the cells finalized from sp to base
+    and the arrival windows depend on the left-period word alone, and
+    `_left_parts` computes them once per word and rule.  The proof and the
+    loop order are those above; each limit is the sweep from base out of W,
+    after the cells finalized from sp to base, which are the cells of the
+    sweep from sp.
+    """
+    if chi.q != y.q:
+        raise ValueError("alphabet mismatch")
+    base = y.center_start - chi.block_length
+    first = None
+    for d, left, to_base, arrival in _left_parts(chi, y):
+        cells, period = _sweep_right(chi, y, base, arrival)
+        z = normal_form(y.q, left, to_base + cells, base - d, period)
+        if first is None:
+            first = z
+        elif not ep_equal(first, z):
+            return SweepOutcome(first, z)
+    return SweepOutcome(first)
 
 
 def sweep_left_limit(rule: BlockRule, x: EpConfig, i: int) -> EpConfig:
@@ -319,8 +396,5 @@ BUILTIN_BLOCK_RULES = ("swap", "xor_block", "identity_block", "not_closed")
 
 def builtin_block_rule(name: str) -> BlockRule:
     """Load one of the bundled block rules by name."""
-    if name not in BUILTIN_BLOCK_RULES:
-        raise ValueError(f"unknown built-in block rule {name!r}; "
-                         f"choose from {', '.join(BUILTIN_BLOCK_RULES)}")
-    text = resources.files("casweep.data").joinpath(f"{name}.json").read_text()
-    return BlockRule.from_json(json.loads(text))
+    return BlockRule.from_json(
+        bundled_json(name, BUILTIN_BLOCK_RULES, "block rule"))

@@ -11,12 +11,10 @@ running examples used throughout the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 
-from .core import (EpConfig, all_words, check_alphabet, check_range,
-                   check_table_size, json_int, word_index)
+from .core import (EpConfig, all_words, bundled_json, check_alphabet,
+                   check_range, check_table_size, json_int, word_index)
 
 
 @dataclass(frozen=True)
@@ -162,8 +160,4 @@ BUILTIN_RULES = ("identity", "shift", "shift_inv", "ca102", "xor_left",
 
 def builtin_rule(name: str) -> LocalRule:
     """Load one of the bundled local rules by name."""
-    if name not in BUILTIN_RULES:
-        raise ValueError(f"unknown built-in rule {name!r}; "
-                         f"choose from {', '.join(BUILTIN_RULES)}")
-    text = resources.files("casweep.data").joinpath(f"{name}.json").read_text()
-    return LocalRule.from_json(json.loads(text))
+    return LocalRule.from_json(bundled_json(name, BUILTIN_RULES, "rule"))

@@ -22,7 +22,8 @@ import os
 import sys
 import traceback
 
-from .blockrule import BlockRule, representation_eval, sweep_range
+from .blockrule import (BlockRule, representation_eval, sweep_range,
+                        sweeper_eval)
 from .ca import LocalRule, apply_ep
 from .closing import NotClosingError, left_closing_decide, right_closing_decide
 from .core import (
@@ -40,8 +41,7 @@ from .core import (
     vp,
 )
 from .hierarchy import decompose_biclosing, verify_decomposition
-from .mealy import (check_good_states_cap, good_states, mealy_from_block,
-                    sweeper_eval)
+from .mealy import check_good_states_cap, good_states, mealy_from_block
 from .stairs import MAX_STAIR_BOUND, check_stair_cap, slider_exists
 from .synthesis import synthesis_manifest, synthesize, verify_slider
 from .zautomata import (
@@ -98,11 +98,15 @@ def load_config(path: str) -> EpConfig:
     return _load(path, ep_from_json, "configuration")
 
 
+def _dumps(obj: dict) -> str:
+    """The one JSON form of reports and written files."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _write_json(path: str, obj: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(obj, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(_dumps(obj) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -292,7 +296,7 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[int, dict, str]:
             "rule": f.to_json(),
             "biclosing": False,
             "failing_side": exc.verdict.side,
-            "witness": [ep_to_json(c) for c in exc.verdict.witness],
+            "witness": exc.verdict.to_json()["witness"],
         }
         return 1, report, str(exc)
     if not verify_decomposition(decomposition, samples=args.samples,
@@ -524,8 +528,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("member requires --input and --output")
     try:
         code, report, summary = args.func(args)
-        print(json.dumps({"schema": SCHEMA, "command": args.command, **report},
-                         indent=2, sort_keys=True))
+        print(_dumps({"schema": SCHEMA, "command": args.command, **report}))
         print(summary, file=sys.stderr)
         return code
     except InputError as exc:

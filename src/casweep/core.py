@@ -14,10 +14,12 @@ Rational bookkeeping (densities and their p-adic valuations) is done with
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from itertools import product
 
 
@@ -341,6 +343,16 @@ def ep_from_json(obj: dict) -> EpConfig:
         raise ValueError(f"configuration file missing field {e}") from e
 
 
+def bundled_json(name: str, names: tuple[str, ...], kind: str) -> dict:
+    """The bundled data file of one of `names`, parsed; any other name is
+    refused as an unknown built-in `kind`."""
+    if name not in names:
+        raise ValueError(f"unknown built-in {kind} {name!r}; "
+                         f"choose from {', '.join(names)}")
+    text = resources.files("casweep.data").joinpath(f"{name}.json").read_text()
+    return json.loads(text)
+
+
 def random_ep_config(rng: random.Random, q: int, max_period: int = 3,
                      max_center: int = 4, span: int = 3) -> EpConfig:
     """Seeded random configuration for sampling-based checks."""
@@ -358,14 +370,7 @@ def random_ep_config(rng: random.Random, q: int, max_period: int = 3,
 # p-adic valuations of rationals
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and prime_factors(p) == [p]
 
 
 def prime_factors(n: int) -> list[int]:

@@ -15,12 +15,11 @@ from enum import Enum
 
 from .core import EpConfig, ep_equal, random_ep_config
 from .ca import LocalRule, apply_ep, shift_compose, shift_rule
-from .blockrule import BlockRule, identity_block
+from .blockrule import BlockRule, identity_block, sweeper_eval
 from .closing import (NotClosingError, left_closing_decide,
                       right_closing_decide)
 from .stairs import slider_exists
 from .synthesis import synthesize
-from .mealy import sweeper_eval
 
 
 class DivergentSweepError(ValueError):

@@ -1,20 +1,12 @@
-"""Sweeper limits via cycle analysis, and good states of block transducers.
+"""Good states of block transducers.
 
-Sweeping a block rule rightward from anchors pushed further and further left
-produces a sequence of configurations.  Its accumulation points are computed
-exactly for eventually periodic inputs: crossing one copy of the left period
-acts on the m-cell sweep window as a fixed map, the crossing map of
-`blockrule`, so the windows arriving at any reference position from
-far-away anchors are the eventual cycle of that map, and each cycle element
-extends to one accumulation configuration, decided by the window it carries
-to the m cells just left of the center.  `blockrule` runs the cycle
-searches on both tails and keeps their memos; `sweeper_eval` only
-assembles the limits.
-
-The block-level view of the same sweep is a Mealy automaton on Q = A = S^n;
-its good states are the ones arising at a fixed block boundary for
+The block-level view of a block rule's sweep is a Mealy automaton on Q = A
+= S^n; its good states are the ones arising at a fixed block boundary for
 infinitely many anchors of some left-infinite input.  They depend on the
-transitions alone, so the automaton keeps only its next-state table.
+transitions alone, so the automaton keeps only its next-state table.  The
+sweeper limits are computed in `blockrule`; `SweepOutcome` and
+`sweeper_eval` are imported here as well because the benchmark traces
+`mealy.sweeper_eval`.
 """
 
 from __future__ import annotations
@@ -24,9 +16,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import graph
-from .core import (MAX_AUTOMATON_STATES, EpConfig, check_cap,
-                   check_power_cap, ep_equal, ep_to_json, normal_form)
-from .blockrule import BlockRule, _left_parts, _sweep_right
+from .core import MAX_AUTOMATON_STATES, check_cap, check_power_cap
+from .blockrule import BlockRule, SweepOutcome, sweeper_eval
 
 
 @dataclass(frozen=True)
@@ -164,78 +155,3 @@ def _merges_on_cycle(rows, comp: list[int], K: list[int],
                 seen[w] = 1
                 stack.append(w)
     return False
-
-
-# ---------------------------------------------------------------------------
-# Sweeper evaluation
-
-@dataclass(frozen=True)
-class SweepOutcome:
-    """Limit of anchored sweeps: one configuration, or two accumulation
-    points when the anchors do not settle."""
-
-    limit: EpConfig
-    second: EpConfig | None = None
-
-    @property
-    def converges(self) -> bool:
-        return self.second is None
-
-    def __bool__(self) -> bool:
-        return self.converges
-
-    def to_json(self) -> dict:
-        if self.converges:
-            return {"converges": True, "limit": ep_to_json(self.limit)}
-        return {"converges": False,
-                "limits": [ep_to_json(self.limit), ep_to_json(self.second)]}
-
-
-def sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
-    """All accumulation points of chi swept from anchors going left.
-
-    For each anchor residue modulo the left period, the sweep window
-    crossing one period copy follows a fixed self-map; its eventual cycle
-    lists the windows seen from arbitrarily far anchors.  Every cycle
-    element yields one accumulation configuration: cycling backward writes
-    a periodic left tail, sweeping forward across the center settles into
-    the right tail.
-
-    Only the limits that can differ are built.  Let base = center_start -
-    m and sp = base - d for a residue d.  The cells y[sp+m, base+m) lie in
-    the left tail, so the sweep T_d from sp to base, which shifts them in,
-    satisfies T_d F_sp = F_base T_d for the period-crossing maps at sp and
-    at base (both sides sweep one period copy and d cells through the same
-    periodic cells).  A cycle element e at sp therefore arrives at base as
-    the window W = T_d(e) on a cycle of F_base, and the limit from e has the
-    cells of the limit from W at base: from base on the sweep out of W,
-    left of base the outputs of W's predecessors on its cycle.  So limits
-    with the same arrival window W are `ep_equal`, bijective rule or not,
-    and one limit is built per W.  The loop keeps the order of building
-    every limit (residues ascending, cycle order at sp) and returns at the
-    first limit not `ep_equal` to the first.  Every skipped limit equals
-    one built before it, and so the first, so this is the limit that
-    building all of them and comparing would report.
-
-    Everything before the sweep from base reads cells at fixed offsets
-    below center_start, which all lie in the left tail: the window at sp,
-    the period copy each crossing shifts in and the cells from sp to base.
-    So the cycles, the left segments, the cells finalized from sp to base
-    and the arrival windows depend on the left-period word alone, and
-    `blockrule._left_parts` computes them once per word and rule.  The
-    proof and the loop order are those above; each limit is the sweep from
-    base out of W, after the cells finalized from sp to base, which are the
-    cells of the sweep from sp.
-    """
-    if chi.q != y.q:
-        raise ValueError("alphabet mismatch")
-    base = y.center_start - chi.block_length
-    first = None
-    for d, left, to_base, arrival in _left_parts(chi, y):
-        cells, period = _sweep_right(chi, y, base, arrival)
-        z = normal_form(y.q, left, to_base + cells, base - d, period)
-        if first is None:
-            first = z
-        elif not ep_equal(first, z):
-            return SweepOutcome(first, z)
-    return SweepOutcome(first)

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (IntegrityError, all_words, check_power_cap, ep_to_json,
+from .core import (IntegrityError, all_words, check_power_cap,
                    prime_factors, vp, word_of_index)
-from .ca import LocalRule
-from .closing import (ClosingVerdict, NotClosingError, _radius_form,
-                      left_closing_decide)
+from .ca import LocalRule, minimize_neighborhood, to_radius_form
+from .closing import ClosingVerdict, NotClosingError, left_closing_decide
 
 # Default cap on the q^(4m) stair codes one enumeration may produce: the
 # bundled base-six rule needs 6^8 at m = 2.
@@ -58,13 +57,16 @@ def enumerate_stairs(f: LocalRule, m: int,
     """Exact stair set of length 3m.
 
     Scans all q^(3m+r) assignments of the cells the image window can see,
-    packing each resulting (v, w) pair into its code.
+    packing each resulting (v, w) pair into its code; r = max(radius, 1) of
+    the minimized rule, whose q^(2r+1)-entry table is built only after the
+    stair cap is checked.
     """
-    g, r = _radius_form(f)
+    g = minimize_neighborhood(f)
+    r = max(g.radius, 1)
     if m < r:
         raise ValueError(f"stair parameter m={m} below rule radius {r}")
-    q, table = g.q, g.table
-    check_stair_cap(q, m, cap)
+    check_stair_cap(g.q, m, cap)
+    q, table = g.q, to_radius_form(g, r).table
     width = 2 * r + 1
     mod = q ** (width - 1)
     two_m = 2 * m
@@ -130,8 +132,7 @@ class SliderVerdict:
     def to_json(self) -> dict:
         if not self.left_closing:
             return {"slider_exists": False, "left_closing": False,
-                    "witness": [ep_to_json(c)
-                                for c in self.left_closing.witness]}
+                    "witness": self.left_closing.to_json()["witness"]}
         return {"psi_cardinality": self.psi_cardinality,
                 "m": self.m,
                 "lambda": {"num": self.lam.numerator,

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from .core import IntegrityError, ep_equal, random_ep_config
 from .ca import LocalRule, apply_ep, minimize_neighborhood, to_radius_form
-from .blockrule import BlockRule, representation_eval
-from .mealy import sweeper_eval
+from .blockrule import BlockRule, representation_eval, sweeper_eval
 from .stairs import SliderVerdict, StairSet, slider_exists
 
 

@@ -909,26 +909,37 @@ def test_wrong_rule_kind(capsys):
 
 
 # (command, input file, field, bad value, message): each field the
-# loaders check by value rather than by type
+# loaders check by value rather than by type, and fields they require,
+# dropped as MISSING; `sweep` reads the swap rule and a configuration
+MISSING = object()
 BAD_VALUES = [
     ("analyze", "ca102", "width", 0, "width must be at least 1"),
     ("mealy", "swap", "block_length", 0, "block length must be at least 1"),
     ("analyze", "ca102", None, [1, 2], "expected a JSON object"),
+    ("analyze", "ca102", "width", MISSING,
+     "local rule file missing field 'width'"),
+    ("sweep", None, "center", MISSING,
+     "configuration file missing field 'center'"),
 ]
 
 
 @pytest.mark.parametrize("command,name,key,bad,message", BAD_VALUES,
-                         ids=[f"{c}-{k}" for c, _, k, _, _ in BAD_VALUES])
+                         ids=[f"{c}-{k}" + ("-missing" if b is MISSING else "")
+                              for c, _, k, b, _ in BAD_VALUES])
 def test_loaders_refuse_bad_values(capsys, tmp_path, command, name, key, bad,
                                    message):
-    obj = json.loads(Path(data_file(name)).read_text())
+    obj = (json.loads(Path(data_file(name)).read_text()) if name
+           else ep_to_json(IMPULSE))
     if key is None:
         obj = bad
+    elif bad is MISSING:
+        del obj[key]
     else:
         obj[key] = bad
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
-    code, report, err = run(capsys, command, str(path))
+    block = [data_file("swap")] if command == "sweep" else []
+    code, report, err = run(capsys, command, *block, str(path))
     assert code == 2 and report is None
     assert err.startswith("error:") and message in err
 

@@ -5,6 +5,8 @@ walks the syntax trees of the package modules (not `__init__.py`, whose
 re-exports call nothing) and lists each function, method and class whose
 name no module reads, as a plain name or as an attribute.  Matching is by
 name alone, so a definition sharing its name with a used one passes.
+It also checks that no package module imports another one's private,
+underscore-prefixed names.
 """
 
 import ast
@@ -61,6 +63,24 @@ def test_every_definition_has_a_caller():
     # an extra name on the left has no caller: delete it or move it to the
     # oracles; one on the right has gained a caller: drop it from ALLOWED
     assert _unreferenced() == set(ALLOWED)
+
+
+def _private_imports() -> set[str]:
+    """'module: name' for each underscore name a package module imports
+    from another package module."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("casweep")):
+                found |= {f"{path.stem}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")}
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a helper another module needs is public, or moves next to its caller
+    assert _private_imports() == set()
 
 
 def test_traced_exemptions_are_traced():

@@ -8,14 +8,27 @@ from fractions import Fraction
 
 import pytest
 
-from casweep.blockrule import BlockRule, builtin_block_rule, sweep_range
-from casweep.ca import builtin_rule
+from casweep.blockrule import (BlockRule, builtin_block_rule, sweep_range,
+                               sweep_right_limit)
+from casweep.ca import apply_ep, builtin_rule, refine, to_radius_form
 from casweep.core import (EpConfig, ep_unzip, ep_zip, prime_factors, vp,
                           word_of_index)
 from casweep.mealy import MealyAutomaton, sweeper_eval
 from casweep.stairs import enumerate_stairs
+from casweep.synthesis import verify_slider
+from casweep.zautomata import ZAutomaton, intersect, is_slider_rule_for
 
 ZEROS = EpConfig(2, (0,), (), 0, (0,))
+TERNARY = EpConfig(3, (0,), (), 0, (0,))
+SWAP = builtin_block_rule("swap")
+CA102 = builtin_rule("ca102")
+SIX = builtin_rule("sigma2_x_sigma3inv")
+
+
+def no_words(q: int) -> ZAutomaton:
+    return ZAutomaton(q, 1, range(1), ((),), (), ())
+
+
 GUARDS = [
     # radius 1: stairs need m >= 1
     ("stairs-below-radius", lambda: enumerate_stairs(builtin_rule("ca102"), 0),
@@ -36,6 +49,25 @@ GUARDS = [
     ("unknown-rule", lambda: builtin_rule("nope"), "unknown built-in rule"),
     ("unknown-block-rule", lambda: builtin_block_rule("nope"),
      "unknown built-in block rule"),
+    ("sweep-range-alphabets", lambda: sweep_range(SWAP, TERNARY, 0, 1),
+     "alphabet mismatch"),
+    ("sweep-right-limit-alphabets",
+     lambda: sweep_right_limit(SWAP, TERNARY, 0), "alphabet mismatch"),
+    ("apply-ep-alphabets", lambda: apply_ep(CA102, TERNARY),
+     "alphabet mismatch"),
+    ("verify-slider-alphabets", lambda: verify_slider(SWAP, SIX),
+     "alphabet mismatch"),
+    ("slider-check-alphabets", lambda: is_slider_rule_for(SWAP, SIX),
+     "alphabet mismatch"),
+    ("intersect-alphabets", lambda: intersect(no_words(2), no_words(3)),
+     "alphabet mismatch"),
+    ("refine-narrower", lambda: refine(CA102, 0, 1),
+     "must contain the current neighborhood"),
+    ("radius-form-below", lambda: to_radius_form(CA102, 0),
+     "radius 0 below the rule's natural radius 1"),
+    ("local-rule-window", lambda: CA102((0, 1, 0)),
+     "window length 3, expected 2"),
+    ("block-rule-window", lambda: SWAP((0,)), "block length 1, expected 2"),
 ]
 
 

@@ -89,6 +89,19 @@ def test_enumeration_cap_of_a_huge_length_names_the_power():
     assert time.perf_counter() - start < 1.0
 
 
+def test_enumeration_checks_its_cap_before_the_radius_form(monkeypatch):
+    # (x0 + x3) mod 4 has radius 3: its pair graph would need 4^14 edge
+    # tests, over the closing cap, but the stairs meet their own cap first
+    f = LocalRule(4, 0, 4, tuple((w[0] + w[3]) % 4 for w in all_words(4, 4)))
+
+    def built(*args, **kwargs):
+        pytest.fail("radius form built before the stair cap was checked")
+
+    monkeypatch.setattr("casweep.stairs.to_radius_form", built)
+    with pytest.raises(ResourceCapError, match=r"^stair bound 4\^16: "):
+        enumerate_stairs(f, 4)
+
+
 def test_lambda_values():
     assert lambda_value(builtin_rule("xor_left")) == 2
     assert lambda_value(builtin_rule("ca102")) == 1

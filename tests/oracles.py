@@ -16,12 +16,13 @@ from importlib import resources
 from casweep import graph
 from casweep.blockrule import (BlockRule, _sweep_cells, _sweep_right,
                                representation_eval, reverse_block)
-from casweep.ca import (BUILTIN_RULES, LocalRule, minimize_neighborhood,
-                        refine, to_radius_form)
+from casweep.ca import (BUILTIN_RULES, LocalRule, apply_ep,
+                        minimize_neighborhood, refine, to_radius_form)
 from casweep.closing import _radius_form
 from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
                           all_words, check_cap, ep_equal, random_ep_config,
                           word_index, word_of_index)
+from casweep.hierarchy import Decomposition, DivergentSweepError
 from casweep.mealy import MealyAutomaton, SweepOutcome, sweeper_eval
 from casweep.stairs import SliderVerdict, slider_exists
 from casweep.synthesis import NotSliderError, VerifyResult
@@ -1331,7 +1332,8 @@ def two_pass_verify(chi: BlockRule, f: LocalRule, samples: int = 100,
                     seed: int = 0) -> VerifyResult:
     """The sampled check as two loops over the same seeded draws: the
     slider loop stops at the first counterexample, the agreement loop at
-    the first draw where the slider and sweeper sides answer differently."""
+    the first draw where the slider and sweeper sides answer differently.
+    Every draw is evaluated afresh; no verdict is reused."""
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")
     if not chi.is_bijective():
@@ -1359,3 +1361,21 @@ def two_pass_verify(chi: BlockRule, f: LocalRule, samples: int = 100,
             agree = False
             break
     return VerifyResult(found.ok, found.samples, found.counterexample, agree)
+
+
+def every_draw_verify_decomposition(d: Decomposition, samples: int = 100,
+                                    seed: int = 0) -> bool:
+    """The sampled decomposition check with every draw evaluated afresh,
+    repeated draws included."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        y = random_ep_config(rng, d.claimed_ca.q)
+        v = y
+        try:
+            for stage in d.stages:
+                v = stage(v)
+        except DivergentSweepError:
+            return False
+        if not ep_equal(v, apply_ep(d.claimed_ca, y)):
+            return False
+    return True

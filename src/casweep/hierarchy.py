@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import EpConfig, ep_equal, random_ep_config
+from .core import EpConfig, ep_equal, random_ep_config, translation_class
 from .ca import LocalRule, apply_ep, shift_compose, shift_rule
 from .blockrule import BlockRule, identity_block, sweeper_eval
 from .closing import (NotClosingError, left_closing_decide,
@@ -101,18 +101,28 @@ def verify_decomposition(d: Decomposition, samples: int = 100,
     A stage whose sweeps diverge on a draw is a negative answer; any other
     error, such as stages over another alphabet, propagates.
 
-    A draw whose normal form already passed is skipped: the normal form
-    has the draw's cells, and the stages and the claimed automaton read a
-    draw only through cell-level results compared with `ep_equal`, so the
-    skipped draw passes too.  Only the passed normal forms are kept, at
-    most one per distinct draw.  Every draw is still taken from the seeded
-    generator, so `samples` counts draws.
+    A draw whose translation class already passed is skipped: its key
+    under `translation_class` is that of a draw that passed, so it is that
+    draw moved by some t cells (x_t[j] = x[j - t]).  Every stage commutes
+    with that move.  A left-to-right stage is `sweeper_eval`, whose limits
+    for x_t are those for x moved by t, with the same convergence (the
+    proof is in `synthesis.verify_slider`).  A right-to-left stage
+    reverses the tape, sweeps and reverses back; reversal turns a move by
+    t into a move by -t and back, so the stage commutes too, and it
+    diverges on x_t exactly when it does on x.  The claimed automaton
+    commutes by `apply_ep`, and the verdict compares cells with
+    `ep_equal`, so the skipped draw passes too.  Only the passed keys are
+    kept, at most one per distinct draw.  Every draw is still taken from
+    the seeded generator, so `samples` counts draws, and it must be at
+    least 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
-    passed: set[EpConfig] = set()
+    passed: set[tuple] = set()
     for _ in range(samples):
         y = random_ep_config(rng, d.claimed_ca.q)
-        key = y.normalize()
+        key = translation_class(y)[0]
         if key in passed:
             continue
         v = y

@@ -24,7 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import EpConfig, IntegrityError, ep_equal, random_ep_config
+from .core import (IntegrityError, ep_equal, random_ep_config,
+                   translation_class)
 from .ca import LocalRule, apply_ep, minimize_neighborhood, to_radius_form
 from .blockrule import BlockRule, representation_eval, sweeper_eval
 from .stairs import SliderVerdict, StairSet, slider_exists
@@ -115,33 +116,56 @@ def verify_slider(chi: BlockRule, f: LocalRule, samples: int = 100,
     (`sweeper_eval`) converge to f(x) on exactly the same draws?  Stops
     once it holds both a counterexample and a disagreement.
 
-    Draws repeat (about 1,240 normal forms among 3,000 draws at q = 2), so
-    each verdict is computed once and reused: the slider verdict per
-    (x.normalize(), i), the sweeper verdict per x.normalize().  The reuse
-    is exact.  The normal form has the cells of x, and each verdict reads
-    x only through cell-level results compared with `ep_equal`, so draws
-    with one key get one verdict.  Only the booleans are kept: a key's
-    first draw is never a reuse, so the counterexample is the (x, i, y, z)
-    of the first failing draw as drawn, and an error raises there.  The
-    memos hold at most one entry per distinct draw.  Every draw is still
-    taken from the seeded generator, so `samples` counts draws.
+    Draws repeat up to translation (416-429 translation classes among
+    3,000 draws at q = 2), so each verdict is computed once per class and
+    reused: the sweeper verdict per key K of `translation_class`, the
+    slider verdict per (K, i - s), where s is the start that
+    `translation_class` returns.  Write x_t for x moved t cells to the
+    right, x_t[j] = x[j - t].  The reuse is exact:
+
+    - Equal keys mean translates (`translation_class`): two draws with key
+      K and starts s, s' have the cells of x and x_t with t = s' - s, and
+      i - s = i' - s' means i' = i + t.
+    - `apply_ep` commutes with translation: output cell j of f reads the
+      cells of x at fixed offsets from j, so f(x_t) = f(x)_t.
+    - Sweeps commute with translation: applying chi at position p of x_t
+      rewrites the cells that applying it at p - t of x rewrites, moved by
+      t.  So the sweep of x_t from anchor a is the sweep of x from a - t,
+      moved by t, and so is each limit of such sweeps.  Hence
+      representation_eval(chi, x_t, i + t) = (y_t, z_t).  The anchors of
+      `sweeper_eval` run over all positions going left, so its
+      accumulation points for x_t are those for x, moved by t: it
+      converges on both or on neither, to limits moved by t.
+    - Verdicts are cell-level: the slider verdict is ep_equal(z, f(y)) and
+      the sweeper verdict is convergence and ep_equal(limit, f(x)).  Both
+      read x only through its cells, and moving both sides of `ep_equal`
+      by t keeps its answer.
+
+    So draws with one key (and one relative anchor) get one verdict.  Only
+    the booleans are kept: a key's first draw is never a reuse, so the
+    counterexample is the (x, i, y, z) of the first failing draw as drawn,
+    and an error raises there.  The memos hold at most one entry per
+    distinct draw.  Every draw is still taken from the seeded generator,
+    so `samples` counts draws, and it must be at least 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")
     if not chi.is_bijective():
         raise ValueError("candidate block rule is not bijective")
     rng = random.Random(seed)
     counterexample, tried, agree = None, samples, True
-    slider_seen: dict[tuple[EpConfig, int], bool] = {}
-    sweeper_seen: dict[EpConfig, bool] = {}
+    slider_seen: dict[tuple[tuple, int], bool] = {}
+    sweeper_seen: dict[tuple, bool] = {}
     for trial in range(samples):
         x = random_ep_config(rng, chi.q)
         i = rng.randrange(-3, 4)
-        key = x.normalize()
-        slider_ok = slider_seen.get((key, i))
+        key, s = translation_class(x)
+        slider_ok = slider_seen.get((key, i - s))
         if slider_ok is None:
             y, z = representation_eval(chi, x, i)
-            slider_ok = slider_seen[key, i] = ep_equal(z, apply_ep(f, y))
+            slider_ok = slider_seen[key, i - s] = ep_equal(z, apply_ep(f, y))
             if not slider_ok and counterexample is None:
                 counterexample, tried = (x, i, y, z), trial + 1
         if agree:

@@ -13,6 +13,8 @@ from casweep.blockrule import (BlockRule, builtin_block_rule, sweep_range,
 from casweep.ca import apply_ep, builtin_rule, refine, to_radius_form
 from casweep.core import (EpConfig, ep_unzip, ep_zip, prime_factors, vp,
                           word_of_index)
+from casweep.hierarchy import (Decomposition, DirectedSlider, Direction,
+                               verify_decomposition)
 from casweep.mealy import MealyAutomaton, sweeper_eval
 from casweep.stairs import enumerate_stairs
 from casweep.synthesis import verify_slider
@@ -57,6 +59,14 @@ GUARDS = [
      "alphabet mismatch"),
     ("verify-slider-alphabets", lambda: verify_slider(SWAP, SIX),
      "alphabet mismatch"),
+    # a check of no draw would read as "verified"
+    ("verify-slider-samples",
+     lambda: verify_slider(SWAP, CA102, samples=-2),
+     "samples must be at least 1"),
+    ("verify-decomposition-samples",
+     lambda: verify_decomposition(Decomposition(
+         (DirectedSlider(SWAP, Direction.LEFT_TO_RIGHT),), CA102), samples=0),
+     "samples must be at least 1"),
     ("slider-check-alphabets", lambda: is_slider_rule_for(SWAP, SIX),
      "alphabet mismatch"),
     ("intersect-alphabets", lambda: intersect(no_words(2), no_words(3)),

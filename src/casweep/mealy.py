@@ -4,9 +4,8 @@ The block-level view of a block rule's sweep is a Mealy automaton on Q = A
 = S^n; its good states are the ones arising at a fixed block boundary for
 infinitely many anchors of some left-infinite input.  They depend on the
 transitions alone, so the automaton keeps only its next-state table.  The
-sweeper limits are computed in `blockrule`; `SweepOutcome` and
-`sweeper_eval` are imported here as well because the benchmark traces
-`mealy.sweeper_eval`.
+sweeper limits are computed in `blockrule`; `sweeper_eval` is imported
+here as well because the benchmark traces `mealy.sweeper_eval`.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from itertools import chain
 
 from . import graph
 from .core import MAX_AUTOMATON_STATES, check_cap, check_power_cap
-from .blockrule import BlockRule, SweepOutcome, sweeper_eval
+from .blockrule import BlockRule, sweeper_eval
 
 
 @dataclass(frozen=True)

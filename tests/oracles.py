@@ -14,21 +14,18 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from casweep import graph
-from casweep.blockrule import (BlockRule, _sweep_cells, _sweep_right,
-                               representation_eval, reverse_block)
+from casweep.blockrule import (BlockRule, SweepOutcome, representation_eval,
+                               reverse_block, sweeper_eval)
 from casweep.ca import (BUILTIN_RULES, LocalRule, apply_ep,
                         minimize_neighborhood, refine, to_radius_form)
-from casweep.closing import _radius_form
 from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
                           all_words, check_cap, ep_equal, random_ep_config,
                           word_index, word_of_index)
 from casweep.hierarchy import Decomposition, DivergentSweepError
-from casweep.mealy import MealyAutomaton, SweepOutcome, sweeper_eval
+from casweep.mealy import MealyAutomaton
 from casweep.stairs import SliderVerdict, slider_exists
 from casweep.synthesis import NotSliderError, VerifyResult
-from casweep.zautomata import (ZAutomaton, _left_recurrent, _marks,
-                               _product, graph_mismatch_automaton,
-                               slider_relation_automaton)
+from casweep.zautomata import ZAutomaton
 
 
 def cell_window(x: EpConfig, lo: int, hi: int) -> tuple[int, ...]:
@@ -157,10 +154,17 @@ def builtin_rule_metadata(name: str) -> dict:
     return json.loads(text)
 
 
+def radius_form(f: LocalRule) -> tuple[LocalRule, int]:
+    """f minimized and refined to [-r, r], r = max(radius, 1), and r."""
+    g = minimize_neighborhood(f)
+    r = max(g.radius, 1)
+    return to_radius_form(g, r), r
+
+
 def is_stair(f: LocalRule, m: int, v: tuple[int, ...],
              w: tuple[int, ...]) -> bool:
     """Does some configuration carry v on [m, 3m) and image w on [0, 2m)?"""
-    g, r = _radius_form(f)
+    g, r = radius_form(f)
     if m < r:
         raise ValueError(f"stair parameter m={m} below rule radius {r}")
     if len(v) != 2 * m or len(w) != 2 * m:
@@ -188,7 +192,7 @@ def stairs_connecting(f: LocalRule, m: int, y: EpConfig,
     leftward run, decided per stair by a window DP that must end in a cycle
     of the periodic zone.
     """
-    g, r = _radius_form(f)
+    g, r = radius_form(f)
     if m < r:
         raise ValueError(f"stair parameter m={m} below rule radius {r}")
     if y.q != g.q or z.q != g.q:
@@ -286,7 +290,7 @@ def scan_strong_radius(f: LocalRule, m: int) -> set[str]:
     otherwise the reasons found over all buckets: "existence" for a b with
     no a, "uniqueness" for a b with several.
     """
-    g, r = _radius_form(f)
+    g, r = radius_form(f)
     if m < 2 * r:
         return {"m_below_2r"}
     q, table = g.q, g.table
@@ -487,118 +491,33 @@ def recurrent_meeting_all(succ, comp: list[int], marked_sets) -> set[int]:
     return nodes
 
 
+def full_product(A: ZAutomaton, B: ZAutomaton) -> list[list[int]]:
+    """Successor lists of the product of A and B on every pair, labels
+    dropped: node a |B| + b steps to ta |B| + tb for each edge (label, ta)
+    of A out of a and each edge (label, tb) of B out of b."""
+    nb = len(B.states)
+    by_label: list[dict[int, list[int]]] = [{} for _ in range(nb)]
+    for sb, out in enumerate(B.succ):
+        for label, tb in out:
+            by_label[sb].setdefault(label, []).append(tb)
+    return [[ta * nb + tb for label, ta in A.succ[sa]
+             for tb in by_label[sb].get(label, ())]
+            for sa in range(len(A.states)) for sb in range(nb)]
+
+
 def disjoint_by_full_product(A: ZAutomaton, B: ZAutomaton) -> bool:
     """Reference emptiness of the product of A and B, built on every pair:
     node v is the pair (v // |B|, v % |B|)."""
     nb = len(B.states)
-    _, succ = _product(A, B, range(len(A.states) * nb))
+    succ = full_product(A, B)
     nodes = range(len(succ))
 
     def on(states, side):
         marked = set(states)
         return [v for v in nodes if divmod(v, nb)[side] in marked]
 
-    return lasso_free([[w for _, w in out] for out in succ],
-                      [on(A.initial, 0), on(B.initial, 1)],
+    return lasso_free(succ, [on(A.initial, 0), on(B.initial, 1)],
                       [on(A.final, 0), on(B.final, 1)])
-
-
-def _left_seeds(A: ZAutomaton, B: ZAutomaton) -> list[int]:
-    """Codes of product pairs from which every left-recurrent pair is
-    reachable; B should be the small side.
-
-    Each left-recurrent state a of A starts a run with the set of all
-    left-recurrent states of B.  Along an edge (label, a2) of A inside its
-    left-recurrent states, the set becomes the label-successors of its
-    states inside B's.  A run whose set shrinks to one state b yields the
-    seed (a2, b) and stops; after |B| steps each remaining run (a, S)
-    yields (a, b) for every b in S.  Runs are kept as (a, bit mask of S).
-
-    A left-recurrent product pair has an infinite past of pairs that are
-    left-recurrent on both sides, and the set of a run along the last
-    labels of that past always holds the past's state of B, so some seed
-    lies on the past and reaches the pair.
-    """
-    nb = len(B.states)
-    left_a, left_b = _left_recurrent(A), _left_recurrent(B)
-    in_a, in_b = _marks(len(A.states), left_a), _marks(nb, left_b)
-    after: list[dict[int, int]] = [{} for _ in range(nb)]
-    for sb in left_b:
-        for label, tb in B.succ[sb]:
-            if in_b[tb]:
-                after[sb][label] = after[sb].get(label, 0) | 1 << tb
-    steps: dict[tuple[int, int], int] = {}
-
-    def step(S: int, label: int) -> int:
-        key = (S, label)
-        if key not in steps:
-            T = 0
-            for sb in _bits(S):
-                T |= after[sb].get(label, 0)
-            steps[key] = T
-        return steps[key]
-
-    seeds = []
-    runs = dict.fromkeys((sa, sum(1 << sb for sb in left_b)) for sa in left_a)
-    for _ in range(nb):
-        ahead: dict[tuple[int, int], None] = {}
-        for sa, S in runs:
-            for label, ta in A.succ[sa]:
-                if in_a[ta]:
-                    T = step(S, label)
-                    if T & (T - 1):
-                        ahead[ta, T] = None
-                    elif T:
-                        seeds.append(ta * nb + T.bit_length() - 1)
-        runs = ahead
-    seeds += [sa * nb + sb for sa, S in runs for sb in _bits(S)]
-    return seeds
-
-
-def _bits(S: int):
-    """The positions of the set bits of S, ascending."""
-    while S:
-        low = S & -S
-        yield low.bit_length() - 1
-        S ^= low
-
-
-def _disjoint(A: ZAutomaton, B: ZAutomaton, max_states: int | None = None,
-              what: str = "product nodes") -> bool:
-    """Do L(A) and L(B) share no word?  Emptiness of their product, built
-    only from `_left_seeds`; B should be the small side.  The seeded
-    reference behind `slider_check_by_disjoint`, checked against
-    `disjoint_by_full_product`.
-
-    Every left-recurrent pair is reachable from a seed, and the part built
-    is closed under successors, so its strong components are the whole
-    product's and the emptiness test on it is exact.  The pairs are counted
-    against max_states as they are built (`_product`).
-    """
-    na, nb = len(A.states), len(B.states)
-    codes, succ = _product(A, B, _left_seeds(A, B), max_states, what)
-    # drop the labels list by list, so the two forms are never held whole
-    for v, out in enumerate(succ):
-        succ[v] = [w for _, w in out]
-
-    def on_a(states) -> list[int]:
-        marked = _marks(na, states)
-        return [v for v, code in enumerate(codes) if marked[code // nb]]
-
-    def on_b(states) -> list[int]:
-        marked = _marks(nb, states)
-        return [v for v, code in enumerate(codes) if marked[code % nb]]
-
-    return lasso_free(succ, [on_a(A.initial), on_b(B.initial)],
-                      [on_a(A.final), on_b(B.final)])
-
-
-def slider_check_by_disjoint(chi: BlockRule, f: LocalRule) -> bool:
-    """The exact check composed as the generic emptiness test: the product
-    of the slider and the mismatch automaton built from `_left_seeds`,
-    then the component search of `lasso_free` (`_disjoint`)."""
-    return _disjoint(slider_relation_automaton(chi, None),
-                     graph_mismatch_automaton(f, None))
 
 
 def pairs_with_initial_past(A: ZAutomaton, B: ZAutomaton) -> set[int]:
@@ -608,9 +527,8 @@ def pairs_with_initial_past(A: ZAutomaton, B: ZAutomaton) -> set[int]:
     nb = len(B.states)
     initial_a, initial_b = set(A.initial), set(B.initial)
     inside = {a * nb + b for a in initial_a for b in initial_b}
-    _, succ = _product(A, B, range(len(A.states) * nb))
-    cut = [[w for _, w in out if w in inside] if v in inside else []
-           for v, out in enumerate(succ)]
+    cut = [[w for w in out if w in inside] if v in inside else []
+           for v, out in enumerate(full_product(A, B))]
     cyclic = graph.recurrent(cut, graph.strong_components(cut))
     return inside & graph.bfs_tree(cut, cyclic).keys()
 
@@ -990,13 +908,6 @@ def is_empty(A: ZAutomaton) -> bool:
     return lasso_free(succ, [A.initial], [A.final])
 
 
-def named_is_empty(A: NamedAutomaton) -> bool:
-    """No bi-infinite path satisfies both recurrence obligations."""
-    _, index, succ = _numbered(A)
-    return lasso_free(succ, [[index[s] for s in A.initial]],
-                      [[index[s] for s in A.final]])
-
-
 def _labeled_path(A: NamedAutomaton, sources: set, targets: set):
     """Shortest edge-label word from any source to any target state."""
     succ = A.successors()
@@ -1172,13 +1083,15 @@ def tuple_representation_eval(rule: BlockRule, x: EpConfig,
             tuple_sweep_right_limit(rule, x, i))
 
 
-def tuple_sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
-    """All accumulation points of chi swept from anchors going left, with
-    orbit and cycle keyed by window tuples."""
+def tuple_anchored_limits(chi: BlockRule, y: EpConfig):
+    """(sp, window, limit) for every accumulation point of chi swept from
+    anchors going left: sp = center_start - m - d for d = 0, 1, ... below
+    the left period, and each window of the eventual cycle at sp in cycle
+    order, with its limit configuration, normalized.  Orbit and cycle are
+    keyed by window tuples."""
     m = chi.block_length
     P = len(y.left_period)
     base = y.center_start - m
-    limits: list[EpConfig] = []
     for d in range(P):
         sp = base - d
         start = cell_window(y, sp, sp + m)
@@ -1216,50 +1129,13 @@ def tuple_sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
             rper = len(piece.right_period)
             z = EpConfig(y.q, tuple(left), cell_window(piece, sp, hi), sp,
                          tuple(piece.cell(hi + t) for t in range(rper)))
-            limits.append(z.normalize())
-    first = limits[0]
-    for z in limits[1:]:
-        if not ep_equal(first, z):
-            return SweepOutcome(first, z)
-    return SweepOutcome(first)
+            yield sp, e, z.normalize()
 
 
-def anchored_limits(chi: BlockRule, y: EpConfig):
-    """(sp, e, limit) for every anchor residue and cycle window: sp =
-    center_start - m - d for d = 0, 1, ... below the left period, and each
-    window e of the eventual cycle at sp in cycle order, with the limit
-    configuration it extends to, normalized from anchor sp as
-    `sweeper_eval` normalizes it."""
-    m = chi.block_length
-    P = len(y.left_period)
-    base = y.center_start - m
-    for d in range(P):
-        sp = base - d
-        incoming = y.window(sp - P + m, sp + m)
-        crossing: dict[int, tuple[list[int], int]] = {}
-        window = word_index(y.window(sp, sp + m), chi.q)
-        while window not in crossing:
-            crossing[window] = _sweep_cells(chi, window, incoming)
-            window = crossing[window][1]
-        trail = list(crossing)
-        cycle = trail[trail.index(window):]
-        for e in cycle:
-            left = []
-            w = e
-            for _ in cycle:
-                seg, w = crossing[w]
-                left.extend(seg)
-            cells, period = _sweep_right(chi, y, sp, e)
-            yield sp, e, EpConfig(y.q, tuple(left), cells, sp,
-                                  period).normalize()
-
-
-def every_limit_sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
-    """`sweeper_eval` building every limit of `anchored_limits`, not one
-    per arrival window, and comparing each with the first."""
-    if chi.q != y.q:
-        raise ValueError("alphabet mismatch")
-    limits = [z for _, _, z in anchored_limits(chi, y)]
+def tuple_sweeper_eval(chi: BlockRule, y: EpConfig) -> SweepOutcome:
+    """Every limit of `tuple_anchored_limits`, compared with the first: the
+    first that differs is the second accumulation point."""
+    limits = [z for _, _, z in tuple_anchored_limits(chi, y)]
     first = limits[0]
     for z in limits[1:]:
         if not ep_equal(first, z):

@@ -14,13 +14,14 @@ from casweep.blockrule import (
     BlockRule,
     builtin_block_rule,
     representation_eval,
+    sweeper_eval,
 )
 from casweep.ca import apply_ep, builtin_rule, shift_rule
 from casweep.cli import main
 from casweep.closing import left_closing_decide
 from casweep.core import EpConfig, ep_equal, ep_zip, random_ep_config, vp
 from casweep.hierarchy import decompose_biclosing, verify_decomposition
-from casweep.mealy import good_states, mealy_from_block, sweeper_eval
+from casweep.mealy import good_states, mealy_from_block
 from casweep.stairs import enumerate_stairs, lambda_value, slider_exists
 from casweep.synthesis import synthesis_manifest, synthesize, verify_slider
 from casweep.zautomata import (

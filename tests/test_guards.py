@@ -9,13 +9,13 @@ from fractions import Fraction
 import pytest
 
 from casweep.blockrule import (BlockRule, builtin_block_rule, sweep_range,
-                               sweep_right_limit)
+                               sweep_right_limit, sweeper_eval)
 from casweep.ca import apply_ep, builtin_rule, refine, to_radius_form
 from casweep.core import (EpConfig, ep_unzip, ep_zip, prime_factors, vp,
                           word_of_index)
 from casweep.hierarchy import (Decomposition, DirectedSlider, Direction,
                                verify_decomposition)
-from casweep.mealy import MealyAutomaton, sweeper_eval
+from casweep.mealy import MealyAutomaton
 from casweep.stairs import enumerate_stairs
 from casweep.synthesis import verify_slider
 from casweep.zautomata import ZAutomaton, intersect, is_slider_rule_for

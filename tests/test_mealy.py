@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from casweep.blockrule import BlockRule, builtin_block_rule, identity_block
+from casweep.blockrule import (BlockRule, builtin_block_rule, identity_block,
+                               sweeper_eval)
 from casweep import graph
 from casweep.ca import apply_ep, builtin_rule
 from casweep.core import (EpConfig, ResourceCapError, all_words, ep_equal,
                           random_ep_config, word_index)
-from casweep.mealy import (MealyAutomaton, good_states, mealy_from_block,
-                           sweeper_eval)
+from casweep.mealy import MealyAutomaton, good_states, mealy_from_block
 from casweep.synthesis import synthesize, verify_slider
 from oracles import (good_states_by_probe_product,
                      good_states_by_transformations, mealy_delta,

@@ -6,13 +6,13 @@ import time
 
 import pytest
 
-from casweep.core import (EpConfig, IntegrityError, ResourceCapError, ep_zip,
-                          random_ep_config, word_index, word_of_index)
+from casweep.core import (EpConfig, IntegrityError, ResourceCapError, ep_equal,
+                          ep_zip, random_ep_config, word_index, word_of_index)
 from casweep.ca import (BUILTIN_RULES, LocalRule, builtin_rule, apply_ep,
                         minimize_neighborhood)
 from casweep.blockrule import (BUILTIN_BLOCK_RULES, BlockRule, identity_block,
-                               builtin_block_rule, representation_eval)
-from casweep.mealy import sweeper_eval
+                               builtin_block_rule, representation_eval,
+                               sweeper_eval)
 from casweep import zautomata
 from casweep.synthesis import synthesize
 from casweep.zautomata import (member, nonempty_witness,
@@ -20,14 +20,14 @@ from casweep.zautomata import (member, nonempty_witness,
                                slider_relation_automaton,
                                sweeper_relation_automaton,
                                graph_mismatch_automaton)
-from oracles import (NamedAutomaton, _disjoint, disjoint_by_full_product,
-                     ep_replace, flag_intersect, from_named, is_empty,
-                     mismatch_state_number, named_graph_mismatch_automaton,
-                     named_is_empty, named_nonempty_witness,
+from oracles import (NamedAutomaton, cellwise_apply_ep,
+                     disjoint_by_full_product, ep_replace, flag_intersect,
+                     from_named, is_empty, mismatch_state_number,
+                     named_graph_mismatch_automaton, named_nonempty_witness,
                      named_sweeper_relation_automaton, named_trim,
                      pairs_with_initial_past, period_member, project,
-                     renumbered, slider_check_by_disjoint,
-                     sweeper_state_number, whole_slider_automaton)
+                     renumbered, sweeper_state_number,
+                     whole_slider_automaton)
 
 SQUASH = BlockRule(2, 2, (0, 0, 3, 3))
 
@@ -285,9 +285,8 @@ def test_left_recurrent_slider_states_are_the_l_core(chi):
 def test_exact_check_builds_the_same_product(monkeypatch, block_name, ca_name,
                                              verdict, seeds, visited):
     """The seeds and the visited pairs of the block-7 checks the benchmark
-    runs.  A positive check visits every pair the seeds reach, the pairs
-    the product graph of `_disjoint` is built on; the negative one answers
-    before it visits a pair beyond its seeds."""
+    runs.  A positive check visits every pair the seeds reach; the
+    negative one answers before it visits a pair beyond its seeds."""
     chi = synthesize(builtin_rule(block_name))
     assert search_pairs(monkeypatch, chi, builtin_rule(ca_name)) \
         == (verdict, seeds, visited)
@@ -339,26 +338,40 @@ def cross_check_cases():
                    [LocalRule(q, 0, 1, perm)])
 
 
+def has_counterexample(chi: BlockRule, f: LocalRule, draws: int = 100) -> bool:
+    """Does one of `draws` seeded draws (x, i) represent a pair (y, z) of
+    chi with z != f(y)?  Such a draw shows that chi does not realize f."""
+    rng = random.Random(7)
+    for _ in range(draws):
+        x = random_ep_config(rng, chi.q)
+        y, z = representation_eval(chi, x, rng.randrange(-3, 4))
+        if not ep_equal(z, cellwise_apply_ep(f, y)):
+            return True
+    return False
+
+
 @pytest.mark.parametrize(
     "case", cross_check_cases(),
     ids=lambda case: f"q{case[0].q}m{case[0].block_length}")
 def test_exact_search_matches_the_product_emptiness_test(case):
-    """The search decides as the emptiness test of the full product and as
-    the `_disjoint` composition it replaces, and its seeds are exactly the
-    pairs with an infinite past in initial x initial, settled within
-    max(w-1, lag) + 1 rounds (`_left_recurrent_pairs` raises otherwise).
-    The full product and the seed oracle are built where they have at
-    most 50,000 pairs, which leaves out 14 of the 161 seeded pairs."""
+    """Where the full product has at most 50,000 pairs, the search decides
+    as its emptiness test, and its seeds are exactly the pairs with an
+    infinite past in initial x initial, settled within max(w-1, lag) + 1
+    rounds (`_left_recurrent_pairs` raises otherwise).  The 14 of the 161
+    seeded pairs above that bound (q=3, block length 4-5) must be refused,
+    each with a seeded draw that represents a pair the local rule does not
+    map."""
     chi, rules, realized = case
     slider = slider_relation_automaton(chi)
     for f in rules:
         verdict = is_slider_rule_for(chi, f)
-        assert verdict is slider_check_by_disjoint(chi, f), f
         if realized is not None:
             assert verdict is (f in realized), f
         mismatch = graph_mismatch_automaton(f)
         if len(slider.states) * len(mismatch.states) > 50_000:
             assert chi.q == 3 and chi.block_length >= 4
+            assert verdict is False, f
+            assert has_counterexample(chi, f), f
             continue
         assert verdict is disjoint_by_full_product(slider, mismatch), f
         assert zautomata._left_recurrent_pairs(
@@ -665,7 +678,6 @@ def test_numbered_automata_match_named_oracles():
         assert {T.states[k] for k in T.initial} == O.initial
         assert {T.states[k] for k in T.final} == O.final
         assert T == O.numbered()  # trimming keeps the `repr` numbering
-        assert is_empty(A) == named_is_empty(N)
         w = nonempty_witness(A)
         assert w == named_nonempty_witness(N)
         assert (w is None) == is_empty(A)
@@ -699,48 +711,6 @@ def seeded_local_rules():
                     rng.randrange(q) for _ in range(q ** width)))
 
 
-def test_seeded_product_decides_as_the_full_product():
-    """The oracle `_disjoint` builds the product only from its
-    left-recurrent seeds; the product of every pair gives the same verdict,
-    on slider and mismatch automata and on arbitrary automata.  `member`,
-    which seeds its own product, answers as `period_member` on a witness of
-    each sweeper automaton and on mutations of it.  Pairs whose full
-    product has more than 50,000 nodes are skipped."""
-    verdicts = set()
-
-    def checked(A, B):
-        verdict = _disjoint(A, B)
-        assert verdict is disjoint_by_full_product(A, B)
-        verdicts.add(verdict)
-        return verdict
-
-    rng = random.Random(97)
-    rules = list(seeded_local_rules())
-    for chi in live_gate_rules():
-        live = slider_relation_automaton(chi)
-        for f in rng.sample([f for f in rules if f.q == chi.q], 3):
-            mismatch = graph_mismatch_automaton(f)
-            if len(live.states) * len(mismatch.states) <= 50_000:
-                checked(live, mismatch)
-    for name in ("identity", "shift", "ca102"):
-        f = builtin_rule(name)
-        live = slider_relation_automaton(synthesize(f))
-        assert checked(live, graph_mismatch_automaton(f))
-    for chi in seeded_block_rules():
-        A = sweeper_relation_automaton(chi)
-        if len(A.states) < 10_000:
-            w = nonempty_witness(A)
-            assert member(A, w) and period_member(A, w)
-            for _ in range(3):
-                x = mutate(w, rng.randrange(-3, 4), A.label_count)
-                assert member(A, x) is period_member(A, x)
-    for _ in range(60):
-        q = rng.randint(2, 4)
-        checked(random_named(rng, q).numbered(),
-                random_named(rng, q).numbered())
-    assert verdicts == {True, False}
-
-
 @pytest.mark.parametrize("chi", seeded_block_rules(),
                          ids=lambda chi: f"q{chi.q}m{chi.block_length}")
 def test_block_rule_builders_number_the_named_states(chi):
@@ -748,10 +718,18 @@ def test_block_rule_builders_number_the_named_states(chi):
     named = named_sweeper_relation_automaton(chi)
     assert sweeper == renumbered(
         named, lambda s: sweeper_state_number(chi, s))
-    # the sweeper numbering departs from the names' `repr` order at block
-    # length 3 and more; emptiness does not change, and each witness is
-    # accepted by both numberings
     if len(sweeper.states) < 10_000:
+        # `member`, which seeds its own product, answers as `period_member`
+        # on the witness and on mutations of it
+        rng = random.Random(97)
+        w = nonempty_witness(sweeper)
+        assert member(sweeper, w) and period_member(sweeper, w)
+        for _ in range(3):
+            x = mutate(w, rng.randrange(-3, 4), sweeper.label_count)
+            assert member(sweeper, x) is period_member(sweeper, x)
+        # the sweeper numbering departs from the names' `repr` order at
+        # block length 3 and more; emptiness does not change, and each
+        # witness is accepted by both numberings
         shift = graph_mismatch_automaton(
             LocalRule(chi.q, 0, 2, tuple(range(chi.q)) * chi.q))
         for A, B in ((sweeper, named),

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import traceback
@@ -37,6 +36,7 @@ from .core import (
     ep_to_json,
     ep_unzip,
     ep_zip,
+    ep_zip_layout,
     prime_factors,
     vp,
 )
@@ -399,12 +399,9 @@ def cmd_automata(args: argparse.Namespace) -> tuple[int, dict, str]:
             raise InputError("alphabet mismatch in zip")
         if y.q * z.q != auto.label_count:
             raise InputError("word alphabet does not match the label space")
-        # the cells of the zipped word, as `ep_zip` lays them out
-        check_cap(max(y.center_end, z.center_end)
-                  - min(y.center_start, z.center_start)
-                  + math.lcm(len(y.left_period), len(z.left_period))
-                  + math.lcm(len(y.right_period), len(z.right_period)),
-                  args.max_automaton_states, "member word cells")
+        cs, ce, lper, rper = ep_zip_layout(y, z)
+        check_cap(ce - cs + lper + rper, args.max_automaton_states,
+                  "member word cells")
         accepted = member(auto, ep_zip(y, z), args.max_automaton_states)
         base["member"] = accepted
         if accepted:

@@ -303,6 +303,16 @@ def ep_equal(x: EpConfig, y: EpConfig) -> bool:
     return x.window(lo - lper, hi + rper) == y.window(lo - lper, hi + rper)
 
 
+def ep_zip_layout(y: EpConfig, z: EpConfig) -> tuple[int, int, int, int]:
+    """Center start, center end, left and right period lengths of
+    `ep_zip`(y, z): the zipped center spans both centers, and each zipped
+    period is one least common period of the two on that side."""
+    return (min(y.center_start, z.center_start),
+            max(y.center_end, z.center_end),
+            math.lcm(len(y.left_period), len(z.left_period)),
+            math.lcm(len(y.right_period), len(z.right_period)))
+
+
 def ep_zip(y: EpConfig, z: EpConfig) -> EpConfig:
     """Pair two configurations into one over the product alphabet q*q.
 
@@ -313,10 +323,7 @@ def ep_zip(y: EpConfig, z: EpConfig) -> EpConfig:
     if y.q != z.q:
         raise ValueError("alphabet mismatch in zip")
     q = y.q
-    cs = min(y.center_start, z.center_start)
-    ce = max(y.center_end, z.center_end)
-    lper = math.lcm(len(y.left_period), len(z.left_period))
-    rper = math.lcm(len(y.right_period), len(z.right_period))
+    cs, ce, lper, rper = ep_zip_layout(y, z)
     cells = lambda lo, hi: tuple(
         y.cell(i) * q + z.cell(i) for i in range(lo, hi))
     return EpConfig(q * q, cells(cs - lper, cs), cells(cs, ce), cs,

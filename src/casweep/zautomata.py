@@ -199,8 +199,8 @@ def trim(A: ZAutomaton) -> ZAutomaton:
 # ---------------------------------------------------------------------------
 # Products
 
-def _product(A: ZAutomaton, B: ZAutomaton, seeds,
-             max_states: int | None = None, what: str = "product nodes"):
+def _product(A: ZAutomaton, B: ZAutomaton, seeds, max_states: int | None,
+             what: str):
     """Edge graph of the pairs of runs of A and B over the same labels,
     built only from the pairs the seeds reach.
 

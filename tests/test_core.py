@@ -7,9 +7,9 @@ import pytest
 
 from casweep.core import (EpConfig, ResourceCapError, all_words,
                           check_power_cap, check_table_size, ep_equal,
-                          ep_unzip, ep_zip, is_prime, normal_form,
-                          prime_factors, random_ep_config, vp, word_index,
-                          word_of_index)
+                          ep_unzip, ep_zip, ep_zip_layout, is_prime,
+                          normal_form, prime_factors, random_ep_config, vp,
+                          word_index, word_of_index)
 from oracles import cell_window, ep_replace, ep_splice, popping_normalize
 
 
@@ -242,6 +242,20 @@ def test_ep_zip_unzip():
     assert ep_equal(bb, b)
     for i in range(-6, 8):
         assert z.cell(i) == a.cell(i) * 2 + b.cell(i)
+
+
+def test_ep_zip_layout_counts_the_zipped_cells():
+    """The `automata member` cap counts ce - cs + lper + rper cells: the
+    left period, center and right period of the zipped word."""
+    rng = random.Random(235)
+    for _ in range(300):
+        y = random_ep_config(rng, 2, max_period=6, max_center=5, span=6)
+        z = random_ep_config(rng, 2, max_period=6, max_center=5, span=6)
+        cs, ce, lper, rper = ep_zip_layout(y, z)
+        w = ep_zip(y, z)
+        assert (w.center_start, w.center_end) == (cs, ce)
+        assert ce - cs + lper + rper == \
+            len(w.left_period) + len(w.center) + len(w.right_period)
 
 
 def test_random_ep_config_seeded():

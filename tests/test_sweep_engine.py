@@ -43,6 +43,29 @@ def non_bijective_rule(rng, q, m):
             return rule
 
 
+def rules(rng, q: int, m: int):
+    yield permutation_rule(rng, q, m)
+    yield non_bijective_rule(rng, q, m)
+
+
+def shared_tail_draws(rng, q: int, side: str, per_period: int):
+    """Seeded configurations in which three period words of each length
+    2-3 stand on the given side, each with `per_period` draws of the
+    center, its start and the other tail."""
+    for P in (2, 3):
+        for _ in range(3):
+            period = tuple(rng.randrange(q) for _ in range(P))
+            for _ in range(per_period):
+                x = random_ep_config(rng, q, max_period=4, max_center=5,
+                                     span=4)
+                if side == "left":
+                    yield EpConfig(q, period, x.center, x.center_start,
+                                   x.right_period)
+                else:
+                    yield EpConfig(q, x.left_period, x.center,
+                                   x.center_start, period)
+
+
 def check_forward(rule, x, i):
     assert ep_equal(sweep_right_limit(rule, x, i),
                     tuple_sweep_right_limit(rule, x, i))
@@ -77,6 +100,22 @@ def test_non_bijective_rules_match_tuple_engine(q, m):
         rule = non_bijective_rule(rng, q, m)
         for _ in range(10):
             check_forward(rule, random_ep_config(rng, q), rng.randrange(-5, 6))
+
+
+@pytest.mark.parametrize("q,m", SHAPES)
+def test_right_sweeps_enter_the_tail_at_every_phase(q, m):
+    """Anchors from m below the center to beyond it: past the center the
+    sweep enters the right tail at every phase of periods 2-3."""
+    rng = random.Random(800 * q + m)
+    for rule in rules(rng, q, m):
+        for x in shared_tail_draws(rng, q, "right", 8):
+            for i in range(x.center_start - m, x.center_end + 3):
+                assert ep_equal(sweep_right_limit(rule, x, i),
+                                tuple_sweep_right_limit(rule, x, i))
+                if rule.is_bijective():
+                    check_backward(rule, x, i)
+            assert sweeper_eval(rule, x).to_json() == \
+                tuple_sweeper_eval(rule, x).to_json()
 
 
 @pytest.mark.parametrize("q,m", SHAPES + [(4, 1), (4, 2), (4, 3), (2, 5),

@@ -115,14 +115,8 @@ def refine(f: LocalRule, anchor: int, width: int) -> LocalRule:
     return LocalRule(f.q, anchor, width, table)
 
 
-def to_radius_form(f: LocalRule, r: int | None = None) -> LocalRule:
-    """Refine to the symmetric neighborhood [-r, r].
-
-    Defaults to max(radius, 1); several closing-analysis constructions
-    require a positive radius even for width-1 rules.
-    """
-    if r is None:
-        r = max(f.radius, 1)
+def to_radius_form(f: LocalRule, r: int) -> LocalRule:
+    """Refine to the symmetric neighborhood [-r, r]."""
     if r < f.radius:
         raise ValueError(f"radius {r} below the rule's natural radius {f.radius}")
     return refine(f, -r, 2 * r + 1)

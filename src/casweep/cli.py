@@ -248,7 +248,10 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, dict, str]:
     lo = min(args.anchor - 2, x.center_start)
     hi = max(args.anchor + args.trace + chi.block_length + 2, x.center_end)
     rows = (args.trace + 1 if args.trace else 0) + (args.mode == "slider")
-    check_cap((hi - lo) * rows, SWEEP_CELLS_CAP, "sweep cells")
+    # sweeper_eval searches one cycle per residue of the left period P, each
+    # crossing at least one P-cell copy of it: P^2 cells at the least
+    sweeps = len(x.left_period) ** 2 if args.mode == "sweeper" else 0
+    check_cap((hi - lo) * rows + sweeps, SWEEP_CELLS_CAP, "sweep cells")
     report: dict = {
         "mode": args.mode,
         "anchor": args.anchor,

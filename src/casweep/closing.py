@@ -85,7 +85,9 @@ class NotClosingError(ValueError):
 
 def _radius_form(f: LocalRule) -> tuple[LocalRule, int]:
     """f refined to [-r, r], r = max(radius, 1) of its minimized form, and r;
-    the pair graph's cap is checked before that q^(2r+1)-entry table is built."""
+    the pair graph's cap is checked before that q^(2r+1)-entry table is built.
+    The radius is at least 1 even for a width-1 rule, because the closing
+    constructions require a positive radius."""
     g = minimize_neighborhood(f)
     r = max(g.radius, 1)
     check_power_cap(g.q, 4 * r + 2, MAX_WINDOWS, "pair graph edge tests")

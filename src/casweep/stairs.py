@@ -59,7 +59,8 @@ def enumerate_stairs(f: LocalRule, m: int,
     Scans all q^(3m+r) assignments of the cells the image window can see,
     packing each resulting (v, w) pair into its code; r = max(radius, 1) of
     the minimized rule, whose q^(2r+1)-entry table is built only after the
-    stair cap is checked.
+    stair cap is checked.  The radius is at least 1 even for a width-1 rule,
+    because the closing-analysis constructions require a positive radius.
     """
     g = minimize_neighborhood(f)
     r = max(g.radius, 1)

@@ -25,14 +25,14 @@ it is allocated; a synthesized q=3 rule of length 7 keeps 8,505 of
 the table: the L steps need no liveness test, since the L core is closed
 under them, and the bridge and R steps keep the live targets.
 
-One lockstep product, `_product`, pairs the runs of two automata over equal
-labels; it is the only product graph, and it builds only the pairs its
-seeds reach, counting them against a cap as it numbers them.  `intersect`
-seeds it with A's left-recurrent states paired with B's initial states, for
-a B whose initial states are entered only from initial states and whose
-final states lead only to final states, as the mismatch automaton's and a
-word's shifts automaton's do; no flag is needed.  `member` is the emptiness
-of the intersection with the word's shifts automaton, decided by
+One lockstep product, `intersect`, pairs the runs of two automata over
+equal labels; it is the only product graph, and it builds only the pairs
+reached from A's left-recurrent states paired with B's initial states,
+counting them against a cap as it numbers them.  It needs a B whose initial
+states are entered only from initial states and whose final states lead
+only to final states, as the mismatch automaton's and a word's shifts
+automaton's do; no flag is needed.  `member` is the emptiness of the
+intersection with the word's shifts automaton, decided by
 `nonempty_witness`, the one emptiness test.  The exact check
 `is_slider_rule_for` builds no product graph and runs no component search:
 the mismatch automaton's final state is absorbing and its pre-states are
@@ -40,6 +40,8 @@ fixed by the last few labels, so one forward search, from the L core
 paired with the pre-states its last labels fix to the first pair whose
 mismatch state is final, decides it (the proof is in `is_slider_rule_for`);
 the q=2 block-13 check of x0 xor x2 visits 86,016 of the 1,183,744 pairs.
+Both step the second automaton through one index, `_moves`, which lists
+each state's targets per label.
 Witness paths and cycles come from the shared path search in
 `casweep.graph`, which returns states; each step's label is read back as
 that of the first edge between its two states.
@@ -199,49 +201,6 @@ def trim(A: ZAutomaton) -> ZAutomaton:
 # ---------------------------------------------------------------------------
 # Products
 
-def _product(A: ZAutomaton, B: ZAutomaton, seeds, max_states: int | None,
-             what: str):
-    """Edge graph of the pairs of runs of A and B over the same labels,
-    built only from the pairs the seeds reach.
-
-    Pair (a, b) has the code a * |B| + b, and seeds lists codes.  Nodes are
-    numbered in the order they are found, the seeds first, so seeding every
-    code in ascending order numbers each pair by its code.  Returns the
-    code of each node and succ, where succ[v] lists the (label, node) edges
-    leaving node v in (label, a, b) order of their targets.  Nodes are
-    counted as they are numbered, and the first one over max_states raises
-    ResourceCapError naming `what`: the cap bounds the pairs built, not
-    |A| |B|.
-    """
-    if A.q != B.q or A.arity != B.arity:
-        raise ValueError("alphabet mismatch")
-    nb = len(B.states)
-    by_label: list[dict] = [{} for _ in range(nb)]
-    for sb, out in enumerate(B.succ):
-        for label, tb in out:
-            by_label[sb].setdefault(label, []).append(tb)
-    codes = list(dict.fromkeys(seeds))
-    check_cap(len(codes), max_states, what)
-    number = {code: v for v, code in enumerate(codes)}
-    succ: list[list[tuple[int, int]]] = []
-    for code in codes:  # the loop also visits what it appends
-        sa, sb = divmod(code, nb)
-        moves = by_label[sb]
-        out = []
-        for label, ta in A.succ[sa]:
-            for tb in moves.get(label, ()):
-                dst = ta * nb + tb
-                w = number.get(dst)
-                if w is None:
-                    w = number[dst] = len(codes)
-                    if w == max_states:  # the pair w is one too many
-                        check_cap(w + 1, max_states, what)
-                    codes.append(dst)
-                out.append((label, w))
-        succ.append(out)
-    return codes, succ
-
-
 def _left_recurrent(A: ZAutomaton) -> list[int]:
     """States with an infinite past through initial states: those of the
     components that hold a cycle and meet `initial`."""
@@ -256,21 +215,34 @@ def _marks(n: int, states) -> bytearray:
     return flags
 
 
+def _moves(A: ZAutomaton) -> list[list[tuple[int, ...]]]:
+    """The targets of each state of A, listed per label; the labels with no
+    edge share one empty tuple."""
+    moves = [[()] * A.label_count for _ in A.succ]
+    for row, out in zip(moves, A.succ):
+        for label, t in out:
+            row[label] += (t,)
+    return moves
+
+
 def intersect(A: ZAutomaton, B: ZAutomaton,
               max_states: int | None = MAX_AUTOMATON_STATES,
               what: str = "intersection product nodes") -> ZAutomaton:
     """Automaton for L(A) & L(B): the lockstep product of the runs of A and
     B over equal labels, for a B whose initial states are entered only from
     initial states and whose final states lead only to final states
-    (ValueError for any other B).
+    (ValueError for any other B, or for a B over other labels).
 
-    `_product` builds the pairs reached from the seeds (a, b), a a
-    left-recurrent state of A and b an initial state of B; their number is
+    Only the pairs reached from the seeds (a, b) are built, a a
+    left-recurrent state of A and b an initial state of B.  States are the
+    pairs (A's entry, B's entry), numbered in the order they are found, the
+    seeds first in (a, b) order, each pair once; a state's edges are listed
+    in (label, a, b) order of their targets.  The number of seeds is
     checked against max_states before they are listed, and every pair after
-    them as it is built.  States are the pairs (A's entry, B's entry),
-    numbered in the order they are found, seeds first; the initial states
-    are A.initial x B.initial and the final states A.final x B.final.  The
-    language is exactly L(A) & L(B):
+    them as it is numbered: the first one over max_states raises
+    ResourceCapError naming `what`, so the cap bounds the pairs built, not
+    |A| |B|.  The initial states are A.initial x B.initial and the final
+    states A.final x B.final.  The language is exactly L(A) & L(B):
 
     - *One set per side.*  Left of any visit to B.initial a path stays in
       B.initial, since only initial states enter initial states.  So a path
@@ -288,6 +260,8 @@ def intersect(A: ZAutomaton, B: ZAutomaton,
       under successors, holds the whole path.  So emptiness, witnesses and
       membership answer on it as on the whole product.
     """
+    if A.q != B.q or A.arity != B.arity:
+        raise ValueError("alphabet mismatch")
     nb = len(B.states)
     ib, fb = _marks(nb, B.initial), _marks(nb, B.final)
     if any(ib[t] > ib[s] or fb[s] > fb[t]
@@ -297,13 +271,31 @@ def intersect(A: ZAutomaton, B: ZAutomaton,
                          "only to final states")
     lefts = _left_recurrent(A)
     check_cap(len(lefts) * len(B.initial), max_states, what)
-    seeds = [a * nb + b for a in lefts for b in B.initial]
-    codes, succ = _product(A, B, seeds, max_states, what)
+    # pair (a, b) has the code a |B| + b
+    codes = list(dict.fromkeys(a * nb + b for a in lefts for b in B.initial))
+    number = {code: v for v, code in enumerate(codes)}
+    moves = _moves(B)
+    succ = []
+    for code in codes:  # the loop also visits what it appends
+        sa, sb = divmod(code, nb)
+        targets = moves[sb]
+        out = []
+        for label, ta in A.succ[sa]:
+            for tb in targets[label]:
+                dst = ta * nb + tb
+                w = number.get(dst)
+                if w is None:
+                    w = number[dst] = len(codes)
+                    if w == max_states:  # the pair w is one too many
+                        check_cap(w + 1, max_states, what)
+                    codes.append(dst)
+                out.append((label, w))
+        succ.append(tuple(out))
     ia, fa = _marks(len(A.states), A.initial), _marks(len(A.states), A.final)
     return ZAutomaton(
         A.q, A.arity,
         tuple((A.states[code // nb], B.states[code % nb]) for code in codes),
-        tuple(map(tuple, succ)),
+        tuple(succ),
         tuple(v for v, code in enumerate(codes)
               if ia[code // nb] and ib[code % nb]),
         tuple(v for v, code in enumerate(codes)
@@ -589,9 +581,10 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
       max(w-1, lag) labels read (w the width of f with its neighborhood
       minimized, lag the end of its window), so this settles after k
       rounds; a layer still moving one round later raises IntegrityError.
-    - *Walk.*  From the seeds, every lockstep edge is followed; the answer
-      is False at the first pair whose mismatch state is 0, the absorbing
-      final state, and True when the walk ends.
+    - *Walk.*  From the seeds, every lockstep edge is followed, the
+      mismatch moves read from the label index `_moves` that `intersect`
+      also steps by; the answer is False at the first pair whose mismatch
+      state is 0, the absorbing final state, and True when the walk ends.
 
     Why this is exact.  *Seeds:* the fixed point is exactly the set of
     left-recurrent pairs, those with an infinite past of pairs in initial
@@ -642,18 +635,14 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
                                  max(g.width - 1, g.anchor + g.width - 1),
                                  max_states, what)
     nb = len(mismatch.states)
-    # the targets of each mismatch state, listed per label
-    by_label = [[[] for _ in range(mismatch.label_count)] for _ in range(nb)]
-    for sb, out in enumerate(mismatch.succ):
-        for label, tb in out:
-            by_label[sb][label].append(tb)
+    moves = _moves(mismatch)
     cap = -1 if max_states is None else max_states
     stack = list(seen)
     while stack:
         sa, sb = divmod(stack.pop(), nb)
-        moves = by_label[sb]
+        targets = moves[sb]
         for label, ta in slider.succ[sa]:
-            for tb in moves[label]:
+            for tb in targets[label]:
                 if not tb:
                     return False
                 dst = ta * nb + tb

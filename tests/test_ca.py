@@ -133,12 +133,12 @@ def test_minimize_constant_rule():
 def test_radius_and_radius_form():
     f = builtin_rule("xor_left")
     assert f.radius == 1
-    g = to_radius_form(f)
+    g = to_radius_form(f, max(f.radius, 1))
     assert g.anchor == -1 and g.width == 3
     assert equal(f, g)
     sig = builtin_rule("shift")
     assert sig.radius == 1
-    assert to_radius_form(sig).width == 3
+    assert to_radius_form(sig, max(sig.radius, 1)).width == 3
 
 
 def test_product_rule_components():

@@ -278,7 +278,10 @@ FAR = str(10 ** 12)
     ([], EpConfig(2, (0,), (1,), 10 ** 12, (0,))),
     (["--trace", FAR], IMPULSE),
     (["--mode", "sweeper", "--anchor", "-5", "--trace", "3000"], IMPULSE),
-], ids=["anchor", "center", "trace", "sweeper-trace"])
+    # one cycle search per residue of a 6,400-cell left period, no trace
+    (["--mode", "sweeper"], EpConfig(
+        2, tuple(random.Random(7).choices(range(2), k=6400)), (), 0, (0,))),
+], ids=["anchor", "center", "trace", "sweeper-trace", "sweeper-left-period"])
 def test_sweep_cells_are_capped(capsys, tmp_path, extra, config):
     path = write_config(tmp_path / "x.json", config)
     start = time.perf_counter()

@@ -110,6 +110,12 @@ def _radius_cases(family):
                       for xm in range(4) for x0 in range(4) for x1 in range(4))
         for m in range(1, 4):
             yield "reversible q4w3", LocalRule(4, -1, 3, table), m
+    elif family == "q4w2":
+        # left-closing with strong radius 3, above 2r = 2: only the depth
+        # term D + r + 1 of `left_closing_decide` gives it
+        f = LocalRule(4, 0, 2, (3, 2, 1, 0, 0, 2, 1, 3, 2, 3, 1, 0, 3, 2, 1, 0))
+        for m in (2, 3):
+            yield "deep q4w2", f, m
     else:
         q, width, rules, ms = {"q3w3": (3, 3, 30, (2, 3)),
                                "q2w5": (2, 5, 10, (4, 5))}[family]
@@ -123,7 +129,7 @@ def _radius_cases(family):
 
 
 @pytest.mark.parametrize("family", ["eca", "bundled", "q3w3", "q2w5", "q3w2",
-                                    "q4w3"])
+                                    "q4w3", "q4w2"])
 def test_strong_radius_matches_window_scan(family):
     for label, f, m in _radius_cases(family):
         check = is_strong_left_closing_radius(f, m)

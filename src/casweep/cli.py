@@ -178,7 +178,7 @@ def cmd_synthesize(args: argparse.Namespace) -> tuple[int, dict, str]:
     if not is_slider_rule_for(chi, f, max_states=args.max_automaton_states):
         raise IntegrityError("synthesized rule failed its own exact check")
     payload = chi.to_json()
-    payload["manifest"] = synthesis_manifest(verdict.stairs)
+    payload["manifest"] = synthesis_manifest(f.q, verdict)
     _write_json(args.out, payload)
     report["block_length"] = chi.block_length
     report["self_check"] = "exact"

@@ -19,31 +19,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (IntegrityError, all_words, check_power_cap,
-                   prime_factors, vp, word_of_index)
+                   prime_factors, vp)
 from .ca import LocalRule, minimize_neighborhood, to_radius_form
 from .closing import ClosingVerdict, NotClosingError, left_closing_decide
 
 # Default cap on the q^(4m) stair codes one enumeration may produce: the
 # bundled base-six rule needs 6^8 at m = 2.
 MAX_STAIR_BOUND = 1 << 24
-
-
-@dataclass(frozen=True)
-class StairSet:
-    """The stair set of one length; the pair (v, w) is kept as the code
-    word_index(v + w) and decoded only on request."""
-
-    q: int
-    m: int
-    cardinality: int
-    lam: Fraction
-    codes: frozenset[int] = field(repr=False)
-
-    @property
-    def pairs(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
-        two_m = 2 * self.m
-        words = (word_of_index(c, 2 * two_m, self.q) for c in self.codes)
-        return frozenset((w[:two_m], w[two_m:]) for w in words)
 
 
 def check_stair_cap(q: int, m: int, cap: int | None) -> None:
@@ -53,8 +35,9 @@ def check_stair_cap(q: int, m: int, cap: int | None) -> None:
 
 
 def enumerate_stairs(f: LocalRule, m: int,
-                     cap: int = MAX_STAIR_BOUND) -> StairSet:
-    """Exact stair set of length 3m.
+                     cap: int = MAX_STAIR_BOUND) -> frozenset[int]:
+    """Exact stair set of length 3m, as the codes word_index(v + w) =
+    v * q^(2m) + w of its pairs (v, w) of 2m-words.
 
     Scans all q^(3m+r) assignments of the cells the image window can see,
     packing each resulting (v, w) pair into its code; r = max(radius, 1) of
@@ -89,34 +72,37 @@ def enumerate_stairs(f: LocalRule, m: int,
             yield v_idx * pack + w_idx
 
     # built straight from the generator: no second copy of a large set
-    found = frozenset(codes())
-    return StairSet(q, m, len(found), Fraction(len(found), q ** (3 * m)), found)
+    return frozenset(codes())
 
 
 def lambda_value(f: LocalRule) -> Fraction:
     """The invariant lambda of a left-closing rule.
 
-    Read from `slider_exists` and recomputed at the next radius as a
-    stability self-check; a mismatch means a bug in this library, not a
-    property of the rule.  The self-check enumerates q^(4m+4) stair codes
-    under the default cap, so it raises ResourceCapError on some rules whose
-    lambda `slider_exists` reads: on the bundled base-six rule it needs
-    6^12, where `slider_exists` reads 3/2 from 6^8.
+    Read from `slider_exists` and checked at the next radius: lambda is
+    stable across strong radii iff |Psi_{3m+3}| = q^3 |Psi_{3m}|, and a
+    mismatch means a bug in this library, not a property of the rule.  The
+    self-check enumerates q^(4m+4) stair codes under the default cap, so it
+    raises ResourceCapError on some rules whose lambda `slider_exists`
+    reads: on the bundled base-six rule it needs 6^12, where
+    `slider_exists` reads 3/2 from 6^8.
     """
     verdict = slider_exists(f)
     if not verdict.left_closing:
         raise NotClosingError(verdict.left_closing)
-    second = enumerate_stairs(f, verdict.m + 1)
-    if verdict.lam != second.lam:
-        raise IntegrityError(f"lambda not stable across radii: {verdict.lam} "
-                             f"at m = {verdict.m}, {second.lam} at m + 1")
+    second = len(enumerate_stairs(f, verdict.m + 1))
+    if second != f.q ** 3 * verdict.psi_cardinality:
+        raise IntegrityError(
+            f"lambda not stable across radii: {verdict.psi_cardinality} "
+            f"stairs at m = {verdict.m}, {second} at m + 1")
     return verdict.lam
 
 
 @dataclass(frozen=True)
 class SliderVerdict:
-    """The analysis of one rule, which every later step reads; the stairs
-    and the shift offset are None when the rule is not left-closing."""
+    """The analysis of one rule, which every later step reads: at the
+    smallest strong radius m, |Psi_{3m}|, lambda and the stair codes of
+    `enumerate_stairs`.  These and the shift offset are None when the rule
+    is not left-closing."""
 
     exists: bool
     left_closing: ClosingVerdict
@@ -124,7 +110,7 @@ class SliderVerdict:
     psi_cardinality: int | None
     lam: Fraction | None
     violating_primes: tuple[int, ...]
-    stairs: StairSet | None
+    stairs: frozenset[int] | None = field(repr=False)
     shift_offset: int | None
 
     def __bool__(self) -> bool:
@@ -157,14 +143,15 @@ def slider_exists(f: LocalRule, cap: int = MAX_STAIR_BOUND,
     verdict = left_closing_decide(f) if left is None else left
     if not verdict:
         return SliderVerdict(False, verdict, None, None, None, (), None, None)
-    stairs = enumerate_stairs(f, verdict.strong_radius, cap=cap)
-    bad = tuple(prime_factors(stairs.lam.numerator))
+    m = verdict.strong_radius
+    codes = enumerate_stairs(f, m, cap=cap)
+    lam = Fraction(len(codes), f.q ** (3 * m))
+    bad = tuple(prime_factors(lam.numerator))
     k = 0
     for p in bad:
         vq = vp(Fraction(f.q), p)
         if vq == 0:
             raise IntegrityError(
                 f"prime {p} divides the stair count but not the alphabet")
-        k = max(k, -(-vp(stairs.lam, p) // vq))
-    return SliderVerdict(not bad, verdict, stairs.m, stairs.cardinality,
-                         stairs.lam, bad, stairs, k)
+        k = max(k, -(-vp(lam, p) // vq))
+    return SliderVerdict(not bad, verdict, m, len(codes), lam, bad, codes, k)

@@ -12,7 +12,7 @@ so each application consumes the next input cell c on the right and emits the
 finished output cell b on the left, keeping a stair of partially rewritten
 cells in between.
 
-It works on stair codes (`stairs.StairSet`): (v, w) is word_index(v + w) =
+It works on stair codes (`SliderVerdict.stairs`): (v, w) is word_index(v + w) =
 v * q^(2m) + w.  As v and w both have length 2m, ascending codes list the
 pairs lexicographically, which is pi's listing: the stair at position k
 names the words k*N .. k*N + N - 1.  The code of (vc, wd) is arithmetic on
@@ -28,7 +28,7 @@ from .core import (IntegrityError, ep_equal, random_ep_config,
                    translation_class)
 from .ca import LocalRule, apply_ep, minimize_neighborhood, to_radius_form
 from .blockrule import BlockRule, representation_eval, sweeper_eval
-from .stairs import SliderVerdict, StairSet, slider_exists
+from .stairs import SliderVerdict, slider_exists
 
 
 class NotSliderError(ValueError):
@@ -44,11 +44,10 @@ class NotSliderError(ValueError):
         self.verdict = verdict
 
 
-def synthesis_manifest(stairs: StairSet) -> dict:
+def synthesis_manifest(q: int, verdict: SliderVerdict) -> dict:
     """How the rule synthesized from a slider's stairs numbers its words."""
-    n = 3 * stairs.m
-    return {"n": n, "N": stairs.q ** n // stairs.cardinality,
-            "psi": stairs.cardinality, "pi": "lex-interleave-v1"}
+    n, psi = 3 * verdict.m, verdict.psi_cardinality
+    return {"n": n, "N": q ** n // psi, "psi": psi, "pi": "lex-interleave-v1"}
 
 
 def stair_index(f: LocalRule,
@@ -58,7 +57,7 @@ def stair_index(f: LocalRule,
     verdict = slider_exists(f) if verdict is None else verdict
     if not verdict:
         raise NotSliderError(verdict)
-    return tuple(sorted(verdict.stairs.codes))
+    return tuple(sorted(verdict.stairs))
 
 
 def synthesize(f: LocalRule,

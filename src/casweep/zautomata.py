@@ -12,8 +12,8 @@ image" relation is itself directly recognizable.
 States are the numbers 0..n-1, each a mixed-radix code computed by its
 builder (the state's kind, then the `word_index` of its parts; the slider
 builder and `trim` keep a subset of the codes in order, `intersect` numbers
-its pairs in the order its search finds them), with successors sorted by
-(label, target), so dumps, `==` and witnesses are reproducible.
+its pair codes a |B| + b as its search finds them), with successors sorted
+by (label, target), so dumps, `==` and witnesses are reproducible.
 
 The slider automaton of a block rule of length m numbers m q^(2m-2)
 states, but `slider_relation_automaton` builds only the live ones, for the
@@ -68,10 +68,10 @@ class ZAutomaton:
 
     `states` has one entry per state: the sweeper and mismatch builders use
     range(n), the slider builder the codes of its live states; `trim`
-    carries over the entries of the states it keeps, and `intersect` pairs
-    those of its two sides; `succ[k]` lists the (label, target) edges
-    leaving state k, sorted; `initial` and `final` are ascending state
-    numbers.
+    carries over the entries of the states it keeps, and `intersect` lists
+    the pair code a |B| + b of A's state a and B's state b; `succ[k]` lists
+    the (label, target) edges leaving state k, sorted; `initial` and
+    `final` are ascending state numbers.
     """
 
     q: int
@@ -235,8 +235,8 @@ def intersect(A: ZAutomaton, B: ZAutomaton,
 
     Only the pairs reached from the seeds (a, b) are built, a a
     left-recurrent state of A and b an initial state of B.  States are the
-    pairs (A's entry, B's entry), numbered in the order they are found, the
-    seeds first in (a, b) order, each pair once; a state's edges are listed
+    pair codes a |B| + b, numbered in the order they are found, the seeds
+    first in (a, b) order, each pair once; a state's edges are listed
     in (label, a, b) order of their targets.  The number of seeds is
     checked against max_states before they are listed, and every pair after
     them as it is numbered: the first one over max_states raises
@@ -294,7 +294,7 @@ def intersect(A: ZAutomaton, B: ZAutomaton,
     ia, fa = _marks(len(A.states), A.initial), _marks(len(A.states), A.final)
     return ZAutomaton(
         A.q, A.arity,
-        tuple((A.states[code // nb], B.states[code % nb]) for code in codes),
+        tuple(codes),
         tuple(succ),
         tuple(v for v, code in enumerate(codes)
               if ia[code // nb] and ib[code % nb]),

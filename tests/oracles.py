@@ -23,7 +23,7 @@ from casweep.core import (EpConfig, IntegrityError, ResourceCapError,
                           word_index, word_of_index)
 from casweep.hierarchy import Decomposition, DivergentSweepError
 from casweep.mealy import MealyAutomaton
-from casweep.stairs import SliderVerdict, slider_exists
+from casweep.stairs import SliderVerdict, enumerate_stairs, slider_exists
 from casweep.synthesis import NotSliderError, VerifyResult
 from casweep.zautomata import ZAutomaton
 
@@ -159,6 +159,13 @@ def radius_form(f: LocalRule) -> tuple[LocalRule, int]:
     g = minimize_neighborhood(f)
     r = max(g.radius, 1)
     return to_radius_form(g, r), r
+
+
+def stair_pairs(f: LocalRule, m: int) -> frozenset:
+    """The stairs of length 3m as (v, w) pairs: `enumerate_stairs`' codes
+    word_index(v + w) decoded."""
+    words = (word_of_index(c, 4 * m, f.q) for c in enumerate_stairs(f, m))
+    return frozenset((w[:2 * m], w[2 * m:]) for w in words)
 
 
 def is_stair(f: LocalRule, m: int, v: tuple[int, ...],
@@ -1177,7 +1184,7 @@ def pair_synthesize(f: LocalRule,
     if not verdict:
         raise NotSliderError(verdict)
     # v and w have equal lengths, so this sorts by v + w
-    listing = sorted(verdict.stairs.pairs)
+    listing = sorted(stair_pairs(f, verdict.m))
     index = {pair: i for i, pair in enumerate(listing)}
     q, m = f.q, verdict.m
     n = 3 * m

@@ -1096,17 +1096,18 @@ def test_fractional_alphabet_is_not_truncated(capsys, tmp_path):
     assert code == 2 and "2.7" in err
 
 
-@pytest.mark.parametrize("name,replacement", [
-    ("is_slider_rule_for", lambda *args, **kwargs: False),
-    ("slider_exists", _raise_unexpected),
+@pytest.mark.parametrize("name,replacement,message", [
+    ("is_slider_rule_for", lambda *args, **kwargs: False,
+     "IntegrityError: synthesized rule failed its own exact check"),
+    ("slider_exists", _raise_unexpected, "ZeroDivisionError: unexpected"),
 ], ids=["failed-self-check", "unexpected-exception"])
 def test_internal_errors_exit_4(capsys, monkeypatch, tmp_path, name,
-                                replacement):
+                                replacement, message):
     monkeypatch.setattr(f"casweep.cli.{name}", replacement)
     out = tmp_path / "chi.json"
     code, report, err = run(capsys, "synthesize", data_file("shift"), str(out))
     assert code == 4 and report is None
-    assert err.splitlines()[-1].startswith("internal error:")
+    assert err.splitlines()[-1] == f"internal error: {message}"
     assert not out.exists()
 
 

@@ -30,8 +30,6 @@ ALLOWED = {
     "lambda_value": "the README quick start computes lambda with it",
     "is_strong_left_closing_radius": TRACED,
     "trim": TRACED,
-    "StairSet.pairs": "the documented decode of the stair codes into (v, w) "
-                      "word pairs",
 }
 
 

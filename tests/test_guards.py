@@ -18,7 +18,7 @@ from casweep.hierarchy import (Decomposition, DirectedSlider, Direction,
 from casweep.mealy import MealyAutomaton
 from casweep.stairs import enumerate_stairs
 from casweep.synthesis import verify_slider
-from casweep.zautomata import ZAutomaton, intersect, is_slider_rule_for
+from casweep.zautomata import ZAutomaton, intersect, is_slider_rule_for, member
 
 ZEROS = EpConfig(2, (0,), (), 0, (0,))
 TERNARY = EpConfig(3, (0,), (), 0, (0,))
@@ -71,6 +71,8 @@ GUARDS = [
      "alphabet mismatch"),
     ("intersect-alphabets", lambda: intersect(no_words(2), no_words(3)),
      "alphabet mismatch"),
+    ("member-alphabet", lambda: member(no_words(2), TERNARY),
+     "word alphabet does not match the label space"),
     ("refine-narrower", lambda: refine(CA102, 0, 1),
      "must contain the current neighborhood"),
     ("radius-form-below", lambda: to_radius_form(CA102, 0),

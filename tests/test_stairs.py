@@ -11,7 +11,7 @@ from casweep.closing import NotClosingError, left_closing_decide
 from casweep.core import (IntegrityError, ResourceCapError, all_words,
                           random_ep_config, word_index)
 from casweep.stairs import enumerate_stairs, lambda_value, slider_exists
-from oracles import is_stair, stairs_connecting
+from oracles import is_stair, stair_pairs, stairs_connecting
 
 # hand-counted at m=2: free cells times forced cells, see each rule's window
 PSI6 = {
@@ -27,36 +27,37 @@ PSI6 = {
 def test_stair_counts_q2(name):
     card, lam = PSI6[name]
     got = enumerate_stairs(builtin_rule(name), 2)
-    assert got.cardinality == card
-    assert got.lam == lam
-    assert len(got.pairs) == card
+    assert len(got) == card
+    assert Fraction(len(got), 2 ** 6) == lam
+    assert len(stair_pairs(builtin_rule(name), 2)) == card
 
 
 def test_stair_counts_product_rule():
     f = builtin_rule("sigma2_x_sigma3inv")
-    assert enumerate_stairs(f, 1).cardinality == 324
+    assert len(enumerate_stairs(f, 1)) == 324
     assert 324 == 2 ** 2 * 3 ** 4
     bigger = enumerate_stairs(f, 2)
-    assert bigger.cardinality == 69984
-    assert bigger.lam == Fraction(3, 2)
+    assert len(bigger) == 69984
+    assert Fraction(len(bigger), 6 ** 6) == Fraction(3, 2)
 
 
 def test_stair_set_keeps_codes():
-    s = enumerate_stairs(builtin_rule("ca102"), 2)
-    assert s.cardinality == len(s.codes) == len(s.pairs) == 64
-    assert {word_index(v + w, 2) for v, w in s.pairs} == s.codes
+    codes = enumerate_stairs(builtin_rule("ca102"), 2)
+    pairs = stair_pairs(builtin_rule("ca102"), 2)
+    assert len(codes) == len(pairs) == 64
+    assert {word_index(v + w, 2) for v, w in pairs} == codes
 
 
 def test_identity_stairs_copy_cells():
     f = builtin_rule("identity")
     assert is_stair(f, 2, (0, 1, 1, 0), (1, 1, 0, 1))
     assert not is_stair(f, 2, (0, 1, 1, 0), (1, 1, 1, 1))
-    for v, w in enumerate_stairs(f, 2).pairs:
+    for v, w in stair_pairs(f, 2):
         assert w[2:] == v[:2]
 
 
 def test_ca102_four_stairs_per_v():
-    pairs = enumerate_stairs(builtin_rule("ca102"), 2).pairs
+    pairs = stair_pairs(builtin_rule("ca102"), 2)
     for v in all_words(4, 2):
         assert sum(1 for vv, _ in pairs if vv == v) == 4
 
@@ -64,7 +65,7 @@ def test_ca102_four_stairs_per_v():
 def test_is_stair_matches_enumeration():
     for name in ("ca102", "shift", "and_rule"):
         f = builtin_rule(name)
-        pairs = enumerate_stairs(f, 2).pairs
+        pairs = stair_pairs(f, 2)
         for v in all_words(4, 2):
             for w in all_words(4, 2):
                 assert ((v, w) in pairs) == is_stair(f, 2, v, w)
@@ -120,6 +121,28 @@ def test_lambda_self_check_is_capped_before_it_scans():
     assert time.perf_counter() - start < 1.0
 
 
+def test_lambda_self_check_compares_stair_counts(monkeypatch):
+    # ca102 has 64 stairs at m = 2, so 8 * 64 = 512 at m + 1; one fewer
+    # there means lambda moved between radii
+    def one_short_at_three(f, m, **cap):
+        codes = enumerate_stairs(f, m, **cap)
+        return codes - {min(codes)} if m == 3 else codes
+
+    monkeypatch.setattr("casweep.stairs.enumerate_stairs", one_short_at_three)
+    with pytest.raises(IntegrityError, match=r"^lambda not stable across "
+                       r"radii: 64 stairs at m = 2, 511 at m \+ 1$"):
+        lambda_value(builtin_rule("ca102"))
+
+
+def test_slider_exists_checks_stair_primes_divide_the_alphabet(monkeypatch):
+    # 3 stairs of the left-closing q = 2 rule ca102 at m = 2: lambda = 3/64
+    monkeypatch.setattr("casweep.stairs.enumerate_stairs",
+                        lambda f, m, cap: frozenset({0, 1, 2}))
+    with pytest.raises(IntegrityError, match=r"^prime 3 divides the stair "
+                       r"count but not the alphabet$"):
+        slider_exists(builtin_rule("ca102"))
+
+
 def test_lambda_requires_left_closing():
     with pytest.raises(NotClosingError) as info:
         lambda_value(builtin_rule("and_rule"))
@@ -153,7 +176,7 @@ def test_fixed_tails_give_full_stair_set():
     rng = random.Random(7)
     for name in ("ca102", "identity"):
         f = builtin_rule(name)
-        full = enumerate_stairs(f, 2).pairs
+        full = stair_pairs(f, 2)
         for _ in range(5):
             y = random_ep_config(rng, 2)
             z = random_ep_config(rng, 2)
@@ -163,7 +186,7 @@ def test_fixed_tails_give_full_stair_set():
 def test_fixed_tails_can_shrink_without_closing():
     from casweep.core import EpConfig
     f = builtin_rule("and_rule")
-    full = enumerate_stairs(f, 2).pairs
+    full = stair_pairs(f, 2)
     ones_left = EpConfig(2, (1,), (), 0, (0,))
     anything = EpConfig(2, (0,), (), 0, (0,))
     got = stairs_connecting(f, 2, anything, ones_left)
@@ -174,7 +197,7 @@ def test_fixed_tails_can_shrink_without_closing():
 def test_stair_extension_unique():
     # one-cell leftward extension exists and is unique per image symbol
     for name in sorted(PSI6):
-        psi = enumerate_stairs(builtin_rule(name), 2).pairs
+        psi = stair_pairs(builtin_rule(name), 2)
         for vc, wd in psi:
             v, w = vc[:-1], wd[:-1]
             for b in range(2):
@@ -183,7 +206,7 @@ def test_stair_extension_unique():
 
 
 def test_stair_extension_fails_without_closing():
-    psi = enumerate_stairs(builtin_rule("and_rule"), 2).pairs
+    psi = stair_pairs(builtin_rule("and_rule"), 2)
     broken = 0
     for vc, wd in psi:
         v, w = vc[:-1], wd[:-1]
@@ -199,7 +222,7 @@ def test_psi_prime_factors_divide_q():
                     ("sigma2_x_sigma3inv", 1)):
         f = builtin_rule(name)
         assert left_closing_decide(f)
-        card = enumerate_stairs(f, m).cardinality
+        card = len(enumerate_stairs(f, m))
         assert all(f.q % p == 0 for p in prime_factors(card))
 
 

@@ -10,10 +10,10 @@ from casweep.ca import apply_ep, builtin_rule
 from casweep.closing import left_closing_decide
 from casweep.core import (IntegrityError, ep_equal, random_ep_config,
                           word_of_index)
-from casweep.stairs import enumerate_stairs, slider_exists
+from casweep.stairs import slider_exists
 from casweep.synthesis import (NotSliderError, stair_index, synthesis_manifest,
                                synthesize, verify_slider)
-from oracles import count_representations, unique_predecessor
+from oracles import count_representations, stair_pairs, unique_predecessor
 
 
 @pytest.mark.parametrize("name", ("identity", "ca102", "shift"))
@@ -28,20 +28,20 @@ def test_synthesis_roundtrip(name):
 def test_stair_index_is_bijection():
     f = builtin_rule("shift")
     listing = stair_index(f)
-    assert listing == tuple(sorted(slider_exists(f).stairs.codes))
+    assert listing == tuple(sorted(slider_exists(f).stairs))
     N, n = 2, 6
     assert len(listing) == 32 and N * len(listing) == 2 ** n
     # ascending codes are the lexicographic order of the (v, w) pairs
     pairs = [(w[:4], w[4:]) for w in (word_of_index(c, 8, 2) for c in listing)]
-    assert pairs == sorted(slider_exists(f).stairs.pairs)
+    assert pairs == sorted(stair_pairs(f, 2))
     numbers = sorted(k * N + j for k in range(len(listing)) for j in range(N))
     assert numbers == list(range(2 ** n))
 
 
 def test_stair_index_manifest():
-    assert synthesis_manifest(slider_exists(builtin_rule("ca102")).stairs) == {
+    assert synthesis_manifest(2, slider_exists(builtin_rule("ca102"))) == {
         "n": 6, "N": 1, "psi": 64, "pi": "lex-interleave-v1"}
-    assert synthesis_manifest(slider_exists(builtin_rule("shift")).stairs) == {
+    assert synthesis_manifest(2, slider_exists(builtin_rule("shift"))) == {
         "n": 6, "N": 2, "psi": 32, "pi": "lex-interleave-v1"}
 
 
@@ -78,14 +78,14 @@ def test_shift_slider_agrees_with_swap():
 
 def test_unique_predecessor_identity_forced():
     f = builtin_rule("identity")
-    for vc, wd in enumerate_stairs(f, 2).pairs:
+    for vc, wd in stair_pairs(f, 2):
         for b in range(2):
             assert unique_predecessor(f, 2, vc, wd, b) == wd[1]
 
 
 def test_unique_predecessor_ca102_total():
     f = builtin_rule("ca102")
-    pairs = enumerate_stairs(f, 2).pairs
+    pairs = stair_pairs(f, 2)
     assert len(pairs) == 64
     for vc, wd in pairs:
         for b in range(2):
@@ -96,7 +96,7 @@ def test_unique_predecessor_ca102_total():
 def test_unique_predecessor_detects_weak_radius():
     f = builtin_rule("and_rule")
     failures = 0
-    for vc, wd in enumerate_stairs(f, 2).pairs:
+    for vc, wd in stair_pairs(f, 2):
         for b in range(2):
             try:
                 unique_predecessor(f, 2, vc, wd, b)

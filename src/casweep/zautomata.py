@@ -16,14 +16,15 @@ its pair codes a |B| + b as its search finds them), with successors sorted
 by (label, target), so dumps, `==` and witnesses are reproducible.
 
 The slider automaton of a block rule of length m numbers m q^(2m-2)
-states, but `slider_relation_automaton` builds only the live ones, for the
-exact check and for `automata` alike: three passes list the L states with
-an infinite past, the R states with an infinite future and the bridge
-states joining them, each layer capped by a running total of states before
-it is allocated; a synthesized q=3 rule of length 7 keeps 8,505 of
-3,720,087.  Then each live state's edges are read off its window's row of
-the table: the L steps need no liveness test, since the L core is closed
-under them, and the bridge and R steps keep the live targets.
+states, but `slider_relation_automaton`, which `automata` dumps and
+inspects, builds only the live ones: three passes list the L states with
+an infinite past (the L core, listed with its L steps by `_l_core`), the R
+states with an infinite future and the bridge states joining them, each
+layer capped by a running total of states before it is allocated; a
+synthesized q=3 rule of length 7 keeps 8,505 of 3,720,087.  Then each live
+state's edges are read off its window's row of the table: the L steps need
+no liveness test, since the L core is closed under them, and the bridge
+and R steps keep the live targets.
 
 One lockstep product, `intersect`, pairs the runs of two automata over
 equal labels; it is the only product graph, and it builds only the pairs
@@ -34,14 +35,18 @@ only to final states, as the mismatch automaton's and a word's shifts
 automaton's do; no flag is needed.  `member` is the emptiness of the
 intersection with the word's shifts automaton, decided by
 `nonempty_witness`, the one emptiness test.  The exact check
-`is_slider_rule_for` builds no product graph and runs no component search:
-the mismatch automaton's final state is absorbing and its pre-states are
-fixed by the last few labels, so one forward search, from the L core
+`is_slider_rule_for` builds neither the slider automaton nor a product
+graph and runs no component search.  A sweep is one bi-infinite chain of
+windows, so the slider relation is the set of labels of the bi-infinite
+paths of the L core alone; the mismatch automaton's final state is
+absorbing and its pre-states are fixed by the last few labels.  So one
+forward search over (L-core state, mismatch state) pairs, from the core
 paired with the pre-states its last labels fix to the first pair whose
-mismatch state is final, decides it (the proof is in `is_slider_rule_for`);
-the q=2 block-13 check of x0 xor x2 visits 86,016 of the 1,183,744 pairs.
-Both step the second automaton through one index, `_moves`, which lists
-each state's targets per label.
+mismatch state is final, decides it (the proofs are in
+`is_slider_rule_for`); the q=2 block-13 check of x0 xor x2 visits its
+16,384 seeds of the 69,632 pairs of a 4,096-state core and 17 mismatch
+states.  Both step the second automaton through one index, `_moves`, which
+lists each state's targets per label.
 Witness paths and cycles come from the shared path search in
 `casweep.graph`, which returns states; each step's label is read back as
 that of the first edge between its two states.
@@ -305,6 +310,42 @@ def intersect(A: ZAutomaton, B: ZAutomaton,
 # ---------------------------------------------------------------------------
 # Relation automata
 
+def _l_core(chi: BlockRule, max_states: int | None
+            ) -> dict[int, list[tuple[int, int]]]:
+    """The L core of the slider automaton and its L steps: the codes
+    v Q + r of its states within the L layer, ascending, each mapped to its
+    q edges (label, target code).
+
+    A core state L(v, c r') reads (c, z0) into L(w, r' e) for each cell e,
+    chi(v e) = z0 w (for m = 1 the one state reads (e, chi(e))).  Listing
+    the core is the first of the three passes of `slider_relation_automaton`,
+    whose docstring shows that it yields exactly the L states with an
+    infinite past; each round is checked against max_states before it is
+    listed, and chi must be bijective (ValueError).
+    """
+    if not chi.is_bijective():
+        raise ValueError("slider relations need a bijective block rule")
+    q, m, table = chi.q, chi.block_length, chi.table
+    if m == 1:
+        return {0: [(e * q + table[e], 0) for e in range(q)]}
+    Q, h = q ** (m - 1), q ** (m - 2)
+    # chi(v e) = z0 w: rows[v] lists (z0, w Q + e) for the q cells e, the
+    # output and the code of the window w with the buffer e
+    rows = [[(x // Q, x % Q * Q + e)
+             for e, x in enumerate(table[v * q:v * q + q])] for v in range(Q)]
+    steps = [[t for _, t in row] for row in rows]
+    # states v Q + r; the core appends the cell e that drives the window
+    left: Collection[int] = range(0, Q * Q, Q)
+    for _ in range(m - 1):
+        check_cap(q * len(left), max_states, "slider live states")
+        left = {t + s % Q * q for s in left for t in steps[s // Q]}
+    core = {}
+    for s in sorted(left):
+        c, shift = s % Q // h * q, s % h * q
+        core[s] = [(c + z0, target + shift) for z0, target in rows[s // Q]]
+    return core
+
+
 def slider_relation_automaton(chi: BlockRule,
                               max_states: int | None = MAX_AUTOMATON_STATES
                               ) -> ZAutomaton:
@@ -330,13 +371,14 @@ def slider_relation_automaton(chi: BlockRule,
     m q^(2m-2) codes only the live ones are kept, in order, as `states`.
     Three passes list them:
 
-    - *L core.*  All Q windows with an empty buffer, extended m-1 times by
-      a guessed cell e: (v, r) -> (table[v q + e] mod Q, r q + e).  These
-      are the L states reached by m-1 L steps, since a step appends its
-      cell to the buffer.  They are already the L states with an infinite
-      past, so no fixed point is iterated: chi is bijective, so every
-      window is the table[v q + e] mod Q of some (v, e), hence ends
-      backward chains of any length.
+    - *L core* (`_l_core`, which also lists its L steps).  All Q windows
+      with an empty buffer, extended m-1 times by a guessed cell e:
+      (v, r) -> (table[v q + e] mod Q, r q + e).  These are the L states
+      reached by m-1 L steps, since a step appends its cell to the buffer.
+      They are already the L states with an infinite past, so no fixed
+      point is iterated: chi is bijective, so every window is the
+      table[v q + e] mod Q of some (v, e), hence ends backward chains of
+      any length.
     - *R core.*  The mirror pass: all windows with an empty buffer, owed
       outputs z prepended m-1 times through the inverse, (v2, r) ->
       (chi^-1(z v2) div q, z q^k + r) for a buffer of k cells.  These are
@@ -359,9 +401,10 @@ def slider_relation_automaton(chi: BlockRule,
     chi(v e) = z0 w for the q cells e, as (label, target) pairs sorted by
     label, then target, for a buffer r = c r':
 
-    - *L steps.*  L(v, r) reads (c, z0) into L(w, r' e).  No target needs a
-      test: with T_e(v) = table[v q + e] mod Q, the core state (T_r(u), r)
-      steps to (T_(r' e)(T_c(u)), r' e), which is in the core again.
+    - *L steps* (`_l_core`).  L(v, r) reads (c, z0) into L(w, r' e).  No
+      target needs a test: with T_e(v) = table[v q + e] mod Q, the core
+      state (T_r(u), r) steps to (T_(r' e)(T_c(u)), r' e), which is in the
+      core again.
     - *Bridge steps.*  L(v, r) and B(t, v, r) read (c, z) into B(t+1, v,
       r' z), where B(m-1) stands for R (and B(1) too when m = 2).  The
       target is kept when it is live, that is, when the t+1 cells ending
@@ -369,18 +412,17 @@ def slider_relation_automaton(chi: BlockRule,
     - *R steps.*  R(v, r) reads (e, z) into R(w, r' z) for each e with
       z0 = c, kept when the target is live.
     """
-    if not chi.is_bijective():
-        raise ValueError("slider relations need a bijective block rule")
+    core = _l_core(chi, max_states)
     q, m, table = chi.q, chi.block_length, chi.table
     if m == 1:
         check_cap(2, max_states, "slider live states")
-        labels = [y * q + table[y] for y in range(q)]
+        labels = [label for label, _ in core[0]]
         return ZAutomaton(q, 2, (0, 1),
                           (tuple((a, t) for a in labels for t in (0, 1)),
                            tuple((a, 1) for a in labels)), (0,), (1,))
     Q, h = q ** (m - 1), q ** (m - 2)
     L, R = (m - 2) * Q * Q, (m - 1) * Q * Q
-    cells, total = range(q), 0
+    cells, total = range(q), len(core)
     # chi(v e) = z0 w: step[v q + e] is w Q and back[z0 Q + w] is v Q
     step = [x % Q * Q for x in table]
     back = [x // q * Q for x in chi.inverse().table]
@@ -388,13 +430,6 @@ def slider_relation_automaton(chi: BlockRule,
     def check(size: int) -> None:
         check_cap(total + size, max_states, "slider live states")
 
-    # states v Q + r; the L core appends the cell e that drives the window
-    left: Collection[int] = range(0, Q * Q, Q)
-    for _ in range(m - 1):
-        check(q * len(left))
-        left = {step[s // Q * q + e] + s % Q * q + e
-                for s in left for e in cells}
-    total = len(left)
     # the R core prepends the output z the window owes
     right: Collection[int] = range(0, Q * Q, Q)
     for k in range(m - 1):
@@ -412,12 +447,12 @@ def slider_relation_automaton(chi: BlockRule,
         owed: dict[int, list[int]] = {}
         for x in sorted({s // high for s in right}):
             owed.setdefault(x // low, []).append(x % low)
-        pending = sorted({s // Q * high + s % high for s in left})
+        pending = sorted({s // Q * high + s % high for s in core})
         size = sum(len(owed[x // high]) for x in pending)
         check(size)
         total += size
         layers.append([x * low + p for x in pending for p in owed[x // high]])
-    layers += [sorted(left), sorted(right)]
+    layers += [list(core), sorted(right)]
     codes = [k * Q * Q + s for k, layer in enumerate(layers) for s in layer]
     number = dict(zip(codes, range(len(codes))))
     get, succ = number.get, []
@@ -427,16 +462,14 @@ def slider_relation_automaton(chi: BlockRule,
         # buffer and an output cell e enters it, if the target is live
         ahead = (t if t < m - 2 else m - 1) * Q * Q
         for s in layer:
-            i, c, shift = s // Q * q, s % Q // h * q, s % h * q
-            base, out = ahead + s - s % Q + shift, []
-            for e in cells:
-                if (w := get(base + e)) is not None:
-                    out.append((c + e, w))
-                if t == 0:
-                    # the L step chi(v e) = z0 w to L(w, r' e), always live
-                    out.append((c + table[i + e] // Q,
-                                number[L + step[i + e] + shift + e]))
+            c, shift = s % Q // h * q, s % h * q
+            base = ahead + s - s % Q + shift
+            out = [(c + e, w) for e in cells
+                   if (w := get(base + e)) is not None]
             if t == 0:
+                # the L steps, always live
+                out += [(label, number[L + target])
+                        for label, target in core[s]]
                 out.sort()
             succ.append(tuple(out))
     for s in layers[-1]:
@@ -448,10 +481,10 @@ def slider_relation_automaton(chi: BlockRule,
                     if (w := get(step[i + y] + shift + z)) is not None:
                         out.append((y * q + z, w))
         succ.append(tuple(out))
-    n_bridge = len(codes) - len(left) - len(right)
+    n_bridge = len(codes) - len(core) - len(right)
     return ZAutomaton(q, 2, tuple(codes), tuple(succ),
-                      tuple(range(n_bridge, n_bridge + len(left))),
-                      tuple(range(n_bridge + len(left), len(codes))))
+                      tuple(range(n_bridge, n_bridge + len(core))),
+                      tuple(range(n_bridge + len(core), len(codes))))
 
 
 def sweeper_relation_automaton(chi: BlockRule,
@@ -569,79 +602,88 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     For bijective rules the relation is total on inputs and maps each input
     to the inputs' full configuration space image, so containment in the
     graph of f already forces equality: it suffices that no represented
-    pair disagrees with f anywhere, that is, that the slider automaton and
-    `graph_mismatch_automaton(f)` accept no common word.  One search over
-    (slider, mismatch) pairs decides that, with no component search:
+    pair disagrees with f anywhere, that is, that the slider relation and
+    the language of `graph_mismatch_automaton(f)` share no word.  The
+    slider relation is the set of labels of the bi-infinite paths of the L
+    core (`_l_core`) alone, so one search over (L-core state, mismatch
+    state) pairs, stepped by L steps only, decides that with no slider
+    automaton and no component search:
 
-    - *Seeds.*  The L core (`initial`), each state paired with one
-      pre-state of the mismatch automaton, is stepped by each L-core edge
-      together with the one pre-state successor on the same label, layer
-      by layer, until the layer is stepped onto itself
-      (`_left_recurrent_pairs`).  A pre-state is fixed by the last k =
-      max(w-1, lag) labels read (w the width of f with its neighborhood
-      minimized, lag the end of its window), so this settles after k
-      rounds; a layer still moving one round later raises IntegrityError.
-    - *Walk.*  From the seeds, every lockstep edge is followed, the
-      mismatch moves read from the label index `_moves` that `intersect`
-      also steps by; the answer is False at the first pair whose mismatch
-      state is 0, the absorbing final state, and True when the walk ends.
+    - *Seeds.*  Each core state, paired with one pre-state of the mismatch
+      automaton, is stepped by each L step together with the one pre-state
+      successor on the same label, layer by layer, until the layer is
+      stepped onto itself (`_left_recurrent_pairs`).  A pre-state is fixed
+      by the last k = max(w-1, lag) labels read (w the width of f with its
+      neighborhood minimized, lag the end of its window), so this settles
+      after k rounds; a layer still moving one round later raises
+      IntegrityError.
+    - *Walk.*  The seeds are a fixed point, so every pre-state successor
+      of a seed along an L step is a seed again: from the seeds the walk
+      follows only the mismatch moves that leave the pre-states, to state
+      0 or into the countdown, and from there every move.  The answer is
+      False at the first pair whose mismatch state is 0, the absorbing
+      final state, and True when the walk ends.  For lag >= 0 the only
+      move out of the pre-states is to 0, so the walk is one scan of the
+      seeds.
 
-    Why this is exact.  *Seeds:* the fixed point is exactly the set of
-    left-recurrent pairs, those with an infinite past of pairs in initial
-    x initial.  The far past of an accepted path lies in L core x
-    pre-states: the slider visits `initial` infinitely often to the left
-    and no B or R state steps back into L, and the mismatch automaton
-    visits its pre-states infinitely often to the left and neither state 0
-    nor the countdown steps back into them; each pre-state there is the
-    one read off the last k labels.  So the far past is in the layer after
-    k rounds, the fixed point.  Conversely every pair of the fixed point is
-    a step of another, so it has an infinite past inside it, on initial
-    states of both sides.  *Walk:* an accepted path is walked from its
-    seeded past to its first pair with mismatch state 0.  Conversely every
-    live slider state reaches the R core, so a reached (a, 0) has a future
-    through final slider states, and state 0 reads every label and is
-    final, so (a, 0) lies on an accepted pair.
+    Why the L core alone is exact.  An accepted path of the slider
+    automaton reads the same labels (y_i, z_i) in L, over the bridge and
+    in R: it is one chain of windows w_k with chi(w_k y_(k+m-1)) = z_k
+    w_(k+1).  L position k is chain index k, the bridge freezes the window
+    for m-1 positions, and R position j is chain index j-m+1.  So the
+    chain's L-side state L(w_k, y_k .. y_(k+m-2)) is defined at every k,
+    on a bi-infinite path of L steps with the path's labels; each such
+    state, having a past of m-1 L steps, is (T_r(u), r), a core state.
+    Conversely every bi-infinite path of the core can cross the bridge at
+    any position into live bridge and R states, since every window carries
+    buffers in both cores, and continue forward in R: an accepted path
+    with the same labels.  So the slider relation is exactly the set of
+    labels of bi-infinite core paths.  The core is closed under L steps
+    and every core state has q of them.
 
-    The seeds start from the slider automaton's `initial` states, the L
-    core: they are exactly its left-recurrent states.
+    *Seeds:* the fixed point is exactly the set of pairs with an infinite
+    past of pairs in core x pre-states.  The far past of a common word's
+    pair path lies in core x pre-states: the mismatch automaton visits its
+    pre-states infinitely often to the left and neither state 0 nor the
+    countdown steps back into them; each pre-state there is the one read
+    off the last k labels.  So the far past is in the layer after k
+    rounds, the fixed point.  Conversely every pair of the fixed point is
+    a step of another, so it has an infinite past inside it.  *Walk:* a
+    common word's pair path is walked from its seeded past to its first
+    pair with mismatch state 0.  Conversely a reached pair (a, 0) has an
+    infinite past in core x pre-states and, since every core state has an
+    L step on to a core state and state 0 reads every label and is final,
+    an infinite future in core x {0}: its labels are a core path's, so in
+    the slider relation, and a word of the mismatch automaton.
 
-    - The window graph v -> T_e(v) = table[v q + e] mod Q has out-degree
-      q, and in-degree q as well, since table is a bijection on [q Q] and
-      so takes each residue mod Q q times.  Hence each of its weakly
-      connected components is strongly connected.
-    - A core state X = (T_r(u), r) lies on a cycle of core states: walk in
-      the window graph from T_r(u) back to u, then read r.  The walk ends
-      at X, and after each cell its state is (T_s(u'), s) for its buffer s
-      and some window u', so it stays in the core.
-    - The core is closed under L steps, and no B or R state has an edge
-      back into L, so every state on a cycle through a core state is in
-      the core.  The cyclic components that meet `initial` are therefore
-      exactly the core.
-
-    max_states bounds the slider automaton's running total of states (each
-    layer checked before it is built), the mismatch automaton, each seed
-    layer and the pairs the walk visits, seeds included, counted as they
-    are found.  The whole product |slider| |mismatch| is not checked: the
-    block-5 rule (f(x), s, x[1:]) of q=4 x2 + x3 x4 makes 146,836,480
-    pairs, of which the search visits 189,440 from 65,536 seeds.
+    max_states bounds each round of the core (q times the last round,
+    checked before it is listed), the mismatch automaton, each seed layer
+    and the pairs the walk visits, seeds included, counted as they are
+    found.  Neither the slider automaton nor the product |core| |mismatch|
+    is built or checked: the block-5 rule (f(x), s, x[1:]) of q=4
+    x2 + x3 x4 has 4,096 core states and 4,097 mismatch states, which make
+    16,781,312 pairs, and the search visits its 65,536 seeds alone.
     """
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")
-    slider = slider_relation_automaton(chi, max_states)
+    core = _l_core(chi, max_states)
     mismatch = graph_mismatch_automaton(f, max_states)
     g = minimize_neighborhood(f)
     what = "slider-mismatch product nodes"
-    seen = _left_recurrent_pairs(slider, mismatch,
+    seen = _left_recurrent_pairs(core, mismatch,
                                  max(g.width - 1, g.anchor + g.width - 1),
                                  max_states, what)
-    nb = len(mismatch.states)
-    moves = _moves(mismatch)
+    nb, first_pre = len(mismatch.states), mismatch.initial[0]
+    # the moves out of the pre-states: to 0 or into the countdown, which
+    # never steps back into them
+    leave = [[tuple(t for t in targets if t < first_pre) for targets in row]
+             for row in _moves(mismatch)]
     cap = -1 if max_states is None else max_states
     stack = list(seen)
     while stack:
         sa, sb = divmod(stack.pop(), nb)
-        targets = moves[sb]
-        for label, ta in slider.succ[sa]:
+        targets = leave[sb]
+        for label, ta in core[sa]:
             for tb in targets[label]:
                 if not tb:
                     return False
@@ -654,24 +696,21 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     return True
 
 
-def _left_recurrent_pairs(slider: ZAutomaton, mismatch: ZAutomaton,
-                          rounds: int, max_states: int | None,
-                          what: str) -> set[int]:
-    """Codes a |mismatch| + b of the (slider, mismatch) pairs with an
-    infinite past in initial x initial, given that the last `rounds`
-    labels fix a pre-state (`is_slider_rule_for` proves it).
+def _left_recurrent_pairs(core: dict[int, list[tuple[int, int]]],
+                          mismatch: ZAutomaton, rounds: int,
+                          max_states: int | None, what: str) -> set[int]:
+    """Codes a |mismatch| + b of the (L-core state, mismatch state) pairs
+    with an infinite past of pairs in core x pre-states, given that the
+    last `rounds` labels fix a pre-state (`is_slider_rule_for` proves it).
 
     Each layer is checked against max_states; IntegrityError if the layer
     has not settled after rounds + 1 steps.
     """
     nb = len(mismatch.states)
-    in_core, in_pre = (_marks(len(slider.states), slider.initial),
-                       _marks(nb, mismatch.initial))
-    core = {a: [(label, t) for label, t in slider.succ[a] if in_core[t]]
-            for a in slider.initial}
+    in_pre = _marks(nb, mismatch.initial)
     pre = [{label: t for label, t in out if in_pre[t]}
            for out in mismatch.succ]
-    layer = {a * nb + mismatch.initial[0] for a in slider.initial}
+    layer = {a * nb + mismatch.initial[0] for a in core}
     for _ in range(rounds + 1):
         ahead = {t * nb + pre[code % nb][label]
                  for code in layer for label, t in core[code // nb]}

@@ -748,6 +748,27 @@ def whole_slider_automaton(chi: BlockRule) -> ZAutomaton:
                       lambda s: slider_state_number(chi, s))
 
 
+def l_core_automaton(chi: BlockRule) -> ZAutomaton:
+    """The L core of the whole slider automaton on its own: the L states
+    with an infinite past of L states, found by a component search over
+    the L-to-L edges, each one initial and final, with the L steps between
+    them.  `zautomata.is_slider_rule_for` proves that it accepts the slider
+    relation; its states keep their slider numbers."""
+    whole = whole_slider_automaton(chi)
+    is_l = set(whole.initial)
+    succ = [[t for _, t in out if t in is_l] if s in is_l else []
+            for s, out in enumerate(whole.succ)]
+    cyclic = graph.recurrent(succ, graph.strong_components(succ))
+    core = sorted(graph.bfs_tree(succ, cyclic))
+    number = {s: k for k, s in enumerate(core)}
+    every = tuple(range(len(core)))
+    return ZAutomaton(whole.q, 2, tuple(whole.states[s] for s in core),
+                      tuple(tuple((label, number[t])
+                                  for label, t in whole.succ[s]
+                                  if t in number) for s in core),
+                      every, every)
+
+
 def named_sweeper_relation_automaton(chi: BlockRule) -> ZAutomaton:
     """The sweeper relation automaton built on named states (see
     `zautomata.sweeper_relation_automaton`) and numbered by `from_named`."""

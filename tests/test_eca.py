@@ -82,3 +82,14 @@ def test_eca_decomposition(n):
     d = decompose_biclosing(f)
     assert d.shift_offset == slider_exists(f).shift_offset
     assert verify_decomposition(d, samples=20, seed=n)
+
+
+def test_each_synthesized_slider_realizes_its_own_eca_alone():
+    """The census gate of the exact check: the synthesized rule of each of
+    the 6 ECA sliders, checked against all 256 ECAs (1,536 checks), is a
+    slider rule for its own ECA only."""
+    rules = [eca(n) for n in range(256)]
+    for n in sorted(SLIDERS):
+        chi = synthesize(rules[n])
+        assert [k for k, f in enumerate(rules)
+                if is_slider_rule_for(chi, f)] == [n]

@@ -22,7 +22,8 @@ from casweep.zautomata import (member, nonempty_witness,
                                graph_mismatch_automaton)
 from oracles import (NamedAutomaton, cellwise_apply_ep,
                      disjoint_by_full_product, ep_replace, flag_intersect,
-                     from_named, is_empty, mismatch_state_number,
+                     from_named, is_empty, l_core_automaton,
+                     mismatch_state_number,
                      named_graph_mismatch_automaton, named_nonempty_witness,
                      named_sweeper_relation_automaton, named_trim,
                      pairs_with_initial_past, period_member, project,
@@ -169,28 +170,36 @@ def search_pairs(monkeypatch, chi, f) -> tuple[bool, int, int]:
 
 def test_exact_slider_check_caps_its_product(monkeypatch):
     """The pairs are counted as the search visits them, not predicted as
-    |slider| |mismatch|: swap against shift visits 8 of the 24 pairs, 4 of
-    them seeds, so a cap of 8 lets it through.  At 7 the slider's own 8
-    states are refused first; the synthesized ca102 rule's 512 slider
-    states fit a cap of 575, while its 576th visited pair does not."""
+    |core| |mismatch|.  Swap against shift visits its 4 seeds alone, so a
+    cap of 4 lets it through, while at 3 the L core's last round of 4
+    states is refused first; the synthesized ca102 rule's last core round
+    of 128 states fits a cap of 128, not 127.  Swap against shift_inv (lag
+    -1) walks from its 4 seeds into 2 countdown pairs, and its 6th visited
+    pair is over a cap of 5."""
     chi, f = builtin_block_rule("swap"), builtin_rule("shift")
-    slider = slider_relation_automaton(chi)
+    core = zautomata._l_core(chi, None)
     mismatch = graph_mismatch_automaton(f)
-    assert len(slider.states) * len(mismatch.states) == 24
-    assert search_pairs(monkeypatch, chi, f) == (True, 4, 8)
-    assert is_slider_rule_for(chi, f, max_states=8) is True
+    assert len(core) * len(mismatch.states) == 12
+    assert search_pairs(monkeypatch, chi, f) == (True, 4, 4)
+    assert is_slider_rule_for(chi, f, max_states=4) is True
     with pytest.raises(ResourceCapError,
-                       match="slider live states: 8 is over the cap 7$"):
-        is_slider_rule_for(chi, f, max_states=7)
+                       match="slider live states: 4 is over the cap 3$"):
+        is_slider_rule_for(chi, f, max_states=3)
+    shift_inv = builtin_rule("shift_inv")
+    assert search_pairs(monkeypatch, chi, shift_inv) == (False, 4, 6)
+    assert is_slider_rule_for(chi, shift_inv, max_states=6) is False
+    with pytest.raises(ResourceCapError,
+                       match="slider-mismatch product nodes: 6 is over "
+                             "the cap 5$"):
+        is_slider_rule_for(chi, shift_inv, max_states=5)
     ca102 = builtin_rule("ca102")
     chi = synthesize(ca102)
-    assert len(slider_relation_automaton(chi).states) == 512
-    assert search_pairs(monkeypatch, chi, ca102) == (True, 128, 576)
-    assert is_slider_rule_for(chi, ca102, max_states=576) is True
+    assert len(zautomata._l_core(chi, None)) == 64
+    assert search_pairs(monkeypatch, chi, ca102) == (True, 128, 128)
+    assert is_slider_rule_for(chi, ca102, max_states=128) is True
     with pytest.raises(ResourceCapError,
-                       match="slider-mismatch product nodes: 576 is over "
-                             "the cap 575$"):
-        is_slider_rule_for(chi, ca102, max_states=575)
+                       match="slider live states: 128 is over the cap 127$"):
+        is_slider_rule_for(chi, ca102, max_states=127)
 
 
 def test_builders_are_capped_by_default():
@@ -252,7 +261,7 @@ def test_live_slider_automaton_counts_before_it_builds(name):
     with pytest.raises(ResourceCapError,
                        match=f"slider live states: {total} is over the cap "
                              f"{total - 1}$") as refused:
-        is_slider_rule_for(chi, builtin_rule(name), max_states=total - 1)
+        slider_relation_automaton(chi, max_states=total - 1)
     layers = next(entry.locals["layers"] for entry in refused.traceback
                   if entry.name == "slider_relation_automaton")
     assert len(layers) == chi.block_length - 3
@@ -270,23 +279,53 @@ def l_core_rules():
 @pytest.mark.parametrize("chi", l_core_rules(),
                          ids=lambda chi: f"q{chi.q}m{chi.block_length}")
 def test_left_recurrent_slider_states_are_the_l_core(chi):
-    """The exact check seeds its product from `initial` instead of
-    searching the slider automaton's components: they are the same."""
+    """The slider automaton's `initial` states, the L core, are exactly
+    its left-recurrent states, the ones `intersect` seeds its products
+    with."""
     slider = slider_relation_automaton(chi)
     assert zautomata._left_recurrent(slider) == list(slider.initial)
 
 
+@pytest.mark.parametrize("chi", l_core_rules(),
+                         ids=lambda chi: f"q{chi.q}m{chi.block_length}")
+def test_the_l_core_alone_accepts_the_slider_relation(chi):
+    """The lemma the exact check rests on: the bi-infinite paths of the L
+    core, every core state initial and final, read exactly the slider
+    relation.  The core the oracle finds by a component search is the
+    one `_l_core` lists, with the same L steps, and the two automata give
+    the same `member` answers on seeded represented pairs and on one-cell
+    mutations of them."""
+    slider, core = slider_relation_automaton(chi), l_core_automaton(chi)
+    assert core.states == tuple(slider.states[k] for k in slider.initial)
+    layer = chi.q ** (2 * chi.block_length - 2)
+    assert {(core.states[s] % layer, label, core.states[t] % layer)
+            for s, label, t in core.edges} \
+        == {(s, label, t) for s, out in zautomata._l_core(chi, None).items()
+            for label, t in out}
+    rng = random.Random(53)
+    answers = set()
+    for _ in range(6):
+        x = random_ep_config(rng, chi.q)
+        y, z = representation_eval(chi, x, rng.randrange(-3, 4))
+        assert member(core, ep_zip(y, z)) and member(slider, ep_zip(y, z))
+        bad = ep_zip(y, mutate(z, rng.randrange(-3, 4), chi.q))
+        answer = member(core, bad)
+        assert member(slider, bad) is answer
+        answers.add(answer)
+    assert False in answers
+
+
 @pytest.mark.parametrize("block_name,ca_name,verdict,seeds,visited", [
-    ("identity", "identity", True, 64, 448),
-    ("shift", "shift", True, 128, 576), ("ca102", "ca102", True, 128, 576),
+    ("identity", "identity", True, 64, 64),
+    ("shift", "shift", True, 128, 128), ("ca102", "ca102", True, 128, 128),
     ("identity", "shift", False, 128, 128)],
-    ids=["identity-identity-True-448", "shift-shift-True-576",
-         "ca102-ca102-True-576", "identity-shift-False-128"])
+    ids=["identity-identity-True-64", "shift-shift-True-128",
+         "ca102-ca102-True-128", "identity-shift-False-128"])
 def test_exact_check_builds_the_same_product(monkeypatch, block_name, ca_name,
                                              verdict, seeds, visited):
     """The seeds and the visited pairs of the block-7 checks the benchmark
-    runs.  A positive check visits every pair the seeds reach; the
-    negative one answers before it visits a pair beyond its seeds."""
+    runs.  Each of these rules has lag >= 0, so no move leads from a seed
+    into the countdown and the walk is one scan of the seeds."""
     chi = synthesize(builtin_rule(block_name))
     assert search_pairs(monkeypatch, chi, builtin_rule(ca_name)) \
         == (verdict, seeds, visited)
@@ -294,15 +333,16 @@ def test_exact_check_builds_the_same_product(monkeypatch, block_name, ca_name,
 
 def test_exact_check_of_a_q3_block7_rule(monkeypatch):
     """This q=3 width-2 rule is synthesized with block length 7: its slider
-    automaton has 3,720,087 states, of which 8,505 are live, and the
-    search over its pairs with the mismatch automaton visits 14,337 pairs
-    from 6,561 seeds."""
+    automaton has 3,720,087 states, of which 8,505 are live and 2,187 make
+    the L core, and the search over the core's pairs with the mismatch
+    automaton visits its 6,561 seeds alone."""
     f = LocalRule(3, 0, 2, (0, 2, 1, 1, 2, 0, 0, 2, 1))
     chi = synthesize(f)
     assert chi.block_length == 7
     start = time.monotonic()
     assert len(slider_relation_automaton(chi).states) == 8505
-    assert search_pairs(monkeypatch, chi, f) == (True, 6561, 14337)
+    assert len(zautomata._l_core(chi, None)) == 2187
+    assert search_pairs(monkeypatch, chi, f) == (True, 6561, 6561)
     assert time.monotonic() - start < 10
 
 
@@ -354,29 +394,35 @@ def has_counterexample(chi: BlockRule, f: LocalRule, draws: int = 100) -> bool:
     "case", cross_check_cases(),
     ids=lambda case: f"q{case[0].q}m{case[0].block_length}")
 def test_exact_search_matches_the_product_emptiness_test(case):
-    """Where the full product has at most 50,000 pairs, the search decides
-    as its emptiness test, and its seeds are exactly the pairs with an
-    infinite past in initial x initial, settled within max(w-1, lag) + 1
-    rounds (`_left_recurrent_pairs` raises otherwise).  The 14 of the 161
-    seeded pairs above that bound (q=3, block length 4-5) must be refused,
-    each with a seeded draw that represents a pair the local rule does not
-    map."""
+    """Where the full product of the slider and the mismatch automaton has
+    at most 50,000 pairs, the search decides as its emptiness test, and
+    its seeds are exactly that product's pairs with an infinite past in
+    initial x initial, each slider state read as its L-core code, settled
+    within max(w-1, lag) + 1 rounds (`_left_recurrent_pairs` raises
+    otherwise).  The 14 of the 161 seeded pairs above that bound (q=3,
+    block length 4-5) must be refused, each with a seeded draw that
+    represents a pair the local rule does not map."""
     chi, rules, realized = case
     slider = slider_relation_automaton(chi)
+    core = zautomata._l_core(chi, None)
+    # the core codes are the slider codes within the L layer of Q^2 codes
+    layer = chi.q ** (2 * chi.block_length - 2)
     for f in rules:
         verdict = is_slider_rule_for(chi, f)
         if realized is not None:
             assert verdict is (f in realized), f
         mismatch = graph_mismatch_automaton(f)
-        if len(slider.states) * len(mismatch.states) > 50_000:
+        nb = len(mismatch.states)
+        if len(slider.states) * nb > 50_000:
             assert chi.q == 3 and chi.block_length >= 4
             assert verdict is False, f
             assert has_counterexample(chi, f), f
             continue
         assert verdict is disjoint_by_full_product(slider, mismatch), f
         assert zautomata._left_recurrent_pairs(
-            slider, mismatch, search_rounds(f), None, "pairs") \
-            == pairs_with_initial_past(slider, mismatch), f
+            core, mismatch, search_rounds(f), None, "pairs") \
+            == {slider.states[p // nb] % layer * nb + p % nb
+                for p in pairs_with_initial_past(slider, mismatch)}, f
 
 
 def test_unsettled_seed_layer_is_an_integrity_error():
@@ -386,11 +432,11 @@ def test_unsettled_seed_layer_is_an_integrity_error():
     chi = synthesize(builtin_rule("identity"))
     f = LocalRule(2, 0, 3, (0, 1, 0, 1, 1, 0, 1, 0))
     assert search_rounds(f) == 2
-    slider = slider_relation_automaton(chi)
+    core = zautomata._l_core(chi, None)
     mismatch = graph_mismatch_automaton(f)
     with pytest.raises(IntegrityError, match="still moving after 2 rounds"):
-        zautomata._left_recurrent_pairs(slider, mismatch, 1, None, "pairs")
-    assert len(zautomata._left_recurrent_pairs(slider, mismatch, 2, None,
+        zautomata._left_recurrent_pairs(core, mismatch, 1, None, "pairs")
+    assert len(zautomata._left_recurrent_pairs(core, mismatch, 2, None,
                                                "pairs")) == 256
 
 
@@ -409,18 +455,19 @@ def route_one_block_rule(f: LocalRule) -> BlockRule:
 
 
 def test_route_one_q4_block5_rule_verifies_under_the_default_cap(monkeypatch):
-    """The route-1 block rule of q=4 x2 + x3 x4 makes 35,840 x 4,097 =
-    146,836,480 (slider, mismatch) pairs; the search visits 189,440 of
-    them from 65,536 seeds.  The same table at anchor 1 is refused before
-    the search visits a pair beyond its seeds."""
+    """The route-1 block rule of q=4 x2 + x3 x4 has 35,840 live slider
+    states, of which 4,096 make the L core: 4,096 x 4,097 = 16,781,312
+    (core, mismatch) pairs, of which the search visits its 65,536 seeds
+    alone.  The same table at anchor 1 is refused in the same scan."""
     table = tuple((x2 + x3 * x4) % 4 for x2 in range(4) for x3 in range(4)
                   for x4 in range(4))
     f = LocalRule(4, 2, 3, table)
     chi = route_one_block_rule(f)
     assert chi.block_length == 5
     assert len(slider_relation_automaton(chi).states) == 35_840
+    assert len(zautomata._l_core(chi, None)) == 4_096
     assert len(graph_mismatch_automaton(f).states) == 4_097
-    assert search_pairs(monkeypatch, chi, f) == (True, 65_536, 189_440)
+    assert search_pairs(monkeypatch, chi, f) == (True, 65_536, 65_536)
     assert search_pairs(monkeypatch, chi, LocalRule(4, 1, 3, table)) \
         == (False, 65_536, 65_536)
 

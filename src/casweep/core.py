@@ -27,13 +27,13 @@ class ResourceCapError(RuntimeError):
     """An enumeration or construction would exceed its configured cap."""
 
 
-# Default cap on the states of an automaton or product, far above the 8,505
-# live slider states of a block-7 q=3 rule and the 141,504 pairs of the
+# Default cap on the states of an automaton or product, far above the 2,187
+# L-core slider states of a block-7 q=3 rule and the 141,504 pairs of the
 # `automata --vs` intersection of the synthesized block-7 ca102 rule's
 # sweeper automaton with ca102.  The sweeper and mismatch builders check
-# their predicted size; the live slider build, the exact check's search and
-# the seeded product behind `intersect` and `member` count states as they
-# build them.
+# their predicted size, the slider builder each round of its core before
+# listing it; the exact check's search and the seeded product behind
+# `intersect` and `member` count states as they build them.
 MAX_AUTOMATON_STATES = 1 << 22
 
 

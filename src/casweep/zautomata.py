@@ -15,16 +15,14 @@ builder and `trim` keep a subset of the codes in order, `intersect` numbers
 its pair codes a |B| + b as its search finds them), with successors sorted
 by (label, target), so dumps, `==` and witnesses are reproducible.
 
-The slider automaton of a block rule of length m numbers m q^(2m-2)
-states, but `slider_relation_automaton`, which `automata` dumps and
-inspects, builds only the live ones: three passes list the L states with
-an infinite past (the L core, listed with its L steps by `_l_core`), the R
-states with an infinite future and the bridge states joining them, each
-layer capped by a running total of states before it is allocated; a
-synthesized q=3 rule of length 7 keeps 8,505 of 3,720,087.  Then each live
-state's edges are read off its window's row of the table: the L steps need
-no liveness test, since the L core is closed under them, and the bridge
-and R steps keep the live targets.
+A sweep is one bi-infinite chain of windows, so the slider relation is
+the set of labels of the bi-infinite paths of the L core: the L states (a
+window and the inputs it takes next) with an infinite past, each one
+initial and final.  `slider_relation_automaton`, which `automata` dumps
+and inspects and the exact check walks, builds that core alone, round by
+round and capped before each round is listed, and reads each state's q
+edges off its window's row of the table (the proof is in its docstring);
+a synthesized q=3 rule of length 7 has 2,187 core states.
 
 One lockstep product, `intersect`, pairs the runs of two automata over
 equal labels; it is the only product graph, and it builds only the pairs
@@ -35,18 +33,16 @@ only to final states, as the mismatch automaton's and a word's shifts
 automaton's do; no flag is needed.  `member` is the emptiness of the
 intersection with the word's shifts automaton, decided by
 `nonempty_witness`, the one emptiness test.  The exact check
-`is_slider_rule_for` builds neither the slider automaton nor a product
-graph and runs no component search.  A sweep is one bi-infinite chain of
-windows, so the slider relation is the set of labels of the bi-infinite
-paths of the L core alone; the mismatch automaton's final state is
-absorbing and its pre-states are fixed by the last few labels.  So one
-forward search over (L-core state, mismatch state) pairs, from the core
-paired with the pre-states its last labels fix to the first pair whose
-mismatch state is final, decides it (the proofs are in
-`is_slider_rule_for`); the q=2 block-13 check of x0 xor x2 visits its
-16,384 seeds of the 69,632 pairs of a 4,096-state core and 17 mismatch
-states.  Both step the second automaton through one index, `_moves`, which
-lists each state's targets per label.
+`is_slider_rule_for` builds no product graph and runs no component
+search: the mismatch automaton's final state is absorbing and its
+pre-states are fixed by the last few labels, so one forward search over
+(core state, mismatch state) pairs, from the core paired with the
+pre-states its last labels fix to the first pair whose mismatch state is
+final, decides it (the proofs are in `is_slider_rule_for`); the q=2
+block-13 check of x0 xor x2 visits its 16,384 seeds of the 69,632 pairs of
+a 4,096-state core and 17 mismatch states.  Both step the second
+automaton through one index, `_moves`, which lists each state's targets
+per label.
 Witness paths and cycles come from the shared path search in
 `casweep.graph`, which returns states; each step's label is read back as
 that of the first edge between its two states.
@@ -72,7 +68,7 @@ class ZAutomaton:
     """Numbered states, labeled successor lists, and the recurrence sets.
 
     `states` has one entry per state: the sweeper and mismatch builders use
-    range(n), the slider builder the codes of its live states; `trim`
+    range(n), the slider builder the codes of its L-core states; `trim`
     carries over the entries of the states it keeps, and `intersect` lists
     the pair code a |B| + b of A's state a and B's state b; `succ[k]` lists
     the (label, target) edges leaving state k, sorted; `initial` and
@@ -310,181 +306,76 @@ def intersect(A: ZAutomaton, B: ZAutomaton,
 # ---------------------------------------------------------------------------
 # Relation automata
 
-def _l_core(chi: BlockRule, max_states: int | None
-            ) -> dict[int, list[tuple[int, int]]]:
-    """The L core of the slider automaton and its L steps: the codes
-    v Q + r of its states within the L layer, ascending, each mapped to its
-    q edges (label, target code).
+def slider_relation_automaton(chi: BlockRule,
+                              max_states: int | None = MAX_AUTOMATON_STATES
+                              ) -> ZAutomaton:
+    """Automaton for the pairs (y, z) the block rule's two sweeps represent:
+    the L core, every state initial and final, with its L steps.
 
-    A core state L(v, c r') reads (c, z0) into L(w, r' e) for each cell e,
-    chi(v e) = z0 w (for m = 1 the one state reads (e, chi(e))).  Listing
-    the core is the first of the three passes of `slider_relation_automaton`,
-    whose docstring shows that it yields exactly the L states with an
-    infinite past; each round is checked against max_states before it is
-    listed, and chi must be bijective (ValueError).
+    A represented pair is one bi-infinite chain of windows w_k, words of
+    length m-1, with chi(w_k y_(k+m-1)) = z_k w_(k+1) for every k: from an
+    anchor i the forward sweep runs the chain rightward from w_i and the
+    inverse sweep leftward (`representation_eval`), and every such chain
+    is the one the seed with z left of i, w_i at i and y from i+m-1 on
+    represents.  An L state L(v, r) pairs a window v with the buffer r of
+    the next m-1 inputs; for a buffer r = c r' it reads (c, z0) into
+    L(w, r' e) for each cell e, chi(v e) = z0 w, guessing the input e the
+    window takes in m-1 positions (for m = 1 the one state reads
+    (e, chi(e))).  So a bi-infinite path of L steps is a chain with its
+    labels: at position k it is in L(w_k, y_k .. y_(k+m-2)) and reads
+    (y_k, z_k).
+
+    Why the L core alone is exact.  The L core is the set of L states with
+    an infinite past, and every state of a bi-infinite path is one, so the
+    slider relation is exactly the set of labels of bi-infinite core
+    paths; with every core state initial and final, these are the words
+    the automaton accepts.  With T_e(v) = table[v q + e] mod Q, Q =
+    q^(m-1), and T_r for a word r the steps by its cells in turn, the core
+    is the set of states (T_r(u), r): a past of m-1 L steps from L(u, .)
+    makes the buffer the m-1 guessed cells r.  Each of them has an
+    infinite past, since the cells a past reads are free and chi is
+    bijective, so every window is T_e(v) of some (v, e) and ends backward
+    chains of any length.  The core is closed under L steps, (T_r(u), r)
+    with r = c r' stepping to (T_(r' e)(T_c(u)), r' e), so every core state
+    has q steps on into the core and a step in from it: no state is dead.
+    It is listed as all Q windows with the buffer 0, extended m-1 times by
+    a guessed cell, no fixed point iterated; each round, at most q times
+    the last, is checked against max_states before it is listed, and chi
+    must be bijective (ValueError).
+
+    A state keeps the code (m-2) Q^2 + v Q + r that L(v, r) has among the
+    m q^(2m-2) states of the three-layer slider automaton (inverse sweep,
+    bridge, forward sweep), 0 for m = 1; the codes are ascending and each
+    state's edges are sorted by (label, target).  A synthesized q=3 rule
+    of length 7 keeps 2,187 of those 3,720,087 codes.
     """
     if not chi.is_bijective():
         raise ValueError("slider relations need a bijective block rule")
     q, m, table = chi.q, chi.block_length, chi.table
     if m == 1:
-        return {0: [(e * q + table[e], 0) for e in range(q)]}
+        check_cap(1, max_states, "slider live states")
+        return ZAutomaton(q, 2, (0,), (tuple((e * q + table[e], 0)
+                                             for e in range(q)),), (0,), (0,))
     Q, h = q ** (m - 1), q ** (m - 2)
     # chi(v e) = z0 w: rows[v] lists (z0, w Q + e) for the q cells e, the
     # output and the code of the window w with the buffer e
     rows = [[(x // Q, x % Q * Q + e)
              for e, x in enumerate(table[v * q:v * q + q])] for v in range(Q)]
-    steps = [[t for _, t in row] for row in rows]
     # states v Q + r; the core appends the cell e that drives the window
     left: Collection[int] = range(0, Q * Q, Q)
     for _ in range(m - 1):
         check_cap(q * len(left), max_states, "slider live states")
-        left = {t + s % Q * q for s in left for t in steps[s // Q]}
-    core = {}
-    for s in sorted(left):
+        left = {t + s % Q * q for s in left for _, t in rows[s // Q]}
+    codes = sorted(left)
+    number = {s: k for k, s in enumerate(codes)}
+    succ = []
+    for s in codes:
         c, shift = s % Q // h * q, s % h * q
-        core[s] = [(c + z0, target + shift) for z0, target in rows[s // Q]]
-    return core
-
-
-def slider_relation_automaton(chi: BlockRule,
-                              max_states: int | None = MAX_AUTOMATON_STATES
-                              ) -> ZAutomaton:
-    """Automaton for the pairs (y, z) the block rule's two sweeps represent,
-    built on its live states alone.
-
-    Reading left to right, the run simulates the backward inverse sweep with
-    inverted edges while buffering its cell emissions, crosses a bridge of
-    m-1 positions where the guessed free cells are handed over, then
-    simulates the forward sweep with the output buffer delaying the
-    comparison by m-1 cells.  The left states and right states carry the
-    recurrence obligations, so accepted paths cross the bridge exactly once;
-    shift invariance of the relation makes the crossing position immaterial.
-
-    Every state pairs a window v with a buffer r, both words of length m-1:
-    L(v, r) holds the inverse sweep's window and the pending inputs, B(t, v,
-    r) the handed-over window with m-1-t pending inputs then t guessed
-    outputs, R(v, r) the forward sweep's window and the pending outputs.
-    With Q = q^(m-1), state B(t, v, r) is (t-1) Q^2 + v Q + r, L(v, r) is
-    (m-2) Q^2 + v Q + r and R(v, r) is (m-1) Q^2 + v Q + r (for m = 1, L is
-    0 and R is 1).  Each bridge step, L to B(1) to ... to B(m-2) to R,
-    shifts the buffer's first input out and a guessed output in.  Of these
-    m q^(2m-2) codes only the live ones are kept, in order, as `states`.
-    Three passes list them:
-
-    - *L core* (`_l_core`, which also lists its L steps).  All Q windows
-      with an empty buffer, extended m-1 times by a guessed cell e:
-      (v, r) -> (table[v q + e] mod Q, r q + e).  These are the L states
-      reached by m-1 L steps, since a step appends its cell to the buffer.
-      They are already the L states with an infinite past, so no fixed
-      point is iterated: chi is bijective, so every window is the
-      table[v q + e] mod Q of some (v, e), hence ends backward chains of
-      any length.
-    - *R core.*  The mirror pass: all windows with an empty buffer, owed
-      outputs z prepended m-1 times through the inverse, (v2, r) ->
-      (chi^-1(z v2) div q, z q^k + r) for a buffer of k cells.  These are
-      the R states with an infinite future: a window with the first m-1
-      outputs of a forward sweep from it.
-    - *Bridge.*  B(t, v, s p) for each window v, each suffix s of m-1-t
-      pending inputs of an L-core buffer of v and each prefix p of t
-      outputs of an R-core buffer of v: the bridge keeps the window and
-      hands the buffer over one cell at a time.  Per window a layer is the
-      product of the two sets, so its size is known before it is listed.
-
-    Every window carries buffers in both cores, so every state kept lies on
-    a path from the L core over the bridge into the R core, and none is
-    dead.  Before each layer is allocated, the running total of states plus
-    the layer's size (bounded by q times the current layer in the cores,
-    counted for the bridge) is checked against max_states; the m q^(2m-2)
-    codes are never counted, and no edge is built before the last layer is.
-
-    Each state's edges are then read off its window's row of the table,
-    chi(v e) = z0 w for the q cells e, as (label, target) pairs sorted by
-    label, then target, for a buffer r = c r':
-
-    - *L steps* (`_l_core`).  L(v, r) reads (c, z0) into L(w, r' e).  No
-      target needs a test: with T_e(v) = table[v q + e] mod Q, the core
-      state (T_r(u), r) steps to (T_(r' e)(T_c(u)), r' e), which is in the
-      core again.
-    - *Bridge steps.*  L(v, r) and B(t, v, r) read (c, z) into B(t+1, v,
-      r' z), where B(m-1) stands for R (and B(1) too when m = 2).  The
-      target is kept when it is live, that is, when the t+1 cells ending
-      r' z are a prefix of an R-core buffer of v.
-    - *R steps.*  R(v, r) reads (e, z) into R(w, r' z) for each e with
-      z0 = c, kept when the target is live.
-    """
-    core = _l_core(chi, max_states)
-    q, m, table = chi.q, chi.block_length, chi.table
-    if m == 1:
-        check_cap(2, max_states, "slider live states")
-        labels = [label for label, _ in core[0]]
-        return ZAutomaton(q, 2, (0, 1),
-                          (tuple((a, t) for a in labels for t in (0, 1)),
-                           tuple((a, 1) for a in labels)), (0,), (1,))
-    Q, h = q ** (m - 1), q ** (m - 2)
-    L, R = (m - 2) * Q * Q, (m - 1) * Q * Q
-    cells, total = range(q), len(core)
-    # chi(v e) = z0 w: step[v q + e] is w Q and back[z0 Q + w] is v Q
-    step = [x % Q * Q for x in table]
-    back = [x // q * Q for x in chi.inverse().table]
-
-    def check(size: int) -> None:
-        check_cap(total + size, max_states, "slider live states")
-
-    # the R core prepends the output z the window owes
-    right: Collection[int] = range(0, Q * Q, Q)
-    for k in range(m - 1):
-        check(q * len(right))
-        lead = q ** k
-        right = {back[z * Q + s // Q] + z * lead + s % Q
-                 for s in right for z in cells}
-    total += len(right)
-    # B(t, v, s p) for the suffixes s of m-1-t cells of the L-core buffers
-    # of v and the prefixes p of t cells of its R-core buffers, listed in
-    # code order as (v q^(m-1-t) + s) q^t + p = v Q + s q^t + p
-    layers = []
-    for t in range(1, m - 1):
-        low, high = q ** t, q ** (m - 1 - t)
-        owed: dict[int, list[int]] = {}
-        for x in sorted({s // high for s in right}):
-            owed.setdefault(x // low, []).append(x % low)
-        pending = sorted({s // Q * high + s % high for s in core})
-        size = sum(len(owed[x // high]) for x in pending)
-        check(size)
-        total += size
-        layers.append([x * low + p for x in pending for p in owed[x // high]])
-    layers += [list(core), sorted(right)]
-    codes = [k * Q * Q + s for k, layer in enumerate(layers) for s in layer]
-    number = dict(zip(codes, range(len(codes))))
-    get, succ = number.get, []
-    for t, layer in [*enumerate(layers[:-2], 1), (0, layers[-2])]:
-        # the bridge step of B(t) to B(t+1), of B(m-2) to R and of L (t = 0)
-        # to B(1): the window stays, the first pending input c leaves the
-        # buffer and an output cell e enters it, if the target is live
-        ahead = (t if t < m - 2 else m - 1) * Q * Q
-        for s in layer:
-            c, shift = s % Q // h * q, s % h * q
-            base = ahead + s - s % Q + shift
-            out = [(c + e, w) for e in cells
-                   if (w := get(base + e)) is not None]
-            if t == 0:
-                # the L steps, always live
-                out += [(label, number[L + target])
-                        for label, target in core[s]]
-                out.sort()
-            succ.append(tuple(out))
-    for s in layers[-1]:
-        i, c, shift = s // Q * q, s % Q // h, R + s % h * q
-        out = []
-        for y in cells:
-            if table[i + y] // Q == c:  # the forward step owes c
-                for z in cells:
-                    if (w := get(step[i + y] + shift + z)) is not None:
-                        out.append((y * q + z, w))
-        succ.append(tuple(out))
-    n_bridge = len(codes) - len(core) - len(right)
-    return ZAutomaton(q, 2, tuple(codes), tuple(succ),
-                      tuple(range(n_bridge, n_bridge + len(core))),
-                      tuple(range(n_bridge + len(core), len(codes))))
+        succ.append(tuple(sorted((c + z0, number[target + shift])
+                                 for z0, target in rows[s // Q])))
+    L, every = (m - 2) * Q * Q, tuple(range(len(codes)))
+    return ZAutomaton(q, 2, tuple(L + s for s in codes), tuple(succ),
+                      every, every)
 
 
 def sweeper_relation_automaton(chi: BlockRule,
@@ -605,9 +496,9 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     pair disagrees with f anywhere, that is, that the slider relation and
     the language of `graph_mismatch_automaton(f)` share no word.  The
     slider relation is the set of labels of the bi-infinite paths of the L
-    core (`_l_core`) alone, so one search over (L-core state, mismatch
-    state) pairs, stepped by L steps only, decides that with no slider
-    automaton and no component search:
+    core that `slider_relation_automaton` builds (its docstring proves
+    it), so one search over (core state, mismatch state) pairs, stepped by
+    L steps, decides that with no product graph and no component search:
 
     - *Seeds.*  Each core state, paired with one pre-state of the mismatch
       automaton, is stepped by each L step together with the one pre-state
@@ -625,21 +516,6 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
       final state, and True when the walk ends.  For lag >= 0 the only
       move out of the pre-states is to 0, so the walk is one scan of the
       seeds.
-
-    Why the L core alone is exact.  An accepted path of the slider
-    automaton reads the same labels (y_i, z_i) in L, over the bridge and
-    in R: it is one chain of windows w_k with chi(w_k y_(k+m-1)) = z_k
-    w_(k+1).  L position k is chain index k, the bridge freezes the window
-    for m-1 positions, and R position j is chain index j-m+1.  So the
-    chain's L-side state L(w_k, y_k .. y_(k+m-2)) is defined at every k,
-    on a bi-infinite path of L steps with the path's labels; each such
-    state, having a past of m-1 L steps, is (T_r(u), r), a core state.
-    Conversely every bi-infinite path of the core can cross the bridge at
-    any position into live bridge and R states, since every window carries
-    buffers in both cores, and continue forward in R: an accepted path
-    with the same labels.  So the slider relation is exactly the set of
-    labels of bi-infinite core paths.  The core is closed under L steps
-    and every core state has q of them.
 
     *Seeds:* the fixed point is exactly the set of pairs with an infinite
     past of pairs in core x pre-states.  The far past of a common word's
@@ -659,14 +535,14 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     max_states bounds each round of the core (q times the last round,
     checked before it is listed), the mismatch automaton, each seed layer
     and the pairs the walk visits, seeds included, counted as they are
-    found.  Neither the slider automaton nor the product |core| |mismatch|
-    is built or checked: the block-5 rule (f(x), s, x[1:]) of q=4
-    x2 + x3 x4 has 4,096 core states and 4,097 mismatch states, which make
-    16,781,312 pairs, and the search visits its 65,536 seeds alone.
+    found.  The product |core| |mismatch| is neither built nor checked:
+    the block-5 rule (f(x), s, x[1:]) of q=4 x2 + x3 x4 has 4,096 core
+    states and 4,097 mismatch states, which make 16,781,312 pairs, and the
+    search visits its 65,536 seeds alone.
     """
     if chi.q != f.q:
         raise ValueError("alphabet mismatch")
-    core = _l_core(chi, max_states)
+    core = slider_relation_automaton(chi, max_states)
     mismatch = graph_mismatch_automaton(f, max_states)
     g = minimize_neighborhood(f)
     what = "slider-mismatch product nodes"
@@ -683,7 +559,7 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     while stack:
         sa, sb = divmod(stack.pop(), nb)
         targets = leave[sb]
-        for label, ta in core[sa]:
+        for label, ta in core.succ[sa]:
             for tb in targets[label]:
                 if not tb:
                     return False
@@ -696,8 +572,7 @@ def is_slider_rule_for(chi: BlockRule, f: LocalRule,
     return True
 
 
-def _left_recurrent_pairs(core: dict[int, list[tuple[int, int]]],
-                          mismatch: ZAutomaton, rounds: int,
+def _left_recurrent_pairs(core: ZAutomaton, mismatch: ZAutomaton, rounds: int,
                           max_states: int | None, what: str) -> set[int]:
     """Codes a |mismatch| + b of the (L-core state, mismatch state) pairs
     with an infinite past of pairs in core x pre-states, given that the
@@ -710,10 +585,10 @@ def _left_recurrent_pairs(core: dict[int, list[tuple[int, int]]],
     in_pre = _marks(nb, mismatch.initial)
     pre = [{label: t for label, t in out if in_pre[t]}
            for out in mismatch.succ]
-    layer = {a * nb + mismatch.initial[0] for a in core}
+    layer = {a * nb + mismatch.initial[0] for a in range(len(core.states))}
     for _ in range(rounds + 1):
         ahead = {t * nb + pre[code % nb][label]
-                 for code in layer for label, t in core[code // nb]}
+                 for code in layer for label, t in core.succ[code // nb]}
         check_cap(len(ahead), max_states, what)
         if ahead == layer:
             return layer

@@ -668,9 +668,10 @@ def mismatch_state_number(f: LocalRule, name) -> int:
 
 
 def named_slider_relation_automaton(chi: BlockRule) -> ZAutomaton:
-    """The whole slider relation automaton, all m q^(2m-2) states, built
-    on named states (see `zautomata.slider_relation_automaton`, which builds
-    the live ones) and numbered by `from_named`."""
+    """The whole slider relation automaton, all m q^(2m-2) states of its
+    L, bridge and R layers, built on named states and numbered by
+    `from_named` (`zautomata.slider_relation_automaton` builds its L core
+    alone)."""
     if not chi.is_bijective():
         raise ValueError("slider relations need a bijective block rule")
     q, m = chi.q, chi.block_length
@@ -742,8 +743,10 @@ def named_slider_relation_automaton(chi: BlockRule) -> ZAutomaton:
 
 
 def whole_slider_automaton(chi: BlockRule) -> ZAutomaton:
-    """The whole slider automaton with the package's state numbers: its
-    `trim` is what `zautomata.slider_relation_automaton` builds."""
+    """The whole slider automaton with the package's state numbers, the
+    three-layer reference: `l_core_automaton` finds in it the L core that
+    `zautomata.slider_relation_automaton` builds, and the two accept the
+    same words."""
     return renumbered(named_slider_relation_automaton(chi),
                       lambda s: slider_state_number(chi, s))
 
@@ -752,8 +755,9 @@ def l_core_automaton(chi: BlockRule) -> ZAutomaton:
     """The L core of the whole slider automaton on its own: the L states
     with an infinite past of L states, found by a component search over
     the L-to-L edges, each one initial and final, with the L steps between
-    them.  `zautomata.is_slider_rule_for` proves that it accepts the slider
-    relation; its states keep their slider numbers."""
+    them.  `zautomata.slider_relation_automaton` builds it directly and
+    proves that it accepts the slider relation; its states keep their
+    slider numbers."""
     whole = whole_slider_automaton(chi)
     is_l = set(whole.initial)
     succ = [[t for _, t in out if t in is_l] if s in is_l else []

@@ -7,17 +7,18 @@ the JSON of `nonempty_witness`.  The table was generated once from the
 named-state implementation; any change to state numbering, edge order or
 witness search fails here.
 
-The slider digests in `PINS` are those of the whole automaton, all
-m q^(2m-2) states, which the named-state builder still gives
-(`oracles.whole_slider_automaton`).  `automata` builds the live states
-alone; for block length 1 (`swap`) every state is live, and for the other
-rules `LIVE` pins the dumps of the live automaton, computed from `trim` of
-the whole automaton.  The witnesses are the same for both.
+The slider rows of `PINS` pin the whole slider automaton, all m q^(2m-2)
+states of its L, bridge and R layers, which the named-state builder gives
+(`oracles.whole_slider_automaton`).  `automata` builds its L core alone,
+which accepts the same relation; `LIVE` pins the dump and the witness of
+each slider row on the core, computed from `oracles.l_core_automaton`.
 
 `automata dump` and `automata empty --vs` build the plain product
-`intersect` on the live automaton; `PLAIN` pins its dump and witness for
-every `--vs` row, and the whole slider automaton gives the same verdict
-and witness.
+`intersect`; `PLAIN` pins its dump and witness for every `--vs` row.  Its
+slider rows pin the product on `trim` of the whole automaton, whose
+initial and final states differ, and `LIVE_PLAIN` pins it on the L core,
+computed from `oracles.l_core_automaton`.  On the whole automaton the
+product has the same verdict and accepts the core's witness.
 """
 
 import hashlib
@@ -28,10 +29,10 @@ import pytest
 from casweep.blockrule import builtin_block_rule
 from casweep.ca import builtin_rule
 from casweep.core import ep_to_json
-from casweep.zautomata import (graph_mismatch_automaton, intersect,
+from casweep.zautomata import (graph_mismatch_automaton, intersect, member,
                                nonempty_witness, slider_relation_automaton,
-                               sweeper_relation_automaton)
-from oracles import flag_intersect, whole_slider_automaton
+                               sweeper_relation_automaton, trim)
+from oracles import flag_intersect, is_empty, whole_slider_automaton
 
 KINDS = {"slider": slider_relation_automaton,
          "sweeper": sweeper_relation_automaton}
@@ -210,43 +211,99 @@ PINS = [
       "right_period": [0]}),
 ]
 
-# (block rule, --vs rule or None) -> dump sha256 of the live slider
-# automaton, where it differs from the whole one
+# (block rule, --vs rule or None) -> (dump sha256, witness JSON or None)
+# of the L core
 LIVE = {
-    ("xor_block", None):
-        "673c4fd97044c298398336ab5338cb4f6383d20581ace10c2e6ee5a64f8da8b4",
-    ("xor_block", "identity"):
-        "81149803226e4e242f408aad97f899312204f6aa5233a90b18c2aa9a3108f171",
-    ("xor_block", "shift"):
-        "29f7281f68cf85aff6984eb6b195b67856391312fb776bef520dcc95f5724e66",
-    ("xor_block", "shift_inv"):
-        "1bd04dac82a4646d24a81200c7c8b067ff21373165ead840e51c93187205b02c",
-    ("xor_block", "ca102"):
-        "8b82097fd6fd84c14694bdfb10a3bce1398f8e997b102126c2b1e92eb63b8aaa",
-    ("xor_block", "xor_left"):
-        "dbb109ef284d531a7e564911a88c6148c4ea6468de8957c8d87647e758944f0f",
-    ("xor_block", "and_rule"):
-        "0629ceffe0cee1791db1fec4a36843c7d7d0ef47703ed3b48f643ddc0f7fae2f",
-    ("identity_block", None):
-        "0ea1f7d3479e8ce8fa2525730af4f72647df6e53d37eaf64e7d5b5b9b2ae381f",
-    ("identity_block", "identity"):
-        "599d5798f03f28fcfa97c8d933b3204ab53b1af461e1c1375fdb1a0d0b5cdcbc",
-    ("identity_block", "shift"):
-        "96b46301aadd65c01f96d33484431ca7eba482b16f2149d6451f117b658bac08",
-    ("identity_block", "shift_inv"):
-        "36b427aba1edea96e3a7e0d1e87be094884670811cd0805bf453da048770376c",
-    ("identity_block", "ca102"):
-        "2d565eccba4f7b086c6776ef552fcfde3db0c8f458b29fd51b509f56cc6ccb51",
-    ("identity_block", "xor_left"):
-        "5f85128a3dfefe5f125ead003f96687ab9e33c3d281e44bc33675eb490c464b6",
-    ("identity_block", "and_rule"):
-        "cb7227dc95b6edb57cd29c902e4be683f812eb226110e2708d46b9fc78c6dee8",
-    ("not_closed", None):
-        "8421a4da4e1f8fab835058de5d75636b236683fef2b2a335b8c53721117d1f6f",
+    ("swap", None): (
+        "f42e82f9336fe85bcaad1474fa9a621193c2686a46efe2607ba128ca8d6bc9f2",
+        {"alphabet": 4, "left_period": [0], "center": [],
+         "center_start": 0, "right_period": [0]}),
+    ("swap", "identity"): (
+        "1e6a90d7928d53d84de1e7f92cca608d38631fb6276f8001d83deb1781380e19",
+        {"alphabet": 4, "left_period": [0], "center": [1, 2],
+         "center_start": 1, "right_period": [0]}),
+    ("swap", "shift"): (
+        "06d263af77c7c1ad944936955f20b6f5b8307bb04a25cfb5235ca624e3167720",
+        None),
+    ("swap", "shift_inv"): (
+        "951e547648d825c9c52ac8f0cf9cfadaf3ec4d002eeabef4a8541145682de1b6",
+        {"alphabet": 4, "left_period": [0], "center": [1, 2],
+         "center_start": 2, "right_period": [0]}),
+    ("swap", "ca102"): (
+        "a6725a1b2bd1376986f595dc5942d6e995834563ee946226ed5619a41c694f0c",
+        {"alphabet": 4, "left_period": [1, 2], "center": [],
+         "center_start": 1, "right_period": [0]}),
+    ("swap", "xor_left"): (
+        "cb5ac8a46de2ee3593de6376e2eb92e0e348817ecd9eea28d105cb8fbb87d98a",
+        {"alphabet": 4, "left_period": [0], "center": [1, 2],
+         "center_start": 1, "right_period": [0]}),
+    ("swap", "and_rule"): (
+        "68205da3b284aa37824b02fa5ee052c19c85875b484159863ab01dc5d8cf85d4",
+        {"alphabet": 4, "left_period": [0], "center": [1, 2],
+         "center_start": 0, "right_period": [0]}),
+    ("xor_block", None): (
+        "b63b2d13a5370177895eca16fca146b02ea90344bf443f1307483a0da389659c",
+        {"alphabet": 4, "left_period": [0], "center": [],
+         "center_start": 0, "right_period": [0]}),
+    ("xor_block", "identity"): (
+        "9fa7663b6f009fec3d85475dd926416316317ecd3bedb8f7cb89d82208064b5a",
+        {"alphabet": 4, "left_period": [0], "center": [1],
+         "center_start": 1, "right_period": [2]}),
+    ("xor_block", "shift"): (
+        "21a5b98323dbcf95cc935a7116f74a1eae3ba49b1982df4274416d5a64b461ba",
+        {"alphabet": 4, "left_period": [2], "center": [],
+         "center_start": 0, "right_period": [2]}),
+    ("xor_block", "shift_inv"): (
+        "80378273231a61b8cec62d6c04f2ce266396cecf4c31fea65794f25432ae1e26",
+        {"alphabet": 4, "left_period": [0], "center": [1],
+         "center_start": 2, "right_period": [2]}),
+    ("xor_block", "ca102"): (
+        "4e3d7f831130c2b21d1194e1649fce1ffd342d30b18856cf4a0765cef1ac7f5e",
+        None),
+    ("xor_block", "xor_left"): (
+        "8f9013096418d2e7e5c4ce9e4b830c87c00199da27eaf963c9e968e9fd3bd579",
+        {"alphabet": 4, "left_period": [0], "center": [1],
+         "center_start": 1, "right_period": [2]}),
+    ("xor_block", "and_rule"): (
+        "d95804f2c72c6e60b10a32f93c221c120919037542bc09fc8219bfc86941ea14",
+        {"alphabet": 4, "left_period": [0], "center": [1],
+         "center_start": 0, "right_period": [2]}),
+    ("identity_block", None): (
+        "14c601633b6a4ab504682faded4b08efa6b3549c8a6ca1124a677a3a62d43747",
+        {"alphabet": 4, "left_period": [0], "center": [],
+         "center_start": 0, "right_period": [0]}),
+    ("identity_block", "identity"): (
+        "9bf677a7395c46f8eecc5b4538e97a5a0e1dbcf5e68ba4aa348646410d6c5885",
+        None),
+    ("identity_block", "shift"): (
+        "5d98e1d7f113a108b1ad7477441752b088a7830c330c4aca79ecaec260396cf9",
+        {"alphabet": 4, "left_period": [0], "center": [3],
+         "center_start": 1, "right_period": [0]}),
+    ("identity_block", "shift_inv"): (
+        "fee9b19385734ba6650b8b2a04398ac7147ab5dba2438d79900f30511bfa2087",
+        {"alphabet": 4, "left_period": [0], "center": [3],
+         "center_start": 2, "right_period": [0]}),
+    ("identity_block", "ca102"): (
+        "5667dc5f8f16fc158d9959589890c3e5f42eea47dd0bc75636bfa68806cf862b",
+        {"alphabet": 4, "left_period": [0], "center": [3],
+         "center_start": 1, "right_period": [0]}),
+    ("identity_block", "xor_left"): (
+        "fcd452ff805845f6fd3499cb08e8ec20efea7bdaba26009ebaefccaaef2d1262",
+        {"alphabet": 4, "left_period": [0, 3], "center": [],
+         "center_start": 1, "right_period": [0]}),
+    ("identity_block", "and_rule"): (
+        "c62f9c483b5db2effae37ab59befa3cd4ee0bd037def65587aad23b8940b7776",
+        {"alphabet": 4, "left_period": [0, 3], "center": [],
+         "center_start": 1, "right_period": [0]}),
+    ("not_closed", None): (
+        "ba0d11b74cc9a5c44c3ed9c849b982a6ab6e1da13a648e267d8526bdf3bdf8cb",
+        {"alphabet": 16, "left_period": [0], "center": [],
+         "center_start": 0, "right_period": [0]}),
 }
 
 # (kind, block rule, --vs rule, dump sha256, witness JSON or None) of
-# `intersect` on the automaton `automata` builds
+# `intersect` on the sweeper automaton and on the trimmed whole slider
+# automaton
 PLAIN = [
     ("slider", "swap", "identity",
      "8eda747b0ad06473f145451d7694e227234ae4b65e47d6f1eaffd08ff923a49e",
@@ -389,12 +446,90 @@ PLAIN = [
 ]
 
 
+# (block rule, --vs rule) -> (dump sha256, witness JSON or None) of
+# `intersect` on the L core
+LIVE_PLAIN = {
+    ("swap", "identity"): (
+        "aefc5193639fe3576db9aafbebcc08c033a126dcd9b7d62085d6a6bc77b0d1a2",
+        {"alphabet": 4, "left_period": [0], "center": [1],
+         "center_start": 0, "right_period": [3]}),
+    ("swap", "shift"): (
+        "888e5b93363024208dc0b226131189d60f5a1c761e02f1acede8536066c82a9f",
+        None),
+    ("swap", "shift_inv"): (
+        "fd174d4de35a8fb544bbbf6b7d4e75ce8b884b810131e63fa5328d6081fd3fac",
+        {"alphabet": 4, "left_period": [0], "center": [1],
+         "center_start": 1, "right_period": [3]}),
+    ("swap", "ca102"): (
+        "cb16813222369fcb1434b35f998149855694767f7be313926dc2ee91463cc953",
+        {"alphabet": 4, "left_period": [1, 2], "center": [],
+         "center_start": 0, "right_period": [0]}),
+    ("swap", "xor_left"): (
+        "1094a5ff8e094dfbbeb30a614673b12458cc479ae6e404125482bfad419d2e25",
+        {"alphabet": 4, "left_period": [0], "center": [1],
+         "center_start": 0, "right_period": [3]}),
+    ("swap", "and_rule"): (
+        "f5cb662b3a45767ae5d9d58b23c49012918257af839c7a84e5fb9d5b771adb26",
+        {"alphabet": 4, "left_period": [1, 2], "center": [],
+         "center_start": 1, "right_period": [0]}),
+    ("xor_block", "identity"): (
+        "f09625c670158ace7b3ae382e87941658f6b0dc6df372abde349b1d779ada122",
+        {"alphabet": 4, "left_period": [0], "center": [1],
+         "center_start": 0, "right_period": [2]}),
+    ("xor_block", "shift"): (
+        "a8076ad19f02d6d0529438fe356f2b946d26849ee61fa9a53f43125454bdaa9d",
+        {"alphabet": 4, "left_period": [1, 3], "center": [],
+         "center_start": 0, "right_period": [0]}),
+    ("xor_block", "shift_inv"): (
+        "122a810b36e829e224c37b0710110261b73021e1f96960b85667a186008382a5",
+        {"alphabet": 4, "left_period": [0], "center": [1],
+         "center_start": 1, "right_period": [2]}),
+    ("xor_block", "ca102"): (
+        "055e8baeb0bf8730d04e9ecaf25284f91a42e8391a428d0668b21cbcefeb28ef",
+        None),
+    ("xor_block", "xor_left"): (
+        "5d2c942ed58e5d882822fa07580295fbf1e5c148469fa50cb2d57214538256b8",
+        {"alphabet": 4, "left_period": [0], "center": [1],
+         "center_start": 0, "right_period": [2]}),
+    ("xor_block", "and_rule"): (
+        "b0e9dfc4c841ffdae73a102f5d9a56ec38926f2125b94c72fa0820443a0444ad",
+        {"alphabet": 4, "left_period": [1, 3], "center": [],
+         "center_start": 0, "right_period": [0]}),
+    ("identity_block", "identity"): (
+        "18ebfd3f65537ad7dc53d3a096084260791115da13fdd098c9654ded7bac22bf",
+        None),
+    ("identity_block", "shift"): (
+        "0770587bc4c34ad1a98bb230d90f9a009257c802243687d13cd47f1b74162b9c",
+        {"alphabet": 4, "left_period": [0, 3], "center": [],
+         "center_start": 0, "right_period": [0]}),
+    ("identity_block", "shift_inv"): (
+        "6956813274e4a98c6bec6294fab8a81f53180dea0c50a4a02f1d4240db06f6e8",
+        {"alphabet": 4, "left_period": [0], "center": [3],
+         "center_start": 1, "right_period": [0]}),
+    ("identity_block", "ca102"): (
+        "a4b1b5e3f0703fb5004c550d05f672bd22266c66ec6e02a6ebf9f7aba128908e",
+        {"alphabet": 4, "left_period": [0, 3], "center": [],
+         "center_start": 1, "right_period": [0]}),
+    ("identity_block", "xor_left"): (
+        "c40863849a756613fee4dcca09025480b41e13a968fd64dabf03b03a61fabc29",
+        {"alphabet": 4, "left_period": [0, 3], "center": [],
+         "center_start": 0, "right_period": [0]}),
+    ("identity_block", "and_rule"): (
+        "a71bf81f3a4f7600217a1751ecf04ad3cb40eed29b98b86a4e51edfeb96d4ad3",
+        {"alphabet": 4, "left_period": [0, 3], "center": [],
+         "center_start": 0, "right_period": [0]}),
+}
+
+
 def test_table_covers_every_case():
     assert len(PINS) == 44
     assert len({row[:3] for row in PINS}) == 44
-    assert {("slider",) + key for key in LIVE} <= {row[:3] for row in PINS}
+    assert {("slider",) + key for key in LIVE} \
+        == {row[:3] for row in PINS if row[0] == "slider"}
     assert [row[:3] for row in PLAIN] == [row[:3] for row in PINS
                                           if row[2] is not None]
+    assert {("slider",) + key for key in LIVE_PLAIN} \
+        == {row[:3] for row in PLAIN if row[0] == "slider"}
 
 
 @pytest.mark.parametrize("kind,block,vs,digest,witness", PINS,
@@ -402,7 +537,7 @@ def test_table_covers_every_case():
 def test_dump_and_witness_are_pinned(kind, block, vs, digest, witness):
     A = KINDS[kind](builtin_block_rule(block))
     if kind == "slider":
-        digest = LIVE.get((block, vs), digest)
+        digest, witness = LIVE[block, vs]
     assert_pinned(A, vs, digest, witness)
 
 
@@ -417,13 +552,19 @@ def test_whole_slider_automaton_is_pinned(kind, block, vs, digest, witness):
 @pytest.mark.parametrize("kind,block,vs,digest,witness", PLAIN,
                          ids=lambda v: str(v)[:12])
 def test_intersection_is_pinned(kind, block, vs, digest, witness):
+    chi = builtin_block_rule(block)
     mismatch = graph_mismatch_automaton(builtin_rule(vs))
-    A = intersect(KINDS[kind](builtin_block_rule(block)), mismatch)
+    if kind == "slider":
+        assert_pinned(intersect(trim(whole_slider_automaton(chi)), mismatch),
+                      None, digest, witness)
+        digest, witness = LIVE_PLAIN[block, vs]
+    A = intersect(KINDS[kind](chi), mismatch)
     assert_pinned(A, None, digest, witness)
     if kind == "slider":
-        whole = whole_slider_automaton(builtin_block_rule(block))
-        found = nonempty_witness(intersect(whole, mismatch))
-        assert (None if found is None else ep_to_json(found)) == witness
+        whole = intersect(whole_slider_automaton(chi), mismatch)
+        found = nonempty_witness(A)
+        assert (found is None) is is_empty(whole)
+        assert found is None or member(whole, found)
 
 
 def assert_pinned(A, vs, digest, witness):

@@ -23,9 +23,8 @@ from casweep.ca import BUILTIN_RULES, LocalRule, apply_ep, builtin_rule
 from casweep.cli import build_parser, main
 from casweep.closing import left_closing_decide
 from casweep.core import (EpConfig, ep_equal, ep_from_json, ep_to_json,
-                          ep_unzip, ep_zip, word_of_index)
-from casweep.zautomata import (graph_mismatch_automaton, intersect,
-                               nonempty_witness)
+                          ep_zip, word_of_index)
+from casweep.zautomata import graph_mismatch_automaton, intersect, member
 from oracles import is_empty, whole_slider_automaton
 
 
@@ -610,8 +609,8 @@ def test_automata_inspect_swap_slider(capsys):
     code, report, _ = run(capsys, "automata", "inspect", data_file("swap"),
                           "--kind", "slider")
     assert code == 0
-    assert report["states"] == 8
-    assert report["edges"] == 24
+    assert report["states"] == 4
+    assert report["edges"] == 8
     assert report["arity"] == 2
 
 
@@ -645,17 +644,17 @@ def test_automata_member_pair(capsys, tmp_path):
 
 def test_automata_member_caps_its_product(capsys, tmp_path):
     """`member` counts the product pairs as it builds them: (y, shift(y))
-    takes 30 pairs against the 8-state swap slider automaton."""
+    takes 16 pairs against the 4-state swap slider automaton."""
     y = EpConfig(2, (0,), (1, 1, 0, 1), 0, (0,))
     z = apply_ep(builtin_rule("shift"), y)
     argv = ["automata", "member", data_file("swap"), "--kind", "slider",
             "--input", write_config(tmp_path / "y.json", y),
             "--output", write_config(tmp_path / "z.json", z)]
-    code, report, _ = run(capsys, *argv, "--max-automaton-states", "30")
+    code, report, _ = run(capsys, *argv, "--max-automaton-states", "16")
     assert code == 0 and report["member"] is True
-    code, report, err = run(capsys, *argv, "--max-automaton-states", "29")
+    code, report, err = run(capsys, *argv, "--max-automaton-states", "15")
     assert code == 3 and report is None
-    assert "member product nodes: 30 is over the cap 29" in err
+    assert "member product nodes: 16 is over the cap 15" in err
 
 
 @pytest.mark.parametrize("y,z,cells", [
@@ -776,20 +775,21 @@ def test_automata_resource_cap(capsys, tmp_path):
 
 
 def test_automata_vs_product_capped_before_it_is_built(capsys, tmp_path):
-    """The slider automaton (512 live states) and the mismatch automaton
-    (5 states) fit the cap, but the 1,216 pairs their product reaches do
-    not: it counts the pairs as it builds them and stops at the 1,001st,
-    before any edge of the intersection automaton is listed."""
+    """The slider automaton (64 core states, listed in rounds of at most
+    128) and the mismatch automaton (5 states) fit the cap, and so do the
+    256 seed pairs, but the 320 pairs their product reaches do not: it
+    counts the pairs as it builds them and stops at the 301st, before any
+    edge of the intersection automaton is listed."""
     out = str(tmp_path / "block.json")
     assert main(["synthesize", data_file("ca102"), out]) == 0
     capsys.readouterr()
     start = time.monotonic()
     code, report, err = run(capsys, "automata", "inspect", out,
                             "--kind", "slider", "--vs", data_file("ca102"),
-                            "--max-automaton-states", "1000")
+                            "--max-automaton-states", "300")
     assert time.monotonic() - start < 2
     assert code == 3 and report is None
-    assert "intersection product nodes" in err
+    assert "intersection product nodes: 301 is over the cap 300" in err
 
 
 AUTOMATA_CASES = [(block, None) for block in BUILTIN_BLOCK_RULES] + [
@@ -800,36 +800,35 @@ AUTOMATA_CASES = [(block, None) for block in BUILTIN_BLOCK_RULES] + [
 @pytest.mark.parametrize("block,vs", AUTOMATA_CASES)
 def test_automata_empty_agrees_with_the_whole_slider_automaton(capsys, block,
                                                                vs):
-    """`automata` builds the live slider states alone; its verdict, witness
-    and exit code are those of the whole automaton."""
+    """`automata` builds the L core of the slider automaton alone; its
+    verdict and exit code are those of the whole automaton, which accepts
+    its witness."""
     argv = ["automata", "empty", data_file(block), "--kind", "slider"]
     whole = whole_slider_automaton(builtin_block_rule(block))
     if vs is not None:
         argv += ["--vs", data_file(vs)]
         whole = intersect(whole, graph_mismatch_automaton(builtin_rule(vs)))
     code, report, _ = run(capsys, *argv)
-    assert report["empty"] is is_empty(whole)
-    witness = nonempty_witness(whole)
-    assert code == (0 if witness is None else 1)
-    if witness is not None:
-        wy, wz = ep_unzip(witness)
-        assert report["witness"] == {"input": ep_to_json(wy),
-                                     "output": ep_to_json(wz)}
+    empty = is_empty(whole)
+    assert report["empty"] is empty
+    assert code == (0 if empty else 1)
+    if not empty:
+        assert member(whole, ep_zip(ep_from_json(report["witness"]["input"]),
+                                    ep_from_json(report["witness"]["output"])))
 
 
 def test_automata_of_a_synthesized_rule_builds_its_live_part(capsys,
                                                              tmp_path):
     """The synthesized shift rule against ca102: the intersection with the
-    live slider states reaches 1,600 pairs (the flag product had 10,240
-    states, and 516,096 on all slider states), and the witness is the one
-    the whole automaton gives."""
+    128 L-core states reaches 640 pairs (the flag product on all slider
+    states had 516,096), and the witness is pinned."""
     out = str(tmp_path / "block.json")
     assert main(["synthesize", data_file("shift"), out]) == 0
     capsys.readouterr()
     argv = [out, "--kind", "slider", "--vs", data_file("ca102")]
     code, report, _ = run(capsys, "automata", "inspect", *argv)
     assert code == 0
-    assert report["states"] == 1600 and report["edges"] == 4384
+    assert report["states"] == 640 and report["edges"] == 1792
     code, report, _ = run(capsys, "automata", "empty", *argv)
     assert code == 1 and report["empty"] is False
     assert report["witness"] == {

@@ -177,9 +177,9 @@ def test_exact_slider_check_caps_its_product(monkeypatch):
     -1) walks from its 4 seeds into 2 countdown pairs, and its 6th visited
     pair is over a cap of 5."""
     chi, f = builtin_block_rule("swap"), builtin_rule("shift")
-    core = zautomata._l_core(chi, None)
+    core = slider_relation_automaton(chi, None)
     mismatch = graph_mismatch_automaton(f)
-    assert len(core) * len(mismatch.states) == 12
+    assert len(core.states) * len(mismatch.states) == 12
     assert search_pairs(monkeypatch, chi, f) == (True, 4, 4)
     assert is_slider_rule_for(chi, f, max_states=4) is True
     with pytest.raises(ResourceCapError,
@@ -194,7 +194,7 @@ def test_exact_slider_check_caps_its_product(monkeypatch):
         is_slider_rule_for(chi, shift_inv, max_states=5)
     ca102 = builtin_rule("ca102")
     chi = synthesize(ca102)
-    assert len(zautomata._l_core(chi, None)) == 64
+    assert len(slider_relation_automaton(chi).states) == 64
     assert search_pairs(monkeypatch, chi, ca102) == (True, 128, 128)
     assert is_slider_rule_for(chi, ca102, max_states=128) is True
     with pytest.raises(ResourceCapError,
@@ -222,7 +222,7 @@ def test_exact_slider_check_needs_bijective_rule():
 
 
 # ---------------------------------------------------------------------------
-# the live part of the slider automaton
+# the slider automaton is the L core
 
 def live_gate_rules():
     """Seeded bijective rules over q in {2, 3} of block length 1-5, and the
@@ -239,32 +239,34 @@ def live_gate_rules():
 @pytest.mark.parametrize("chi", live_gate_rules(),
                          ids=lambda chi: f"q{chi.q}m{chi.block_length}")
 def test_live_slider_automaton_is_the_trimmed_one(chi):
-    live = slider_relation_automaton(chi)
-    full = trim(whole_slider_automaton(chi))
-    assert live.q == full.q and live.arity == full.arity
-    assert live.states == full.states
-    assert live.succ == full.succ
-    assert live.initial == full.initial
-    assert live.final == full.final
+    """The builder lists the L core that `l_core_automaton` finds by a
+    component search over the whole slider automaton, state for state and
+    edge for edge, and `trim` keeps all of it: every core state has a
+    past and a future in the core."""
+    S = slider_relation_automaton(chi)
+    assert S == l_core_automaton(chi)
+    assert trim(S) == S
 
 
-@pytest.mark.parametrize("name", ["identity", "shift", "ca102"])
-def test_live_slider_automaton_counts_before_it_builds(name):
-    """One state below the candidate total is refused by the running
-    count before the last bridge layer is listed, so before any edge is
-    built: edges are numbered over every layer.  The builder's frame at the
-    raise holds B(1) .. B(m-3) alone."""
+@pytest.mark.parametrize("name,states,bound", [
+    pytest.param("identity", 64, 128, id="identity"),
+    pytest.param("shift", 128, 128, id="shift"),
+    pytest.param("ca102", 64, 128, id="ca102")])
+def test_live_slider_automaton_counts_before_it_builds(name, states, bound):
+    """Each core round is checked at q times the last one before it is
+    listed: the last round of these block-7 rules is bounded by 128, which
+    fits a cap of 128 and is refused at 127 before any state is numbered,
+    whether the round then holds 64 or 128 states."""
     chi = synthesize(builtin_rule(name))
-    total = len(slider_relation_automaton(chi).states)
-    assert len(slider_relation_automaton(chi, max_states=total).states) \
-        == total
+    assert len(slider_relation_automaton(chi, max_states=bound).states) \
+        == states
     with pytest.raises(ResourceCapError,
-                       match=f"slider live states: {total} is over the cap "
-                             f"{total - 1}$") as refused:
-        slider_relation_automaton(chi, max_states=total - 1)
-    layers = next(entry.locals["layers"] for entry in refused.traceback
-                  if entry.name == "slider_relation_automaton")
-    assert len(layers) == chi.block_length - 3
+                       match=f"slider live states: {bound} is over the cap "
+                             f"{bound - 1}$") as refused:
+        slider_relation_automaton(chi, max_states=bound - 1)
+    frame = next(entry.locals for entry in refused.traceback
+                 if entry.name == "slider_relation_automaton")
+    assert "codes" not in frame
 
 
 def l_core_rules():
@@ -279,11 +281,11 @@ def l_core_rules():
 @pytest.mark.parametrize("chi", l_core_rules(),
                          ids=lambda chi: f"q{chi.q}m{chi.block_length}")
 def test_left_recurrent_slider_states_are_the_l_core(chi):
-    """The slider automaton's `initial` states, the L core, are exactly
-    its left-recurrent states, the ones `intersect` seeds its products
-    with."""
+    """Every state of the slider automaton, the L core, is initial and
+    left-recurrent, so `intersect` seeds its products with all of them."""
     slider = slider_relation_automaton(chi)
-    assert zautomata._left_recurrent(slider) == list(slider.initial)
+    assert zautomata._left_recurrent(slider) == list(slider.initial) \
+        == list(range(len(slider.states)))
 
 
 @pytest.mark.parametrize("chi", l_core_rules(),
@@ -291,26 +293,19 @@ def test_left_recurrent_slider_states_are_the_l_core(chi):
 def test_the_l_core_alone_accepts_the_slider_relation(chi):
     """The lemma the exact check rests on: the bi-infinite paths of the L
     core, every core state initial and final, read exactly the slider
-    relation.  The core the oracle finds by a component search is the
-    one `_l_core` lists, with the same L steps, and the two automata give
-    the same `member` answers on seeded represented pairs and on one-cell
-    mutations of them."""
-    slider, core = slider_relation_automaton(chi), l_core_automaton(chi)
-    assert core.states == tuple(slider.states[k] for k in slider.initial)
-    layer = chi.q ** (2 * chi.block_length - 2)
-    assert {(core.states[s] % layer, label, core.states[t] % layer)
-            for s, label, t in core.edges} \
-        == {(s, label, t) for s, out in zautomata._l_core(chi, None).items()
-            for label, t in out}
+    relation.  The core the builder lists and the whole slider automaton
+    (L, bridge and R layers) give the same `member` answers on seeded
+    represented pairs and on one-cell mutations of them."""
+    core, whole = slider_relation_automaton(chi), whole_slider_automaton(chi)
     rng = random.Random(53)
     answers = set()
     for _ in range(6):
         x = random_ep_config(rng, chi.q)
         y, z = representation_eval(chi, x, rng.randrange(-3, 4))
-        assert member(core, ep_zip(y, z)) and member(slider, ep_zip(y, z))
+        assert member(core, ep_zip(y, z)) and member(whole, ep_zip(y, z))
         bad = ep_zip(y, mutate(z, rng.randrange(-3, 4), chi.q))
         answer = member(core, bad)
-        assert member(slider, bad) is answer
+        assert member(whole, bad) is answer
         answers.add(answer)
     assert False in answers
 
@@ -332,16 +327,15 @@ def test_exact_check_builds_the_same_product(monkeypatch, block_name, ca_name,
 
 
 def test_exact_check_of_a_q3_block7_rule(monkeypatch):
-    """This q=3 width-2 rule is synthesized with block length 7: its slider
-    automaton has 3,720,087 states, of which 8,505 are live and 2,187 make
-    the L core, and the search over the core's pairs with the mismatch
-    automaton visits its 6,561 seeds alone."""
+    """This q=3 width-2 rule is synthesized with block length 7: of the
+    3,720,087 states of its whole slider automaton 2,187 make the L core,
+    and the search over the core's pairs with the mismatch automaton
+    visits its 6,561 seeds alone."""
     f = LocalRule(3, 0, 2, (0, 2, 1, 1, 2, 0, 0, 2, 1))
     chi = synthesize(f)
     assert chi.block_length == 7
     start = time.monotonic()
-    assert len(slider_relation_automaton(chi).states) == 8505
-    assert len(zautomata._l_core(chi, None)) == 2187
+    assert len(slider_relation_automaton(chi).states) == 2187
     assert search_pairs(monkeypatch, chi, f) == (True, 6561, 6561)
     assert time.monotonic() - start < 10
 
@@ -397,16 +391,13 @@ def test_exact_search_matches_the_product_emptiness_test(case):
     """Where the full product of the slider and the mismatch automaton has
     at most 50,000 pairs, the search decides as its emptiness test, and
     its seeds are exactly that product's pairs with an infinite past in
-    initial x initial, each slider state read as its L-core code, settled
-    within max(w-1, lag) + 1 rounds (`_left_recurrent_pairs` raises
-    otherwise).  The 14 of the 161 seeded pairs above that bound (q=3,
-    block length 4-5) must be refused, each with a seeded draw that
-    represents a pair the local rule does not map."""
+    initial x initial, settled within max(w-1, lag) + 1 rounds
+    (`_left_recurrent_pairs` raises otherwise).  The 5 of the 161 seeded
+    pairs above that bound (q=3, block length 4-5) must be refused, each
+    with a seeded draw that represents a pair the local rule does not
+    map."""
     chi, rules, realized = case
     slider = slider_relation_automaton(chi)
-    core = zautomata._l_core(chi, None)
-    # the core codes are the slider codes within the L layer of Q^2 codes
-    layer = chi.q ** (2 * chi.block_length - 2)
     for f in rules:
         verdict = is_slider_rule_for(chi, f)
         if realized is not None:
@@ -420,9 +411,8 @@ def test_exact_search_matches_the_product_emptiness_test(case):
             continue
         assert verdict is disjoint_by_full_product(slider, mismatch), f
         assert zautomata._left_recurrent_pairs(
-            core, mismatch, search_rounds(f), None, "pairs") \
-            == {slider.states[p // nb] % layer * nb + p % nb
-                for p in pairs_with_initial_past(slider, mismatch)}, f
+            slider, mismatch, search_rounds(f), None, "pairs") \
+            == pairs_with_initial_past(slider, mismatch), f
 
 
 def test_unsettled_seed_layer_is_an_integrity_error():
@@ -432,7 +422,7 @@ def test_unsettled_seed_layer_is_an_integrity_error():
     chi = synthesize(builtin_rule("identity"))
     f = LocalRule(2, 0, 3, (0, 1, 0, 1, 1, 0, 1, 0))
     assert search_rounds(f) == 2
-    core = zautomata._l_core(chi, None)
+    core = slider_relation_automaton(chi)
     mismatch = graph_mismatch_automaton(f)
     with pytest.raises(IntegrityError, match="still moving after 2 rounds"):
         zautomata._left_recurrent_pairs(core, mismatch, 1, None, "pairs")
@@ -455,17 +445,16 @@ def route_one_block_rule(f: LocalRule) -> BlockRule:
 
 
 def test_route_one_q4_block5_rule_verifies_under_the_default_cap(monkeypatch):
-    """The route-1 block rule of q=4 x2 + x3 x4 has 35,840 live slider
-    states, of which 4,096 make the L core: 4,096 x 4,097 = 16,781,312
-    (core, mismatch) pairs, of which the search visits its 65,536 seeds
-    alone.  The same table at anchor 1 is refused in the same scan."""
+    """The route-1 block rule of q=4 x2 + x3 x4 has 4,096 L-core states:
+    4,096 x 4,097 = 16,781,312 (core, mismatch) pairs, of which the search
+    visits its 65,536 seeds alone.  The same table at anchor 1 is refused
+    in the same scan."""
     table = tuple((x2 + x3 * x4) % 4 for x2 in range(4) for x3 in range(4)
                   for x4 in range(4))
     f = LocalRule(4, 2, 3, table)
     chi = route_one_block_rule(f)
     assert chi.block_length == 5
-    assert len(slider_relation_automaton(chi).states) == 35_840
-    assert len(zautomata._l_core(chi, None)) == 4_096
+    assert len(slider_relation_automaton(chi).states) == 4_096
     assert len(graph_mismatch_automaton(f).states) == 4_097
     assert search_pairs(monkeypatch, chi, f) == (True, 65_536, 65_536)
     assert search_pairs(monkeypatch, chi, LocalRule(4, 1, 3, table)) \
@@ -789,7 +778,9 @@ def test_block_rule_builders_number_the_named_states(chi):
         with pytest.raises(ValueError):
             slider_relation_automaton(chi)
         return
-    assert slider_relation_automaton(chi) == trim(whole_slider_automaton(chi))
+    S = slider_relation_automaton(chi)
+    assert S == l_core_automaton(chi)
+    assert trim(S) == S
 
 
 def test_local_rules_cover_every_lag():
@@ -837,7 +828,7 @@ def test_automaton_json_shape():
     A = slider_relation_automaton(identity_block(2, 1))
     obj = A.to_json()
     assert obj["alphabet"] == 2 and obj["arity"] == 2
-    assert obj["states"] == 2
+    assert obj["states"] == 1
     assert len(obj["edges"]) == len(A.edges)
     assert set(obj["I"]) | set(obj["F"]) <= set(range(obj["states"]))
     for s, l, t in obj["edges"]:

@@ -41,7 +41,7 @@ sweeper limits, one entry per left-period word seen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .core import (EpConfig, all_words, bundled_json, check_alphabet,
@@ -49,31 +49,26 @@ from .core import (EpConfig, all_words, bundled_json, check_alphabet,
                    json_int, normal_form, word_index, word_of_index)
 
 
-@dataclass(frozen=True)
-class BlockRule:
+class BlockRule(namedtuple("BlockRule", "q block_length table")):
     """Length-m block map over alphabet 0..q-1.
 
     The table maps `word_index` of the input block to `word_index` of the
     output block.  Most operations require the table to be a permutation;
     `is_bijective` checks and `inverse` inverts.  The inverse and the mirror
-    image are derived once per rule and cached on the instance, outside the
-    dataclass fields, so equality, hashing and the JSON form ignore them.
-    So is the sweep memo `_left_sweeps` (module docstring), one entry per
-    left-period word seen.
+    image are derived once per rule and cached in the instance's
+    `__dict__`, outside the tuple's fields, so equality, hashing and the
+    JSON form ignore them.  So is the sweep memo `_left_sweeps` (module
+    docstring), one entry per left-period word seen.
     """
 
-    q: int
-    block_length: int
-    table: tuple[int, ...]
-
-    def __post_init__(self):
-        check_alphabet(self.q)
-        if self.block_length < 1:
+    def __new__(cls, q, block_length, table):
+        check_alphabet(q)
+        if block_length < 1:
             raise ValueError("block length must be at least 1")
-        check_table_size(len(self.table), self.q, self.block_length)
-        object.__setattr__(self, "table", tuple(self.table))
-        check_range(self.table, len(self.table),
-                    "table value {} is not a block index")
+        check_table_size(len(table), q, block_length)
+        table = tuple(table)
+        check_range(table, len(table), "table value {} is not a block index")
+        return tuple.__new__(cls, (q, block_length, table))
 
     def __call__(self, w: tuple[int, ...]) -> tuple[int, ...]:
         if len(w) != self.block_length:
@@ -271,13 +266,12 @@ def _left_parts(rule: BlockRule, x: EpConfig) -> list[tuple]:
     return parts
 
 
-@dataclass(frozen=True)
-class SweepOutcome:
+class SweepOutcome(namedtuple("SweepOutcome", "limit second",
+                              defaults=(None,))):
     """Limit of anchored sweeps: one configuration, or two accumulation
     points when the anchors do not settle."""
 
-    limit: EpConfig
-    second: EpConfig | None = None
+    __slots__ = ()
 
     @property
     def converges(self) -> bool:

@@ -11,28 +11,25 @@ running examples used throughout the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (EpConfig, all_words, bundled_json, check_alphabet,
                    check_range, check_table_size, json_int, word_index)
 
 
-@dataclass(frozen=True)
-class LocalRule:
+class LocalRule(namedtuple("LocalRule", "q anchor width table")):
     """Local rule of a cellular automaton over alphabet 0..q-1."""
 
-    q: int
-    anchor: int
-    width: int
-    table: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_alphabet(self.q)
-        if self.width < 1:
+    def __new__(cls, q, anchor, width, table):
+        check_alphabet(q)
+        if width < 1:
             raise ValueError("width must be at least 1")
-        check_table_size(len(self.table), self.q, self.width)
-        object.__setattr__(self, "table", tuple(self.table))
-        check_range(self.table, self.q, "table value {} outside alphabet")
+        check_table_size(len(table), q, width)
+        table = tuple(table)
+        check_range(table, q, "table value {} outside alphabet")
+        return tuple.__new__(cls, (q, anchor, width, table))
 
     def __call__(self, window: tuple[int, ...]) -> int:
         if len(window) != self.width:

@@ -19,7 +19,6 @@ import functools
 import json
 import os
 import sys
-import traceback
 
 from .blockrule import (BlockRule, representation_eval, sweep_range,
                         sweeper_eval)
@@ -538,6 +537,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:
+        import traceback    # only here, to keep it out of start-up
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -41,7 +41,7 @@ element iff every A(C, b) has at most one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import graph
 from .core import (EpConfig, IntegrityError, check_power_cap, ep_equal,
@@ -55,12 +55,11 @@ from .ca import (LocalRule, apply_ep, minimize_neighborhood, mirror,
 MAX_WINDOWS = 1 << 24
 
 
-@dataclass(frozen=True)
-class ClosingVerdict:
-    side: str  # "left" or "right"
-    closed: bool
-    strong_radius: int | None
-    witness: tuple[EpConfig, EpConfig] | None
+class ClosingVerdict(namedtuple("ClosingVerdict",
+                                "side closed strong_radius witness")):
+    # side is "left" or "right"; witness is a pair of EpConfig or None
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.closed

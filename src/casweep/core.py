@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -121,8 +121,8 @@ def all_words(length: int, q: int):
 EMPTY_TAIL = "periodic tails must be nonempty words"
 
 
-@dataclass(frozen=True)
-class EpConfig:
+class EpConfig(namedtuple("EpConfig",
+                          "q left_period center center_start right_period")):
     """Eventually periodic bi-infinite configuration.
 
     Cells below `center_start` repeat `left_period`, tiled so that one copy
@@ -132,28 +132,27 @@ class EpConfig:
 
     Instances are not normalized on construction; `normalize` produces a
     normal form and `ep_equal` compares semantically.
+
+    The frozen records of the package are namedtuple subclasses.  This one,
+    `LocalRule`, `BlockRule`, `MealyAutomaton` and `Decomposition` check
+    and coerce their fields in `__new__`, which `_replace` and `_make`
+    skip, so the package never calls those two on them.
     """
 
-    q: int
-    left_period: tuple[int, ...]
-    center: tuple[int, ...]
-    center_start: int
-    right_period: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_alphabet(self.q)
-        if not self.left_period or not self.right_period:
+    def __new__(cls, q, left_period, center, center_start, right_period):
+        check_alphabet(q)
+        if not left_period or not right_period:
             raise ValueError(EMPTY_TAIL)
-        left = tuple(self.left_period)
-        center = tuple(self.center)
-        right = tuple(self.right_period)
-        object.__setattr__(self, "left_period", left)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "right_period", right)
+        left = tuple(left_period)
+        center = tuple(center)
+        right = tuple(right_period)
         # one check of the joined words names the first bad symbol of the
         # left period, then the center, then the right period
-        check_range(left + center + right, self.q,
+        check_range(left + center + right, q,
                     "symbol {} out of range for alphabet of size {}")
+        return tuple.__new__(cls, (q, left, center, center_start, right))
 
     @property
     def center_end(self) -> int:

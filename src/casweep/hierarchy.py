@@ -10,12 +10,12 @@ shift followed by a left-to-right sweep realizing the shifted automaton.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .core import EpConfig, ep_equal, random_ep_config, translation_class
 from .ca import LocalRule, apply_ep, shift_compose, shift_rule
-from .blockrule import BlockRule, identity_block, sweeper_eval
+from .blockrule import identity_block, sweeper_eval
 from .closing import (NotClosingError, left_closing_decide,
                       right_closing_decide)
 from .stairs import slider_exists
@@ -31,16 +31,14 @@ class Direction(Enum):
     RIGHT_TO_LEFT = "RL"
 
 
-@dataclass(frozen=True)
-class DirectedSlider:
+class DirectedSlider(namedtuple("DirectedSlider", "rule direction")):
     """A block rule swept in a fixed direction.
 
     Right-to-left application is the mirror image of the only sweep engine
     there is: reverse the tape, sweep left to right, reverse back.
     """
 
-    rule: BlockRule
-    direction: Direction
+    __slots__ = ()
 
     def __call__(self, y: EpConfig) -> EpConfig:
         flipped = self.direction is Direction.RIGHT_TO_LEFT
@@ -50,20 +48,22 @@ class DirectedSlider:
         return out.limit.reversed() if flipped else out.limit
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    stages: tuple[DirectedSlider, ...]
-    claimed_ca: LocalRule
-    # the k of decompose_biclosing; None for stages assembled by hand
-    shift_offset: int | None = None
+class Decomposition(namedtuple("Decomposition",
+                               "stages claimed_ca shift_offset",
+                               defaults=(None,))):
+    # shift_offset is the k of decompose_biclosing; None for stages
+    # assembled by hand
 
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        if not self.stages:
+    __slots__ = ()
+
+    def __new__(cls, stages, claimed_ca, shift_offset=None):
+        stages = tuple(stages)
+        if not stages:
             raise ValueError("a decomposition needs at least one stage")
-        for a, b in zip(self.stages, self.stages[1:]):
+        for a, b in zip(stages, stages[1:]):
             if a.direction is b.direction:
                 raise ValueError("stage directions must alternate")
+        return tuple.__new__(cls, (stages, claimed_ca, shift_offset))
 
 
 def decompose_biclosing(f: LocalRule) -> Decomposition:

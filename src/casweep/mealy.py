@@ -10,8 +10,8 @@ here as well because the benchmark traces `mealy.sweeper_eval`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import chain
 
 from . import graph
@@ -19,20 +19,18 @@ from .core import MAX_AUTOMATON_STATES, check_cap, check_power_cap
 from .blockrule import BlockRule, sweeper_eval
 
 
-@dataclass(frozen=True)
-class MealyAutomaton:
+class MealyAutomaton(namedtuple("MealyAutomaton", "q n next_table")):
     """Transducer with states and letters both S^n, kept as its transitions:
     entry s * q^n + a of next_table is delta(s, a), for the word indices s
     and a.
     """
 
-    q: int
-    n: int
-    next_table: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.next_table) != self.q ** (2 * self.n):
+    def __new__(cls, q, n, next_table):
+        if len(next_table) != q ** (2 * n):
             raise ValueError("next_table must have q^(2n) entries")
+        return tuple.__new__(cls, (q, n, next_table))
 
     @property
     def size(self) -> int:

@@ -15,7 +15,7 @@ exactly when no prime appears with positive exponent in lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import (IntegrityError, all_words, check_power_cap,
@@ -97,21 +97,20 @@ def lambda_value(f: LocalRule) -> Fraction:
     return verdict.lam
 
 
-@dataclass(frozen=True)
-class SliderVerdict:
+class SliderVerdict(namedtuple("SliderVerdict",
+                               "exists left_closing m psi_cardinality lam "
+                               "violating_primes stairs shift_offset")):
     """The analysis of one rule, which every later step reads: at the
     smallest strong radius m, |Psi_{3m}|, lambda and the stair codes of
     `enumerate_stairs`.  These and the shift offset are None when the rule
-    is not left-closing."""
+    is not left-closing.  The repr leaves out the stair codes."""
 
-    exists: bool
-    left_closing: ClosingVerdict
-    m: int | None
-    psi_cardinality: int | None
-    lam: Fraction | None
-    violating_primes: tuple[int, ...]
-    stairs: frozenset[int] | None = field(repr=False)
-    shift_offset: int | None
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={value!r}" for name, value in zip(self._fields, self)
+                 if name != "stairs")
+        return f"SliderVerdict({', '.join(shown)})"
 
     def __bool__(self) -> bool:
         return self.exists

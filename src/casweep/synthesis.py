@@ -22,7 +22,7 @@ that of (av, bw): ((av mod q^(2m-1)) * q + c) * q^(2m) + w * q + d.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (IntegrityError, ep_equal, random_ep_config,
                    translation_class)
@@ -92,16 +92,14 @@ def synthesize(f: LocalRule,
     return rule
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(namedtuple("VerifyResult",
+                              "ok samples counterexample sweeper_agreement",
+                              defaults=(None, True))):
     """`ok`, `samples` and `counterexample` answer the slider check (the
     first failing draw, and how many draws it took); `sweeper_agreement`
     is whether the sweeper check gave the same answer on every draw."""
 
-    ok: bool
-    samples: int
-    counterexample: tuple | None = None
-    sweeper_agreement: bool = True
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -53,8 +53,8 @@ integer, big-endian, so a pair (y, z) reads as y * q + z.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Collection
 
 from . import graph
 from .core import (MAX_AUTOMATON_STATES, EpConfig, IntegrityError, check_cap,
@@ -63,8 +63,8 @@ from .ca import LocalRule, minimize_neighborhood
 from .blockrule import BlockRule
 
 
-@dataclass(frozen=True)
-class ZAutomaton:
+class ZAutomaton(namedtuple("ZAutomaton",
+                            "q arity states succ initial final")):
     """Numbered states, labeled successor lists, and the recurrence sets.
 
     `states` has one entry per state: the sweeper and mismatch builders use
@@ -75,12 +75,7 @@ class ZAutomaton:
     `final` are ascending state numbers.
     """
 
-    q: int
-    arity: int
-    states: Sequence
-    succ: tuple[tuple[tuple[int, int], ...], ...]
-    initial: tuple[int, ...]
-    final: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def label_count(self) -> int:

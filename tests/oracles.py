@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from casweep import graph
@@ -583,7 +583,7 @@ def flag_intersect(A: ZAutomaton, B: ZAutomaton) -> ZAutomaton:
         A.q, A.arity, states, edges,
         [s for s in states if s[2] == 0 and s[0] in init_a],
         [s for s in states if s[3] == 0 and s[0] in final_a], key=None)
-    return replace(product, states=tuple(
+    return product._replace(states=tuple(
         (A.states[a], B.states[b], lflag, rflag)
         for a, b, lflag, rflag in product.states))
 

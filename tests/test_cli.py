@@ -240,6 +240,8 @@ def test_verify_engine_fault_exits_4(capsys, monkeypatch, name, mode):
                             data_file("shift"), *mode)
     assert code == 4 and report is None
     assert err.splitlines()[-1].startswith("internal error: ValueError")
+    assert "Traceback (most recent call last)" in err
+    assert ", in fault\n" in err
 
 
 # ---------------------------------------------------------------------------
@@ -1152,7 +1154,9 @@ def test_counts_and_caps_must_be_positive(capsys, monkeypatch, tmp_path,
 def test_cli_import_leaves_networkx_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import casweep.cli, sys; assert 'networkx' not in sys.modules"],
+         "import casweep.cli, sys; "
+         "loaded = {'networkx', 'dataclasses', 'inspect', 'traceback'} "
+         "& set(sys.modules); assert not loaded, loaded"],
         capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
 

@@ -7,7 +7,6 @@ configuration it does not fit: every result must equal the one a fresh
 copy of the rule gives, and the tuple oracle's.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -47,5 +46,5 @@ def test_memos_leave_the_value_alone_and_stay_in_their_bounds():
     # one left entry per left-period word, and no other state beyond the
     # derived rules
     assert set(rule._left_sweeps) == {x.left_period for x in configs}
-    fields = {f.name for f in dataclasses.fields(rule)}
-    assert set(vars(rule)) - fields <= {"_inverse", "_mirror", "_left_sweeps"}
+    assert set(vars(rule)) - set(rule._fields) \
+        <= {"_inverse", "_mirror", "_left_sweeps"}
